@@ -9,6 +9,7 @@ from .dynamics import (
     SimulationTrace,
     energy,
     init_state,
+    iterate,
     overlap,
     pearson,
     run,
@@ -35,7 +36,7 @@ __all__ = [
     "PatternMatrix", "SimulationTrace",
     "adjacency_coupling", "build_automaton_graph", "build_barbell",
     "build_cycle", "build_named", "build_nn_scaffold", "build_random_regular",
-    "energy", "init_state", "normalize", "overlap", "pearson", "read_graph",
+    "energy", "init_state", "iterate", "normalize", "overlap", "pearson", "read_graph",
     "run", "softmax_beta", "update_step", "write_graph",
 ]
 

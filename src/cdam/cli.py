@@ -13,11 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments, reports
 from .automata import family_tree, load_spec_file
-from .dynamics import ModelParams, init_state, run
+from .dynamics import ModelParams, PatternMatrix, init_state, run
 from .errors import CdamError, NumericDivergenceError
 from .graphs import (
     build_barbell,
@@ -28,7 +26,6 @@ from .graphs import (
     read_graph,
 )
 from .ingest import ingest_frames, load_idx, random_patterns
-from .dynamics import PatternMatrix
 
 EXPERIMENT_NAMES = (
     "four-modes", "hop-range", "miyashita", "karate", "tutte", "barbell",
@@ -167,6 +164,8 @@ def cmd_experiment(args) -> int:
     if name not in EXPERIMENT_NAMES:
         raise UsageError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENT_NAMES)}")
     n = args.n
+    if n is not None and name in ("sequence", "retrieval-sweep"):
+        raise UsageError(f"experiment {name} has a fixed neuron count and takes no --n")
     if name == "four-modes":
         graph = parse_graph_spec(args.graph) if args.graph else build_cycle(30)
         report = experiments.four_modes(graph, n=n or 1000, seed=args.seed)
@@ -208,36 +207,30 @@ def cmd_automaton(args) -> int:
         lines.append(text)
 
     if args.script is not None:
-        for label in [s for s in args.script.split(",") if s]:
-            before = runner.state
-            if spec.label_vectors is None and label not in spec.labels():
-                emit(f"{before} + {label!r}: unknown label, state unchanged")
-                continue
-            name, r = runner.query(label)
-            emit(f"{before} + {label} -> {runner.state}  (r={r:.3f})")
+        tokens = args.script.split(",")
     elif args.repl:
         emit("labels step the machine; :state NAME resets, :quit exits")
-        for raw in sys.stdin:
-            token = raw.strip()
-            if not token:
-                continue
-            if token == ":quit":
-                break
-            if token.startswith(":state"):
-                try:
-                    runner.set_state(token.split(None, 1)[1].strip())
-                    emit(f"state set to {runner.state}")
-                except (IndexError, CdamError) as exc:
-                    emit(f"cannot set state: {exc}")
-                continue
-            before = runner.state
-            if spec.label_vectors is None and token not in spec.labels():
-                emit(f"{before} + {token!r}: unknown label, state unchanged")
-                continue
-            name, r = runner.query(token)
-            emit(f"{before} + {token} -> {runner.state}  (r={r:.3f})")
+        tokens = (raw.strip() for raw in sys.stdin)
     else:
         raise UsageError("automaton needs --script or --repl")
+    for token in tokens:
+        if not token:
+            continue
+        if args.repl and token == ":quit":
+            break
+        if args.repl and token.startswith(":state"):
+            try:
+                runner.set_state(token.split(None, 1)[1].strip())
+                emit(f"state set to {runner.state}")
+            except (IndexError, CdamError) as exc:
+                emit(f"cannot set state: {exc}")
+            continue
+        before = runner.state
+        if spec.label_vectors is None and token not in spec.labels():
+            emit(f"{before} + {token!r}: unknown label, state unchanged")
+            continue
+        _, r = runner.query(token)
+        emit(f"{before} + {token} -> {runner.state}  (r={r:.3f})")
 
     if args.out:
         out = Path(args.out)
@@ -252,9 +245,6 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "experiment": cmd_experiment, "automaton": cmd_automaton}
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericDivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

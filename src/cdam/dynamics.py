@@ -20,7 +20,9 @@ on a multiple of the mean pattern.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +35,10 @@ from .errors import (
 from .graphs import MemoryGraph, NormalizedAdjacency, normalize
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternMatrix:
-    """Stored memories: column mu of `values` is pattern mu (n x p, finite)."""
+    """Stored memories: column mu of `values` is pattern mu (n x p, finite).
+    Frozen, with read-only values, so statistics derived from them cannot go stale."""
 
     values: np.ndarray
 
@@ -46,8 +49,7 @@ class PatternMatrix:
         if not np.all(np.isfinite(v)):
             raise ContractError("pattern matrix contains non-finite values")
         v.flags.writeable = False
-        self.values = v
-        self._mean_load = v.mean(axis=1)
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -57,10 +59,24 @@ class PatternMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @cached_property
     def mean_load(self) -> np.ndarray:
         """Average of all stored patterns (the global inhibitory bias vector)."""
-        return self._mean_load
+        return self.values.mean(axis=1)
+
+    @cached_property
+    def centered(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centered columns and their norms, the pattern side of every Pearson
+        readout; built on first use, as sweeps never read Pearson."""
+        cols, norms = _center_columns(self.values)
+        cols.flags.writeable = norms.flags.writeable = False
+        return cols, norms
+
+
+def _center_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns minus their own means, and the Euclidean norms of the results."""
+    centered = cols - cols.mean(axis=0, keepdims=True)
+    return centered, np.sqrt((centered**2).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -114,9 +130,10 @@ def softmax_beta(z: np.ndarray, beta: float) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _check_dims(state_len: int, patterns: PatternMatrix, m: NormalizedAdjacency) -> None:
-    if patterns.n != state_len:
-        raise ContractError(f"state length {state_len} != neuron count {patterns.n}")
+def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency) -> None:
+    """Raise unless sigma (a vector or an (n, batch) stack) and m fit the patterns."""
+    if sigma.ndim not in (1, 2) or sigma.shape[0] != patterns.n:
+        raise ContractError(f"state of shape {sigma.shape} does not fit neuron count {patterns.n}")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise ContractError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
@@ -135,11 +152,9 @@ def retrieval_vector(
     xi = patterns.values
     s = softmax_beta(xi.T @ sigma, params.beta)
     mixed = params.a * s + params.h * (m.matrix.T @ s)
-    # Xc @ mixed == Xi @ mixed - mean_load * sum(mixed), cheaper than
-    # materializing the centered matrix.
-    if mixed.ndim == 2:
-        return xi @ mixed - patterns.mean_load[:, None] * mixed.sum(axis=0)[None, :]
-    return xi @ mixed - patterns.mean_load * mixed.sum()
+    # Xc @ mixed == Xi @ mixed - mean_load (outer) column sums of mixed,
+    # cheaper than materializing the centered matrix.
+    return xi @ mixed - np.multiply.outer(patterns.mean_load, mixed.sum(axis=0))
 
 
 def update_step(
@@ -149,53 +164,72 @@ def update_step(
     params: ModelParams,
 ) -> NetworkState:
     """One synchronous update; returns a fresh state, input untouched."""
-    _check_dims(len(state.sigma), patterns, m)
+    _check_dims(state.sigma, patterns, m)
     target = retrieval_vector(state.sigma, patterns, m, params)
     sigma = state.sigma + params.eta * (target - state.sigma)
     return NetworkState(sigma, state.t + 1)
 
 
-def run(
-    initial: NetworkState,
-    patterns: PatternMatrix,
-    m: NormalizedAdjacency,
-    params: ModelParams,
-    max_steps: int = 101,
-    fixed_point_tol: float = 1e-9,
-    energy_graph: MemoryGraph | None = None,
-) -> SimulationTrace:
-    """Iterate update_step until max_steps or an infinity-norm fixed point.
+def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
+            params: ModelParams, steps: int, tol: float | None = None,
+            observe: Callable[[int, np.ndarray], None] | None = None) -> tuple[np.ndarray, int, str]:
+    """The Euler loop of every run, sigma <- sigma + eta*(retrieval - sigma),
+    on a state vector or an (n, batch) stack, for up to `steps` steps.
+
+    observe(t, sigma) sees the state after each step t = 1, 2, ...  With a
+    tolerance, stops after the first step whose max |change| is below it.  A
+    non-finite state raises NumericDivergenceError naming its step.  Returns
+    (final state, steps taken, "max-steps" or "fixed-point").
+    """
+    sig = np.asarray(sigma0, dtype=float)
+    _check_dims(sig, patterns, m)
+    for t in range(1, steps + 1):
+        target = retrieval_vector(sig, patterns, m, params)
+        new = sig + params.eta * (target - sig)
+        if not np.isfinite(new).all():
+            raise NumericDivergenceError(t)
+        converged = tol is not None and float(np.max(np.abs(new - sig))) < tol
+        sig = new
+        if observe is not None:
+            observe(t, sig)
+        if converged:
+            return sig, t, "fixed-point"
+    return sig, steps, "max-steps"
+
+
+def run(initial: NetworkState, patterns: PatternMatrix, m: NormalizedAdjacency,
+        params: ModelParams, max_steps: int = 101, fixed_point_tol: float = 1e-9,
+        energy_graph: MemoryGraph | None = None) -> SimulationTrace:
+    """Iterate until max_steps or an infinity-norm fixed point, recording
+    every state's readouts.
 
     The trace includes the t=0 record, so it has steps+1 rows.  A non-finite
     state aborts with NumericDivergenceError naming the offending step.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {max_steps}")
-    _check_dims(len(initial.sigma), patterns, m)
+    _check_dims(initial.sigma, patterns, m)
+    undirected = energy_graph is not None and not energy_graph.directed
+    energy_coupling = normalize(energy_graph).matrix if undirected else None
 
     corr, ovl, means, sds, energies = [], [], [], [], []
 
-    def record(state: NetworkState) -> None:
+    def record(t: int, sigma: np.ndarray) -> None:
+        state = NetworkState(sigma, initial.t + t)
         corr.append(pearson_all(state, patterns))
         ovl.append(overlaps_all(state, patterns))
-        means.append(float(state.sigma.mean()))
-        sds.append(float(state.sigma.std()))
+        means.append(float(sigma.mean()))
+        sds.append(float(sigma.std()))
         if energy_graph is not None:
-            energies.append(energy(state, patterns, energy_graph, params))
+            energies.append(_energy(state, patterns, energy_graph, params, energy_coupling))
 
-    state = initial
-    record(state)
-    termination = "max-steps"
-    for _ in range(max_steps):
-        new = update_step(state, patterns, m, params)
-        if not np.all(np.isfinite(new.sigma)):
-            raise NumericDivergenceError(new.t)
-        delta = float(np.max(np.abs(new.sigma - state.sigma)))
-        state = new
-        record(state)
-        if delta < fixed_point_tol:
-            termination = "fixed-point"
-            break
+    record(0, initial.sigma)
+    try:
+        sigma, steps, termination = iterate(
+            initial.sigma, patterns, m, params, max_steps, fixed_point_tol, observe=record
+        )
+    except NumericDivergenceError as exc:
+        raise NumericDivergenceError(initial.t + exc.step) from None
 
     return SimulationTrace(
         correlations=np.array(corr),
@@ -203,7 +237,7 @@ def run(
         mean_activity=np.array(means),
         sd_activity=np.array(sds),
         energies=np.array(energies) if energy_graph is not None else None,
-        final_state=state,
+        final_state=NetworkState(sigma, initial.t + steps),
         termination=termination,
     )
 
@@ -239,8 +273,7 @@ def pearson_all(state: NetworkState, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r against every pattern at once (same zero-variance contract)."""
     x = state.sigma - state.sigma.mean()
     xs = math.sqrt(float(x @ x))
-    yc = patterns.values - patterns.values.mean(axis=0, keepdims=True)
-    ys = np.sqrt((yc**2).sum(axis=0))
+    yc, ys = patterns.centered
     if xs == 0.0 or np.any(ys == 0.0):
         raise UndefinedCorrelationError(
             "pearson undefined: zero-variance state or pattern"
@@ -263,6 +296,13 @@ def energy(
         -(1/b)*log(a*sum_mu exp(b*m_mu^2) + h*sum_edges w*exp(b*m_a*m_k))
     and raise if the log argument is not positive.
     """
+    coupling = None if graph.directed else normalize(graph).matrix
+    return _energy(state, patterns, graph, params, coupling)
+
+
+def _energy(state: NetworkState, patterns: PatternMatrix, graph: MemoryGraph,
+            params: ModelParams, coupling: np.ndarray | None) -> float:
+    """energy() given the normalized coupling, which a run computes only once."""
     if graph.p != patterns.p:
         raise ContractError(f"graph has p={graph.p}, patterns hold p={patterns.p}")
     b = params.beta
@@ -276,7 +316,6 @@ def energy(
         if arg <= 0.0:
             raise EnergyUndefinedError(f"directed energy log argument {arg} <= 0")
         return -math.log(arg) / b
-    coupling = normalize(graph).matrix
     total = -(params.a / b) * math.log(auto_sum)
     if graph.edges:
         hetero_sum = float(np.sum(coupling * np.exp(b * np.outer(m, m))))

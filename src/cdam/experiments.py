@@ -29,9 +29,10 @@ from .dynamics import (
     ModelParams,
     NetworkState,
     PatternMatrix,
+    _center_columns,
+    iterate,
     pearson_all,
-    retrieval_vector,
-    softmax_beta,
+    retrieval_vector,  # noqa: F401  (public here too: perfbench traces it by this name)
 )
 from .errors import ContractError, UnknownNameError
 from .graphs import (
@@ -44,7 +45,7 @@ from .graphs import (
     named_communities,
     normalize,
 )
-from .ingest import compose_automaton_patterns, embed_label
+from .ingest import compose_automaton_patterns, embed_label, random_patterns
 from .stats import AnovaResult, one_way_anova, r_squared
 
 # The four canonical operating points: pure auto-association, narrow and
@@ -148,39 +149,42 @@ def run_all_triggers(
 ) -> dict:
     """One run per stored pattern, vectorized as a state-matrix iteration.
 
-    Uses the same retrieval_vector as the single-run engine (their
-    equivalence is pinned by tests).  Returns final states (n x p), the
-    pattern-correlation matrix r[mu, trigger], mean activity per trigger,
-    and requested per-snapshot correlation matrices.
+    Uses the same iterate as the single-run engine (their equivalence is
+    pinned by tests).  Returns final states (n x p), the pattern-correlation
+    matrix r[mu, trigger], mean activity per trigger, and requested
+    per-snapshot correlation matrices.
     """
     xi = patterns.values
     rng = np.random.default_rng(seed)
-    sig = xi + noise_c * rng.uniform(-0.5, 0.5, xi.shape)
+    sig0 = xi + noise_c * rng.uniform(-0.5, 0.5, xi.shape)
     snaps = {}
-    for t in range(1, steps + 1):
-        target = retrieval_vector(sig, patterns, coupling, params)
-        sig = sig + params.eta * (target - sig)
+
+    def snapshot(t: int, sig: np.ndarray) -> None:
         if t in snapshots:
-            snaps[t] = _pearson_matrix(xi, sig)
+            snaps[t] = _pearson_matrix(patterns.centered, sig)
+
+    sig = iterate(sig0, patterns, coupling, params, steps, observe=snapshot)[0]
     return {
         "final_states": sig,
-        "pattern_correlations": _pearson_matrix(xi, sig),
+        "pattern_correlations": _pearson_matrix(patterns.centered, sig),
         "mean_activity": sig.mean(axis=0),
         "snapshots": snaps,
     }
 
 
-def _pearson_matrix(ref_cols: np.ndarray, state_cols: np.ndarray) -> np.ndarray:
-    """r[i, j] between column i of ref_cols and column j of state_cols."""
-    rc = ref_cols - ref_cols.mean(axis=0, keepdims=True)
-    sc = state_cols - state_cols.mean(axis=0, keepdims=True)
-    denom = np.sqrt((rc**2).sum(axis=0))[:, None] * np.sqrt((sc**2).sum(axis=0))[None, :]
-    return (rc.T @ sc) / denom
+def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray], state_cols: np.ndarray) -> np.ndarray:
+    """r[i, j] between reference column i and column j of state_cols; `ref`
+    holds the reference's centered columns and their norms."""
+    rc, rnorms = ref
+    sc, snorms = _center_columns(state_cols)
+    return (rc.T @ sc) / (rnorms[:, None] * snorms[None, :])
 
 
 def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
     """Pearson correlations between the final states of every trigger pair."""
-    return _pearson_matrix(final_states, final_states)
+    # Centered twice on purpose: numpy computes `x.T @ x` with a symmetric
+    # kernel that rounds differently from the general product.
+    return _pearson_matrix(_center_columns(final_states), final_states)
 
 
 def hop_profile(graph: MemoryGraph, state_corr: np.ndarray, max_hop: int) -> HopProfile:
@@ -214,6 +218,20 @@ def per_trigger_ranges(
 # -- experiments -------------------------------------------------------------
 
 
+def _graph_report(name: str, graph: MemoryGraph, n: int, seed: int, settings, **params):
+    params = {"n": n, "seed": seed, "settings": list(settings), **params}
+    return ExperimentReport(name, params, manifest={"graph_fingerprint": graph.fingerprint()})
+
+
+def _runs_per_setting(graph: MemoryGraph, settings, n: int, seed: int, **run_kw):
+    """Seeded uniform patterns on the graph and its normalized coupling, then
+    one all-trigger run per (a, h) setting, yielded with its report key."""
+    patterns, coupling = random_patterns(n, graph.p, seed), normalize(graph)
+    for a, h in settings:
+        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1, **run_kw)
+        yield f"a{a:+g}_h{h:+g}", res
+
+
 def four_modes(
     graph: MemoryGraph,
     settings=FOUR_MODE_SETTINGS,
@@ -223,18 +241,8 @@ def four_modes(
 ) -> ExperimentReport:
     """Run every trigger under each (a, h) setting and collect the final
     pattern correlations, state-state correlations, and mean activities."""
-    rng = np.random.default_rng(seed)
-    patterns = PatternMatrix(rng.uniform(0, 1, (n, graph.p)))
-    coupling = normalize(graph)
-    report = ExperimentReport(
-        "four-modes",
-        {"n": n, "seed": seed, "settings": list(settings), "graph_p": graph.p},
-        manifest={"graph_fingerprint": graph.fingerprint()},
-    )
-    for a, h in settings:
-        params = ModelParams(a=a, h=h)
-        res = run_all_triggers(patterns, coupling, params, seed=seed + 1, snapshots=snapshots)
-        key = f"a{a:+g}_h{h:+g}"
+    report = _graph_report("four-modes", graph, n, seed, settings, graph_p=graph.p)
+    for key, res in _runs_per_setting(graph, settings, n, seed, snapshots=snapshots):
         report.outputs[f"corr_{key}"] = res["pattern_correlations"]
         report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
         report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
@@ -253,22 +261,13 @@ def hop_range(
     """Hop-distance profiles per setting plus a one-way ANOVA across the
     per-trigger effective ranges."""
     graph = graph if graph is not None else build_cycle(30)
-    rng = np.random.default_rng(seed)
-    patterns = PatternMatrix(rng.uniform(0, 1, (n, graph.p)))
-    coupling = normalize(graph)
-    report = ExperimentReport(
-        "hop-range",
-        {"n": n, "seed": seed, "settings": list(settings), "max_hop": max_hop},
-        manifest={"graph_fingerprint": graph.fingerprint()},
-    )
+    report = _graph_report("hop-range", graph, n, seed, settings, max_hop=max_hop)
     groups = []
-    for a, h in settings:
-        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
+    for key, res in _runs_per_setting(graph, settings, n, seed):
         sc = state_correlation_matrix(res["final_states"])
         prof = hop_profile(graph, sc, max_hop)
         ranges = per_trigger_ranges(graph, sc, max_hop)
         groups.append(ranges.tolist())
-        key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"profile_mean_{key}"] = prof.means
         report.outputs[f"profile_sd_{key}"] = prof.sds
         report.outputs[f"ranges_{key}"] = ranges
@@ -297,8 +296,7 @@ def miyashita_fit(
     )
     r2s, profiles = [], []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        patterns = PatternMatrix(rng.uniform(0, 1, (n, graph.p)))
+        patterns = random_patterns(n, graph.p, seed)
         res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
         prof = hop_profile(graph, state_correlation_matrix(res["final_states"]), 6)
         profiles.append(prof.means)
@@ -316,17 +314,9 @@ def community_matrices(
     seed: int = 0,
 ) -> ExperimentReport:
     """State-state correlation matrix per setting, every vertex a trigger."""
-    rng = np.random.default_rng(seed)
-    patterns = PatternMatrix(rng.uniform(0, 1, (n, graph.p)))
-    coupling = normalize(graph)
-    report = ExperimentReport(
-        "community",
-        {"n": n, "seed": seed, "settings": list(settings)},
-        manifest={"graph_fingerprint": graph.fingerprint()},
-    )
-    for a, h in settings:
-        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
-        report.outputs[f"states_a{a:+g}_h{h:+g}"] = state_correlation_matrix(res["final_states"])
+    report = _graph_report("community", graph, n, seed, settings)
+    for key, res in _runs_per_setting(graph, settings, n, seed):
+        report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
     return report
 
 
@@ -431,17 +421,13 @@ def sequence_recall(
         manifest={"graph_fingerprint": graph.fingerprint(),
                   "frames_fingerprint": _array_fingerprint(patterns.values)},
     )
-    xi = patterns.values
     for a, h in settings:
-        params = ModelParams(a=a, h=h)
         rng = np.random.default_rng(seed)
-        sig = xi[:, trigger] + noise_c * rng.uniform(-0.5, 0.5, patterns.n)
+        sig = patterns.values[:, trigger] + noise_c * rng.uniform(-0.5, 0.5, patterns.n)
         argmaxes = []
-        state = NetworkState(sig, 0)
-        for _ in range(steps):
-            target = retrieval_vector(state.sigma, patterns, coupling, params)
-            state = NetworkState(state.sigma + params.eta * (target - state.sigma), state.t + 1)
-            argmaxes.append(int(np.argmax(pearson_all(state, patterns))))
+        iterate(sig, patterns, coupling, ModelParams(a=a, h=h), steps,
+                observe=lambda t, s: argmaxes.append(
+                    int(np.argmax(pearson_all(NetworkState(s, t), patterns)))))
         sched = schedule_metrics(argmaxes, p, patience=patience)
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = sched.argmax_per_step
@@ -497,17 +483,9 @@ class AutomatonRunner:
             raise UnknownNameError(f"unknown state {name!r}")
         self.state = name
 
-    def _converge(self, sigma: np.ndarray) -> np.ndarray:
-        st = NetworkState(sigma, 0)
-        for _ in range(self.steps):
-            target = retrieval_vector(st.sigma, self.patterns, self.coupling, self.params)
-            new = st.sigma + self.params.eta * (target - st.sigma)
-            if np.max(np.abs(new - st.sigma)) < 1e-9:
-                return new
-            st = NetworkState(new, st.t + 1)
-        return st.sigma
-
-    def _readout(self, sigma: np.ndarray) -> tuple[str, float]:
+    def _settle(self, sigma: np.ndarray) -> tuple[str, float]:
+        """Run to a fixed point and read the argmax-Pearson vertex."""
+        sigma = iterate(sigma, self.patterns, self.coupling, self.params, self.steps, tol=1e-9)[0]
         r = pearson_all(NetworkState(sigma, 0), self.patterns)
         top = int(np.argmax(r))
         return self.names[top], float(r[top])
@@ -522,7 +500,7 @@ class AutomatonRunner:
         sigma = self.slot_map.stimulate(
             self.patterns.values[:, self.index[self.state]].copy(), embedding
         )
-        name, r = self._readout(self._converge(sigma))
+        name, r = self._settle(sigma)
         if name in self.spec.states:
             self.state = name
         return name, r
@@ -531,7 +509,7 @@ class AutomatonRunner:
         """Start at a vertex pattern (state or transition) with no
         stimulation and report where the dynamics land."""
         sigma = self.patterns.values[:, self.index[vertex]].copy()
-        return self._readout(self._converge(sigma))
+        return self._settle(sigma)
 
 
 def automaton_run(
@@ -653,12 +631,11 @@ def retrieval_sweep(
         sig0 = base + noise_c * rng.uniform(-0.5, 0.5, base.shape)
         targets = np.repeat(np.arange(p), trials)
         for a, h in settings:
-            params = ModelParams(a=a, h=h)
-            sig = sig0.copy()
-            for _ in range(steps):
-                target = retrieval_vector(sig, patterns, coupling, params)
-                sig = sig + params.eta * (target - sig)
-            predicted = np.argmax(xi.T @ sig, axis=0)  # argmax overlap
+            # One expression, so no final state stays alive (and adds to peak
+            # memory) while the next setting iterates.
+            predicted = np.argmax(
+                xi.T @ iterate(sig0, patterns, coupling, ModelParams(a=a, h=h), steps)[0], axis=0
+            )
             accuracies[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(predicted == targets))
     report.outputs["accuracy"] = accuracies
     return report
@@ -675,16 +652,9 @@ def ei_balance(
 ) -> ExperimentReport:
     """Final mean activity per trigger for balanced (a + h = 1) settings."""
     graph = graph if graph is not None else build_cycle(30)
-    rng = np.random.default_rng(seed)
-    patterns = PatternMatrix(rng.uniform(0, 1, (n, graph.p)))
-    coupling = normalize(graph)
-    report = ExperimentReport(
-        "ei-balance", {"n": n, "seed": seed, "settings": list(settings)},
-        manifest={"graph_fingerprint": graph.fingerprint()},
-    )
-    for a, h in settings:
-        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
-        report.outputs[f"mean_activity_a{a:+g}_h{h:+g}"] = res["mean_activity"]
+    report = _graph_report("ei-balance", graph, n, seed, settings)
+    for key, res in _runs_per_setting(graph, settings, n, seed):
+        report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
     return report
 
 
@@ -697,8 +667,7 @@ def quiescence_threshold(
 ) -> dict[float, float]:
     """Worst-trigger max |r| at 101 steps with the unnormalized coupling
     M = A, for each tested auto strength."""
-    rng = np.random.default_rng(seed)
-    patterns = PatternMatrix(rng.uniform(0, 1, (n, graph.p)))
+    patterns = random_patterns(n, graph.p, seed)
     coupling = adjacency_coupling(graph)
     out = {}
     for a in a_values:

@@ -111,3 +111,48 @@ def naive_anova_f(groups):
     if ss_within == 0:
         return float("inf") if ss_between > 0 else 0.0, df_b, df_w
     return (ss_between / df_b) / (ss_within / df_w), df_b, df_w
+
+
+# The references below are numpy, not loops, so that the package's shared
+# paths can be held to exact (bitwise) equality with them: the Pearson
+# formulas the package evaluated before it cached the centered pattern
+# statistics, and a run stepped one update_step at a time.
+
+
+def step_by_hand(sigma, patterns, coupling, params, steps, tol=None):
+    """Every state of a run through update_step, stopping after the first
+    step whose max |change| is below tol."""
+    import numpy as np
+
+    from cdam.dynamics import NetworkState, update_step
+
+    states = [NetworkState(sigma, 0)]
+    for _ in range(steps):
+        new = update_step(states[-1], patterns, coupling, params)
+        done = tol is not None and np.max(np.abs(new.sigma - states[-1].sigma)) < tol
+        states.append(new)
+        if done:
+            break
+    return states
+
+
+def uncached_pearson_all(sigma, values):
+    """Pearson r of one state against every pattern column, re-centering
+    the whole pattern matrix on every call."""
+    import numpy as np
+
+    x = sigma - sigma.mean()
+    xs = math.sqrt(float(x @ x))
+    yc = values - values.mean(axis=0, keepdims=True)
+    ys = np.sqrt((yc**2).sum(axis=0))
+    return (yc.T @ x) / (xs * ys)
+
+
+def uncached_pearson_matrix(ref_cols, state_cols):
+    """r[i, j] between column i of ref_cols and column j of state_cols."""
+    import numpy as np
+
+    rc = ref_cols - ref_cols.mean(axis=0, keepdims=True)
+    sc = state_cols - state_cols.mean(axis=0, keepdims=True)
+    denom = np.sqrt((rc**2).sum(axis=0))[:, None] * np.sqrt((sc**2).sum(axis=0))[None, :]
+    return (rc.T @ sc) / denom

@@ -85,6 +85,14 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
         assert "four-modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sequence", "retrieval-sweep"])
+    def test_fixed_size_experiments_reject_n(self, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        code = main(["experiment", name, "--n", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_four_modes(self, tmp_path):
         out = tmp_path / "fm"
         code = main(["experiment", "four-modes", "--graph", "cycle:6",

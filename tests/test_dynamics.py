@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cdam.dynamics import (
     PatternMatrix,
     energy,
     init_state,
+    iterate,
     overlap,
     overlaps_all,
     pearson,
@@ -30,6 +32,8 @@ from oracles import (
     naive_energy_undirected,
     naive_pearson,
     naive_update,
+    step_by_hand,
+    uncached_pearson_all,
 )
 
 
@@ -104,6 +108,19 @@ class TestPatternMatrix:
         pm = PatternMatrix(np.ones((3, 2)))
         with pytest.raises(ValueError):
             pm.values[0, 0] = 2.0
+
+    def test_fields_cannot_be_reassigned(self):
+        # derived statistics (mean load, centered columns) would go stale
+        pm = PatternMatrix(np.arange(6.0).reshape(3, 2))
+        mean_load, (cols, norms) = pm.mean_load, pm.centered
+        with pytest.raises(FrozenInstanceError):
+            pm.values = np.ones((4, 5))
+        assert pm.values.shape == (3, 2)
+        assert pm.mean_load is mean_load and pm.centered[0] is cols
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            norms[0] = 1.0
 
 
 class TestUpdateStep:
@@ -215,6 +232,64 @@ class TestRun:
             run(NetworkState(np.zeros(3), 0), pm, m, ModelParams(), max_steps=0)
 
 
+class TestIterate:
+    @pytest.mark.parametrize("tol, eta", [(0.0, 0.1), (1e-6, 0.3)])
+    def test_run_trace_matches_update_step_by_hand(self, tol, eta):
+        rng = np.random.default_rng(21)
+        pm = PatternMatrix(rng.uniform(0, 1, (80, 6)))
+        graph = build_cycle(6)
+        coupling = normalize(graph)
+        params = ModelParams(a=0.5, h=0.5, eta=eta)
+        initial = init_state(pm, 2, seed=4)
+        trace = run(initial, pm, coupling, params, max_steps=200,
+                    fixed_point_tol=tol, energy_graph=graph)
+        states = step_by_hand(initial.sigma, pm, coupling, params, 200, tol=tol)
+        assert trace.steps == len(states) - 1
+        assert trace.termination == ("fixed-point" if trace.steps < 200 else "max-steps")
+        assert (trace.termination == "fixed-point") == (tol > 0)
+        assert np.array_equal(trace.correlations, [pearson_all(s, pm) for s in states])
+        assert np.array_equal(trace.overlaps, [overlaps_all(s, pm) for s in states])
+        assert np.array_equal(trace.mean_activity, [s.sigma.mean() for s in states])
+        assert np.array_equal(trace.sd_activity, [s.sigma.std() for s in states])
+        assert np.array_equal(trace.energies, [energy(s, pm, graph, params) for s in states])
+        assert np.array_equal(trace.final_state.sigma, states[-1].sigma)
+        assert trace.final_state.t == states[-1].t
+
+    def test_observer_sees_every_step(self):
+        rng = np.random.default_rng(22)
+        pm = PatternMatrix(rng.uniform(0, 1, (30, 4)))
+        coupling = normalize(build_cycle(4))
+        seen = []
+        sigma, steps, termination = iterate(
+            pm.values[:, 0], pm, coupling, ModelParams(), 7,
+            observe=lambda t, s: seen.append((t, s.copy())))
+        states = step_by_hand(pm.values[:, 0], pm, coupling, ModelParams(), 7)
+        assert (steps, termination) == (7, "max-steps")
+        assert [t for t, _ in seen] == list(range(1, 8))
+        for (_, s), want in zip(seen, states[1:]):
+            assert np.array_equal(s, want.sigma)
+        assert np.array_equal(sigma, states[-1].sigma)
+
+    def test_shapes_validated(self):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        coupling = normalize(build_cycle(3))
+        for bad in (np.float64(1.0), np.zeros((5, 3, 1)), np.zeros(4), np.zeros((4, 2))):
+            with pytest.raises(ContractError):
+                iterate(bad, pm, coupling, ModelParams(), 3)
+        with pytest.raises(ContractError):
+            iterate(np.zeros(5), pm, normalize(build_cycle(4)), ModelParams(), 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_step_counts_from_the_initial_time(self):
+        rng = np.random.default_rng(19)
+        pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e160)
+        m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
+        with pytest.raises(NumericDivergenceError) as exc:
+            run(NetworkState(rng.uniform(0.5, 1.0, 4) * 1e160, 7), pm, m,
+                ModelParams(a=1e10, h=0.0, eta=1.0), max_steps=10)
+        assert exc.value.step == 8
+
+
 class TestMeasures:
     def test_overlap_zero_state(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
@@ -264,6 +339,24 @@ class TestMeasures:
         flat = PatternMatrix(np.column_stack([np.ones(10), np.arange(10.0)]))
         with pytest.raises(UndefinedCorrelationError):
             pearson(NetworkState(np.arange(10.0), 0), 0, flat)
+
+    def test_pearson_all_equals_uncached_formula_exactly(self):
+        rng = np.random.default_rng(13)
+        shapes = [(2000, 50)] + [(int(rng.integers(3, 300)), int(rng.integers(1, 40)))
+                                 for _ in range(15)]
+        for n, p in shapes:
+            pm = PatternMatrix(rng.uniform(0, 1, (n, p)))
+            for _ in range(3):  # the first call fills the cache, later calls read it
+                sigma = rng.normal(0, 1, n)
+                assert np.array_equal(pearson_all(NetworkState(sigma, 0), pm),
+                                      uncached_pearson_all(sigma, pm.values))
+
+    def test_zero_variance_pattern_raises_on_every_call(self):
+        flat = PatternMatrix(np.column_stack([np.arange(10.0), np.ones(10)]))
+        state = NetworkState(np.arange(10.0) ** 2, 0)
+        for _ in range(2):
+            with pytest.raises(UndefinedCorrelationError):
+                pearson_all(state, flat)
 
     def test_index_range(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from cdam import experiments as X
-from cdam.dynamics import ModelParams, NetworkState, PatternMatrix, init_state, update_step
-from cdam.errors import ContractError
-from cdam.graphs import build_cycle, build_named, normalize
+from cdam.automata import family_tree
+from cdam.dynamics import (
+    ModelParams,
+    NetworkState,
+    PatternMatrix,
+    init_state,
+    pearson_all,
+    update_step,
+)
+from cdam.errors import ContractError, NumericDivergenceError
+from cdam.graphs import build_cycle, build_named, build_nn_scaffold, normalize
+from oracles import step_by_hand, uncached_pearson_matrix
+
+# Overflows to a non-finite state within a few steps on any small store.
+DIVERGENT = (1e308, 1e308)
 
 
 class TestBatchedRunner:
@@ -25,6 +37,28 @@ class TestBatchedRunner:
             for _ in range(20):
                 state = update_step(state, patterns, coupling, params)
             assert np.max(np.abs(state.sigma - res["final_states"][:, trig])) < 1e-12
+
+    def test_cached_pattern_correlations_equal_uncached_formula(self):
+        # the experiments' shape: reduction-order changes show at this size
+        rng = np.random.default_rng(5)
+        patterns = PatternMatrix(rng.uniform(0, 1, (1000, 30)))
+        coupling, params = normalize(build_cycle(30)), ModelParams(a=0.5, h=0.5)
+        res = X.run_all_triggers(patterns, coupling, params, steps=25, seed=2,
+                                 snapshots=(1, 10, 25))
+        assert np.array_equal(res["pattern_correlations"],
+                              uncached_pearson_matrix(patterns.values, res["final_states"]))
+        for t, mat in res["snapshots"].items():
+            sig = X.run_all_triggers(patterns, coupling, params, steps=t, seed=2)["final_states"]
+            assert np.array_equal(mat, uncached_pearson_matrix(patterns.values, sig))
+        assert np.array_equal(X.state_correlation_matrix(res["final_states"]),
+                              uncached_pearson_matrix(res["final_states"], res["final_states"]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_raises(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericDivergenceError):
+            X.run_all_triggers(PatternMatrix(rng.uniform(0, 1, (50, 6))), normalize(build_cycle(6)),
+                               ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0), steps=5)
 
     def test_snapshot_times(self):
         rng = np.random.default_rng(4)
@@ -151,6 +185,73 @@ class TestReports:
         arr, maxval = read_pnm(tmp_path / "m.pgm")
         assert maxval == 255
         assert list(arr.reshape(-1)) == [0, 128, 191, 255]
+
+
+class TestSequenceRecall:
+    def test_schedule_matches_update_step_by_hand(self):
+        frames = X.surrogate_frames(p=8, n=200, seed=3, switches=(4,))
+        settings = ((-2.0, 3.0), (1.0, 0.0))
+        rep = X.sequence_recall(frames, settings=settings, steps=60, trigger=2, seed=5)
+        coupling = normalize(build_cycle(8, directed=True))
+        for a, h in settings:
+            sig = frames.values[:, 2] + np.random.default_rng(5).uniform(-0.5, 0.5, 200)
+            state, schedule = NetworkState(sig, 0), []
+            for _ in range(60):
+                state = update_step(state, frames, coupling, ModelParams(a=a, h=h))
+                schedule.append(int(np.argmax(pearson_all(state, frames))))
+            assert rep.outputs[f"schedule_a{a:+g}_h{h:+g}"] == schedule
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_raises(self):
+        with pytest.raises(NumericDivergenceError):
+            X.sequence_recall(X.surrogate_frames(p=6, n=50), settings=(DIVERGENT,), steps=20)
+
+
+class TestAutomatonRunner:
+    def test_settle_from_matches_update_step_by_hand(self):
+        runner = X.AutomatonRunner(family_tree(), n=300, seed=1)
+        for vertex in runner.names:
+            sigma = runner.patterns.values[:, runner.index[vertex]].copy()
+            state = step_by_hand(sigma, runner.patterns, runner.coupling, runner.params,
+                                 runner.steps, tol=1e-9)[-1]
+            r = pearson_all(state, runner.patterns)
+            top = int(np.argmax(r))
+            assert runner.settle_from(vertex) == (runner.names[top], float(r[top]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_raises(self):
+        runner = X.AutomatonRunner(family_tree(), n=200,
+                                   params=ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0))
+        with pytest.raises(NumericDivergenceError):
+            runner.settle_from("Homer")
+        with pytest.raises(NumericDivergenceError):
+            runner.query("wife")
+
+
+class TestRetrievalSweep:
+    def test_accuracy_matches_update_step_by_hand(self):
+        bank = X.surrogate_image_bank(n=100, count=12, seed=3)
+        settings = ((0.5, 0.5), (1.0, 0.0))
+        rep = X.retrieval_sweep(bank, p_levels=(6, 12), settings=settings, trials=2,
+                                steps=30, seed=4)
+        for p in (6, 12):
+            patterns = PatternMatrix(bank[:, :p])
+            coupling = normalize(build_nn_scaffold(bank[:, :p]))
+            base = np.repeat(bank[:, :p], 2, axis=1)
+            sig0 = base + np.random.default_rng(4).uniform(-0.5, 0.5, base.shape)
+            targets = np.repeat(np.arange(p), 2)
+            for a, h in settings:
+                finals = [step_by_hand(sig0[:, j], patterns, coupling, ModelParams(a=a, h=h), 30)[-1]
+                          for j in range(2 * p)]
+                predicted = [int(np.argmax(bank[:, :p].T @ s.sigma)) for s in finals]
+                want = float(np.mean(np.array(predicted) == targets))
+                assert rep.outputs["accuracy"][f"a{a:+g}_h{h:+g}"][p] == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_raises(self):
+        with pytest.raises(NumericDivergenceError):
+            X.retrieval_sweep(X.surrogate_image_bank(count=10), p_levels=(6,),
+                              settings=(DIVERGENT,), trials=1, steps=5)
 
 
 class TestExperimentDeterminism:
