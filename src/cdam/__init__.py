@@ -4,7 +4,6 @@ graph."""
 
 from .dynamics import (
     ModelParams,
-    NetworkState,
     PatternMatrix,
     SimulationTrace,
     energy,
@@ -32,8 +31,7 @@ from .graphs import (
 )
 
 __all__ = [
-    "MemoryGraph", "NormalizedAdjacency", "ModelParams", "NetworkState",
-    "PatternMatrix", "SimulationTrace",
+    "MemoryGraph", "NormalizedAdjacency", "ModelParams", "PatternMatrix", "SimulationTrace",
     "adjacency_coupling", "build_automaton_graph", "build_barbell",
     "build_cycle", "build_named", "build_nn_scaffold", "build_random_regular",
     "energy", "init_state", "iterate", "normalize", "overlap", "pearson", "read_graph",

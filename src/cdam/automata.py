@@ -95,17 +95,19 @@ def load_spec_file(path) -> AutomatonSpec:
         raise SpecError(f"cannot parse automaton spec {path}: {exc}") from exc
     if not isinstance(doc, dict) or "states" not in doc or "transitions" not in doc:
         raise SpecError(f"{path}: expected keys 'states' and 'transitions'")
+    states, transitions = doc["states"], doc["transitions"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise SpecError(f"{path}: states must be a list of strings")
+    if not isinstance(transitions, list) or not all(
+        isinstance(t, list) and len(t) == 3 and all(isinstance(v, str) for v in t)
+        for t in transitions
+    ):
+        raise SpecError(f"{path}: transitions must be [src, label, dst] triples of strings")
     try:
-        transitions = [tuple(t) for t in doc["transitions"]]
-        if any(len(t) != 3 for t in transitions):
-            raise SpecError(f"{path}: transitions must be [src, label, dst] triples")
-        spec = AutomatonSpec(
-            states=list(doc["states"]),
-            transitions=transitions,
-            reserve_fraction=float(doc.get("reserve_fraction", DEFAULT_RESERVE_FRACTION)),
-        )
+        reserve_fraction = float(doc.get("reserve_fraction", DEFAULT_RESERVE_FRACTION))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{path}: malformed automaton spec: {exc}") from exc
+    spec = AutomatonSpec(states, [tuple(t) for t in transitions], reserve_fraction)
     spec.validate()
     return spec
 

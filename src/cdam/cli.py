@@ -123,7 +123,7 @@ def build_parser():
     auto.add_argument("--script", default=None, help="comma-separated labels to replay")
     auto.add_argument("--repl", action="store_true", help="read labels from stdin")
     auto.add_argument("--start", default=None)
-    auto.add_argument("--n", type=int, default=1000)
+    auto.add_argument("--n", type=int, default=experiments.DEFAULT_N)
     auto.add_argument("--seed", type=int, default=0)
     auto.add_argument("--out", default=None, help="also write the transcript to this directory")
     return parser
@@ -163,20 +163,20 @@ def cmd_experiment(args) -> int:
     name = args.name
     if name not in EXPERIMENT_NAMES:
         raise UsageError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENT_NAMES)}")
-    n = args.n
-    if n is not None and name in ("sequence", "retrieval-sweep"):
+    if args.n is not None and name in ("sequence", "retrieval-sweep"):
         raise UsageError(f"experiment {name} has a fixed neuron count and takes no --n")
+    n = experiments.DEFAULT_N if args.n is None else args.n
     if name == "four-modes":
         graph = parse_graph_spec(args.graph) if args.graph else build_cycle(30)
-        report = experiments.four_modes(graph, n=n or 1000, seed=args.seed)
+        report = experiments.four_modes(graph, n=n, seed=args.seed)
     elif name == "hop-range":
-        report = experiments.hop_range(n=n or 1000, seed=args.seed)
+        report = experiments.hop_range(n=n, seed=args.seed)
     elif name == "miyashita":
-        report = experiments.miyashita_fit(n=n or 1000)
+        report = experiments.miyashita_fit(n=n)
     elif name in ("karate", "tutte"):
-        report = experiments.community_matrices(build_named(name), n=n or 1000, seed=args.seed)
+        report = experiments.community_matrices(build_named(name), n=n, seed=args.seed)
     elif name == "barbell":
-        report = experiments.community_matrices(build_barbell(10, 10), n=n or 1000, seed=args.seed)
+        report = experiments.community_matrices(build_barbell(10, 10), n=n, seed=args.seed)
     elif name == "sequence":
         frames = experiments.surrogate_frames(seed=args.seed)
         report = experiments.sequence_recall(frames, seed=args.seed + 1)
@@ -184,12 +184,12 @@ def cmd_experiment(args) -> int:
         bank = experiments.surrogate_image_bank(seed=77)
         report = experiments.retrieval_sweep(bank, seed=args.seed)
     elif name == "automaton-sweep":
-        sweep = experiments.automaton_sweep(family_tree(), n=n or 1000, seed=args.seed)
+        sweep = experiments.automaton_sweep(family_tree(), n=n, seed=args.seed)
         report = experiments.ExperimentReport(
-            "automaton-sweep", {"n": n or 1000, "seed": args.seed}, {"landed": sweep}
+            "automaton-sweep", {"n": n, "seed": args.seed}, {"landed": sweep}
         )
     else:  # ei-balance
-        report = experiments.ei_balance(n=n or 1000, seed=args.seed)
+        report = experiments.ei_balance(n=n, seed=args.seed)
     report.write(args.out)
     print(f"wrote {Path(args.out) / 'report.json'}")
     return EXIT_OK

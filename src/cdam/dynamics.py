@@ -15,6 +15,9 @@ for a + h = 1 (on graphs whose coupling columns sum to one it equals an
 uncentered projection minus the full mean-load vector), and it makes the
 quiescent regime a < -k*h decay toward the zero state instead of parking
 on a multiple of the mean pattern.
+
+A state is a float array: one vector of shape (n,), or an (n, B) stack of
+B states that iterate steps together.
 """
 
 from __future__ import annotations
@@ -94,17 +97,6 @@ class ModelParams:
 
 
 @dataclass
-class NetworkState:
-    sigma: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.sigma.ndim != 1:
-            raise ContractError(f"state must be a vector, got shape {self.sigma.shape}")
-
-
-@dataclass
 class SimulationTrace:
     """Per-step records of a run; row k describes the state at time k."""
 
@@ -113,7 +105,7 @@ class SimulationTrace:
     mean_activity: np.ndarray  # (steps+1,)
     sd_activity: np.ndarray  # (steps+1,)
     energies: np.ndarray | None  # (steps+1,) when an energy graph was given
-    final_state: NetworkState
+    final_state: np.ndarray
     termination: str  # "max-steps" | "fixed-point"
 
     @property
@@ -158,16 +150,15 @@ def retrieval_vector(
 
 
 def update_step(
-    state: NetworkState,
+    sigma: np.ndarray,
     patterns: PatternMatrix,
     m: NormalizedAdjacency,
     params: ModelParams,
-) -> NetworkState:
+) -> np.ndarray:
     """One synchronous update; returns a fresh state, input untouched."""
-    _check_dims(state.sigma, patterns, m)
-    target = retrieval_vector(state.sigma, patterns, m, params)
-    sigma = state.sigma + params.eta * (target - state.sigma)
-    return NetworkState(sigma, state.t + 1)
+    _check_dims(sigma, patterns, m)
+    target = retrieval_vector(sigma, patterns, m, params)
+    return sigma + params.eta * (target - sigma)
 
 
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
@@ -197,7 +188,7 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     return sig, steps, "max-steps"
 
 
-def run(initial: NetworkState, patterns: PatternMatrix, m: NormalizedAdjacency,
+def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
         params: ModelParams, max_steps: int = 101, fixed_point_tol: float = 1e-9,
         energy_graph: MemoryGraph | None = None) -> SimulationTrace:
     """Iterate until max_steps or an infinity-norm fixed point, recording
@@ -208,28 +199,27 @@ def run(initial: NetworkState, patterns: PatternMatrix, m: NormalizedAdjacency,
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {max_steps}")
-    _check_dims(initial.sigma, patterns, m)
+    sigma0 = np.asarray(sigma0, dtype=float)
+    if sigma0.ndim != 1:
+        raise ContractError(f"state must be a vector, got shape {sigma0.shape}")
+    _check_dims(sigma0, patterns, m)
     undirected = energy_graph is not None and not energy_graph.directed
     energy_coupling = normalize(energy_graph).matrix if undirected else None
 
     corr, ovl, means, sds, energies = [], [], [], [], []
 
     def record(t: int, sigma: np.ndarray) -> None:
-        state = NetworkState(sigma, initial.t + t)
-        corr.append(pearson_all(state, patterns))
-        ovl.append(overlaps_all(state, patterns))
+        corr.append(pearson_all(sigma, patterns))
+        ovl.append(overlaps_all(sigma, patterns))
         means.append(float(sigma.mean()))
         sds.append(float(sigma.std()))
         if energy_graph is not None:
-            energies.append(_energy(state, patterns, energy_graph, params, energy_coupling))
+            energies.append(_energy(sigma, patterns, energy_graph, params, energy_coupling))
 
-    record(0, initial.sigma)
-    try:
-        sigma, steps, termination = iterate(
-            initial.sigma, patterns, m, params, max_steps, fixed_point_tol, observe=record
-        )
-    except NumericDivergenceError as exc:
-        raise NumericDivergenceError(initial.t + exc.step) from None
+    record(0, sigma0)
+    sigma, _, termination = iterate(
+        sigma0, patterns, m, params, max_steps, fixed_point_tol, observe=record
+    )
 
     return SimulationTrace(
         correlations=np.array(corr),
@@ -237,29 +227,28 @@ def run(initial: NetworkState, patterns: PatternMatrix, m: NormalizedAdjacency,
         mean_activity=np.array(means),
         sd_activity=np.array(sds),
         energies=np.array(energies) if energy_graph is not None else None,
-        final_state=NetworkState(sigma, initial.t + steps),
+        final_state=sigma,
         termination=termination,
     )
 
 
-def overlap(state: NetworkState, mu: int, patterns: PatternMatrix) -> float:
+def overlap(sigma: np.ndarray, mu: int, patterns: PatternMatrix) -> float:
     """m^mu = sigma . xi^mu / n."""
     if not 0 <= mu < patterns.p:
         raise ContractError(f"pattern index {mu} out of range [0,{patterns.p})")
-    return float(state.sigma @ patterns.values[:, mu]) / patterns.n
+    return float(sigma @ patterns.values[:, mu]) / patterns.n
 
 
-def overlaps_all(state: NetworkState, patterns: PatternMatrix) -> np.ndarray:
-    return (patterns.values.T @ state.sigma) / patterns.n
+def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
+    return (patterns.values.T @ sigma) / patterns.n
 
 
-def pearson(state: NetworkState, mu: int, patterns: PatternMatrix) -> float:
+def pearson(sigma: np.ndarray, mu: int, patterns: PatternMatrix) -> float:
     """Pearson r between the state and pattern mu; zero variance is an error."""
     if not 0 <= mu < patterns.p:
         raise ContractError(f"pattern index {mu} out of range [0,{patterns.p})")
-    x = state.sigma
     y = patterns.values[:, mu]
-    xc = x - x.mean()
+    xc = sigma - sigma.mean()
     yc = y - y.mean()
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
     if denom == 0.0:
@@ -269,9 +258,9 @@ def pearson(state: NetworkState, mu: int, patterns: PatternMatrix) -> float:
     return float(xc @ yc) / denom
 
 
-def pearson_all(state: NetworkState, patterns: PatternMatrix) -> np.ndarray:
+def pearson_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r against every pattern at once (same zero-variance contract)."""
-    x = state.sigma - state.sigma.mean()
+    x = sigma - sigma.mean()
     xs = math.sqrt(float(x @ x))
     yc, ys = patterns.centered
     if xs == 0.0 or np.any(ys == 0.0):
@@ -282,7 +271,7 @@ def pearson_all(state: NetworkState, patterns: PatternMatrix) -> np.ndarray:
 
 
 def energy(
-    state: NetworkState,
+    sigma: np.ndarray,
     patterns: PatternMatrix,
     graph: MemoryGraph,
     params: ModelParams,
@@ -297,16 +286,16 @@ def energy(
     and raise if the log argument is not positive.
     """
     coupling = None if graph.directed else normalize(graph).matrix
-    return _energy(state, patterns, graph, params, coupling)
+    return _energy(sigma, patterns, graph, params, coupling)
 
 
-def _energy(state: NetworkState, patterns: PatternMatrix, graph: MemoryGraph,
+def _energy(sigma: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
             params: ModelParams, coupling: np.ndarray | None) -> float:
     """energy() given the normalized coupling, which a run computes only once."""
     if graph.p != patterns.p:
         raise ContractError(f"graph has p={graph.p}, patterns hold p={patterns.p}")
     b = params.beta
-    m = overlaps_all(state, patterns)
+    m = overlaps_all(sigma, patterns)
     auto_sum = float(np.sum(np.exp(b * m * m)))
     if graph.directed:
         hetero_sum = 0.0
@@ -328,7 +317,7 @@ def _energy(state: NetworkState, patterns: PatternMatrix, graph: MemoryGraph,
 
 def init_state(
     patterns: PatternMatrix, trigger: int, c: float = 1.0, seed: int = 0
-) -> NetworkState:
+) -> np.ndarray:
     """sigma(0) = xi^trigger + c*zeta with zeta uniform on [-0.5, 0.5]."""
     if not 0 <= trigger < patterns.p:
         raise ContractError(f"trigger index {trigger} out of range [0,{patterns.p})")
@@ -336,4 +325,4 @@ def init_state(
         raise ContractError(f"noise amplitude must be >= 0, got {c}")
     rng = np.random.default_rng(seed)
     zeta = rng.uniform(-0.5, 0.5, patterns.n)
-    return NetworkState(patterns.values[:, trigger] + c * zeta, t=0)
+    return patterns.values[:, trigger] + c * zeta

@@ -27,7 +27,6 @@ from . import reports
 from .automata import AutomatonSpec
 from .dynamics import (
     ModelParams,
-    NetworkState,
     PatternMatrix,
     _center_columns,
     iterate,
@@ -76,8 +75,8 @@ class HopProfile:
     means: np.ndarray
     sds: np.ndarray
 
-    def effective_range(self, threshold: float = EFFECTIVE_RANGE_THRESHOLD) -> int:
-        above = np.flatnonzero(self.means > threshold)
+    def effective_range(self) -> int:
+        above = np.flatnonzero(self.means > EFFECTIVE_RANGE_THRESHOLD)
         return int(above.max()) if above.size else 0
 
 
@@ -198,10 +197,7 @@ def hop_profile(graph: MemoryGraph, state_corr: np.ndarray, max_hop: int) -> Hop
     return HopProfile(np.array(means), np.array(sds))
 
 
-def per_trigger_ranges(
-    graph: MemoryGraph, state_corr: np.ndarray, max_hop: int,
-    threshold: float = EFFECTIVE_RANGE_THRESHOLD,
-) -> np.ndarray:
+def per_trigger_ranges(graph: MemoryGraph, state_corr: np.ndarray, max_hop: int) -> np.ndarray:
     """Largest hop whose mean correlation exceeds the threshold, per trigger."""
     hops = np.array([hop_distances(graph, v) for v in range(graph.p)])
     out = []
@@ -209,7 +205,7 @@ def per_trigger_ranges(
         best = 0
         for d in range(max_hop + 1):
             mask = hops[v] == d
-            if mask.any() and state_corr[v, mask].mean() > threshold:
+            if mask.any() and state_corr[v, mask].mean() > EFFECTIVE_RANGE_THRESHOLD:
                 best = d
         out.append(best)
     return np.array(out)
@@ -426,8 +422,7 @@ def sequence_recall(
         sig = patterns.values[:, trigger] + noise_c * rng.uniform(-0.5, 0.5, patterns.n)
         argmaxes = []
         iterate(sig, patterns, coupling, ModelParams(a=a, h=h), steps,
-                observe=lambda t, s: argmaxes.append(
-                    int(np.argmax(pearson_all(NetworkState(s, t), patterns)))))
+                observe=lambda t, s: argmaxes.append(int(np.argmax(pearson_all(s, patterns)))))
         sched = schedule_metrics(argmaxes, p, patience=patience)
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = sched.argmax_per_step
@@ -452,10 +447,10 @@ AUTOMATON_PARAMS = ModelParams(a=0.0, h=1.0, beta=50.0, eta=1.0)
 class AutomatonTranscript:
     entries: list[dict] = field(default_factory=list)
 
-    def add(self, state_before, label, state_after, r_value, note="") -> None:
+    def add(self, state_before, label, state_after, r_value) -> None:
         self.entries.append(
             {"state_before": state_before, "label": label,
-             "state_after": state_after, "r": r_value, "note": note}
+             "state_after": state_after, "r": r_value}
         )
 
 
@@ -486,16 +481,16 @@ class AutomatonRunner:
     def _settle(self, sigma: np.ndarray) -> tuple[str, float]:
         """Run to a fixed point and read the argmax-Pearson vertex."""
         sigma = iterate(sigma, self.patterns, self.coupling, self.params, self.steps, tol=1e-9)[0]
-        r = pearson_all(NetworkState(sigma, 0), self.patterns)
+        r = pearson_all(sigma, self.patterns)
         top = int(np.argmax(r))
         return self.names[top], float(r[top])
 
-    def query(self, label: str, fallback: bool = True) -> tuple[str, float]:
+    def query(self, label: str) -> tuple[str, float]:
         """Stimulate with a label from the current state; updates and
         returns the post-convergence state."""
         embedding = embed_label(
             label, self.slot_map.free.shape[0],
-            vectors=self.spec.label_vectors, fallback=fallback, seed=self.seed,
+            vectors=self.spec.label_vectors, seed=self.seed,
         )
         sigma = self.slot_map.stimulate(
             self.patterns.values[:, self.index[self.state]].copy(), embedding
@@ -518,35 +513,24 @@ def automaton_run(
     start: str | None = None,
     n: int = DEFAULT_N,
     seed: int = 0,
-    params: ModelParams = AUTOMATON_PARAMS,
-    fallback: bool = True,
 ) -> AutomatonTranscript:
     """Replay a list of labels from a start state; defined transitions land
     on their targets, undefined ones return to the source."""
-    runner = AutomatonRunner(spec, n=n, seed=seed, params=params)
+    runner = AutomatonRunner(spec, n=n, seed=seed)
     if start is not None:
         runner.set_state(start)
     transcript = AutomatonTranscript()
     for label in script:
         before = runner.state
-        try:
-            after, r = runner.query(label, fallback=fallback)
-        except UnknownNameError as exc:
-            transcript.add(before, label, before, float("nan"), note=str(exc))
-            continue
+        _, r = runner.query(label)
         transcript.add(before, label, runner.state, r)
     return transcript
 
 
-def automaton_sweep(
-    spec: AutomatonSpec,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-    params: ModelParams = AUTOMATON_PARAMS,
-) -> dict[str, str]:
+def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> dict[str, str]:
     """Settle from every vertex pattern; transition vertices should land on
     their targets and state vertices on themselves (the full edge set)."""
-    runner = AutomatonRunner(spec, n=n, seed=seed, params=params)
+    runner = AutomatonRunner(spec, n=n, seed=seed)
     return {vertex: runner.settle_from(vertex)[0] for vertex in spec.vertex_names()}
 
 

@@ -135,12 +135,8 @@ def normalize(graph: MemoryGraph) -> NormalizedAdjacency:
     adjacency so sequence recall advances one vertex per retrieval.
     """
     a = graph.adjacency()
-    if graph.directed:
-        left = _inv_sqrt(graph.out_degrees())
-        right = _inv_sqrt(graph.in_degrees())
-    else:
-        d = _inv_sqrt(a.sum(axis=1))
-        left = right = d
+    left = _inv_sqrt(a.sum(axis=1))
+    right = _inv_sqrt(a.sum(axis=0)) if graph.directed else left
     return NormalizedAdjacency(left[:, None] * a * right[None, :], graph.fingerprint())
 
 
@@ -320,7 +316,7 @@ def to_text(graph: MemoryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str, loops_allowed: bool = True) -> MemoryGraph:
+def from_text(text: str) -> MemoryGraph:
     directed = None
     declared_p = None
     edges = []
@@ -357,16 +353,16 @@ def from_text(text: str, loops_allowed: bool = True) -> MemoryGraph:
     p = declared_p if declared_p is not None else max_seen + 1
     if p <= max_seen:
         raise GraphFormatError(f"declared p={p} but saw vertex {max_seen}")
-    return MemoryGraph(p, tuple(edges), directed=directed, loops_allowed=loops_allowed)
+    return MemoryGraph(p, tuple(edges), directed=directed)
 
 
 def write_graph(graph: MemoryGraph, path) -> None:
     Path(path).write_text(to_text(graph))
 
 
-def read_graph(path, loops_allowed: bool = True) -> MemoryGraph:
+def read_graph(path) -> MemoryGraph:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
-    return from_text(text, loops_allowed=loops_allowed)
+    return from_text(text)

@@ -121,6 +121,8 @@ def read_pnm(path):
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric header fields {tokens}") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image size {width}x{height} is not positive")
     if not 0 < maxval <= 65535:
         raise FormatError(f"{path}: maxval {maxval} outside (0, 65535]")
     channels = 3 if kind in ("P3", "P6") else 1

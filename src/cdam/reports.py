@@ -3,7 +3,7 @@
 CSV layout for a trace: one row per step with columns
 t, mean_activity, sd_activity, energy, r_0..r_{p-1}; the energy column is
 left empty when no energy graph was configured.  Grayscale heatmaps map
-correlation values linearly from [-1, 1] onto [0, maxval].
+correlation values linearly from [-1, 1] onto [0, 255].
 """
 
 from __future__ import annotations
@@ -39,16 +39,11 @@ def matrix_to_csv(matrix: np.ndarray, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def matrix_to_pgm(matrix: np.ndarray, path, maxval: int = 255) -> None:
-    """Correlation matrix as grayscale: -1 -> 0, +1 -> maxval."""
+def matrix_to_pgm(matrix: np.ndarray, path) -> None:
+    """Correlation matrix as grayscale: -1 -> 0, +1 -> 255."""
     arr = np.clip(np.asarray(matrix, dtype=float), -1.0, 1.0)
-    scaled = (arr + 1.0) / 2.0 * maxval
-    write_pnm(path, scaled, maxval=maxval)
+    write_pnm(path, (arr + 1.0) / 2.0 * 255)
 
 
 def write_manifest(manifest: dict, path) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())

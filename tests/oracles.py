@@ -124,12 +124,12 @@ def step_by_hand(sigma, patterns, coupling, params, steps, tol=None):
     step whose max |change| is below tol."""
     import numpy as np
 
-    from cdam.dynamics import NetworkState, update_step
+    from cdam.dynamics import update_step
 
-    states = [NetworkState(sigma, 0)]
+    states = [sigma]
     for _ in range(steps):
         new = update_step(states[-1], patterns, coupling, params)
-        done = tol is not None and np.max(np.abs(new.sigma - states[-1].sigma)) < tol
+        done = tol is not None and np.max(np.abs(new - states[-1])) < tol
         states.append(new)
         if done:
             break

@@ -97,6 +97,21 @@ class TestSpecFile:
         with pytest.raises(SpecError):
             load_spec_file(path)
 
+    @pytest.mark.parametrize("states, transitions", [
+        ("ab", [["a", "go", "b"]]),                # a string is not a list of states
+        (["a", ["b"]], [["a", "go", "a"]]),        # list-valued state name
+        (["a", "b"], [["a", ["go"], "b"]]),        # list-valued label
+        (["a", "b"], [["a", "go", 1]]),            # non-string target
+        (["a", "b"], [["a", "go"]]),               # not a triple
+        (["a", "b"], {"a": "b"}),                  # transitions not a list
+        (["a", "b"], ["a go b"]),                  # transition not a list
+    ])
+    def test_non_string_fields_raise_spec_error(self, tmp_path, states, transitions):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"states": states, "transitions": transitions}))
+        with pytest.raises(SpecError):
+            load_spec_file(path)
+
 
 class TestRunner:
     def test_defined_transition(self):

@@ -93,6 +93,14 @@ class TestExperimentCommand:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["four-modes", "hop-range", "miyashita", "karate",
+                                      "tutte", "barbell", "automaton-sweep", "ei-balance"])
+    def test_zero_n_is_rejected_not_defaulted(self, tmp_path, capsys, name):
+        out = tmp_path / "zero"
+        assert main(["experiment", name, "--n", "0", "--out", str(out)]) == EXIT_USAGE
+        assert "n=0" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_small_four_modes(self, tmp_path):
         out = tmp_path / "fm"
         code = main(["experiment", "four-modes", "--graph", "cycle:6",
@@ -151,3 +159,11 @@ class TestAutomatonCommand:
         out = capsys.readouterr().out
         assert "on + toggle -> off" in out
         assert "off + toggle -> on" in out
+
+    def test_spec_file_with_list_valued_state_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"states": ["on", ["off"]],
+                                    "transitions": [["on", "toggle", "on"]]}))
+        code = main(["automaton", "--spec", str(path), "--script", "toggle", "--n", "400"])
+        assert code == EXIT_USAGE
+        assert "states must be a list of strings" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdam.dynamics import (
     ModelParams,
-    NetworkState,
     PatternMatrix,
     energy,
     init_state,
@@ -129,22 +128,21 @@ class TestUpdateStep:
         for _ in range(25):
             xi, graph, params, sigma = random_instance(rng)
             m = normalize(graph)
-            got = update_step(NetworkState(sigma.copy(), 0), PatternMatrix(xi), m, params)
+            got = update_step(sigma.copy(), PatternMatrix(xi), m, params)
             want = naive_update(
                 list(sigma), [list(xi[:, mu]) for mu in range(xi.shape[1])],
                 [list(row) for row in m.matrix],
                 params.a, params.h, params.beta, params.eta,
             )
-            assert np.max(np.abs(got.sigma - np.array(want))) < 1e-10
-            assert got.t == 1
+            assert np.max(np.abs(got - np.array(want))) < 1e-10
 
     def test_input_state_unmodified(self):
         rng = np.random.default_rng(1)
         xi = rng.uniform(0, 1, (10, 3))
-        state = NetworkState(rng.normal(0, 1, 10), 0)
-        before = state.sigma.copy()
+        state = rng.normal(0, 1, 10)
+        before = state.copy()
         update_step(state, PatternMatrix(xi), normalize(build_cycle(3)), ModelParams())
-        assert np.array_equal(state.sigma, before)
+        assert np.array_equal(state, before)
 
     def test_zero_drive_decays_to_zero(self):
         # a = h = 0 leaves only the leak, so the state contracts to zero
@@ -153,30 +151,30 @@ class TestUpdateStep:
         pm = PatternMatrix(xi)
         m = normalize(build_cycle(4))
         params = ModelParams(a=0.0, h=0.0, eta=0.5)
-        state = NetworkState(rng.normal(0, 1, 20), 0)
-        expected = state.sigma * 0.5
+        state = rng.normal(0, 1, 20)
+        expected = state * 0.5
         stepped = update_step(state, pm, m, params)
-        assert np.allclose(stepped.sigma, expected)
+        assert np.allclose(stepped, expected)
         for _ in range(200):
             state = update_step(state, pm, m, params)
-        assert np.max(np.abs(state.sigma)) < 1e-12
+        assert np.max(np.abs(state)) < 1e-12
 
     def test_single_pattern_store_decays(self):
         # p = 1: the only pattern equals the mean load, so retrieval vanishes
         xi = np.random.default_rng(3).uniform(0, 1, (15, 1))
         pm = PatternMatrix(xi)
         m = normalize(MemoryGraph(1, ((0, 0, 1.0),), directed=True))
-        state = NetworkState(xi[:, 0].copy(), 0)
+        state = xi[:, 0].copy()
         for _ in range(300):
             state = update_step(state, pm, m, ModelParams(a=1.0, h=0.0, eta=0.3))
-        assert np.max(np.abs(state.sigma)) < 1e-6
+        assert np.max(np.abs(state)) < 1e-6
 
     def test_dimension_mismatch(self):
         pm = PatternMatrix(np.ones((4, 3)))
         with pytest.raises(ContractError):
-            update_step(NetworkState(np.ones(5), 0), pm, normalize(build_cycle(3)), ModelParams())
+            update_step(np.ones(5), pm, normalize(build_cycle(3)), ModelParams())
         with pytest.raises(ContractError):
-            update_step(NetworkState(np.ones(4), 0), pm, normalize(build_cycle(4)), ModelParams())
+            update_step(np.ones(4), pm, normalize(build_cycle(4)), ModelParams())
 
     def test_balanced_fixed_point_is_centered_pattern(self):
         # a=1, h=0: the attractor is the triggered pattern minus the mean load
@@ -184,10 +182,10 @@ class TestUpdateStep:
         xi = rng.uniform(0, 1, (400, 6))
         pm = PatternMatrix(xi)
         m = normalize(build_cycle(6))
-        state = NetworkState(xi[:, 2].copy(), 0)
+        state = xi[:, 2].copy()
         for _ in range(400):
             state = update_step(state, pm, m, ModelParams(a=1.0, h=0.0, eta=0.2))
-        assert np.max(np.abs(state.sigma - (xi[:, 2] - pm.mean_load))) < 1e-8
+        assert np.max(np.abs(state - (xi[:, 2] - pm.mean_load))) < 1e-8
 
 
 class TestRun:
@@ -222,14 +220,14 @@ class TestRun:
         pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e160)
         m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
         with pytest.raises(NumericDivergenceError):
-            run(NetworkState(rng.uniform(0.5, 1.0, 4) * 1e160, 0), pm, m,
+            run(rng.uniform(0.5, 1.0, 4) * 1e160, pm, m,
                 ModelParams(a=1e10, h=0.0, eta=1.0), max_steps=10)
 
     def test_max_steps_validation(self):
         pm = PatternMatrix(np.ones((3, 2)) * 0.5)
         m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
         with pytest.raises(ContractError):
-            run(NetworkState(np.zeros(3), 0), pm, m, ModelParams(), max_steps=0)
+            run(np.zeros(3), pm, m, ModelParams(), max_steps=0)
 
 
 class TestIterate:
@@ -243,17 +241,16 @@ class TestIterate:
         initial = init_state(pm, 2, seed=4)
         trace = run(initial, pm, coupling, params, max_steps=200,
                     fixed_point_tol=tol, energy_graph=graph)
-        states = step_by_hand(initial.sigma, pm, coupling, params, 200, tol=tol)
+        states = step_by_hand(initial, pm, coupling, params, 200, tol=tol)
         assert trace.steps == len(states) - 1
         assert trace.termination == ("fixed-point" if trace.steps < 200 else "max-steps")
         assert (trace.termination == "fixed-point") == (tol > 0)
         assert np.array_equal(trace.correlations, [pearson_all(s, pm) for s in states])
         assert np.array_equal(trace.overlaps, [overlaps_all(s, pm) for s in states])
-        assert np.array_equal(trace.mean_activity, [s.sigma.mean() for s in states])
-        assert np.array_equal(trace.sd_activity, [s.sigma.std() for s in states])
+        assert np.array_equal(trace.mean_activity, [s.mean() for s in states])
+        assert np.array_equal(trace.sd_activity, [s.std() for s in states])
         assert np.array_equal(trace.energies, [energy(s, pm, graph, params) for s in states])
-        assert np.array_equal(trace.final_state.sigma, states[-1].sigma)
-        assert trace.final_state.t == states[-1].t
+        assert np.array_equal(trace.final_state, states[-1])
 
     def test_observer_sees_every_step(self):
         rng = np.random.default_rng(22)
@@ -267,8 +264,8 @@ class TestIterate:
         assert (steps, termination) == (7, "max-steps")
         assert [t for t, _ in seen] == list(range(1, 8))
         for (_, s), want in zip(seen, states[1:]):
-            assert np.array_equal(s, want.sigma)
-        assert np.array_equal(sigma, states[-1].sigma)
+            assert np.array_equal(s, want)
+        assert np.array_equal(sigma, states[-1])
 
     def test_shapes_validated(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
@@ -285,49 +282,49 @@ class TestIterate:
         pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e160)
         m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
         with pytest.raises(NumericDivergenceError) as exc:
-            run(NetworkState(rng.uniform(0.5, 1.0, 4) * 1e160, 7), pm, m,
+            run(rng.uniform(0.5, 1.0, 4) * 1e160, pm, m,
                 ModelParams(a=1e10, h=0.0, eta=1.0), max_steps=10)
-        assert exc.value.step == 8
+        assert exc.value.step == 1
 
 
 class TestMeasures:
     def test_overlap_zero_state(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
-        assert overlap(NetworkState(np.zeros(10), 0), 0, pm) == 0.0
+        assert overlap(np.zeros(10), 0, pm) == 0.0
 
     def test_overlap_law_of_large_numbers(self):
         rng = np.random.default_rng(8)
         pm = PatternMatrix(rng.uniform(0, 1, (10000, 2)))
-        val = overlap(NetworkState(pm.values[:, 0].copy(), 0), 0, pm)
+        val = overlap(pm.values[:, 0].copy(), 0, pm)
         assert abs(val - 1 / 3) < 0.02
 
     def test_overlap_linearity(self):
         rng = np.random.default_rng(9)
         pm = PatternMatrix(rng.uniform(0, 1, (100, 3)))
-        base = overlap(NetworkState(pm.values[:, 1].copy(), 0), 1, pm)
-        scaled = overlap(NetworkState(2.5 * pm.values[:, 1], 0), 1, pm)
+        base = overlap(pm.values[:, 1].copy(), 1, pm)
+        scaled = overlap(2.5 * pm.values[:, 1], 1, pm)
         assert abs(scaled - 2.5 * base) < 1e-12
 
     def test_pearson_identity_and_negative_affine(self):
         rng = np.random.default_rng(10)
         pm = PatternMatrix(rng.uniform(0, 1, (50, 2)))
-        assert pearson(NetworkState(pm.values[:, 0].copy(), 0), 0, pm) == pytest.approx(1.0)
-        flipped = NetworkState(-2.0 * pm.values[:, 0] + 5.0, 0)
+        assert pearson(pm.values[:, 0].copy(), 0, pm) == pytest.approx(1.0)
+        flipped = -2.0 * pm.values[:, 0] + 5.0
         assert pearson(flipped, 0, pm) == pytest.approx(-1.0)
 
     def test_pearson_independent_vectors_small(self):
         rng = np.random.default_rng(11)
         pm = PatternMatrix(rng.uniform(0, 1, (1000, 3)))
-        state = NetworkState(rng.uniform(0, 1, 1000), 0)
+        state = rng.uniform(0, 1, 1000)
         for mu in range(3):
             assert abs(pearson(state, mu, pm)) < 0.1
 
     def test_pearson_matches_stdlib_oracle(self):
         rng = np.random.default_rng(12)
         pm = PatternMatrix(rng.uniform(0, 1, (40, 4)))
-        state = NetworkState(rng.normal(0, 1, 40), 0)
+        state = rng.normal(0, 1, 40)
         for mu in range(4):
-            want = naive_pearson(list(state.sigma), list(pm.values[:, mu]))
+            want = naive_pearson(list(state), list(pm.values[:, mu]))
             assert pearson(state, mu, pm) == pytest.approx(want, abs=1e-12)
         assert np.allclose(pearson_all(state, pm),
                            [pearson(state, mu, pm) for mu in range(4)])
@@ -335,10 +332,10 @@ class TestMeasures:
     def test_zero_variance_raises(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
         with pytest.raises(UndefinedCorrelationError):
-            pearson(NetworkState(np.ones(10), 0), 0, pm)
+            pearson(np.ones(10), 0, pm)
         flat = PatternMatrix(np.column_stack([np.ones(10), np.arange(10.0)]))
         with pytest.raises(UndefinedCorrelationError):
-            pearson(NetworkState(np.arange(10.0), 0), 0, flat)
+            pearson(np.arange(10.0), 0, flat)
 
     def test_pearson_all_equals_uncached_formula_exactly(self):
         rng = np.random.default_rng(13)
@@ -348,19 +345,19 @@ class TestMeasures:
             pm = PatternMatrix(rng.uniform(0, 1, (n, p)))
             for _ in range(3):  # the first call fills the cache, later calls read it
                 sigma = rng.normal(0, 1, n)
-                assert np.array_equal(pearson_all(NetworkState(sigma, 0), pm),
+                assert np.array_equal(pearson_all(sigma, pm),
                                       uncached_pearson_all(sigma, pm.values))
 
     def test_zero_variance_pattern_raises_on_every_call(self):
         flat = PatternMatrix(np.column_stack([np.arange(10.0), np.ones(10)]))
-        state = NetworkState(np.arange(10.0) ** 2, 0)
+        state = np.arange(10.0) ** 2
         for _ in range(2):
             with pytest.raises(UndefinedCorrelationError):
                 pearson_all(state, flat)
 
     def test_index_range(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
-        state = NetworkState(np.arange(10.0), 0)
+        state = np.arange(10.0)
         with pytest.raises(ContractError):
             overlap(state, 2, pm)
         with pytest.raises(ContractError):
@@ -373,7 +370,7 @@ class TestEnergy:
         xi = rng.uniform(0, 1, (20, 1))
         pm = PatternMatrix(xi)
         g = MemoryGraph(1, (), directed=False)
-        state = NetworkState(xi[:, 0].copy(), 0)
+        state = xi[:, 0].copy()
         m = overlap(state, 0, pm)
         val = energy(state, pm, g, ModelParams(a=1.0, h=0.0, beta=1.0))
         assert val == pytest.approx(-m * m)
@@ -381,7 +378,7 @@ class TestEnergy:
     def test_directed_degenerate_raises(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
         g = MemoryGraph(2, ((0, 1, 1.0),), directed=True)
-        state = NetworkState(np.zeros(10), 0)
+        state = np.zeros(10)
         with pytest.raises(EnergyUndefinedError):
             energy(state, pm, g, ModelParams(a=0.0, h=0.0))
 
@@ -390,7 +387,7 @@ class TestEnergy:
         for _ in range(25):
             xi, graph, params, sigma = random_instance(rng, n_max=8, p_max=4)
             pm = PatternMatrix(xi)
-            state = NetworkState(sigma, 0)
+            state = sigma
             cols = [list(xi[:, mu]) for mu in range(xi.shape[1])]
             if graph.directed:
                 try:
@@ -411,7 +408,7 @@ class TestEnergy:
     def test_empty_edge_set_drops_hetero_term(self):
         rng = np.random.default_rng(15)
         pm = PatternMatrix(rng.uniform(0, 1, (10, 3)))
-        state = NetworkState(rng.normal(0, 1, 10), 0)
+        state = rng.normal(0, 1, 10)
         lonely = MemoryGraph(3, (), directed=False)
         with_h = energy(state, pm, lonely, ModelParams(a=1.0, h=5.0))
         without_h = energy(state, pm, lonely, ModelParams(a=1.0, h=0.0))
@@ -420,26 +417,25 @@ class TestEnergy:
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))
         with pytest.raises(ContractError):
-            energy(NetworkState(np.zeros(10), 0), pm, build_cycle(4), ModelParams())
+            energy(np.zeros(10), pm, build_cycle(4), ModelParams())
 
 
 class TestInitState:
     def test_noiseless_is_exact(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (30, 3)))
         state = init_state(pm, 1, c=0.0, seed=5)
-        assert np.array_equal(state.sigma, pm.values[:, 1])
-        assert state.t == 0
+        assert np.array_equal(state, pm.values[:, 1])
 
     def test_unit_noise_bounded(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (500, 2)))
         state = init_state(pm, 0, c=1.0, seed=5)
-        assert np.max(np.abs(state.sigma - pm.values[:, 0])) <= 0.5
+        assert np.max(np.abs(state - pm.values[:, 0])) <= 0.5
 
     def test_deterministic(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (30, 3)))
         a = init_state(pm, 2, c=1.0, seed=9)
         b = init_state(pm, 2, c=1.0, seed=9)
-        assert np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a, b)
 
     def test_validation(self):
         pm = PatternMatrix(np.ones((5, 2)) * 0.5)
@@ -468,7 +464,7 @@ class TestTheoryProperties:
         m = normalize(build_cycle(10, directed=True))
         params = ModelParams(a=0.0, h=1.0, beta=50.0, eta=1.0)
         for mu in (0, 4, 9):
-            state = update_step(NetworkState(pm.values[:, mu].copy(), 0), pm, m, params)
+            state = update_step(pm.values[:, mu].copy(), pm, m, params)
             assert int(np.argmax(pearson_all(state, pm))) == (mu + 1) % 10
 
     def test_no_pure_retrieval_with_mixed_hebbian(self):

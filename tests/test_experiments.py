@@ -7,14 +7,14 @@ from cdam import experiments as X
 from cdam.automata import family_tree
 from cdam.dynamics import (
     ModelParams,
-    NetworkState,
     PatternMatrix,
     init_state,
+    iterate,
     pearson_all,
     update_step,
 )
 from cdam.errors import ContractError, NumericDivergenceError
-from cdam.graphs import build_cycle, build_named, build_nn_scaffold, normalize
+from cdam.graphs import MemoryGraph, build_cycle, build_named, build_nn_scaffold, normalize
 from oracles import step_by_hand, uncached_pearson_matrix
 
 # Overflows to a non-finite state within a few steps on any small store.
@@ -33,10 +33,10 @@ class TestBatchedRunner:
 
         noise = np.random.default_rng(9).uniform(-0.5, 0.5, (60, 6))
         for trig in range(6):
-            state = NetworkState(patterns.values[:, trig] + noise[:, trig], 0)
+            state = patterns.values[:, trig] + noise[:, trig]
             for _ in range(20):
                 state = update_step(state, patterns, coupling, params)
-            assert np.max(np.abs(state.sigma - res["final_states"][:, trig])) < 1e-12
+            assert np.max(np.abs(state - res["final_states"][:, trig])) < 1e-12
 
     def test_cached_pattern_correlations_equal_uncached_formula(self):
         # the experiments' shape: reduction-order changes show at this size
@@ -68,6 +68,32 @@ class TestBatchedRunner:
         assert set(res["snapshots"]) == {1, 11, 26}
         for mat in res["snapshots"].values():
             assert mat.shape == (5, 5)
+
+
+class TestRelabelling:
+    """Permuting the pattern columns and relabelling the graph by the same
+    permutation only permutes the outputs (up to reduction order)."""
+
+    @pytest.mark.parametrize("graph", [build_cycle(12), build_cycle(12, directed=True),
+                                       build_named("karate")],
+                             ids=["cycle12", "dicycle12", "karate"])
+    @pytest.mark.parametrize("a, h", X.FOUR_MODE_SETTINGS)
+    def test_relabelling_permutes_outputs(self, graph, a, h):
+        rng = np.random.default_rng(graph.p)
+        xi = rng.uniform(0, 1, (300, graph.p))
+        sig0 = xi + rng.uniform(-0.5, 0.5, xi.shape)
+        perm = rng.permutation(graph.p)  # new vertex k is old vertex perm[k]
+        new_label = np.argsort(perm)
+        relabelled = MemoryGraph(graph.p, tuple((new_label[u], new_label[v], w)
+                                                for u, v, w in graph.edges), graph.directed)
+        params = ModelParams(a=a, h=h)
+        pm, pm_perm = PatternMatrix(xi), PatternMatrix(xi[:, perm])
+        final = iterate(sig0, pm, normalize(graph), params, 101)[0]
+        final_perm = iterate(sig0[:, perm], pm_perm, normalize(relabelled), params, 101)[0]
+        assert np.max(np.abs(final_perm - final[:, perm])) < 1e-10
+        for k in range(graph.p):
+            r = pearson_all(final[:, perm[k]], pm)
+            assert np.max(np.abs(pearson_all(final_perm[:, k], pm_perm) - r[perm])) < 1e-10
 
 
 class TestHopProfiles:
@@ -195,7 +221,7 @@ class TestSequenceRecall:
         coupling = normalize(build_cycle(8, directed=True))
         for a, h in settings:
             sig = frames.values[:, 2] + np.random.default_rng(5).uniform(-0.5, 0.5, 200)
-            state, schedule = NetworkState(sig, 0), []
+            state, schedule = sig, []
             for _ in range(60):
                 state = update_step(state, frames, coupling, ModelParams(a=a, h=h))
                 schedule.append(int(np.argmax(pearson_all(state, frames))))
@@ -243,7 +269,7 @@ class TestRetrievalSweep:
             for a, h in settings:
                 finals = [step_by_hand(sig0[:, j], patterns, coupling, ModelParams(a=a, h=h), 30)[-1]
                           for j in range(2 * p)]
-                predicted = [int(np.argmax(bank[:, :p].T @ s.sigma)) for s in finals]
+                predicted = [int(np.argmax(bank[:, :p].T @ s)) for s in finals]
                 want = float(np.mean(np.array(predicted) == targets))
                 assert rep.outputs["accuracy"][f"a{a:+g}_h{h:+g}"][p] == want
 

@@ -139,6 +139,14 @@ class TestPnm:
         with pytest.raises(FormatError):
             read_pnm(path)
 
+    @pytest.mark.parametrize("header", [b"P2 -1 2 255\n", b"P2 0 0 255\n", b"P2 3 0 255\n",
+                                        b"P5 0 4 255\n", b"P3 2 -2 255\n"])
+    def test_non_positive_size_rejected(self, tmp_path, header):
+        path = tmp_path / "empty.pnm"
+        path.write_bytes(header + b"1 2 3 4 5 6\n")
+        with pytest.raises(FormatError, match="not positive"):
+            read_pnm(path)
+
 
 class TestFrames:
     def test_known_pixels_exact(self, tmp_path):
