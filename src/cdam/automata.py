@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,13 @@ class AutomatonSpec:
     label_vectors: dict[str, np.ndarray] | None = None
 
     def validate(self) -> None:
+        if not isinstance(self.states, list) or not all(isinstance(s, str) for s in self.states):
+            raise SpecError("states must be a list of strings")
+        if not isinstance(self.transitions, list) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 3 and all(isinstance(v, str) for v in t)
+            for t in self.transitions
+        ):
+            raise SpecError("transitions must be a list of (source, label, target) string triples")
         if not self.states:
             raise SpecError("automaton needs at least one state")
         if len(set(self.states)) != len(self.states):
@@ -53,7 +61,7 @@ class AutomatonSpec:
             if (src, label) in seen:
                 raise SpecError(f"duplicate transition for ({src!r}, {label!r})")
             seen.add((src, label))
-        if not 0.0 < self.reserve_fraction < 1.0:
+        if not isinstance(self.reserve_fraction, Real) or not 0.0 < self.reserve_fraction < 1.0:
             raise SpecError(f"reserve fraction {self.reserve_fraction} outside (0, 1)")
         if self.state_content is not None:
             lengths = {len(v) for v in self.state_content.values()}
@@ -95,20 +103,13 @@ def load_spec_file(path) -> AutomatonSpec:
         raise SpecError(f"cannot parse automaton spec {path}: {exc}") from exc
     if not isinstance(doc, dict) or "states" not in doc or "transitions" not in doc:
         raise SpecError(f"{path}: expected keys 'states' and 'transitions'")
-    states, transitions = doc["states"], doc["transitions"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise SpecError(f"{path}: states must be a list of strings")
-    if not isinstance(transitions, list) or not all(
-        isinstance(t, list) and len(t) == 3 and all(isinstance(v, str) for v in t)
-        for t in transitions
-    ):
-        raise SpecError(f"{path}: transitions must be [src, label, dst] triples of strings")
     try:
         reserve_fraction = float(doc.get("reserve_fraction", DEFAULT_RESERVE_FRACTION))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{path}: malformed automaton spec: {exc}") from exc
-    spec = AutomatonSpec(states, [tuple(t) for t in transitions], reserve_fraction)
+    spec = AutomatonSpec(doc["states"], doc["transitions"], reserve_fraction)
     spec.validate()
+    spec.transitions = [tuple(t) for t in spec.transitions]
     return spec
 
 

@@ -76,7 +76,7 @@ def parse_pattern_spec(spec: str, p: int, seed: int):
             return PatternMatrix(images[:p].T)
         if kind == "frames":
             directory, n = rest.rsplit(",", 1)
-            patterns, _ = ingest_frames(directory, int(n), seed)
+            patterns = ingest_frames(directory, int(n), seed)
             if patterns.p != p:
                 raise UsageError(f"{patterns.p} frames found, graph needs {p}")
             return patterns
@@ -116,7 +116,8 @@ def build_parser():
     exp.add_argument("--out", default="out")
     exp.add_argument("--n", type=int, default=None)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--graph", default=None, help="override the default graph (four-modes)")
+    exp.add_argument("--graph", default=None,
+                     help="graph for four-modes (default cycle:30); others reject it")
 
     auto = sub.add_parser("automaton", help="drive a finite automaton by labels")
     auto.add_argument("--spec", default=None, help="JSON spec file (default: bundled family tree)")
@@ -165,9 +166,11 @@ def cmd_experiment(args) -> int:
         raise UsageError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENT_NAMES)}")
     if args.n is not None and name in ("sequence", "retrieval-sweep"):
         raise UsageError(f"experiment {name} has a fixed neuron count and takes no --n")
+    if args.graph is not None and name != "four-modes":
+        raise UsageError(f"experiment {name} has a fixed graph and takes no --graph")
     n = experiments.DEFAULT_N if args.n is None else args.n
     if name == "four-modes":
-        graph = parse_graph_spec(args.graph) if args.graph else build_cycle(30)
+        graph = parse_graph_spec(args.graph) if args.graph is not None else build_cycle(30)
         report = experiments.four_modes(graph, n=n, seed=args.seed)
     elif name == "hop-range":
         report = experiments.hop_range(n=n, seed=args.seed)

@@ -49,6 +49,8 @@ class PatternMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ContractError(f"pattern matrix must be 2-D, got shape {v.shape}")
+        if 0 in v.shape:
+            raise ContractError(f"pattern matrix needs n, p >= 1, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ContractError("pattern matrix contains non-finite values")
         v.flags.writeable = False
@@ -210,11 +212,12 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
 
     def record(t: int, sigma: np.ndarray) -> None:
         corr.append(pearson_all(sigma, patterns))
-        ovl.append(overlaps_all(sigma, patterns))
+        m = overlaps_all(sigma, patterns)
+        ovl.append(m)
         means.append(float(sigma.mean()))
         sds.append(float(sigma.std()))
         if energy_graph is not None:
-            energies.append(_energy(sigma, patterns, energy_graph, params, energy_coupling))
+            energies.append(_energy(m, energy_graph, params, energy_coupling))
 
     record(0, sigma0)
     sigma, _, termination = iterate(
@@ -286,16 +289,16 @@ def energy(
     and raise if the log argument is not positive.
     """
     coupling = None if graph.directed else normalize(graph).matrix
-    return _energy(sigma, patterns, graph, params, coupling)
+    return _energy(overlaps_all(sigma, patterns), graph, params, coupling)
 
 
-def _energy(sigma: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
-            params: ModelParams, coupling: np.ndarray | None) -> float:
-    """energy() given the normalized coupling, which a run computes only once."""
-    if graph.p != patterns.p:
-        raise ContractError(f"graph has p={graph.p}, patterns hold p={patterns.p}")
+def _energy(m: np.ndarray, graph: MemoryGraph, params: ModelParams,
+            coupling: np.ndarray | None) -> float:
+    """energy() of a state given its overlaps m and the normalized coupling,
+    which a run computes once per step and once per run respectively."""
+    if graph.p != m.shape[0]:
+        raise ContractError(f"graph has p={graph.p}, patterns hold p={m.shape[0]}")
     b = params.beta
-    m = overlaps_all(sigma, patterns)
     auto_sum = float(np.sum(np.exp(b * m * m)))
     if graph.directed:
         hetero_sum = 0.0

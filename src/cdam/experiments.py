@@ -69,18 +69,6 @@ EFFECTIVE_RANGE_THRESHOLD = 0.1
 
 
 @dataclass
-class HopProfile:
-    """Mean/SD of final-state correlations by hop distance from the trigger."""
-
-    means: np.ndarray
-    sds: np.ndarray
-
-    def effective_range(self) -> int:
-        above = np.flatnonzero(self.means > EFFECTIVE_RANGE_THRESHOLD)
-        return int(above.max()) if above.size else 0
-
-
-@dataclass
 class ExperimentReport:
     name: str
     params: dict
@@ -186,29 +174,33 @@ def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
     return _pearson_matrix(_center_columns(final_states), final_states)
 
 
-def hop_profile(graph: MemoryGraph, state_corr: np.ndarray, max_hop: int) -> HopProfile:
-    """Group the state-state correlation matrix by BFS hop distance."""
+def _mean(vals: np.ndarray) -> float:
+    return float(vals.mean()) if vals.size else float("nan")
+
+
+def hop_profile(graph: MemoryGraph, state_corr: np.ndarray,
+                max_hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and SD of the state-state correlations at each BFS hop distance
+    0..max_hop from the trigger (NaN where no pair is that far apart)."""
     hops = np.array([hop_distances(graph, v) for v in range(graph.p)])
-    means, sds = [], []
-    for d in range(max_hop + 1):
-        vals = state_corr[hops == d]
-        means.append(float(vals.mean()) if vals.size else float("nan"))
-        sds.append(float(vals.std()) if vals.size else float("nan"))
-    return HopProfile(np.array(means), np.array(sds))
+    groups = [state_corr[hops == d] for d in range(max_hop + 1)]
+    sds = [float(vals.std()) if vals.size else float("nan") for vals in groups]
+    return np.array([_mean(vals) for vals in groups]), np.array(sds)
+
+
+def effective_range(means) -> int:
+    """Largest hop whose mean correlation exceeds the threshold, else 0."""
+    above = np.flatnonzero(np.asarray(means) > EFFECTIVE_RANGE_THRESHOLD)
+    return int(above.max()) if above.size else 0
 
 
 def per_trigger_ranges(graph: MemoryGraph, state_corr: np.ndarray, max_hop: int) -> np.ndarray:
-    """Largest hop whose mean correlation exceeds the threshold, per trigger."""
+    """effective_range of each trigger's own row of the hop profile."""
     hops = np.array([hop_distances(graph, v) for v in range(graph.p)])
-    out = []
-    for v in range(graph.p):
-        best = 0
-        for d in range(max_hop + 1):
-            mask = hops[v] == d
-            if mask.any() and state_corr[v, mask].mean() > EFFECTIVE_RANGE_THRESHOLD:
-                best = d
-        out.append(best)
-    return np.array(out)
+    return np.array([
+        effective_range([_mean(state_corr[v, hops[v] == d]) for d in range(max_hop + 1)])
+        for v in range(graph.p)
+    ])
 
 
 # -- experiments -------------------------------------------------------------
@@ -261,13 +253,13 @@ def hop_range(
     groups = []
     for key, res in _runs_per_setting(graph, settings, n, seed):
         sc = state_correlation_matrix(res["final_states"])
-        prof = hop_profile(graph, sc, max_hop)
+        means, sds = hop_profile(graph, sc, max_hop)
         ranges = per_trigger_ranges(graph, sc, max_hop)
         groups.append(ranges.tolist())
-        report.outputs[f"profile_mean_{key}"] = prof.means
-        report.outputs[f"profile_sd_{key}"] = prof.sds
+        report.outputs[f"profile_mean_{key}"] = means
+        report.outputs[f"profile_sd_{key}"] = sds
         report.outputs[f"ranges_{key}"] = ranges
-        report.outputs[f"effective_range_{key}"] = prof.effective_range()
+        report.outputs[f"effective_range_{key}"] = effective_range(means)
     if len(groups) >= 2:
         report.outputs["anova"] = one_way_anova(groups)
     report.outputs["mean_ranges"] = [float(np.mean(g)) for g in groups]
@@ -294,9 +286,9 @@ def miyashita_fit(
     for seed in seeds:
         patterns = random_patterns(n, graph.p, seed)
         res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
-        prof = hop_profile(graph, state_correlation_matrix(res["final_states"]), 6)
-        profiles.append(prof.means)
-        r2s.append(r_squared(prof.means, MIYASHITA_MEANS))
+        means, _ = hop_profile(graph, state_correlation_matrix(res["final_states"]), 6)
+        profiles.append(means)
+        r2s.append(r_squared(means, MIYASHITA_MEANS))
     report.outputs["profiles"] = np.array(profiles)
     report.outputs["r2_per_seed"] = r2s
     report.outputs["r2_mean"] = float(np.mean(r2s))
@@ -443,17 +435,6 @@ def sequence_recall(
 AUTOMATON_PARAMS = ModelParams(a=0.0, h=1.0, beta=50.0, eta=1.0)
 
 
-@dataclass
-class AutomatonTranscript:
-    entries: list[dict] = field(default_factory=list)
-
-    def add(self, state_before, label, state_after, r_value) -> None:
-        self.entries.append(
-            {"state_before": state_before, "label": label,
-             "state_after": state_after, "r": r_value}
-        )
-
-
 class AutomatonRunner:
     """Symbolic state on top of the attractor dynamics: each query sets the
     network to the current state's pattern, overwrites the free slots with
@@ -462,12 +443,11 @@ class AutomatonRunner:
 
     def __init__(self, spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0,
                  params: ModelParams = AUTOMATON_PARAMS, steps: int = DEFAULT_STEPS):
-        spec.validate()
         self.spec = spec
         self.params = params
         self.steps = steps
         self.seed = seed
-        self.patterns, self.graph, self.slot_map = compose_automaton_patterns(spec, n, seed)
+        self.patterns, self.graph, self.free = compose_automaton_patterns(spec, n, seed)
         self.coupling = normalize(self.graph)
         self.names = spec.vertex_names()
         self.index = {name: i for i, name in enumerate(self.names)}
@@ -488,12 +468,9 @@ class AutomatonRunner:
     def query(self, label: str) -> tuple[str, float]:
         """Stimulate with a label from the current state; updates and
         returns the post-convergence state."""
-        embedding = embed_label(
-            label, self.slot_map.free.shape[0],
-            vectors=self.spec.label_vectors, seed=self.seed,
-        )
-        sigma = self.slot_map.stimulate(
-            self.patterns.values[:, self.index[self.state]].copy(), embedding
+        sigma = self.patterns.values[:, self.index[self.state]].copy()
+        sigma[self.free] = embed_label(
+            label, self.free.size, vectors=self.spec.label_vectors, seed=self.seed
         )
         name, r = self._settle(sigma)
         if name in self.spec.states:
@@ -513,17 +490,19 @@ def automaton_run(
     start: str | None = None,
     n: int = DEFAULT_N,
     seed: int = 0,
-) -> AutomatonTranscript:
+) -> list[dict]:
     """Replay a list of labels from a start state; defined transitions land
-    on their targets, undefined ones return to the source."""
+    on their targets, undefined ones return to the source.  Returns one
+    {state_before, label, state_after, r} record per label."""
     runner = AutomatonRunner(spec, n=n, seed=seed)
     if start is not None:
         runner.set_state(start)
-    transcript = AutomatonTranscript()
+    transcript = []
     for label in script:
         before = runner.state
         _, r = runner.query(label)
-        transcript.add(before, label, runner.state, r)
+        transcript.append({"state_before": before, "label": label,
+                           "state_after": runner.state, "r": r})
     return transcript
 
 

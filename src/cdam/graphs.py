@@ -56,7 +56,6 @@ class MemoryGraph:
     p: int
     edges: tuple[tuple[int, int, float], ...]
     directed: bool
-    loops_allowed: bool = True
 
     def __post_init__(self):
         if self.p < 1:
@@ -68,8 +67,6 @@ class MemoryGraph:
                 raise ContractError(f"edge ({src},{dst}) outside [0,{self.p})")
             if not np.isfinite(w):
                 raise ContractError(f"edge ({src},{dst}) weight {w} not finite")
-            if src == dst and not self.loops_allowed:
-                raise ContractError(f"self-loop at {src} but loops_allowed=False")
             if not self.directed and src > dst:
                 src, dst = dst, src
             canon.append((src, dst, w))
@@ -112,10 +109,9 @@ class MemoryGraph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Coupling matrix for the hetero-associative term, plus provenance."""
+    """Coupling matrix for the hetero-associative term (read-only)."""
 
     matrix: np.ndarray
-    source_fingerprint: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -137,12 +133,12 @@ def normalize(graph: MemoryGraph) -> NormalizedAdjacency:
     a = graph.adjacency()
     left = _inv_sqrt(a.sum(axis=1))
     right = _inv_sqrt(a.sum(axis=0)) if graph.directed else left
-    return NormalizedAdjacency(left[:, None] * a * right[None, :], graph.fingerprint())
+    return NormalizedAdjacency(left[:, None] * a * right[None, :])
 
 
 def adjacency_coupling(graph: MemoryGraph) -> NormalizedAdjacency:
     """Unnormalized coupling (M = A); used by the k-regular quiescence check."""
-    return NormalizedAdjacency(graph.adjacency(), graph.fingerprint())
+    return NormalizedAdjacency(graph.adjacency())
 
 
 def _inv_sqrt(degrees: np.ndarray) -> np.ndarray:
@@ -160,7 +156,7 @@ def build_cycle(p: int, directed: bool = False) -> MemoryGraph:
     if p < 3:
         raise InvalidSizeError(f"cycle needs p >= 3, got {p}")
     edges = [(i, (i + 1) % p, 1.0) for i in range(p)]
-    return MemoryGraph(p, tuple(edges), directed=directed, loops_allowed=False)
+    return MemoryGraph(p, tuple(edges), directed=directed)
 
 
 def build_barbell(n: int, m: int) -> MemoryGraph:
@@ -182,7 +178,7 @@ def build_barbell(n: int, m: int) -> MemoryGraph:
     chain = [n - 1] + list(range(n, n + m)) + [n + m]
     for u, v in zip(chain, chain[1:]):
         edges.append((u, v, 1.0))
-    return MemoryGraph(p, tuple(edges), directed=False, loops_allowed=False)
+    return MemoryGraph(p, tuple(edges), directed=False)
 
 
 def build_named(name: str) -> MemoryGraph:
@@ -218,7 +214,7 @@ def build_random_regular(p: int, k: int, seed: int) -> MemoryGraph:
         if len(canon) < len(pairs):
             continue
         edges = tuple((u, v, 1.0) for u, v in sorted(canon))
-        return MemoryGraph(p, edges, directed=False, loops_allowed=False)
+        return MemoryGraph(p, edges, directed=False)
     raise RetryExhaustedError(f"no simple {k}-regular graph on {p} vertices in 1000 draws")
 
 
@@ -239,7 +235,7 @@ def build_nn_scaffold(patterns) -> MemoryGraph:
     for v in range(p):
         nn = int(np.argmin(d2[v]))  # argmin takes the lowest index on ties
         edges.add((min(v, nn), max(v, nn), 1.0))
-    return MemoryGraph(p, tuple(sorted(edges)), directed=False, loops_allowed=False)
+    return MemoryGraph(p, tuple(sorted(edges)), directed=False)
 
 
 def build_automaton_graph(spec) -> MemoryGraph:
@@ -259,7 +255,7 @@ def build_automaton_graph(spec) -> MemoryGraph:
         if dst not in index or src not in index:
             raise SpecError(f"transition ({src}, {label}, {dst}) names unknown state")
         edges.append((n_states + pos, index[dst], 1.0))
-    return MemoryGraph(len(names), tuple(edges), directed=True, loops_allowed=True)
+    return MemoryGraph(len(names), tuple(edges), directed=True)
 
 
 # -- traversal helpers ----------------------------------------------------

@@ -1,16 +1,15 @@
 """Pattern sources: random vectors, IDX image archives, pre-extracted video
 frames (PGM/PPM or CSV), and word-vector files for transition labels.
 
-Every path is bit-reproducible per seed and produces values in [0, 1]
-under the default normalizers (forcing a frame normalizer below the files'
-declared maxval can push samples slightly past 1).
+Every path is bit-reproducible per seed and produces values in [0, 1]:
+frames are divided by their declared maxval (or, for CSV, their largest
+value).  Word-vector files with non-finite components are rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -176,40 +175,14 @@ def read_csv_frame(path):
     return arr, None
 
 
-@dataclass(frozen=True)
-class FrameSampler:
-    """Fixed subsampling applied identically to every flattened frame."""
-
-    flattened_length: int
-    indices: np.ndarray
-    normalizer: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if len(np.unique(idx)) != len(idx):
-            raise IngestError("sample indices must be unique")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.flattened_length):
-            raise IngestError("sample indices outside the flattened frame")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    def apply(self, flat_frame: np.ndarray) -> np.ndarray:
-        if flat_frame.shape[0] != self.flattened_length:
-            raise IngestError(
-                f"frame length {flat_frame.shape[0]} != sampler length {self.flattened_length}"
-            )
-        return flat_frame[self.indices] / self.normalizer
-
-
-def ingest_frames(frame_dir, n: int, seed: int = 0, normalizer: float | None = None):
+def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
     """Flatten, normalize, and subsample every frame in a directory.
 
     Frames are read in lexicographic filename order; all must share one
     shape.  Flattening is row-major with color channels interleaved last.
-    The normalizer defaults to the files' declared maxval (which must agree
-    across frames) or, for CSV frames, the maximum value observed anywhere;
-    pass `normalizer=` to force a specific divisor.
-    Returns (PatternMatrix, FrameSampler).
+    Every frame is divided by the files' declared maxval (which must agree
+    across frames) or, for CSV frames, by the maximum value observed
+    anywhere, and sampled at the same n seeded indices.
     """
     files = sorted(
         f for f in Path(frame_dir).iterdir()
@@ -229,19 +202,16 @@ def ingest_frames(frame_dir, n: int, seed: int = 0, normalizer: float | None = N
     declared = {v for v in maxvals if v is not None}
     if len(declared) > 1:
         raise IngestError(f"frames declare conflicting maxvals {sorted(declared)}")
-    if normalizer is None:
-        normalizer = float(declared.pop()) if declared else float(max(a.max() for a in arrays))
+    normalizer = float(declared.pop()) if declared else float(max(a.max() for a in arrays))
     if normalizer <= 0:
         raise IngestError(f"normalizer must be positive, got {normalizer}")
 
     flat_len = int(np.prod(shape))
-    if n > flat_len:
+    if not 0 < n <= flat_len:
         raise IngestError(f"cannot sample n={n} from frames of length {flat_len}")
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(flat_len, n, replace=False))
-    sampler = FrameSampler(flat_len, indices, float(normalizer))
-    columns = [sampler.apply(arr.reshape(-1)) for arr in arrays]
-    return PatternMatrix(np.column_stack(columns)), sampler
+    return PatternMatrix(np.column_stack([arr.reshape(-1)[indices] / normalizer for arr in arrays]))
 
 
 # -- word vectors -----------------------------------------------------------
@@ -263,6 +233,8 @@ def load_word_vectors(path) -> dict[str, np.ndarray]:
                 raise FormatError(f"{path}:{lineno}: non-numeric components") from exc
             if vec.size == 0:
                 raise FormatError(f"{path}:{lineno}: token {token!r} has no components")
+            if not np.all(np.isfinite(vec)):
+                raise FormatError(f"{path}:{lineno}: token {token!r} has non-finite components")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -317,45 +289,22 @@ def embed_label(
 # -- automaton pattern composition -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlotMap:
-    """Which neuron indices are reserved (state content) vs free (labels)."""
-
-    reserved: np.ndarray
-    free: np.ndarray
-
-    def __post_init__(self):
-        for name in ("reserved", "free"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def stimulate(self, sigma: np.ndarray, embedding: np.ndarray) -> np.ndarray:
-        """Copy of sigma with the free slots overwritten by the embedding."""
-        if embedding.shape[0] != self.free.shape[0]:
-            raise IngestError(
-                f"embedding length {embedding.shape[0]} != free slot count {self.free.shape[0]}"
-            )
-        out = sigma.copy()
-        out[self.free] = embedding
-        return out
-
-
 def compose_automaton_patterns(
     spec: AutomatonSpec, n: int, seed: int = 0
-) -> tuple[PatternMatrix, MemoryGraph, SlotMap]:
-    """Build the pattern matrix, memory graph, and slot map for an automaton.
+) -> tuple[PatternMatrix, MemoryGraph, np.ndarray]:
+    """Build the pattern matrix, memory graph, and free-slot indices for an
+    automaton.
 
     A seeded random subset of floor(reserve_fraction * n) neuron indices is
-    reserved.  State patterns carry their full content vector; transition
-    patterns copy the source state's reserved slots exactly and put the
-    label's embedding on the free slots.
+    reserved; the rest are free, returned sorted.  State patterns carry
+    their full content vector; transition patterns copy the source state's
+    reserved slots exactly and put the label's embedding on the free slots.
     """
     spec.validate()
     n_reserved, n_free = spec.slot_counts(n)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    slot_map = SlotMap(np.sort(perm[:n_reserved]), np.sort(perm[n_reserved:]))
+    reserved, free = np.sort(perm[:n_reserved]), np.sort(perm[n_reserved:])
 
     if spec.state_content is not None:
         content = {}
@@ -376,8 +325,8 @@ def compose_automaton_patterns(
     columns = [content[name] for name in spec.states]
     for src, label, _ in spec.transitions:
         col = np.empty(n)
-        col[slot_map.reserved] = content[src][slot_map.reserved]
-        col[slot_map.free] = embeddings[label]
+        col[reserved] = content[src][reserved]
+        col[free] = embeddings[label]
         columns.append(col)
     patterns = PatternMatrix(np.column_stack(columns))
-    return patterns, build_automaton_graph(spec), slot_map
+    return patterns, build_automaton_graph(spec), free

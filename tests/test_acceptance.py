@@ -322,7 +322,7 @@ def test_c8_automaton_fidelity(tmp_path):
     script_ok = True
     for start, script, expect in rows:
         transcript = X.automaton_run(family_tree(), script, start=start, seed=0)
-        script_ok = script_ok and [e["state_after"] for e in transcript.entries] == expect
+        script_ok = script_ok and [e["state_after"] for e in transcript] == expect
 
     ok = not failures and script_ok
     report("criterion 8 automaton fidelity", ok,

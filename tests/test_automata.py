@@ -38,6 +38,18 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             spec.validate()
 
+    @pytest.mark.parametrize("fields", [
+        {"states": ["a", ["b"]], "transitions": []},           # list-valued state name
+        {"states": "ab", "transitions": []},                   # a string is not a list of states
+        {"states": ["a"], "transitions": [("a", 1, "a")]},     # non-string label
+        {"states": ["a"], "transitions": [("a", "go")]},       # not a triple
+        {"states": ["a"], "transitions": ("a", "go", "a")},    # one triple, not a list of them
+        {"states": ["a"], "transitions": [], "reserve_fraction": "0.5"},
+    ])
+    def test_field_types_raise_spec_error(self, fields):
+        with pytest.raises(SpecError):
+            AutomatonSpec(**fields).validate()
+
     def test_slot_counts_need_both_blocks(self):
         spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=0.04)
         with pytest.raises(SpecError):
@@ -135,7 +147,7 @@ class TestRunner:
     def test_script_trajectories(self):
         tr = automaton_run(family_tree(), ["husband", "brother", "daughter"],
                            start="Marge", n=600, seed=0)
-        assert [e["state_after"] for e in tr.entries] == ["Homer", "Homer", "Lisa"]
+        assert [e["state_after"] for e in tr] == ["Homer", "Homer", "Lisa"]
 
     def test_sweep_reproduces_edge_set(self):
         spec = family_tree()

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdam.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, parse_graph_spec
+from cdam.ingest import write_pnm
 
 
 class TestGraphSpecs:
@@ -49,6 +51,27 @@ class TestSimulate:
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    def test_energy_run_reproducible_byte_identical(self, tmp_path):
+        args = ["simulate", "--graph", "cycle:8", "--patterns", "random:200",
+                "--trigger", "2", "--seed", "4", "--h", "0.5", "--a", "0.5", "--energy"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out1)]) == EXIT_OK
+        assert main(args + ["--out", str(out2)]) == EXIT_OK
+        for name in ("trace.csv", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_zero_frame_samples_exit_2(self, tmp_path, capsys, recwarn):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for k in range(3):
+            write_pnm(frames / f"f{k}.pgm", np.full((2, 2), 10.0 * (k + 1)))
+        code = main(["simulate", "--graph", "cycle:3", "--patterns", f"frames:{frames},0",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "n=0" in err and "pearson" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_invalid_trigger_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -100,6 +123,26 @@ class TestExperimentCommand:
         assert main(["experiment", name, "--n", "0", "--out", str(out)]) == EXIT_USAGE
         assert "n=0" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["hop-range", "miyashita", "karate", "tutte", "barbell",
+                                      "sequence", "retrieval-sweep", "automaton-sweep",
+                                      "ei-balance"])
+    def test_fixed_graph_experiments_reject_graph(self, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        code = main(["experiment", name, "--graph", "cycle:10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--graph" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hop_range_report_tree_byte_identical(self, tmp_path):
+        trees = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["experiment", "hop-range", "--n", "100", "--out", str(out)]) == EXIT_OK
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 14
+        assert trees[0] == trees[1]
 
     def test_small_four_modes(self, tmp_path):
         out = tmp_path / "fm"

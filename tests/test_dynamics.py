@@ -103,6 +103,11 @@ class TestPatternMatrix:
         with pytest.raises(ContractError):
             PatternMatrix(np.array([[1.0, np.inf]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ContractError, match="n, p >= 1"):
+            PatternMatrix(np.zeros(shape))
+
     def test_values_frozen(self):
         pm = PatternMatrix(np.ones((3, 2)))
         with pytest.raises(ValueError):
@@ -355,6 +360,17 @@ class TestMeasures:
             with pytest.raises(UndefinedCorrelationError):
                 pearson_all(state, flat)
 
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 1e3])
+    def test_pearson_all_invariant_to_state_scale_and_shift(self, c):
+        rng = np.random.default_rng(16)
+        pm = PatternMatrix(rng.uniform(0, 1, (200, 8)))
+        sigma = rng.normal(0, 1, 200)
+        r = pearson_all(sigma, pm)
+        assert np.max(np.abs(pearson_all(c * sigma, pm) - r)) < 1e-12
+        for k in (-5.0, 5.0):
+            assert np.max(np.abs(pearson_all(sigma + k, pm) - r)) < 1e-12
+        assert np.max(np.abs(pearson_all(-2.0 * sigma, pm) + r)) < 1e-12
+
     def test_index_range(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
         state = np.arange(10.0)
@@ -413,6 +429,19 @@ class TestEnergy:
         with_h = energy(state, pm, lonely, ModelParams(a=1.0, h=5.0))
         without_h = energy(state, pm, lonely, ModelParams(a=1.0, h=0.0))
         assert with_h == pytest.approx(without_h)
+
+    def test_run_computes_each_states_overlaps_once(self, monkeypatch):
+        # the energy reuses the overlap vector the trace records
+        import cdam.dynamics as D
+        calls = []
+        monkeypatch.setattr(D, "overlaps_all", lambda s, pm: calls.append(1) or overlaps_all(s, pm))
+        rng = np.random.default_rng(17)
+        pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
+        graph = build_cycle(5)
+        trace = run(init_state(pm, 0, seed=1), pm, normalize(graph), ModelParams(),
+                    max_steps=7, fixed_point_tol=0.0, energy_graph=graph)
+        assert len(calls) == trace.steps + 1 == 8
+        assert trace.energies[-1] == energy(trace.final_state, pm, graph, ModelParams())
 
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))

@@ -104,12 +104,19 @@ class TestHopProfiles:
         assert np.allclose(np.diag(mat), 1.0)
         assert np.allclose(mat, mat.T)
 
+    def test_state_correlation_matrix_invariant_to_column_scale(self):
+        rng = np.random.default_rng(8)
+        states = rng.normal(0, 1, (60, 9))
+        scale = rng.uniform(1e-3, 1e3, 9)
+        diff = X.state_correlation_matrix(states * scale) - X.state_correlation_matrix(states)
+        assert np.max(np.abs(diff)) < 1e-12
+
     def test_profile_hop_zero_is_one(self):
         g = build_cycle(8)
         rng = np.random.default_rng(6)
         mat = X.state_correlation_matrix(rng.normal(0, 1, (50, 8)))
-        prof = X.hop_profile(g, mat, max_hop=4)
-        assert prof.means[0] == pytest.approx(1.0)
+        means, _ = X.hop_profile(g, mat, max_hop=4)
+        assert means[0] == pytest.approx(1.0)
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(7)
@@ -120,10 +127,9 @@ class TestHopProfiles:
         assert np.allclose(permuted, mat[np.ix_(perm, perm)])
 
     def test_effective_range_thresholding(self):
-        prof = X.HopProfile(np.array([1.0, 0.5, 0.2, 0.05, 0.3]), np.zeros(5))
         # hop 4 exceeds the threshold even though hop 3 does not
-        assert prof.effective_range() == 4
-        assert X.HopProfile(np.array([0.05, 0.01]), np.zeros(2)).effective_range() == 0
+        assert X.effective_range(np.array([1.0, 0.5, 0.2, 0.05, 0.3])) == 4
+        assert X.effective_range(np.array([0.05, 0.01])) == 0
 
     def test_per_trigger_ranges_on_known_matrix(self):
         g = build_cycle(6)

@@ -6,7 +6,6 @@ import pytest
 from cdam.automata import AutomatonSpec, family_tree
 from cdam.errors import FormatError, IngestError, LengthError, SpecError, UnknownNameError
 from cdam.ingest import (
-    FrameSampler,
     compose_automaton_patterns,
     embed_label,
     fallback_embedding,
@@ -151,8 +150,7 @@ class TestPnm:
 class TestFrames:
     def test_known_pixels_exact(self, tmp_path):
         write_pnm(tmp_path / "a.pgm", np.array([[10.0, 20.0], [30.0, 40.0]]), maxval=240)
-        patterns, sampler = ingest_frames(tmp_path, n=4, seed=0)
-        assert sampler.normalizer == 240
+        patterns = ingest_frames(tmp_path, n=4, seed=0)
         assert sorted(patterns.values[:, 0]) == pytest.approx(
             [10 / 240, 20 / 240, 30 / 240, 40 / 240]
         )
@@ -161,19 +159,22 @@ class TestFrames:
         rng = np.random.default_rng(1)
         for k in range(3):
             write_pnm(tmp_path / f"f{k}.ppm", rng.integers(0, 255, (6, 5, 3)).astype(float))
-        patterns, sampler = ingest_frames(tmp_path, n=20, seed=2)
-        assert sampler.flattened_length == 6 * 5 * 3
+        patterns = ingest_frames(tmp_path, n=20, seed=2)
         assert patterns.p == 3 and patterns.n == 20
+        assert ingest_frames(tmp_path, n=6 * 5 * 3, seed=2).n == 6 * 5 * 3
+        for n in (0, -1, 6 * 5 * 3 + 1):
+            with pytest.raises(IngestError):
+                ingest_frames(tmp_path, n=n, seed=2)
 
     def test_constant_frame_gives_constant_pattern(self, tmp_path):
         write_pnm(tmp_path / "c.pgm", np.full((4, 4), 128.0))
-        patterns, _ = ingest_frames(tmp_path, n=8, seed=3)
+        patterns = ingest_frames(tmp_path, n=8, seed=3)
         assert np.allclose(patterns.values[:, 0], 128 / 255)
 
     def test_filename_sort_order(self, tmp_path):
         write_pnm(tmp_path / "b.pgm", np.full((2, 2), 20.0))
         write_pnm(tmp_path / "a.pgm", np.full((2, 2), 10.0))
-        patterns, _ = ingest_frames(tmp_path, n=4, seed=0)
+        patterns = ingest_frames(tmp_path, n=4, seed=0)
         assert patterns.values[0, 0] < patterns.values[0, 1]
 
     def test_dimension_mismatch(self, tmp_path):
@@ -188,20 +189,8 @@ class TestFrames:
 
     def test_csv_frames_default_normalizer(self, tmp_path):
         (tmp_path / "x.csv").write_text("0.0,2.0\n4.0,8.0\n")
-        patterns, sampler = ingest_frames(tmp_path, n=4, seed=0)
-        assert sampler.normalizer == 8.0
-        assert patterns.values.max() == 1.0
-
-    def test_forced_normalizer(self, tmp_path):
-        write_pnm(tmp_path / "a.pgm", np.full((2, 2), 120.0), maxval=255)
-        _, sampler = ingest_frames(tmp_path, n=2, seed=0, normalizer=240.0)
-        assert sampler.normalizer == 240.0
-
-    def test_sampler_validation(self):
-        with pytest.raises(IngestError):
-            FrameSampler(10, np.array([1, 1, 2]), 1.0)
-        with pytest.raises(IngestError):
-            FrameSampler(10, np.array([3, 11]), 1.0)
+        patterns = ingest_frames(tmp_path, n=4, seed=0)
+        assert sorted(patterns.values[:, 0]) == [0.0, 0.25, 0.5, 1.0]
 
 
 class TestWordVectors:
@@ -216,6 +205,13 @@ class TestWordVectors:
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0\nbeta 1.0\n")
         with pytest.raises(FormatError):
+            load_word_vectors(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_components_rejected(self, tmp_path, bad):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"dog 0 1 2\ncat {bad} 1 2\n")
+        with pytest.raises(FormatError, match=r"vecs\.txt:2: .*non-finite"):
             load_word_vectors(path)
 
     def test_embed_truncates_and_rescales(self):
@@ -254,7 +250,8 @@ class TestWordVectors:
 class TestComposeAutomaton:
     def test_reserved_slots_agree_exactly(self):
         spec = family_tree()
-        patterns, graph, slot_map = compose_automaton_patterns(spec, n=400, seed=2)
+        patterns, graph, free = compose_automaton_patterns(spec, n=400, seed=2)
+        reserved = np.setdiff1d(np.arange(400), free)
         names = spec.vertex_names()
         assert patterns.p == 16 and graph.p == 16
         for idx, name in enumerate(names):
@@ -262,15 +259,16 @@ class TestComposeAutomaton:
                 src = name.split("+")[0]
                 src_idx = names.index(src)
                 assert np.array_equal(
-                    patterns.values[slot_map.reserved, idx],
-                    patterns.values[slot_map.reserved, src_idx],
+                    patterns.values[reserved, idx],
+                    patterns.values[reserved, src_idx],
                 )
 
     def test_slot_split_sizes(self):
         spec = family_tree()
-        _, _, slot_map = compose_automaton_patterns(spec, n=401, seed=0)
-        assert slot_map.reserved.shape[0] == int(np.floor(0.75 * 401))
-        assert slot_map.reserved.shape[0] + slot_map.free.shape[0] == 401
+        _, _, free = compose_automaton_patterns(spec, n=401, seed=0)
+        reserved = np.setdiff1d(np.arange(401), free)
+        assert reserved.shape[0] == int(np.floor(0.75 * 401))
+        assert reserved.shape[0] + free.shape[0] == 401
 
     def test_random_and_supplied_share_structure(self):
         spec = family_tree()
@@ -278,7 +276,7 @@ class TestComposeAutomaton:
         rng = np.random.default_rng(5)
         spec2 = family_tree()
         spec2.state_content = {s: rng.uniform(0, 1, 200) for s in spec2.states}
-        patterns, g2, slots = compose_automaton_patterns(spec2, n=200, seed=0)
+        patterns, g2, _ = compose_automaton_patterns(spec2, n=200, seed=0)
         assert g1.edge_multiset() == g2.edge_multiset()
         for i, s in enumerate(spec2.states):
             assert np.array_equal(patterns.values[:, i], spec2.state_content[s])
@@ -298,13 +296,3 @@ class TestComposeAutomaton:
         spec.state_content = {s: np.zeros(50) for s in spec.states}
         with pytest.raises(IngestError):
             compose_automaton_patterns(spec, n=100, seed=0)
-
-    def test_stimulate_overwrites_free_only(self):
-        spec = family_tree()
-        patterns, _, slots = compose_automaton_patterns(spec, n=200, seed=0)
-        sigma = patterns.values[:, 0].copy()
-        emb = np.full(slots.free.shape[0], 0.25)
-        out = slots.stimulate(sigma, emb)
-        assert np.array_equal(out[slots.reserved], sigma[slots.reserved])
-        assert np.all(out[slots.free] == 0.25)
-        assert not np.shares_memory(out, sigma)
