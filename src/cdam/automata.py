@@ -64,7 +64,15 @@ class AutomatonSpec:
         if not isinstance(self.reserve_fraction, Real) or not 0.0 < self.reserve_fraction < 1.0:
             raise SpecError(f"reserve fraction {self.reserve_fraction} outside (0, 1)")
         if self.state_content is not None:
-            lengths = {len(v) for v in self.state_content.values()}
+            if not isinstance(self.state_content, dict):
+                raise SpecError("state content must be a dict of state name -> vector")
+            try:
+                arrays = [np.asarray(v) for v in self.state_content.values()]
+            except ValueError as exc:
+                raise SpecError(f"state content is not a numeric vector: {exc}") from exc
+            if any(v.ndim != 1 or v.dtype.kind not in "iuf" for v in arrays):
+                raise SpecError("state content vectors must be 1-D and real")
+            lengths = {v.shape[0] for v in arrays}
             if len(lengths) > 1:
                 raise SpecError(f"state content vectors differ in length: {sorted(lengths)}")
             missing = known - set(self.state_content)

@@ -4,7 +4,7 @@ reproductions, and a label-driven automaton REPL.
 Graph specs are compact strings: cycle:30, dicycle:50, barbell:10,10,
 karate, tutte, regular:46,3,7 (p,k,seed), or file:PATH.  Pattern specs:
 random:1000 (neuron count; one pattern per graph vertex), idx:IMAGES[,LABELS],
-frames:DIR,N.  Exit codes: 0 ok, 2 usage/config error, 3 numeric divergence.
+frames:DIR,N.  Exit codes: 0 ok, 2 usage, config or file error, 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except NumericDivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CdamError as exc:
+    except (CdamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

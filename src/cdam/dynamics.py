@@ -103,7 +103,6 @@ class SimulationTrace:
     """Per-step records of a run; row k describes the state at time k."""
 
     correlations: np.ndarray  # (steps+1, p) pearson r per pattern
-    overlaps: np.ndarray  # (steps+1, p)
     mean_activity: np.ndarray  # (steps+1,)
     sd_activity: np.ndarray  # (steps+1,)
     energies: np.ndarray | None  # (steps+1,) when an energy graph was given
@@ -208,16 +207,15 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     undirected = energy_graph is not None and not energy_graph.directed
     energy_coupling = normalize(energy_graph).matrix if undirected else None
 
-    corr, ovl, means, sds, energies = [], [], [], [], []
+    corr, means, sds, energies = [], [], [], []
 
     def record(t: int, sigma: np.ndarray) -> None:
         corr.append(pearson_all(sigma, patterns))
-        m = overlaps_all(sigma, patterns)
-        ovl.append(m)
         means.append(float(sigma.mean()))
         sds.append(float(sigma.std()))
         if energy_graph is not None:
-            energies.append(_energy(m, energy_graph, params, energy_coupling))
+            energies.append(_energy(overlaps_all(sigma, patterns), energy_graph, params,
+                                    energy_coupling))
 
     record(0, sigma0)
     sigma, _, termination = iterate(
@@ -226,7 +224,6 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
 
     return SimulationTrace(
         correlations=np.array(corr),
-        overlaps=np.array(ovl),
         mean_activity=np.array(means),
         sd_activity=np.array(sds),
         energies=np.array(energies) if energy_graph is not None else None,

@@ -33,7 +33,7 @@ from .dynamics import (
     pearson_all,
     retrieval_vector,  # noqa: F401  (public here too: perfbench traces it by this name)
 )
-from .errors import ContractError, UnknownNameError
+from .errors import ContractError, UndefinedCorrelationError, UnknownNameError
 from .graphs import (
     MemoryGraph,
     NormalizedAdjacency,
@@ -66,6 +66,7 @@ DEFAULT_N = 1000
 DEFAULT_STEPS = 101
 DEFAULT_NOISE = 1.0
 EFFECTIVE_RANGE_THRESHOLD = 0.1
+HOP_RANGE_MAX_HOP = 10
 
 
 @dataclass
@@ -130,7 +131,6 @@ def run_all_triggers(
     coupling: NormalizedAdjacency,
     params: ModelParams,
     steps: int = DEFAULT_STEPS,
-    noise_c: float = DEFAULT_NOISE,
     seed: int = 0,
     snapshots: tuple[int, ...] = (),
 ) -> dict:
@@ -143,7 +143,7 @@ def run_all_triggers(
     """
     xi = patterns.values
     rng = np.random.default_rng(seed)
-    sig0 = xi + noise_c * rng.uniform(-0.5, 0.5, xi.shape)
+    sig0 = xi + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, xi.shape)
     snaps = {}
 
     def snapshot(t: int, sig: np.ndarray) -> None:
@@ -161,9 +161,12 @@ def run_all_triggers(
 
 def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray], state_cols: np.ndarray) -> np.ndarray:
     """r[i, j] between reference column i and column j of state_cols; `ref`
-    holds the reference's centered columns and their norms."""
+    holds the reference's centered columns and their norms.  A zero-variance
+    column on either side raises UndefinedCorrelationError."""
     rc, rnorms = ref
     sc, snorms = _center_columns(state_cols)
+    if np.any(rnorms == 0.0) or np.any(snorms == 0.0):
+        raise UndefinedCorrelationError("pearson undefined: zero-variance state or pattern")
     return (rc.T @ sc) / (rnorms[:, None] * snorms[None, :])
 
 
@@ -178,11 +181,11 @@ def _mean(vals: np.ndarray) -> float:
     return float(vals.mean()) if vals.size else float("nan")
 
 
-def hop_profile(graph: MemoryGraph, state_corr: np.ndarray,
+def hop_profile(hops: np.ndarray, state_corr: np.ndarray,
                 max_hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and SD of the state-state correlations at each BFS hop distance
-    0..max_hop from the trigger (NaN where no pair is that far apart)."""
-    hops = np.array([hop_distances(graph, v) for v in range(graph.p)])
+    """Mean and SD of the state-state correlations at each hop distance
+    0..max_hop from the trigger (NaN where no pair is that far apart);
+    `hops` is the graph's hop_distances matrix."""
     groups = [state_corr[hops == d] for d in range(max_hop + 1)]
     sds = [float(vals.std()) if vals.size else float("nan") for vals in groups]
     return np.array([_mean(vals) for vals in groups]), np.array(sds)
@@ -194,12 +197,12 @@ def effective_range(means) -> int:
     return int(above.max()) if above.size else 0
 
 
-def per_trigger_ranges(graph: MemoryGraph, state_corr: np.ndarray, max_hop: int) -> np.ndarray:
-    """effective_range of each trigger's own row of the hop profile."""
-    hops = np.array([hop_distances(graph, v) for v in range(graph.p)])
+def per_trigger_ranges(hops: np.ndarray, state_corr: np.ndarray, max_hop: int) -> np.ndarray:
+    """effective_range of each trigger's own row of the hop profile; `hops`
+    is the graph's hop_distances matrix."""
     return np.array([
         effective_range([_mean(state_corr[v, hops[v] == d]) for d in range(max_hop + 1)])
-        for v in range(graph.p)
+        for v in range(hops.shape[0])
     ])
 
 
@@ -225,12 +228,13 @@ def four_modes(
     settings=FOUR_MODE_SETTINGS,
     n: int = DEFAULT_N,
     seed: int = 0,
-    snapshots: tuple[int, ...] = (1, 11, 26, DEFAULT_STEPS),
 ) -> ExperimentReport:
     """Run every trigger under each (a, h) setting and collect the final
-    pattern correlations, state-state correlations, and mean activities."""
+    pattern correlations, state-state correlations, and mean activities,
+    with pattern correlations also at steps 1, 11, 26 and 101."""
     report = _graph_report("four-modes", graph, n, seed, settings, graph_p=graph.p)
-    for key, res in _runs_per_setting(graph, settings, n, seed, snapshots=snapshots):
+    for key, res in _runs_per_setting(graph, settings, n, seed,
+                                      snapshots=(1, 11, 26, DEFAULT_STEPS)):
         report.outputs[f"corr_{key}"] = res["pattern_correlations"]
         report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
         report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
@@ -244,17 +248,17 @@ def hop_range(
     settings=RANGE_SETTINGS,
     n: int = DEFAULT_N,
     seed: int = 0,
-    max_hop: int = 10,
 ) -> ExperimentReport:
-    """Hop-distance profiles per setting plus a one-way ANOVA across the
-    per-trigger effective ranges."""
+    """Hop-distance profiles (hops 0..HOP_RANGE_MAX_HOP) per setting plus a
+    one-way ANOVA across the per-trigger effective ranges."""
     graph = graph if graph is not None else build_cycle(30)
-    report = _graph_report("hop-range", graph, n, seed, settings, max_hop=max_hop)
+    report = _graph_report("hop-range", graph, n, seed, settings, max_hop=HOP_RANGE_MAX_HOP)
+    hops = hop_distances(graph)
     groups = []
     for key, res in _runs_per_setting(graph, settings, n, seed):
         sc = state_correlation_matrix(res["final_states"])
-        means, sds = hop_profile(graph, sc, max_hop)
-        ranges = per_trigger_ranges(graph, sc, max_hop)
+        means, sds = hop_profile(hops, sc, HOP_RANGE_MAX_HOP)
+        ranges = per_trigger_ranges(hops, sc, HOP_RANGE_MAX_HOP)
         groups.append(ranges.tolist())
         report.outputs[f"profile_mean_{key}"] = means
         report.outputs[f"profile_sd_{key}"] = sds
@@ -275,7 +279,7 @@ def miyashita_fit(
     """Hop 0..6 profile on the 30-cycle versus the recorded serial-distance
     autocorrelations; reports per-seed and mean R^2."""
     graph = build_cycle(30)
-    coupling = normalize(graph)
+    coupling, hops = normalize(graph), hop_distances(graph)
     report = ExperimentReport(
         "miyashita",
         {"a": a, "h": h, "n": n, "seeds": list(seeds)},
@@ -286,7 +290,7 @@ def miyashita_fit(
     for seed in seeds:
         patterns = random_patterns(n, graph.p, seed)
         res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
-        means, _ = hop_profile(graph, state_correlation_matrix(res["final_states"]), 6)
+        means, _ = hop_profile(hops, state_correlation_matrix(res["final_states"]), 6)
         profiles.append(means)
         r2s.append(r_squared(means, MIYASHITA_MEANS))
     report.outputs["profiles"] = np.array(profiles)
@@ -334,10 +338,10 @@ def surrogate_frames(
     n: int = 2000,
     seed: int = 0,
     switches=(17, 34),
-    drift: float = 0.1,
 ) -> PatternMatrix:
-    """Synthetic stand-in for sparsely sampled video frames: smooth per-frame
-    drift with abrupt scene resets at the switch indices."""
+    """Synthetic stand-in for sparsely sampled video frames: each frame moves
+    every pixel by up to 0.1 (clipped to [0, 1]), with abrupt scene resets
+    at the switch indices."""
     rng = np.random.default_rng(seed)
     current = rng.uniform(0, 1, n)
     cols = []
@@ -345,23 +349,17 @@ def surrogate_frames(
         if k in switches:
             current = rng.uniform(0, 1, n)
         elif k > 0:
-            current = np.clip(current + drift * rng.uniform(-1, 1, n), 0.0, 1.0)
+            current = np.clip(current + 0.1 * rng.uniform(-1, 1, n), 0.0, 1.0)
         cols.append(current.copy())
     return PatternMatrix(np.column_stack(cols))
 
 
-@dataclass
-class RecallSchedule:
-    argmax_per_step: list[int]
-    visited_in_order: bool
-    stalls: int
-    skips: int
-    steps_to_cover: int | None  # first step at which all patterns were seen
+def schedule_metrics(argmax_per_step, p: int, patience: int = 40) -> dict:
+    """{visited_in_order, stalls, skips, steps_to_cover} of an argmax schedule.
 
-
-def schedule_metrics(argmax_per_step, p: int, patience: int = 40) -> RecallSchedule:
-    """Stall: one argmax persisting longer than `patience` steps.  Skip: the
-    argmax advancing two or more cycle positions at once."""
+    Stall: one argmax persisting longer than `patience` steps.  Skip: the
+    argmax advancing two or more cycle positions at once.  steps_to_cover is
+    the first step at which all p patterns were seen, or None."""
     stalls = skips = 0
     dwell = 1
     distinct = [argmax_per_step[0]]
@@ -384,7 +382,8 @@ def schedule_metrics(argmax_per_step, p: int, patience: int = 40) -> RecallSched
         if len(seen) == p:
             cover = i + 1
             break
-    return RecallSchedule(list(argmax_per_step), in_order and len(seen) == p, stalls, skips, cover)
+    return {"visited_in_order": in_order and len(seen) == p, "stalls": stalls, "skips": skips,
+            "steps_to_cover": cover}
 
 
 def sequence_recall(
@@ -392,7 +391,6 @@ def sequence_recall(
     settings=((-2.0, 3.0), (1.0, 0.0)),
     steps: int = 1500,
     trigger: int = 0,
-    noise_c: float = DEFAULT_NOISE,
     seed: int = 0,
     patience: int = 40,
 ) -> ExperimentReport:
@@ -404,26 +402,20 @@ def sequence_recall(
     report = ExperimentReport(
         "sequence",
         {"p": p, "n": patterns.n, "steps": steps, "trigger": trigger,
-         "noise_c": noise_c, "seed": seed, "patience": patience,
+         "noise_c": DEFAULT_NOISE, "seed": seed, "patience": patience,
          "settings": list(settings)},
         manifest={"graph_fingerprint": graph.fingerprint(),
                   "frames_fingerprint": _array_fingerprint(patterns.values)},
     )
     for a, h in settings:
         rng = np.random.default_rng(seed)
-        sig = patterns.values[:, trigger] + noise_c * rng.uniform(-0.5, 0.5, patterns.n)
+        sig = patterns.values[:, trigger] + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, patterns.n)
         argmaxes = []
         iterate(sig, patterns, coupling, ModelParams(a=a, h=h), steps,
                 observe=lambda t, s: argmaxes.append(int(np.argmax(pearson_all(s, patterns)))))
-        sched = schedule_metrics(argmaxes, p, patience=patience)
         key = f"a{a:+g}_h{h:+g}"
-        report.outputs[f"schedule_{key}"] = sched.argmax_per_step
-        report.outputs[f"metrics_{key}"] = {
-            "visited_in_order": sched.visited_in_order,
-            "stalls": sched.stalls,
-            "skips": sched.skips,
-            "steps_to_cover": sched.steps_to_cover,
-        }
+        report.outputs[f"schedule_{key}"] = argmaxes
+        report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p, patience=patience)
     return report
 
 
@@ -442,10 +434,9 @@ class AutomatonRunner:
     pattern."""
 
     def __init__(self, spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0,
-                 params: ModelParams = AUTOMATON_PARAMS, steps: int = DEFAULT_STEPS):
+                 params: ModelParams = AUTOMATON_PARAMS):
         self.spec = spec
         self.params = params
-        self.steps = steps
         self.seed = seed
         self.patterns, self.graph, self.free = compose_automaton_patterns(spec, n, seed)
         self.coupling = normalize(self.graph)
@@ -460,7 +451,8 @@ class AutomatonRunner:
 
     def _settle(self, sigma: np.ndarray) -> tuple[str, float]:
         """Run to a fixed point and read the argmax-Pearson vertex."""
-        sigma = iterate(sigma, self.patterns, self.coupling, self.params, self.steps, tol=1e-9)[0]
+        sigma = iterate(sigma, self.patterns, self.coupling, self.params, DEFAULT_STEPS,
+                        tol=1e-9)[0]
         r = pearson_all(sigma, self.patterns)
         top = int(np.argmax(r))
         return self.names[top], float(r[top])
@@ -519,39 +511,29 @@ SWEEP_P_LEVELS = (10, 20, 30, 40, 50, 75, 100, 150, 200, 500)
 SWEEP_SETTINGS = ((0.1, 0.9), (0.5, 0.5), (1.0, 0.0))
 
 
-def surrogate_image_bank(
-    n: int = 784,
-    count: int = 500,
-    classes: int = 5,
-    seed: int = 77,
-    distinct_head: int = 20,
-    w_class: float = 0.45,
-    w_pair: float = 0.2,
-    crowd_start: int = 200,
-    w_crowd: float = 0.06,
-    crowd_group: int = 3,
-) -> np.ndarray:
+def surrogate_image_bank(n: int = 784, count: int = 500, seed: int = 77) -> np.ndarray:
     """Seeded image-bank stand-in with the difficulty structure of a real
-    image dataset: a short head of fully distinct items, a body of
-    class-clustered near-neighbor pairs, and a tail of near-duplicate
-    groups that floods the store at high pattern counts."""
+    image dataset, around 5 class prototypes: 20 fully distinct items, then
+    up to item 200 near-neighbor pairs (noise weight 0.2) around
+    class-clustered centers (prototype weight 0.55), then near-duplicate
+    triples (noise weight 0.06) that flood the store at high pattern counts."""
     rng = np.random.default_rng(seed)
-    protos = rng.uniform(0, 1, (classes, n))
+    protos = rng.uniform(0, 1, (5, n))
     cols: list[np.ndarray] = []
     while len(cols) < count:
         i = len(cols)
-        if i < distinct_head:
+        if i < 20:
             cols.append(rng.uniform(0, 1, n))
-        elif i < crowd_start:
-            center = (1 - w_class) * protos[(i // 2) % classes] + w_class * rng.uniform(0, 1, n)
+        elif i < 200:
+            center = (1 - 0.45) * protos[(i // 2) % 5] + 0.45 * rng.uniform(0, 1, n)
             for _ in range(2):
                 if len(cols) < count:
-                    cols.append(np.clip((1 - w_pair) * center + w_pair * rng.uniform(0, 1, n), 0, 1))
+                    cols.append(np.clip((1 - 0.2) * center + 0.2 * rng.uniform(0, 1, n), 0, 1))
         else:
-            center = (1 - w_class) * protos[(i // crowd_group) % classes] + w_class * rng.uniform(0, 1, n)
-            for _ in range(crowd_group):
+            center = (1 - 0.45) * protos[(i // 3) % 5] + 0.45 * rng.uniform(0, 1, n)
+            for _ in range(3):
                 if len(cols) < count:
-                    cols.append(np.clip((1 - w_crowd) * center + w_crowd * rng.uniform(0, 1, n), 0, 1))
+                    cols.append(np.clip((1 - 0.06) * center + 0.06 * rng.uniform(0, 1, n), 0, 1))
     return np.column_stack(cols)
 
 
@@ -560,7 +542,6 @@ def retrieval_sweep(
     p_levels=SWEEP_P_LEVELS,
     settings=SWEEP_SETTINGS,
     trials: int = 5,
-    noise_c: float = DEFAULT_NOISE,
     steps: int = DEFAULT_STEPS,
     seed: int = 0,
 ) -> ExperimentReport:
@@ -574,7 +555,7 @@ def retrieval_sweep(
     report = ExperimentReport(
         "retrieval-sweep",
         {"n": n, "p_levels": list(p_levels), "settings": list(settings),
-         "trials": trials, "noise_c": noise_c, "seed": seed},
+         "trials": trials, "noise_c": DEFAULT_NOISE, "seed": seed},
         manifest={"dataset_fingerprint": _array_fingerprint(dataset)},
     )
     accuracies: dict[str, dict[int, float]] = {f"a{a:+g}_h{h:+g}": {} for a, h in settings}
@@ -591,7 +572,7 @@ def retrieval_sweep(
             coupling = normalize(build_nn_scaffold(xi))
         rng = np.random.default_rng(seed)
         base = np.repeat(xi, trials, axis=1)
-        sig0 = base + noise_c * rng.uniform(-0.5, 0.5, base.shape)
+        sig0 = base + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, base.shape)
         targets = np.repeat(np.arange(p), trials)
         for a, h in settings:
             # One expression, so no final state stays alive (and adds to peak

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -25,7 +25,6 @@ from .errors import (
     GraphFormatError,
     InvalidSizeError,
     RetryExhaustedError,
-    SpecError,
     UnknownNameError,
 )
 
@@ -49,8 +48,8 @@ class MemoryGraph:
     """Weighted directed multigraph over pattern vertices.
 
     Undirected graphs store each edge once in canonical (min, max) order and
-    expand it symmetrically when the adjacency matrix is built.  Parallel
-    edges are kept in the multiset and summed into the adjacency matrix.
+    expand it symmetrically when the adjacency matrix is built.  Edges are
+    stored sorted; parallel edges are kept and summed into the adjacency matrix.
     """
 
     p: int
@@ -72,11 +71,6 @@ class MemoryGraph:
             canon.append((src, dst, w))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
-    # -- derived views -------------------------------------------------
-
-    def edge_multiset(self) -> Counter:
-        return Counter(self.edges)
-
     def adjacency(self) -> np.ndarray:
         """Dense adjacency; A[i, j] is the total weight of edges i -> j."""
         a = np.zeros((self.p, self.p))
@@ -85,22 +79,6 @@ class MemoryGraph:
             if not self.directed and src != dst:
                 a[dst, src] += w
         return a
-
-    def out_degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
-
-    def in_degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=0)
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of v on the undirected support (loops excluded)."""
-        out = set()
-        for src, dst, _ in self.edges:
-            if src == v and dst != v:
-                out.add(dst)
-            elif dst == v and src != v:
-                out.add(src)
-        return sorted(out)
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256(to_text(self).encode()).hexdigest()
@@ -251,9 +229,7 @@ def build_automaton_graph(spec) -> MemoryGraph:
     index = {name: i for i, name in enumerate(names)}
     n_states = len(spec.states)
     edges = [(index[s], index[s], 1.0) for s in spec.states]
-    for pos, (src, label, dst) in enumerate(spec.transitions):
-        if dst not in index or src not in index:
-            raise SpecError(f"transition ({src}, {label}, {dst}) names unknown state")
+    for pos, (_, _, dst) in enumerate(spec.transitions):
         edges.append((n_states + pos, index[dst], 1.0))
     return MemoryGraph(len(names), tuple(edges), directed=True)
 
@@ -261,37 +237,25 @@ def build_automaton_graph(spec) -> MemoryGraph:
 # -- traversal helpers ----------------------------------------------------
 
 
-def hop_distances(graph: MemoryGraph, source: int) -> np.ndarray:
-    """BFS hop distance from source on the undirected support; -1 = unreachable."""
+def hop_distances(graph: MemoryGraph) -> np.ndarray:
+    """All-pairs BFS hop distances on the undirected support: entry [s, v] is
+    the distance from s to v, -1 where v is unreachable from s."""
     adj: list[set[int]] = [set() for _ in range(graph.p)]
     for src, dst, _ in graph.edges:
         if src != dst:
             adj[src].add(dst)
             adj[dst].add(src)
-    dist = np.full(graph.p, -1, dtype=int)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    dist = np.full((graph.p, graph.p), -1, dtype=int)
+    for source, row in enumerate(dist):
+        row[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if row[u] < 0:
+                    row[u] = row[v] + 1
+                    queue.append(u)
     return dist
-
-
-def connected_components(graph: MemoryGraph) -> list[list[int]]:
-    """Components of the undirected support, each sorted, largest-first stable."""
-    seen = np.zeros(graph.p, dtype=bool)
-    comps = []
-    for start in range(graph.p):
-        if seen[start]:
-            continue
-        dist = hop_distances(graph, start)
-        members = sorted(np.flatnonzero(dist >= 0).tolist())
-        seen[members] = True
-        comps.append(members)
-    return comps
 
 
 # -- serialization ---------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .automata import AutomatonSpec
 from .dynamics import PatternMatrix
-from .errors import FormatError, IngestError, LengthError, UnknownNameError
+from .errors import FormatError, IngestError, LengthError
 from .graphs import MemoryGraph, build_automaton_graph
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -259,14 +259,14 @@ def embed_label(
     label: str,
     slot_length: int,
     vectors: dict[str, np.ndarray] | None = None,
-    fallback: bool = True,
     seed: int = 0,
 ) -> np.ndarray:
     """Fit a label's vector to slot_length and rescale to [0, 1].
 
     File-loaded vectors are truncated or cyclically tiled to the slot length
-    and min-max rescaled (a constant vector maps to all 0.5).  Unknown labels
-    use the seeded fallback, or raise when fallback is disabled.
+    and min-max rescaled (a constant vector maps to all 0.5).  A label
+    missing from `vectors` (or with no table) always gets the seeded
+    fallback_embedding.
     """
     if slot_length < 1:
         raise IngestError(f"slot_length must be >= 1, got {slot_length}")
@@ -281,8 +281,6 @@ def embed_label(
         if hi == lo:
             return np.full(slot_length, 0.5)
         return (fitted - lo) / (hi - lo)
-    if not fallback:
-        raise UnknownNameError(f"label {label!r} not in the word-vector table")
     return fallback_embedding(label, slot_length, seed)
 
 

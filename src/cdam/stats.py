@@ -78,7 +78,7 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
     return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-14) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -87,7 +87,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-1
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 301):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -108,7 +108,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-1
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < 3e-14:
             return h
     raise ContractError(f"incomplete beta failed to converge (a={a}, b={b}, x={x})")
 

@@ -45,6 +45,10 @@ class TestSpecValidation:
         {"states": ["a"], "transitions": [("a", "go")]},       # not a triple
         {"states": ["a"], "transitions": ("a", "go", "a")},    # one triple, not a list of them
         {"states": ["a"], "transitions": [], "reserve_fraction": "0.5"},
+        {"states": ["a"], "transitions": [], "state_content": {"a": 3}},        # not a vector
+        {"states": ["a"], "transitions": [], "state_content": [np.zeros(4)]},  # not a dict
+        {"states": ["a"], "transitions": [], "state_content": {"a": "abc"}},   # not numeric
+        {"states": ["a"], "transitions": [], "state_content": {"a": np.zeros((2, 2))}},  # 2-D
     ])
     def test_field_types_raise_spec_error(self, fields):
         with pytest.raises(SpecError):
@@ -65,8 +69,8 @@ class TestGraphConstruction:
         assert np.array_equal(np.diag(a)[:4], np.ones(4))
         assert np.all(np.diag(a)[4:] == 0)
         # transition vertices: one out-edge, no in-edges
-        assert np.all(g.out_degrees()[4:] == 1)
-        assert np.all(g.in_degrees()[4:] == 0)
+        assert np.all(a.sum(axis=1)[4:] == 1)
+        assert np.all(a.sum(axis=0)[4:] == 0)
 
     def test_edges_realize_transition_table(self):
         spec = family_tree()

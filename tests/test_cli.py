@@ -73,6 +73,14 @@ class TestSimulate:
         assert "n=0" in err and "pearson" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("patterns", ["idx:{missing}", "frames:{missing},10"])
+    def test_missing_pattern_file_exits_2(self, tmp_path, capsys, patterns):
+        spec = patterns.format(missing=tmp_path / "missing")
+        code = main(["simulate", "--graph", "cycle:3", "--patterns", spec,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        assert "missing" in capsys.readouterr().err
+
     def test_invalid_trigger_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "bad"
         code = main(["simulate", "--graph", "cycle:5", "--patterns", "random:50",
@@ -133,6 +141,22 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
         assert "--graph" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["four-modes", "hop-range", "miyashita", "karate",
+                                      "tutte", "barbell", "ei-balance"])
+    def test_zero_variance_correlation_exits_2(self, tmp_path, capsys, recwarn, name):
+        out = tmp_path / "one"
+        assert main(["experiment", name, "--n", "1", "--out", str(out)]) == EXIT_USAGE
+        assert "pearson undefined" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["experiment", "ei-balance", "--n", "20", "--out", str(blocker / "x")])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
     def test_hop_range_report_tree_byte_identical(self, tmp_path):
         trees = []

@@ -13,8 +13,15 @@ from cdam.dynamics import (
     pearson_all,
     update_step,
 )
-from cdam.errors import ContractError, NumericDivergenceError
-from cdam.graphs import MemoryGraph, build_cycle, build_named, build_nn_scaffold, normalize
+from cdam.errors import ContractError, NumericDivergenceError, UndefinedCorrelationError
+from cdam.graphs import (
+    MemoryGraph,
+    build_cycle,
+    build_named,
+    build_nn_scaffold,
+    hop_distances,
+    normalize,
+)
 from oracles import step_by_hand, uncached_pearson_matrix
 
 # Overflows to a non-finite state within a few steps on any small store.
@@ -111,11 +118,15 @@ class TestHopProfiles:
         diff = X.state_correlation_matrix(states * scale) - X.state_correlation_matrix(states)
         assert np.max(np.abs(diff)) < 1e-12
 
+    def test_state_correlation_matrix_zero_variance_raises(self):
+        with pytest.raises(UndefinedCorrelationError):
+            X.state_correlation_matrix(np.ones((5, 3)))
+
     def test_profile_hop_zero_is_one(self):
         g = build_cycle(8)
         rng = np.random.default_rng(6)
         mat = X.state_correlation_matrix(rng.normal(0, 1, (50, 8)))
-        means, _ = X.hop_profile(g, mat, max_hop=4)
+        means, _ = X.hop_profile(hop_distances(g), mat, max_hop=4)
         assert means[0] == pytest.approx(1.0)
 
     def test_permutation_consistency(self):
@@ -136,8 +147,18 @@ class TestHopProfiles:
         mat = np.eye(6)
         for i in range(6):
             mat[i, (i + 1) % 6] = mat[(i + 1) % 6, i] = 0.5
-        ranges = X.per_trigger_ranges(g, mat, max_hop=3)
+        ranges = X.per_trigger_ranges(hop_distances(g), mat, max_hop=3)
         assert list(ranges) == [1] * 6
+
+    def test_hop_matrix_built_once_per_experiment(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(X, "hop_distances",
+                            lambda *args: calls.append(args) or hop_distances(*args))
+        X.hop_range(n=40, seed=1)
+        assert len(calls) == 1
+        calls.clear()
+        X.miyashita_fit(n=40, seeds=(0, 1))
+        assert len(calls) == 1
 
 
 class TestBlockContrast:
@@ -157,21 +178,21 @@ class TestScheduleMetrics:
     def test_perfect_schedule(self):
         sched = [k // 3 % 5 for k in range(15 * 4)]
         m = X.schedule_metrics(sched, 5, patience=40)
-        assert m.visited_in_order and m.stalls == 0 and m.skips == 0
-        assert m.steps_to_cover == 13
+        assert m["visited_in_order"] and m["stalls"] == 0 and m["skips"] == 0
+        assert m["steps_to_cover"] == 13
 
     def test_stall_counted_once_per_dwell(self):
         m = X.schedule_metrics([0] * 100 + [1] * 5, 5, patience=40)
-        assert m.stalls == 1
-        assert not m.visited_in_order
+        assert m["stalls"] == 1
+        assert not m["visited_in_order"]
 
     def test_skip_detection(self):
         m = X.schedule_metrics([0, 1, 3, 4], 5, patience=40)
-        assert m.skips == 1
+        assert m["skips"] == 1
 
     def test_backward_move_counts_as_skip(self):
         m = X.schedule_metrics([2, 1], 5, patience=40)
-        assert m.skips == 1
+        assert m["skips"] == 1
 
 
 class TestSurrogates:
@@ -245,7 +266,7 @@ class TestAutomatonRunner:
         for vertex in runner.names:
             sigma = runner.patterns.values[:, runner.index[vertex]].copy()
             state = step_by_hand(sigma, runner.patterns, runner.coupling, runner.params,
-                                 runner.steps, tol=1e-9)[-1]
+                                 X.DEFAULT_STEPS, tol=1e-9)[-1]
             r = pearson_all(state, runner.patterns)
             top = int(np.argmax(r))
             assert runner.settle_from(vertex) == (runner.names[top], float(r[top]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdam.automata import AutomatonSpec, family_tree
-from cdam.errors import FormatError, IngestError, LengthError, SpecError, UnknownNameError
+from cdam.errors import FormatError, IngestError, LengthError, SpecError
 from cdam.ingest import (
     compose_automaton_patterns,
     embed_label,
@@ -235,10 +235,6 @@ class TestWordVectors:
         assert a.min() >= 0.0 and a.max() <= 1.0
         assert not np.array_equal(a, embed_label("other", 40, vectors={}, seed=3))
 
-    def test_fallback_disabled_raises(self):
-        with pytest.raises(UnknownNameError):
-            embed_label("mystery", 10, vectors={}, fallback=False)
-
     def test_fallback_embeddings_nearly_disjoint(self):
         # cross-label overlap stays well under a label's own support size
         a = fallback_embedding("one", 200)
@@ -277,7 +273,7 @@ class TestComposeAutomaton:
         spec2 = family_tree()
         spec2.state_content = {s: rng.uniform(0, 1, 200) for s in spec2.states}
         patterns, g2, _ = compose_automaton_patterns(spec2, n=200, seed=0)
-        assert g1.edge_multiset() == g2.edge_multiset()
+        assert g1.edges == g2.edges
         for i, s in enumerate(spec2.states):
             assert np.array_equal(patterns.values[:, i], spec2.state_content[s])
 
@@ -285,7 +281,7 @@ class TestComposeAutomaton:
         spec = AutomatonSpec(states=["only"], transitions=[])
         patterns, graph, _ = compose_automaton_patterns(spec, n=100, seed=0)
         assert patterns.p == 1
-        assert graph.edge_multiset() == {(0, 0, 1.0): 1}
+        assert graph.edges == ((0, 0, 1.0),)
 
     def test_values_in_unit_interval(self):
         patterns, _, _ = compose_automaton_patterns(family_tree(), n=300, seed=1)
