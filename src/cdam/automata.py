@@ -64,20 +64,15 @@ class AutomatonSpec:
         if not isinstance(self.reserve_fraction, Real) or not 0.0 < self.reserve_fraction < 1.0:
             raise SpecError(f"reserve fraction {self.reserve_fraction} outside (0, 1)")
         if self.state_content is not None:
-            if not isinstance(self.state_content, dict):
-                raise SpecError("state content must be a dict of state name -> vector")
-            try:
-                arrays = [np.asarray(v) for v in self.state_content.values()]
-            except ValueError as exc:
-                raise SpecError(f"state content is not a numeric vector: {exc}") from exc
-            if any(v.ndim != 1 or v.dtype.kind not in "iuf" for v in arrays):
-                raise SpecError("state content vectors must be 1-D and real")
+            arrays = _vectors(self.state_content, "state content")
             lengths = {v.shape[0] for v in arrays}
             if len(lengths) > 1:
                 raise SpecError(f"state content vectors differ in length: {sorted(lengths)}")
             missing = known - set(self.state_content)
             if missing:
                 raise SpecError(f"content missing for states: {sorted(missing)}")
+        if self.label_vectors is not None:
+            _vectors(self.label_vectors, "label vectors")
 
     def vertex_names(self) -> list[str]:
         """States first, then one 'src+label' vertex per transition."""
@@ -100,6 +95,21 @@ class AutomatonSpec:
                 f"reserve fraction {self.reserve_fraction} leaves an empty block at n={n}"
             )
         return reserved, free
+
+
+def _vectors(table, what: str) -> list[np.ndarray]:
+    """The vectors of a name -> vector dict; SpecError unless every key is
+    a string and every vector is 1-D, non-empty, real and finite."""
+    if not isinstance(table, dict) or not all(isinstance(k, str) for k in table):
+        raise SpecError(f"{what} must be a dict of name -> vector")
+    try:
+        arrays = [np.asarray(v) for v in table.values()]
+    except ValueError as exc:
+        raise SpecError(f"{what} is not a numeric vector: {exc}") from exc
+    if any(v.ndim != 1 or v.size == 0 or v.dtype.kind not in "iuf" or not np.isfinite(v).all()
+           for v in arrays):
+        raise SpecError(f"{what} must hold non-empty, 1-D, real, finite vectors")
+    return arrays
 
 
 def load_spec_file(path) -> AutomatonSpec:

@@ -18,6 +18,18 @@ on a multiple of the mean pattern.
 
 A state is a float array: one vector of shape (n,), or an (n, B) stack of
 B states that iterate steps together.
+
+Every update moves the state by a blend of stored patterns, so the same
+loop can run in the basis of the patterns instead: the logits L = Xi^T sigma
+follow L <- L + eta*(G @ mixed - u (outer) colsum(mixed) - L), with
+G = Xi^T Xi, u = Xi^T mean_load and the softmax taken of L itself.  Both
+bases are one update, x <- x + eta*(K @ mixed - c (outer) colsum(mixed) - x):
+K = Xi, c = mean_load in state space, K = G, c = u in logit space.  The
+logit basis costs p x p per column instead of 2 n x p, but its floats
+differ from Xi^T sigma by rounding (a few 1e-12 relative), so only a run
+whose readout is discrete uses it: the retrieval sweep, which reads the
+argmax of the final logits.  Every run whose floats are reported stays in
+state space.
 """
 
 from __future__ import annotations
@@ -70,6 +82,15 @@ class PatternMatrix:
         return self.values.mean(axis=1)
 
     @cached_property
+    def logit_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """G = Xi^T Xi and u = Xi^T mean_load, the projection seen in logit
+        space; built on first use, as only the retrieval sweep reads them."""
+        xi = self.values
+        gram, load = xi.T @ xi, xi.T @ self.mean_load
+        gram.flags.writeable = load.flags.writeable = False
+        return gram, load
+
+    @cached_property
     def centered(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered columns and their norms, the pattern side of every Pearson
         readout; built on first use, as sweeps never read Pearson."""
@@ -115,18 +136,23 @@ class SimulationTrace:
 
 
 def softmax_beta(z: np.ndarray, beta: float) -> np.ndarray:
-    """Softmax of beta*z with max subtraction for overflow safety."""
+    """Softmax of beta*z with max subtraction for overflow safety, computed
+    in place in one new array."""
     z = np.asarray(z, dtype=float)
-    shifted = beta * z
-    shifted = shifted - shifted.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = np.multiply(beta, z, out=np.empty_like(z))  # an array even for a 0-d z
+    e -= e.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
-def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency) -> None:
-    """Raise unless sigma (a vector or an (n, batch) stack) and m fit the patterns."""
-    if sigma.ndim not in (1, 2) or sigma.shape[0] != patterns.n:
-        raise ContractError(f"state of shape {sigma.shape} does not fit neuron count {patterns.n}")
+def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency, *,
+                logits: bool) -> None:
+    """Raise unless sigma (a vector or a (rows, batch) stack, with p rows of
+    logits or n rows of state) and m fit the patterns."""
+    rows, name = (patterns.p, "pattern") if logits else (patterns.n, "neuron")
+    if sigma.ndim not in (1, 2) or sigma.shape[0] != rows:
+        raise ContractError(f"state of shape {sigma.shape} does not fit {name} count {rows}")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise ContractError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
@@ -134,20 +160,29 @@ def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacen
 
 
 def retrieval_vector(
-    sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency, params: ModelParams
+    sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency, params: ModelParams,
+    logits: bool = False,
 ) -> np.ndarray:
     """(a*Xc + h*Xc*M^T) softmax(beta*Xi^T sigma); works on a single state
-    vector or an (n, batch) stack of states.
+    vector or an (n, batch) stack of states.  With logits=True, sigma holds
+    logits Xi^T sigma (p rows) and the result is Xi^T of the retrieval.
 
     Softmax logits use the raw patterns (the centered ones would only shift
     every logit by the same constant); the projection uses centered columns.
+    With h == 0 the graph mixing is skipped: a*s + 0*(M^T s) equals a*s.
     """
-    xi = patterns.values
-    s = softmax_beta(xi.T @ sigma, params.beta)
-    mixed = params.a * s + params.h * (m.matrix.T @ s)
-    # Xc @ mixed == Xi @ mixed - mean_load (outer) column sums of mixed,
+    if logits:
+        basis, load = patterns.logit_basis
+        s = softmax_beta(sigma, params.beta)
+    else:
+        basis, load = patterns.values, patterns.mean_load
+        s = softmax_beta(basis.T @ sigma, params.beta)
+    mixed = params.a * s
+    if params.h != 0:
+        mixed += params.h * (m.matrix.T @ s)
+    # K @ (centered mixing) == K @ mixed - load (outer) column sums of mixed,
     # cheaper than materializing the centered matrix.
-    return xi @ mixed - np.multiply.outer(patterns.mean_load, mixed.sum(axis=0))
+    return basis @ mixed - np.multiply.outer(load, mixed.sum(axis=0))
 
 
 def update_step(
@@ -157,16 +192,18 @@ def update_step(
     params: ModelParams,
 ) -> np.ndarray:
     """One synchronous update; returns a fresh state, input untouched."""
-    _check_dims(sigma, patterns, m)
+    _check_dims(sigma, patterns, m, logits=False)
     target = retrieval_vector(sigma, patterns, m, params)
     return sigma + params.eta * (target - sigma)
 
 
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             params: ModelParams, steps: int, tol: float | None = None,
-            observe: Callable[[int, np.ndarray], None] | None = None) -> tuple[np.ndarray, int, str]:
+            observe: Callable[[int, np.ndarray], None] | None = None,
+            logits: bool = False) -> tuple[np.ndarray, int, str]:
     """The Euler loop of every run, sigma <- sigma + eta*(retrieval - sigma),
-    on a state vector or an (n, batch) stack, for up to `steps` steps.
+    on a state vector or an (n, batch) stack, for up to `steps` steps; with
+    logits=True, on logits Xi^T sigma (p rows) in the pattern basis.
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...  With a
     tolerance, stops after the first step whose max |change| is below it.  A
@@ -174,9 +211,9 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
-    _check_dims(sig, patterns, m)
+    _check_dims(sig, patterns, m, logits=logits)
     for t in range(1, steps + 1):
-        target = retrieval_vector(sig, patterns, m, params)
+        target = retrieval_vector(sig, patterns, m, params, logits=logits)
         new = sig + params.eta * (target - sig)
         if not np.isfinite(new).all():
             raise NumericDivergenceError(t)
@@ -203,7 +240,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.ndim != 1:
         raise ContractError(f"state must be a vector, got shape {sigma0.shape}")
-    _check_dims(sigma0, patterns, m)
+    _check_dims(sigma0, patterns, m, logits=False)
     undirected = energy_graph is not None and not energy_graph.directed
     energy_coupling = normalize(energy_graph).matrix if undirected else None
 

@@ -549,7 +549,9 @@ def retrieval_sweep(
 
     Per level p: store the first p dataset columns, build the
     nearest-neighbor scaffold, trigger every pattern `trials` times with
-    fresh noise, converge, and predict the argmax-overlap pattern.
+    fresh noise, converge, and predict the argmax-overlap pattern.  The
+    runs iterate the logits Xi^T sigma, not the states: the readout is
+    their argmax, which the rounding between the two bases does not move.
     """
     n = dataset.shape[0]
     report = ExperimentReport(
@@ -572,14 +574,13 @@ def retrieval_sweep(
             coupling = normalize(build_nn_scaffold(xi))
         rng = np.random.default_rng(seed)
         base = np.repeat(xi, trials, axis=1)
-        sig0 = base + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, base.shape)
+        logits0 = xi.T @ (base + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, base.shape))
+        del base
         targets = np.repeat(np.arange(p), trials)
         for a, h in settings:
-            # One expression, so no final state stays alive (and adds to peak
-            # memory) while the next setting iterates.
-            predicted = np.argmax(
-                xi.T @ iterate(sig0, patterns, coupling, ModelParams(a=a, h=h), steps)[0], axis=0
-            )
+            final, _, _ = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h), steps,
+                                  logits=True)
+            predicted = np.argmax(final, axis=0)
             accuracies[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(predicted == targets))
     report.outputs["accuracy"] = accuracies
     return report

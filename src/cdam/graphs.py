@@ -276,7 +276,15 @@ def to_text(graph: MemoryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest vertex count a graph file may declare or imply: the dense p x p
+# float64 coupling of such a graph takes 2 GiB.
+MAX_TEXT_P = 16_384
+
+
 def from_text(text: str) -> MemoryGraph:
+    """Parse the text format of `to_text`; GraphFormatError on any malformed
+    line and on a vertex count (declared by `# p=N` or implied by the largest
+    vertex) above MAX_TEXT_P."""
     directed = None
     declared_p = None
     edges = []
@@ -313,6 +321,8 @@ def from_text(text: str) -> MemoryGraph:
     p = declared_p if declared_p is not None else max_seen + 1
     if p <= max_seen:
         raise GraphFormatError(f"declared p={p} but saw vertex {max_seen}")
+    if p > MAX_TEXT_P:
+        raise GraphFormatError(f"p={p} vertices exceeds the graph file limit of {MAX_TEXT_P}")
     return MemoryGraph(p, tuple(edges), directed=directed)
 
 

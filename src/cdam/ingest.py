@@ -271,7 +271,7 @@ def embed_label(
     if slot_length < 1:
         raise IngestError(f"slot_length must be >= 1, got {slot_length}")
     if vectors is not None and label in vectors:
-        raw = vectors[label]
+        raw = np.asarray(vectors[label])
         if raw.size >= slot_length:
             fitted = raw[:slot_length].astype(float)
         else:

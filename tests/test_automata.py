@@ -49,10 +49,29 @@ class TestSpecValidation:
         {"states": ["a"], "transitions": [], "state_content": [np.zeros(4)]},  # not a dict
         {"states": ["a"], "transitions": [], "state_content": {"a": "abc"}},   # not numeric
         {"states": ["a"], "transitions": [], "state_content": {"a": np.zeros((2, 2))}},  # 2-D
+        {"states": ["a"], "transitions": [], "label_vectors": {"go": "abc"}},         # not numeric
+        {"states": ["a"], "transitions": [], "label_vectors": [np.ones(3)]},          # not a dict
+        {"states": ["a"], "transitions": [], "label_vectors": {1: np.ones(3)}},       # key not a str
+        {"states": ["a"], "transitions": [], "label_vectors": {"go": 3.0}},           # not a vector
+        {"states": ["a"], "transitions": [], "label_vectors": {"go": np.ones((2, 2))}},  # 2-D
+        {"states": ["a"], "transitions": [], "label_vectors": {"go": np.zeros(0)}},   # empty
+        {"states": ["a"], "transitions": [], "label_vectors": {"go": [1.0, np.nan]}},  # not finite
     ])
     def test_field_types_raise_spec_error(self, fields):
         with pytest.raises(SpecError):
             AutomatonSpec(**fields).validate()
+
+    def test_runner_rejects_bad_label_vectors(self):
+        spec = AutomatonSpec(["a", "b"], [("a", "go", "b")], label_vectors={"go": "abc"})
+        with pytest.raises(SpecError, match="label vectors"):
+            AutomatonRunner(spec, n=50)
+
+    def test_label_vectors_as_lists(self):
+        listed = AutomatonSpec(["a", "b"], [("a", "go", "b")], label_vectors={"go": [0.0, 1.0, 3.0]})
+        arrays = AutomatonSpec(["a", "b"], [("a", "go", "b")],
+                               label_vectors={"go": np.array([0.0, 1.0, 3.0])})
+        assert np.array_equal(AutomatonRunner(listed, n=50).patterns.values,
+                              AutomatonRunner(arrays, n=50).patterns.values)
 
     def test_slot_counts_need_both_blocks(self):
         spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=0.04)

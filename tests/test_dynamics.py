@@ -15,6 +15,7 @@ from cdam.dynamics import (
     overlaps_all,
     pearson,
     pearson_all,
+    retrieval_vector,
     run,
     softmax_beta,
     update_step,
@@ -72,6 +73,14 @@ class TestSoftmax:
     def test_overflow_safe(self):
         s = softmax_beta(np.array([1e8, 0.0]), 1.0)
         assert np.all(np.isfinite(s))
+
+    def test_input_untouched_and_scalar_accepted(self):
+        z = np.array([[1.0, -2.0], [3.0, 0.5]])
+        s = softmax_beta(z, 2.0)
+        assert np.array_equal(z, [[1.0, -2.0], [3.0, 0.5]])
+        e = np.exp(2 * z - (2 * z).max(axis=0))
+        assert np.array_equal(s, e / e.sum(axis=0))
+        assert float(softmax_beta(5.0, 2.0)) == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -233,6 +242,72 @@ class TestRun:
         m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
         with pytest.raises(ContractError):
             run(np.zeros(3), pm, m, ModelParams(), max_steps=0)
+
+
+def exact_instance():
+    """Small-integer patterns, p = 4, and states whose logits tie in pairs
+    or have one maximum, so that at beta = 1000 the softmax weights are
+    exactly 1/2 or 1, and a 0/1 coupling: every sum below is exact in
+    float64, so any two formulas of the same update agree bit for bit."""
+    xi = np.array([[1, 0, 1, 3], [0, 2, 1, 0], [2, 0, 0, 0],
+                   [0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+    sigma = np.array([[1, 1, 0], [1, 0, 0], [1, 0, 1],
+                      [1, 0, 0], [1, 0, 0], [1, 0, 0]], dtype=float)
+    return PatternMatrix(xi), normalize(build_cycle(4, directed=True)), sigma
+
+
+class TestLogitBasis:
+    def test_skipped_mixing_is_bitwise_the_oracle(self):
+        pm, coupling, stack = exact_instance()
+        params = ModelParams(a=-2.0, h=0.0, beta=1000.0, eta=0.5)
+        cols = [list(pm.values[:, mu]) for mu in range(pm.p)]
+        rows = [list(r) for r in coupling.matrix]
+
+        def stepped(sigma):
+            return sigma + params.eta * (retrieval_vector(sigma, pm, coupling, params) - sigma)
+
+        want = [naive_update(list(col), cols, rows, params.a, params.h, params.beta, params.eta)
+                for col in stack.T]
+        assert np.array_equal(stepped(stack[:, 0]), want[0])
+        assert np.array_equal(stepped(stack), np.array(want).T)
+
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    def test_logit_retrieval_is_pattern_image_of_state_retrieval(self, h):
+        pm, coupling, stack = exact_instance()
+        params = ModelParams(a=0.5, h=h, beta=1000.0)
+        for sigma in (stack[:, 0], stack):
+            got = retrieval_vector(pm.values.T @ sigma, pm, coupling, params, logits=True)
+            assert np.array_equal(got, pm.values.T @ retrieval_vector(sigma, pm, coupling, params))
+
+    def test_iterated_logits_track_iterated_states(self):
+        rng = np.random.default_rng(23)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        coupling = normalize(build_cycle(7))
+        sig0 = rng.uniform(0, 1, (60, 5))
+        for params in (ModelParams(a=0.5, h=0.5), ModelParams(a=1.0, h=0.0, beta=0.3)):
+            states, steps, _ = iterate(sig0, pm, coupling, params, 50)
+            logits, _, _ = iterate(pm.values.T @ sig0, pm, coupling, params, 50, logits=True)
+            assert logits.shape == (7, 5)
+            assert np.max(np.abs(logits - pm.values.T @ states)) < 1e-10
+
+    def test_logit_shapes_validated(self):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        coupling = normalize(build_cycle(3))
+        iterate(np.zeros((3, 2)), pm, coupling, ModelParams(), 1, logits=True)
+        for bad in (np.zeros(5), np.zeros((5, 2)), np.zeros((3, 2, 1))):
+            with pytest.raises(ContractError, match="pattern count 3"):
+                iterate(bad, pm, coupling, ModelParams(), 1, logits=True)
+
+    def test_basis_is_read_only_and_built_once(self):
+        pm, _, _ = exact_instance()
+        gram, load = pm.logit_basis
+        assert pm.logit_basis[0] is gram
+        assert np.array_equal(gram, pm.values.T @ pm.values)
+        assert np.array_equal(load, pm.values.T @ pm.mean_load)
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            load[0] = 1.0
 
 
 class TestIterate:

@@ -300,6 +300,27 @@ class TestRetrievalSweep:
                 want = float(np.mean(np.array(predicted) == targets))
                 assert rep.outputs["accuracy"][f"a{a:+g}_h{h:+g}"][p] == want
 
+    def test_logits_match_state_space_iterate(self):
+        # the sweep iterates logits; the state-space loop is the reference
+        bank = X.surrogate_image_bank(count=60, seed=5)
+        levels, trials = (10, 30, 60), 2
+        rep = X.retrieval_sweep(bank, p_levels=levels, trials=trials, seed=2)
+        want = {f"a{a:+g}_h{h:+g}": {} for a, h in X.SWEEP_SETTINGS}
+        for p in levels:
+            xi = bank[:, :p]
+            patterns, coupling = PatternMatrix(xi), normalize(build_nn_scaffold(xi))
+            base = np.repeat(xi, trials, axis=1)
+            sig0 = base + np.random.default_rng(2).uniform(-0.5, 0.5, base.shape)
+            for a, h in X.SWEEP_SETTINGS:
+                params = ModelParams(a=a, h=h)
+                states = iterate(sig0, patterns, coupling, params, X.DEFAULT_STEPS)[0]
+                logits = iterate(xi.T @ sig0, patterns, coupling, params, X.DEFAULT_STEPS,
+                                 logits=True)[0]
+                assert np.max(np.abs(logits - xi.T @ states)) < 1e-10
+                hits = np.argmax(xi.T @ states, axis=0) == np.repeat(np.arange(p), trials)
+                want[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(hits))
+        assert rep.outputs["accuracy"] == want
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self):
         with pytest.raises(NumericDivergenceError):

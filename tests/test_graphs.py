@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdam.errors import (
+    CdamError,
     ContractError,
     GraphFormatError,
     InvalidSizeError,
     UnknownNameError,
 )
 from cdam.graphs import (
+    MAX_TEXT_P,
     MemoryGraph,
     adjacency_coupling,
     build_barbell,
@@ -211,6 +213,10 @@ class TestHops:
                 assert list(hops[src]) == naive_hop_distances(g.edges, p, src)
 
 
+_VERTEX = st.integers(0, 6) | st.integers()
+_WEIGHT = st.floats(0.1, 10.0) | st.floats() | st.sampled_from(["-1", "0", "x", "1e999", "nan"])
+
+
 class TestSerialization:
     def test_round_trip_with_isolated_vertex(self, tmp_path):
         g = MemoryGraph(7, ((0, 1, 1.0), (2, 3, 2.5)), directed=True)
@@ -232,6 +238,47 @@ class TestSerialization:
     def test_malformed_edge_line(self):
         with pytest.raises(GraphFormatError):
             from_text("directed\n0 1 2 3\n")
+
+    @pytest.mark.parametrize("text", [
+        "undirected\n# p=1000000000\n0 1\n",
+        f"undirected\n# p={MAX_TEXT_P + 1}\n",
+        f"directed\n0 {MAX_TEXT_P}\n",  # implied by the largest vertex
+    ])
+    def test_vertex_count_capped(self, text):
+        with pytest.raises(GraphFormatError, match="limit of 16384"):
+            from_text(text)
+
+    def test_isolated_vertices_up_to_cap(self):
+        g = from_text(f"undirected\n# p={MAX_TEXT_P}\n0 1\n")
+        assert g.p == MAX_TEXT_P and g.edges == ((0, 1, 1.0),)
+
+    # Headers and edge lines are drawn more often than junk, so that a
+    # fair share of the texts parse and the valid-graph branch is exercised.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.sampled_from(["directed", "undirected"] * 3 + [""]),
+        lines=st.lists(st.one_of(
+            st.builds("{} {}".format, _VERTEX, _VERTEX),
+            st.builds("{} {} {}".format, _VERTEX, _VERTEX, _WEIGHT),
+            st.builds("# p={}".format, st.integers(-1, 12) | st.integers(MAX_TEXT_P, MAX_TEXT_P + 1)
+                      | st.integers()),
+        ), max_size=8),
+        junk=st.sampled_from([None] * 4 + ["directed", "#", "# p=", "# p=x", "0 1 2 3"])
+        | st.text(max_size=12),
+        at=st.integers(0, 8),
+    )
+    def test_fuzzed_text_parses_or_raises_cdam_error(self, header, lines, junk, at):
+        # contract: a CdamError or a valid graph, never another exception
+        if junk is not None:
+            lines.insert(at, junk)
+        try:
+            g = from_text("\n".join([header, *lines]))
+        except CdamError:
+            return
+        assert isinstance(g, MemoryGraph) and 1 <= g.p <= MAX_TEXT_P
+        assert all(0 <= a < g.p and 0 <= b < g.p and np.isfinite(w) for a, b, w in g.edges)
+        back = from_text(to_text(g))
+        assert (back.p, back.directed, back.edges) == (g.p, g.directed, g.edges)
 
     @settings(max_examples=40, deadline=None)
     @given(
