@@ -9,8 +9,6 @@ from .dynamics import (
     energy,
     init_state,
     iterate,
-    overlap,
-    pearson,
     run,
     softmax_beta,
     update_step,
@@ -18,7 +16,6 @@ from .dynamics import (
 from .graphs import (
     MemoryGraph,
     NormalizedAdjacency,
-    adjacency_coupling,
     build_automaton_graph,
     build_barbell,
     build_cycle,
@@ -27,15 +24,13 @@ from .graphs import (
     build_random_regular,
     normalize,
     read_graph,
-    write_graph,
 )
 
 __all__ = [
     "MemoryGraph", "NormalizedAdjacency", "ModelParams", "PatternMatrix", "SimulationTrace",
-    "adjacency_coupling", "build_automaton_graph", "build_barbell",
-    "build_cycle", "build_named", "build_nn_scaffold", "build_random_regular",
-    "energy", "init_state", "iterate", "normalize", "overlap", "pearson", "read_graph",
-    "run", "softmax_beta", "update_step", "write_graph",
+    "build_automaton_graph", "build_barbell", "build_cycle", "build_named",
+    "build_nn_scaffold", "build_random_regular", "energy", "init_state", "iterate",
+    "normalize", "read_graph", "run", "softmax_beta", "update_step",
 ]
 
 __version__ = "0.1.0"

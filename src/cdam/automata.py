@@ -81,12 +81,6 @@ class AutomatonSpec:
     def labels(self) -> list[str]:
         return sorted({label for _, label, _ in self.transitions})
 
-    def target_of(self, state: str, label: str) -> str | None:
-        for src, lab, dst in self.transitions:
-            if src == state and lab == label:
-                return dst
-        return None
-
     def slot_counts(self, n: int) -> tuple[int, int]:
         reserved = int(np.floor(self.reserve_fraction * n))
         free = n - reserved
@@ -113,17 +107,19 @@ def _vectors(table, what: str) -> list[np.ndarray]:
 
 
 def load_spec_file(path) -> AutomatonSpec:
-    """JSON: {"states": [...], "transitions": [[src, label, dst], ...],
+    """UTF-8 JSON: {"states": [...], "transitions": [[src, label, dst], ...],
     "reserve_fraction": 0.75 (optional)}."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes and malformed JSON; RecursionError, nesting
+        # too deep for the parser
         raise SpecError(f"cannot parse automaton spec {path}: {exc}") from exc
     if not isinstance(doc, dict) or "states" not in doc or "transitions" not in doc:
         raise SpecError(f"{path}: expected keys 'states' and 'transitions'")
     try:
         reserve_fraction = float(doc.get("reserve_fraction", DEFAULT_RESERVE_FRACTION))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{path}: malformed automaton spec: {exc}") from exc
     spec = AutomatonSpec(doc["states"], doc["transitions"], reserve_fraction)
     spec.validate()

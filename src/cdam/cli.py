@@ -3,7 +3,7 @@ reproductions, and a label-driven automaton REPL.
 
 Graph specs are compact strings: cycle:30, dicycle:50, barbell:10,10,
 karate, tutte, regular:46,3,7 (p,k,seed), or file:PATH.  Pattern specs:
-random:1000 (neuron count; one pattern per graph vertex), idx:IMAGES[,LABELS],
+random:1000 (neuron count; one pattern per graph vertex), idx:IMAGES,
 frames:DIR,N.  Exit codes: 0 ok, 2 usage, config or file error, 3 numeric divergence.
 """
 
@@ -69,8 +69,9 @@ def parse_pattern_spec(spec: str, p: int, seed: int):
         if kind == "random":
             return random_patterns(int(rest), p, seed)
         if kind == "idx":
-            paths = rest.split(",")
-            images, _ = load_idx(*paths[:2]) if len(paths) > 1 else load_idx(paths[0])
+            if "," in rest:
+                raise UsageError(f"idx takes one image archive, got {rest!r}")
+            images = load_idx(rest)
             if images.shape[0] < p:
                 raise UsageError(f"archive holds {images.shape[0]} images, graph needs {p}")
             return PatternMatrix(images[:p].T)

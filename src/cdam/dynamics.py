@@ -269,30 +269,8 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     )
 
 
-def overlap(sigma: np.ndarray, mu: int, patterns: PatternMatrix) -> float:
-    """m^mu = sigma . xi^mu / n."""
-    if not 0 <= mu < patterns.p:
-        raise ContractError(f"pattern index {mu} out of range [0,{patterns.p})")
-    return float(sigma @ patterns.values[:, mu]) / patterns.n
-
-
 def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     return (patterns.values.T @ sigma) / patterns.n
-
-
-def pearson(sigma: np.ndarray, mu: int, patterns: PatternMatrix) -> float:
-    """Pearson r between the state and pattern mu; zero variance is an error."""
-    if not 0 <= mu < patterns.p:
-        raise ContractError(f"pattern index {mu} out of range [0,{patterns.p})")
-    y = patterns.values[:, mu]
-    xc = sigma - sigma.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
-        raise UndefinedCorrelationError(
-            "pearson undefined: zero-variance state or pattern"
-        )
-    return float(xc @ yc) / denom
 
 
 def pearson_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
@@ -352,14 +330,17 @@ def _energy(m: np.ndarray, graph: MemoryGraph, params: ModelParams,
     return total
 
 
-def init_state(
-    patterns: PatternMatrix, trigger: int, c: float = 1.0, seed: int = 0
-) -> np.ndarray:
-    """sigma(0) = xi^trigger + c*zeta with zeta uniform on [-0.5, 0.5]."""
-    if not 0 <= trigger < patterns.p:
-        raise ContractError(f"trigger index {trigger} out of range [0,{patterns.p})")
+def init_state(patterns: PatternMatrix, trigger, c: float = 1.0, seed: int = 0) -> np.ndarray:
+    """sigma(0) = xi^trigger + c*zeta with zeta uniform on [-0.5, 0.5].
+
+    `trigger` is one pattern index, giving an (n,) state, or an array of k
+    indices, giving the (n, k) stack of their states from one (n, k) draw.
+    """
+    index = np.asarray(trigger)
+    if (index.ndim > 1 or index.dtype.kind not in "iu"
+            or np.any((index < 0) | (index >= patterns.p))):
+        raise ContractError(f"trigger {trigger} is not a pattern index in [0,{patterns.p})")
     if c < 0:
         raise ContractError(f"noise amplitude must be >= 0, got {c}")
-    rng = np.random.default_rng(seed)
-    zeta = rng.uniform(-0.5, 0.5, patterns.n)
-    return patterns.values[:, trigger] + c * zeta
+    base = patterns.values[:, index]
+    return base + c * np.random.default_rng(seed).uniform(-0.5, 0.5, base.shape)

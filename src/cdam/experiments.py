@@ -29,6 +29,7 @@ from .dynamics import (
     ModelParams,
     PatternMatrix,
     _center_columns,
+    init_state,
     iterate,
     pearson_all,
     retrieval_vector,  # noqa: F401  (public here too: perfbench traces it by this name)
@@ -37,7 +38,6 @@ from .errors import ContractError, UndefinedCorrelationError, UnknownNameError
 from .graphs import (
     MemoryGraph,
     NormalizedAdjacency,
-    adjacency_coupling,
     build_cycle,
     build_nn_scaffold,
     hop_distances,
@@ -141,9 +141,7 @@ def run_all_triggers(
     matrix r[mu, trigger], mean activity per trigger, and requested
     per-snapshot correlation matrices.
     """
-    xi = patterns.values
-    rng = np.random.default_rng(seed)
-    sig0 = xi + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, xi.shape)
+    sig0 = init_state(patterns, np.arange(patterns.p), DEFAULT_NOISE, seed)
     snaps = {}
 
     def snapshot(t: int, sig: np.ndarray) -> None:
@@ -243,15 +241,10 @@ def four_modes(
     return report
 
 
-def hop_range(
-    graph: MemoryGraph | None = None,
-    settings=RANGE_SETTINGS,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Hop-distance profiles (hops 0..HOP_RANGE_MAX_HOP) per setting plus a
-    one-way ANOVA across the per-trigger effective ranges."""
-    graph = graph if graph is not None else build_cycle(30)
+def hop_range(settings=RANGE_SETTINGS, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+    """Hop-distance profiles (hops 0..HOP_RANGE_MAX_HOP) on the 30-cycle per
+    setting plus a one-way ANOVA across the per-trigger effective ranges."""
+    graph = build_cycle(30)
     report = _graph_report("hop-range", graph, n, seed, settings, max_hop=HOP_RANGE_MAX_HOP)
     hops = hop_distances(graph)
     groups = []
@@ -408,8 +401,7 @@ def sequence_recall(
                   "frames_fingerprint": _array_fingerprint(patterns.values)},
     )
     for a, h in settings:
-        rng = np.random.default_rng(seed)
-        sig = patterns.values[:, trigger] + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, patterns.n)
+        sig = init_state(patterns, trigger, DEFAULT_NOISE, seed)
         argmaxes = []
         iterate(sig, patterns, coupling, ModelParams(a=a, h=h), steps,
                 observe=lambda t, s: argmaxes.append(int(np.argmax(pearson_all(s, patterns)))))
@@ -474,28 +466,6 @@ class AutomatonRunner:
         stimulation and report where the dynamics land."""
         sigma = self.patterns.values[:, self.index[vertex]].copy()
         return self._settle(sigma)
-
-
-def automaton_run(
-    spec: AutomatonSpec,
-    script,
-    start: str | None = None,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-) -> list[dict]:
-    """Replay a list of labels from a start state; defined transitions land
-    on their targets, undefined ones return to the source.  Returns one
-    {state_before, label, state_after, r} record per label."""
-    runner = AutomatonRunner(spec, n=n, seed=seed)
-    if start is not None:
-        runner.set_state(start)
-    transcript = []
-    for label in script:
-        before = runner.state
-        _, r = runner.query(label)
-        transcript.append({"state_before": before, "label": label,
-                           "state_after": runner.state, "r": r})
-    return transcript
 
 
 def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> dict[str, str]:
@@ -572,11 +542,8 @@ def retrieval_sweep(
             coupling = normalize(MemoryGraph(1, (), directed=False))
         else:
             coupling = normalize(build_nn_scaffold(xi))
-        rng = np.random.default_rng(seed)
-        base = np.repeat(xi, trials, axis=1)
-        logits0 = xi.T @ (base + DEFAULT_NOISE * rng.uniform(-0.5, 0.5, base.shape))
-        del base
         targets = np.repeat(np.arange(p), trials)
+        logits0 = xi.T @ init_state(patterns, targets, DEFAULT_NOISE, seed)
         for a, h in settings:
             final, _, _ = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h), steps,
                                   logits=True)
@@ -589,33 +556,11 @@ def retrieval_sweep(
 # -- E-I balance --------------------------------------------------------------
 
 
-def ei_balance(
-    graph: MemoryGraph | None = None,
-    settings=RANGE_SETTINGS,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Final mean activity per trigger for balanced (a + h = 1) settings."""
-    graph = graph if graph is not None else build_cycle(30)
+def ei_balance(settings=RANGE_SETTINGS, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+    """Final mean activity per trigger on the 30-cycle for balanced
+    (a + h = 1) settings."""
+    graph = build_cycle(30)
     report = _graph_report("ei-balance", graph, n, seed, settings)
     for key, res in _runs_per_setting(graph, settings, n, seed):
         report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
     return report
-
-
-def quiescence_threshold(
-    graph: MemoryGraph,
-    h: float,
-    a_values,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-) -> dict[float, float]:
-    """Worst-trigger max |r| at 101 steps with the unnormalized coupling
-    M = A, for each tested auto strength."""
-    patterns = random_patterns(n, graph.p, seed)
-    coupling = adjacency_coupling(graph)
-    out = {}
-    for a in a_values:
-        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
-        out[a] = float(np.abs(res["pattern_correlations"]).max())
-    return out

@@ -114,11 +114,6 @@ def normalize(graph: MemoryGraph) -> NormalizedAdjacency:
     return NormalizedAdjacency(left[:, None] * a * right[None, :])
 
 
-def adjacency_coupling(graph: MemoryGraph) -> NormalizedAdjacency:
-    """Unnormalized coupling (M = A); used by the k-regular quiescence check."""
-    return NormalizedAdjacency(graph.adjacency())
-
-
 def _inv_sqrt(degrees: np.ndarray) -> np.ndarray:
     out = np.zeros_like(degrees, dtype=float)
     nz = degrees > 0
@@ -196,13 +191,14 @@ def build_random_regular(p: int, k: int, seed: int) -> MemoryGraph:
     raise RetryExhaustedError(f"no simple {k}-regular graph on {p} vertices in 1000 draws")
 
 
-def build_nn_scaffold(patterns) -> MemoryGraph:
-    """One undirected edge from each vertex to its Euclidean nearest neighbor.
+def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
+    """One undirected edge from each column of an n x p array to its
+    Euclidean nearest neighbor.
 
     Duplicate proposals collapse to a single edge; distance ties break toward
-    the lowest vertex index.  Accepts a PatternMatrix or a raw n x p array.
+    the lowest vertex index.
     """
-    values = np.asarray(getattr(patterns, "values", patterns), dtype=float)
+    values = np.asarray(values, dtype=float)
     p = values.shape[1]
     if p < 2:
         raise InvalidSizeError(f"nearest-neighbor scaffold needs p >= 2, got {p}")
@@ -324,10 +320,6 @@ def from_text(text: str) -> MemoryGraph:
     if p > MAX_TEXT_P:
         raise GraphFormatError(f"p={p} vertices exceeds the graph file limit of {MAX_TEXT_P}")
     return MemoryGraph(p, tuple(edges), directed=directed)
-
-
-def write_graph(graph: MemoryGraph, path) -> None:
-    Path(path).write_text(to_text(graph))
 
 
 def read_graph(path) -> MemoryGraph:

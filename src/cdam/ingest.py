@@ -20,7 +20,6 @@ from .errors import FormatError, IngestError, LengthError
 from .graphs import MemoryGraph, build_automaton_graph
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pnm", ".csv")
 
@@ -41,9 +40,9 @@ def random_patterns(n: int, p: int, seed: int = 0) -> PatternMatrix:
 # -- IDX ------------------------------------------------------------------
 
 
-def load_idx(images_path, labels_path=None):
-    """Parse big-endian IDX archives; images come back as (count, rows*cols)
-    float rows scaled by 1/255, labels (if given) as an int vector."""
+def load_idx(images_path) -> np.ndarray:
+    """Parse a big-endian IDX image archive into (count, rows*cols) float
+    rows scaled by 1/255."""
     raw = Path(images_path).read_bytes()
     if len(raw) < 16:
         raise LengthError(f"{images_path}: too short for an IDX image header")
@@ -54,34 +53,7 @@ def load_idx(images_path, labels_path=None):
     if len(raw) < need:
         raise LengthError(f"{images_path}: payload {len(raw) - 16} bytes, header needs {need - 16}")
     pixels = np.frombuffer(raw[16:need], dtype=np.uint8)
-    images = pixels.reshape(count, rows * cols).astype(float) / 255.0
-
-    labels = None
-    if labels_path is not None:
-        lraw = Path(labels_path).read_bytes()
-        if len(lraw) < 8:
-            raise LengthError(f"{labels_path}: too short for an IDX label header")
-        lmagic, lcount = struct.unpack(">II", lraw[:8])
-        if lmagic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        if len(lraw) < 8 + lcount:
-            raise LengthError(f"{labels_path}: payload shorter than {lcount} labels")
-        if lcount != count:
-            raise FormatError(f"label count {lcount} != image count {count}")
-        labels = np.frombuffer(lraw[8 : 8 + lcount], dtype=np.uint8).astype(int)
-    return images, labels
-
-
-def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
-    """Inverse of load_idx for fixtures/exports; images are [0,1] floats."""
-    arr = np.asarray(images)
-    count = arr.shape[0]
-    if arr.shape[1] != rows * cols:
-        raise FormatError(f"image vectors have length {arr.shape[1]}, expected {rows * cols}")
-    payload = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, rows, cols))
-        fh.write(payload.tobytes())
+    return pixels.reshape(count, rows * cols).astype(float) / 255.0
 
 
 # -- PGM / PPM / CSV frames -------------------------------------------------
@@ -91,7 +63,8 @@ def read_pnm(path):
     """Read P2/P3 (ASCII) or P5/P6 (binary) netpbm files.
 
     Returns (array, maxval); array shape is (h, w) for grayscale or
-    (h, w, 3) for color, raw sample values (not yet normalized).
+    (h, w, 3) for color, raw sample values in [0, maxval] (not yet
+    normalized).  A sample outside that range is a FormatError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 2 or raw[0:1] != b"P" or raw[1:2] not in b"2356":
@@ -142,6 +115,8 @@ def read_pnm(path):
             raise LengthError(f"{path}: {len(body)} payload bytes, header needs {want}")
         dtype = ">u2" if maxval > 255 else np.uint8
         values = np.frombuffer(body, dtype=dtype).astype(float)
+    if not np.all((values >= 0) & (values <= maxval)):
+        raise FormatError(f"{path}: sample values outside [0, {maxval}]")
 
     shape = (height, width, 3) if channels == 3 else (height, width)
     return values.reshape(shape), maxval
@@ -264,19 +239,21 @@ def embed_label(
     """Fit a label's vector to slot_length and rescale to [0, 1].
 
     File-loaded vectors are truncated or cyclically tiled to the slot length
-    and min-max rescaled (a constant vector maps to all 0.5).  A label
-    missing from `vectors` (or with no table) always gets the seeded
-    fallback_embedding.
+    and min-max rescaled (a constant vector maps to all 0.5); an empty or
+    non-finite one is an IngestError.  A label missing from `vectors` (or
+    with no table) always gets the seeded fallback_embedding.
     """
     if slot_length < 1:
         raise IngestError(f"slot_length must be >= 1, got {slot_length}")
     if vectors is not None and label in vectors:
-        raw = np.asarray(vectors[label])
+        raw = np.asarray(vectors[label], dtype=float)
+        if raw.size == 0 or not np.all(np.isfinite(raw)):
+            raise IngestError(f"vector of label {label!r} is empty or non-finite")
         if raw.size >= slot_length:
-            fitted = raw[:slot_length].astype(float)
+            fitted = raw[:slot_length]
         else:
             reps = -(-slot_length // raw.size)
-            fitted = np.tile(raw, reps)[:slot_length].astype(float)
+            fitted = np.tile(raw, reps)[:slot_length]
         lo, hi = fitted.min(), fitted.max()
         if hi == lo:
             return np.full(slot_length, 0.5)

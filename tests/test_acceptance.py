@@ -17,6 +17,7 @@ numbers):
   (0.1, 0.9) does not beat the balanced (0.5, 0.5) retrieval accuracy.
 """
 
+import struct
 import time
 
 import numpy as np
@@ -34,13 +35,14 @@ from cdam.dynamics import (
 from cdam.errors import EnergyUndefinedError
 from cdam.graphs import (
     MemoryGraph,
+    NormalizedAdjacency,
     build_cycle,
     build_named,
     build_random_regular,
     hop_distances,
     normalize,
 )
-from cdam.ingest import load_idx, write_idx_images
+from cdam.ingest import load_idx, random_patterns
 from oracles import naive_energy_directed, naive_energy_undirected, naive_update
 
 
@@ -115,7 +117,7 @@ def test_c1_oracle_equivalence():
 def test_c2_ei_balance():
     """|mean activity| <= 0.02 at 101 steps for every trigger, every balanced
     setting of the canonical sweep, 30-cycle, n=1000."""
-    rep = X.ei_balance(graph=build_cycle(30), settings=X.RANGE_SETTINGS, n=1000, seed=0)
+    rep = X.ei_balance(settings=X.RANGE_SETTINGS, n=1000, seed=0)
     worst = 0.0
     for a, h in X.RANGE_SETTINGS:
         assert a + h == pytest.approx(1.0)
@@ -311,8 +313,9 @@ def test_c8_automaton_fidelity(tmp_path):
             img[start:start + rng.integers(6, 18)] = rng.uniform(0.1, 0.7)
         sprites.append(img)
     idx_path = tmp_path / "sprites.idx"
-    write_idx_images(idx_path, np.array(sprites), 28, 28)
-    images, _ = load_idx(idx_path)
+    pixels = np.round(np.array(sprites) * 255.0).astype(np.uint8)
+    idx_path.write_bytes(struct.pack(">IIII", 0x00000803, len(sprites), 28, 28) + pixels.tobytes())
+    images = load_idx(idx_path)
     supplied = family_tree()
     supplied.state_content = {s: images[i] for i, s in enumerate(supplied.states)}
     failures += _automaton_battery(supplied, n=784, seed=0)
@@ -324,8 +327,13 @@ def test_c8_automaton_fidelity(tmp_path):
     ]
     script_ok = True
     for start, script, expect in rows:
-        transcript = X.automaton_run(family_tree(), script, start=start, seed=0)
-        script_ok = script_ok and [e["state_after"] for e in transcript] == expect
+        runner = X.AutomatonRunner(family_tree(), seed=0)
+        runner.set_state(start)
+        after = []
+        for label in script:
+            runner.query(label)
+            after.append(runner.state)
+        script_ok = script_ok and after == expect
 
     ok = not failures and script_ok
     report("criterion 8 automaton fidelity", ok,
@@ -394,8 +402,13 @@ def test_c10_quiescence_threshold():
     pinned realization that lands under the bound."""
     matching = MemoryGraph(30, tuple((2 * i, 2 * i + 1, 1.0) for i in range(15)),
                            directed=False)
-    values = X.quiescence_threshold(matching, h=1.0, a_values=(-1.5, -0.5), n=2000, seed=4)
-    below, above = values[-1.5], values[-0.5]
+    patterns = random_patterns(2000, matching.p, seed=4)
+    coupling = NormalizedAdjacency(matching.adjacency())  # unnormalized: M = A
+    worst = {}
+    for a in (-1.5, -0.5):
+        res = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1.0), seed=5)
+        worst[a] = float(np.abs(res["pattern_correlations"]).max())
+    below, above = worst[-1.5], worst[-0.5]
     ok = below <= 0.1 and above > 0.1
     report("criterion 10 quiescence threshold", ok,
            f"a=-1.5 (below -k*h): max|r| {below:.3f} (<= 0.1); "

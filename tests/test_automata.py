@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdam.automata import AutomatonSpec, family_tree, load_spec_file
-from cdam.errors import SpecError, UnknownNameError
-from cdam.experiments import AutomatonRunner, automaton_run, automaton_sweep
+from cdam.errors import CdamError, SpecError, UnknownNameError
+from cdam.experiments import AutomatonRunner, automaton_sweep
 from cdam.graphs import build_automaton_graph
 
 
@@ -118,7 +119,7 @@ class TestSpecFile:
         spec = load_spec_file(path)
         assert spec.states == ["on", "off"]
         assert spec.reserve_fraction == 0.6
-        assert spec.target_of("on", "toggle") == "off"
+        assert spec.transitions == [("on", "toggle", "off"), ("off", "toggle", "on")]
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -129,6 +130,17 @@ class TestSpecFile:
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
+        with pytest.raises(SpecError):
+            load_spec_file(path)
+
+    @pytest.mark.parametrize("raw", [
+        b'{"states": ["caf\xe9"], "transitions": []}',                  # Latin-1, not UTF-8
+        b'{"states": ["a"], "transitions": [], "reserve_fraction": 1' + b"0" * 400 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,                                # nested past the parser
+    ])
+    def test_undecodable_or_out_of_range_raise_spec_error(self, tmp_path, raw):
+        path = tmp_path / "odd.json"
+        path.write_bytes(raw)
         with pytest.raises(SpecError):
             load_spec_file(path)
 
@@ -146,6 +158,47 @@ class TestSpecFile:
         path.write_text(json.dumps({"states": states, "transitions": transitions}))
         with pytest.raises(SpecError):
             load_spec_file(path)
+
+
+_NAME = st.sampled_from(["a", "b", "go"]) | st.text(max_size=2)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+class TestSpecFileFuzz:
+    # Documents are mostly well-typed with a small name alphabet, so that a
+    # fair share of them load and the valid-spec branch is exercised.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=st.sampled_from([["a"], ["a", "b"], ["b", "a"]]) | st.lists(_NAME, max_size=3)
+        | _JSON,
+        transitions=st.lists(st.tuples(st.sampled_from("ab"), _NAME, st.sampled_from("ab")),
+                             max_size=3) | _JSON,
+        reserve=st.sampled_from([None] * 4 + [0.6, 0, 1, "0.5", "x", [], 10**400, float("nan")]),
+        junk=st.one_of(st.none(), st.none(), st.binary(max_size=4)),
+        at=st.integers(0, 60),
+    )
+    def test_fuzzed_spec_loads_or_raises_cdam_error(self, tmp_path_factory, states, transitions,
+                                                    reserve, junk, at):
+        # contract: a CdamError or a spec that validates, never another exception
+        doc = {"states": states, "transitions": transitions}
+        if reserve is not None:
+            doc["reserve_fraction"] = reserve
+        raw = json.dumps(doc).encode()
+        if junk is not None:
+            raw = raw[:at] + junk + raw[at:]
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(raw)
+        try:
+            spec = load_spec_file(path)
+        except CdamError:
+            return
+        spec.validate()
+        assert all(isinstance(t, tuple) for t in spec.transitions)
 
 
 class TestRunner:
@@ -168,16 +221,20 @@ class TestRunner:
             runner.set_state("Maggie")
 
     def test_script_trajectories(self):
-        tr = automaton_run(family_tree(), ["husband", "brother", "daughter"],
-                           start="Marge", n=600, seed=0)
-        assert [e["state_after"] for e in tr] == ["Homer", "Homer", "Lisa"]
+        runner = AutomatonRunner(family_tree(), n=600, seed=0)
+        runner.set_state("Marge")
+        after = []
+        for label in ["husband", "brother", "daughter"]:
+            runner.query(label)
+            after.append(runner.state)
+        assert after == ["Homer", "Homer", "Lisa"]
 
     def test_sweep_reproduces_edge_set(self):
         spec = family_tree()
+        target = {(s, label): d for s, label, d in spec.transitions}
         landed = automaton_sweep(spec, n=600, seed=0)
         for vertex, got in landed.items():
             if "+" in vertex:
-                src, label = vertex.split("+", 1)
-                assert got == spec.target_of(src, label)
+                assert got == target[tuple(vertex.split("+", 1))]
             else:
                 assert got == vertex

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,18 @@ class TestSimulate:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_USAGE
         assert "missing" in capsys.readouterr().err
+
+    def test_idx_archive_runs(self, tmp_path):
+        images = tmp_path / "images.idx"
+        pixels = np.random.default_rng(0).integers(0, 256, 3 * 16, dtype=np.uint8)
+        images.write_bytes(struct.pack(">IIII", 0x803, 3, 4, 4) + pixels.tobytes())
+        labels = tmp_path / "labels.idx"
+        labels.write_bytes(struct.pack(">II", 0x801, 3) + bytes([7, 1, 4]))
+        run = ["simulate", "--graph", "cycle:3", "--steps", "3", "--out", str(tmp_path / "run")]
+        assert main(run + ["--patterns", f"idx:{images}"]) == EXIT_OK
+        # the archive is the only input an idx spec takes
+        for extra in (f",{labels}", f",{labels},more"):
+            assert main(run + ["--patterns", f"idx:{images}{extra}"]) == EXIT_USAGE
 
     def test_invalid_trigger_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "bad"

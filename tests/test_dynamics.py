@@ -11,9 +11,7 @@ from cdam.dynamics import (
     energy,
     init_state,
     iterate,
-    overlap,
     overlaps_all,
-    pearson,
     pearson_all,
     retrieval_vector,
     run,
@@ -26,7 +24,7 @@ from cdam.errors import (
     NumericDivergenceError,
     UndefinedCorrelationError,
 )
-from cdam.graphs import MemoryGraph, adjacency_coupling, build_cycle, hop_distances, normalize
+from cdam.graphs import MemoryGraph, build_cycle, hop_distances, normalize
 from oracles import (
     naive_energy_directed,
     naive_energy_undirected,
@@ -369,34 +367,33 @@ class TestIterate:
 class TestMeasures:
     def test_overlap_zero_state(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
-        assert overlap(np.zeros(10), 0, pm) == 0.0
+        assert overlaps_all(np.zeros(10), pm)[0] == 0.0
 
     def test_overlap_law_of_large_numbers(self):
         rng = np.random.default_rng(8)
         pm = PatternMatrix(rng.uniform(0, 1, (10000, 2)))
-        val = overlap(pm.values[:, 0].copy(), 0, pm)
+        val = overlaps_all(pm.values[:, 0].copy(), pm)[0]
         assert abs(val - 1 / 3) < 0.02
 
     def test_overlap_linearity(self):
         rng = np.random.default_rng(9)
         pm = PatternMatrix(rng.uniform(0, 1, (100, 3)))
-        base = overlap(pm.values[:, 1].copy(), 1, pm)
-        scaled = overlap(2.5 * pm.values[:, 1], 1, pm)
+        base = overlaps_all(pm.values[:, 1].copy(), pm)[1]
+        scaled = overlaps_all(2.5 * pm.values[:, 1], pm)[1]
         assert abs(scaled - 2.5 * base) < 1e-12
 
     def test_pearson_identity_and_negative_affine(self):
         rng = np.random.default_rng(10)
         pm = PatternMatrix(rng.uniform(0, 1, (50, 2)))
-        assert pearson(pm.values[:, 0].copy(), 0, pm) == pytest.approx(1.0)
+        assert pearson_all(pm.values[:, 0].copy(), pm)[0] == pytest.approx(1.0)
         flipped = -2.0 * pm.values[:, 0] + 5.0
-        assert pearson(flipped, 0, pm) == pytest.approx(-1.0)
+        assert pearson_all(flipped, pm)[0] == pytest.approx(-1.0)
 
     def test_pearson_independent_vectors_small(self):
         rng = np.random.default_rng(11)
         pm = PatternMatrix(rng.uniform(0, 1, (1000, 3)))
         state = rng.uniform(0, 1, 1000)
-        for mu in range(3):
-            assert abs(pearson(state, mu, pm)) < 0.1
+        assert np.all(np.abs(pearson_all(state, pm)) < 0.1)
 
     def test_pearson_matches_stdlib_oracle(self):
         rng = np.random.default_rng(12)
@@ -404,17 +401,15 @@ class TestMeasures:
         state = rng.normal(0, 1, 40)
         for mu in range(4):
             want = naive_pearson(list(state), list(pm.values[:, mu]))
-            assert pearson(state, mu, pm) == pytest.approx(want, abs=1e-12)
-        assert np.allclose(pearson_all(state, pm),
-                           [pearson(state, mu, pm) for mu in range(4)])
+            assert pearson_all(state, pm)[mu] == pytest.approx(want, abs=1e-12)
 
     def test_zero_variance_raises(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
         with pytest.raises(UndefinedCorrelationError):
-            pearson(np.ones(10), 0, pm)
+            pearson_all(np.ones(10), pm)
         flat = PatternMatrix(np.column_stack([np.ones(10), np.arange(10.0)]))
         with pytest.raises(UndefinedCorrelationError):
-            pearson(np.arange(10.0), 0, flat)
+            pearson_all(np.arange(10.0), flat)
 
     def test_pearson_all_equals_uncached_formula_exactly(self):
         rng = np.random.default_rng(13)
@@ -445,14 +440,6 @@ class TestMeasures:
             assert np.max(np.abs(pearson_all(sigma + k, pm) - r)) < 1e-12
         assert np.max(np.abs(pearson_all(-2.0 * sigma, pm) + r)) < 1e-12
 
-    def test_index_range(self):
-        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
-        state = np.arange(10.0)
-        with pytest.raises(ContractError):
-            overlap(state, 2, pm)
-        with pytest.raises(ContractError):
-            pearson(state, -1, pm)
-
 
 class TestEnergy:
     def test_single_pattern_collapses_to_minus_m_squared(self):
@@ -461,7 +448,7 @@ class TestEnergy:
         pm = PatternMatrix(xi)
         g = MemoryGraph(1, (), directed=False)
         state = xi[:, 0].copy()
-        m = overlap(state, 0, pm)
+        m = overlaps_all(state, pm)[0]
         val = energy(state, pm, g, ModelParams(a=1.0, h=0.0, beta=1.0))
         assert val == pytest.approx(-m * m)
 
@@ -542,10 +529,24 @@ class TestInitState:
 
     def test_validation(self):
         pm = PatternMatrix(np.ones((5, 2)) * 0.5)
-        with pytest.raises(ContractError):
-            init_state(pm, 2)
+        for trigger in (2, -1, np.array([0, 2]), np.array([[0]]), 1.0):
+            with pytest.raises(ContractError):
+                init_state(pm, trigger)
         with pytest.raises(ContractError):
             init_state(pm, 0, c=-1.0)
+
+    def test_index_array_stacks_single_trigger_draws_bitwise(self):
+        # the batched runs' initial states are the pattern columns plus one
+        # (n, k) uniform draw; a one-index array gives the single-trigger state
+        rng = np.random.default_rng(3)
+        pm = PatternMatrix(rng.uniform(0, 1, (7, 4)))
+        triggers = np.array([2, 0, 2, 3, 1])
+        stack = init_state(pm, triggers, c=0.7, seed=11)
+        noise = np.random.default_rng(11).uniform(-0.5, 0.5, (7, 5))
+        assert np.array_equal(stack, pm.values[:, triggers] + 0.7 * noise)
+        for t in range(4):
+            single = init_state(pm, t, c=0.7, seed=11)
+            assert np.array_equal(init_state(pm, np.array([t]), c=0.7, seed=11), single[:, None])
 
 
 class TestModelParams:

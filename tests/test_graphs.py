@@ -12,7 +12,6 @@ from cdam.errors import (
 from cdam.graphs import (
     MAX_TEXT_P,
     MemoryGraph,
-    adjacency_coupling,
     build_barbell,
     build_cycle,
     build_named,
@@ -24,7 +23,6 @@ from cdam.graphs import (
     normalize,
     read_graph,
     to_text,
-    write_graph,
 )
 from oracles import naive_hop_distances
 
@@ -184,10 +182,6 @@ class TestNormalize:
                 x /= np.linalg.norm(x)
             assert abs(x @ (m @ x)) <= 1 + 1e-9
 
-    def test_unnormalized_coupling_is_raw_adjacency(self):
-        g = build_cycle(5)
-        assert np.array_equal(adjacency_coupling(g).matrix, g.adjacency())
-
     def test_fingerprint_propagated_and_stable(self):
         g = build_cycle(7)
         assert g.fingerprint() == build_cycle(7).fingerprint()
@@ -221,7 +215,7 @@ class TestSerialization:
     def test_round_trip_with_isolated_vertex(self, tmp_path):
         g = MemoryGraph(7, ((0, 1, 1.0), (2, 3, 2.5)), directed=True)
         path = tmp_path / "g.txt"
-        write_graph(g, path)
+        path.write_text(to_text(g))
         back = read_graph(path)
         assert back.p == g.p and back.directed == g.directed
         assert back.edges == g.edges
