@@ -29,15 +29,13 @@ class AutomatonSpec:
 
     state_content optionally maps state names to content vectors (all the
     same length); when absent, compose_automaton_patterns draws seeded
-    random content.  label_vectors optionally holds a word-vector table for
-    the labels; otherwise the deterministic fallback embedding is used.
+    random content.  Every label gets a seeded sparse embedding.
     """
 
     states: list[str]
     transitions: list[tuple[str, str, str]]  # (source, label, target)
     reserve_fraction: float = DEFAULT_RESERVE_FRACTION
     state_content: dict[str, np.ndarray] | None = None
-    label_vectors: dict[str, np.ndarray] | None = None
 
     def validate(self) -> None:
         if not isinstance(self.states, list) or not all(isinstance(s, str) for s in self.states):
@@ -71,8 +69,6 @@ class AutomatonSpec:
             missing = known - set(self.state_content)
             if missing:
                 raise SpecError(f"content missing for states: {sorted(missing)}")
-        if self.label_vectors is not None:
-            _vectors(self.label_vectors, "label vectors")
 
     def vertex_names(self) -> list[str]:
         """States first, then one 'src+label' vertex per transition."""

@@ -116,7 +116,8 @@ def build_parser():
     exp.add_argument("name")
     exp.add_argument("--out", default="out")
     exp.add_argument("--n", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--seed", type=int, default=0,
+                     help="base seed (miyashita ignores it and always averages seeds 0-4)")
     exp.add_argument("--graph", default=None,
                      help="graph for four-modes (default cycle:30); others reject it")
 
@@ -230,7 +231,7 @@ def cmd_automaton(args) -> int:
                 emit(f"cannot set state: {exc}")
             continue
         before = runner.state
-        if spec.label_vectors is None and token not in spec.labels():
+        if token not in spec.labels():
             emit(f"{before} + {token!r}: unknown label, state unchanged")
             continue
         _, r = runner.query(token)

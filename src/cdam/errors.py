@@ -42,7 +42,7 @@ class EnergyUndefinedError(CdamError):
 
 
 class FormatError(CdamError):
-    """A data file (IDX, PNM, word vectors) is malformed."""
+    """A data file (IDX, PNM, CSV frame) is malformed."""
 
 
 class LengthError(FormatError):

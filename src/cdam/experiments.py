@@ -347,10 +347,14 @@ def surrogate_frames(
     return PatternMatrix(np.column_stack(cols))
 
 
-def schedule_metrics(argmax_per_step, p: int, patience: int = 40) -> dict:
+# A sequence-recall argmax that persists longer than this many steps is a stall.
+PATIENCE = 40
+
+
+def schedule_metrics(argmax_per_step, p: int) -> dict:
     """{visited_in_order, stalls, skips, steps_to_cover} of an argmax schedule.
 
-    Stall: one argmax persisting longer than `patience` steps.  Skip: the
+    Stall: one argmax persisting longer than PATIENCE steps.  Skip: the
     argmax advancing two or more cycle positions at once.  steps_to_cover is
     the first step at which all p patterns were seen, or None."""
     stalls = skips = 0
@@ -359,7 +363,7 @@ def schedule_metrics(argmax_per_step, p: int, patience: int = 40) -> dict:
     for prev, cur in zip(argmax_per_step, argmax_per_step[1:]):
         if cur == prev:
             dwell += 1
-            if dwell == patience + 1:
+            if dwell == PATIENCE + 1:
                 stalls += 1
         else:
             if (cur - prev) % p >= 2:
@@ -385,7 +389,6 @@ def sequence_recall(
     steps: int = 1500,
     trigger: int = 0,
     seed: int = 0,
-    patience: int = 40,
 ) -> ExperimentReport:
     """Drive a directed cycle over the frames and log the argmax-correlation
     pattern per step, with stall/skip metrics."""
@@ -395,7 +398,7 @@ def sequence_recall(
     report = ExperimentReport(
         "sequence",
         {"p": p, "n": patterns.n, "steps": steps, "trigger": trigger,
-         "noise_c": DEFAULT_NOISE, "seed": seed, "patience": patience,
+         "noise_c": DEFAULT_NOISE, "seed": seed, "patience": PATIENCE,
          "settings": list(settings)},
         manifest={"graph_fingerprint": graph.fingerprint(),
                   "frames_fingerprint": _array_fingerprint(patterns.values)},
@@ -407,7 +410,7 @@ def sequence_recall(
                 observe=lambda t, s: argmaxes.append(int(np.argmax(pearson_all(s, patterns)))))
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = argmaxes
-        report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p, patience=patience)
+        report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p)
     return report
 
 
@@ -425,10 +428,8 @@ class AutomatonRunner:
     the label embedding, runs to convergence, and reads the argmax-Pearson
     pattern."""
 
-    def __init__(self, spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0,
-                 params: ModelParams = AUTOMATON_PARAMS):
+    def __init__(self, spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0):
         self.spec = spec
-        self.params = params
         self.seed = seed
         self.patterns, self.graph, self.free = compose_automaton_patterns(spec, n, seed)
         self.coupling = normalize(self.graph)
@@ -443,7 +444,7 @@ class AutomatonRunner:
 
     def _settle(self, sigma: np.ndarray) -> tuple[str, float]:
         """Run to a fixed point and read the argmax-Pearson vertex."""
-        sigma = iterate(sigma, self.patterns, self.coupling, self.params, DEFAULT_STEPS,
+        sigma = iterate(sigma, self.patterns, self.coupling, AUTOMATON_PARAMS, DEFAULT_STEPS,
                         tol=1e-9)[0]
         r = pearson_all(sigma, self.patterns)
         top = int(np.argmax(r))
@@ -453,9 +454,7 @@ class AutomatonRunner:
         """Stimulate with a label from the current state; updates and
         returns the post-convergence state."""
         sigma = self.patterns.values[:, self.index[self.state]].copy()
-        sigma[self.free] = embed_label(
-            label, self.free.size, vectors=self.spec.label_vectors, seed=self.seed
-        )
+        sigma[self.free] = embed_label(label, self.free.size, self.seed)
         name, r = self._settle(sigma)
         if name in self.spec.states:
             self.state = name

@@ -1,9 +1,9 @@
 """Pattern sources: random vectors, IDX image archives, pre-extracted video
-frames (PGM/PPM or CSV), and word-vector files for transition labels.
+frames (PGM/PPM or CSV), and the composite patterns of an automaton.
 
 Every path is bit-reproducible per seed and produces values in [0, 1]:
 frames are divided by their declared maxval (or, for CSV, their largest
-value).  Word-vector files with non-finite components are rejected.
+value), and a negative or non-finite CSV entry is a FormatError.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ IDX_IMAGES_MAGIC = 0x00000803
 
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pnm", ".csv")
 
-# Fallback label embeddings are sparse binary: a seeded quarter of the slots
-# set to one.  Sparsity is what keeps the automaton readout unambiguous:
+# Label embeddings are sparse binary: a seeded quarter of the slots set to
+# one.  Sparsity is what keeps the automaton readout unambiguous:
 # a label's self-match beats any state content, and state content beats the
 # overlap between two different labels.
-FALLBACK_DENSITY = 0.25
+LABEL_DENSITY = 0.25
 
 
 def random_patterns(n: int, p: int, seed: int = 0) -> PatternMatrix:
@@ -49,6 +49,8 @@ def load_idx(images_path) -> np.ndarray:
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+    if rows * cols > np.iinfo(np.intp).max:
+        raise FormatError(f"{images_path}: image size {rows}x{cols} exceeds any array dimension")
     need = 16 + count * rows * cols
     if len(raw) < need:
         raise LengthError(f"{images_path}: payload {len(raw) - 16} bytes, header needs {need - 16}")
@@ -64,7 +66,8 @@ def read_pnm(path):
 
     Returns (array, maxval); array shape is (h, w) for grayscale or
     (h, w, 3) for color, raw sample values in [0, maxval] (not yet
-    normalized).  A sample outside that range is a FormatError.
+    normalized).  A sample outside that range, or an ASCII sample that is
+    not a decimal integer, is a FormatError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 2 or raw[0:1] != b"P" or raw[1:2] not in b"2356":
@@ -101,8 +104,9 @@ def read_pnm(path):
     count = width * height * channels
 
     if kind in ("P2", "P3"):
+        samples = raw[pos:].split()[:count]
         try:
-            values = np.array(raw[pos:].split()[:count], dtype=float)
+            values = np.array(samples, dtype=float)
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric sample data") from exc
         if values.size < count:
@@ -117,6 +121,8 @@ def read_pnm(path):
         values = np.frombuffer(body, dtype=dtype).astype(float)
     if not np.all((values >= 0) & (values <= maxval)):
         raise FormatError(f"{path}: sample values outside [0, {maxval}]")
+    if kind in ("P2", "P3") and not all(t.isdigit() for t in samples):
+        raise FormatError(f"{path}: ASCII samples must be decimal integers")
 
     shape = (height, width, 3) if channels == 3 else (height, width)
     return values.reshape(shape), maxval
@@ -139,7 +145,8 @@ def write_pnm(path, array: np.ndarray, maxval: int = 255) -> None:
 
 
 def read_csv_frame(path):
-    """Whitespace/comma separated numeric matrix; returns (array, None)."""
+    """Whitespace/comma separated matrix of finite, non-negative numbers;
+    returns (array, None)."""
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError:
@@ -147,6 +154,8 @@ def read_csv_frame(path):
             arr = np.loadtxt(path, ndmin=2)
         except ValueError as exc:
             raise FormatError(f"{path}: not a numeric matrix") from exc
+    if arr.size == 0 or not np.all((arr >= 0) & (arr < np.inf)):
+        raise FormatError(f"{path}: CSV frame is empty or holds a negative or non-finite value")
     return arr, None
 
 
@@ -189,79 +198,17 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
     return PatternMatrix(np.column_stack([arr.reshape(-1)[indices] / normalizer for arr in arrays]))
 
 
-# -- word vectors -----------------------------------------------------------
+# -- automaton pattern composition -------------------------------------------
 
 
-def load_word_vectors(path) -> dict[str, np.ndarray]:
-    """One token per line followed by space-separated floats, constant dim."""
-    table: dict[str, np.ndarray] = {}
-    dim = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            try:
-                vec = np.array(values, dtype=float)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric components") from exc
-            if vec.size == 0:
-                raise FormatError(f"{path}:{lineno}: token {token!r} has no components")
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: token {token!r} has non-finite components")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: dimension {vec.size} != first line's {dim}"
-                )
-            table[token] = vec
-    return table
-
-
-def fallback_embedding(label: str, slot_length: int, seed: int = 0) -> np.ndarray:
+def embed_label(label: str, slot_length: int, seed: int) -> np.ndarray:
     """Deterministic sparse binary vector derived from a hash of the label."""
     h64 = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
     rng = np.random.default_rng([seed, h64])
     vec = np.zeros(slot_length)
-    k = max(1, round(FALLBACK_DENSITY * slot_length))
+    k = max(1, round(LABEL_DENSITY * slot_length))
     vec[rng.choice(slot_length, k, replace=False)] = 1.0
     return vec
-
-
-def embed_label(
-    label: str,
-    slot_length: int,
-    vectors: dict[str, np.ndarray] | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Fit a label's vector to slot_length and rescale to [0, 1].
-
-    File-loaded vectors are truncated or cyclically tiled to the slot length
-    and min-max rescaled (a constant vector maps to all 0.5); an empty or
-    non-finite one is an IngestError.  A label missing from `vectors` (or
-    with no table) always gets the seeded fallback_embedding.
-    """
-    if slot_length < 1:
-        raise IngestError(f"slot_length must be >= 1, got {slot_length}")
-    if vectors is not None and label in vectors:
-        raw = np.asarray(vectors[label], dtype=float)
-        if raw.size == 0 or not np.all(np.isfinite(raw)):
-            raise IngestError(f"vector of label {label!r} is empty or non-finite")
-        if raw.size >= slot_length:
-            fitted = raw[:slot_length]
-        else:
-            reps = -(-slot_length // raw.size)
-            fitted = np.tile(raw, reps)[:slot_length]
-        lo, hi = fitted.min(), fitted.max()
-        if hi == lo:
-            return np.full(slot_length, 0.5)
-        return (fitted - lo) / (hi - lo)
-    return fallback_embedding(label, slot_length, seed)
-
-
-# -- automaton pattern composition -------------------------------------------
 
 
 def compose_automaton_patterns(
@@ -293,10 +240,7 @@ def compose_automaton_patterns(
     else:
         content = {name: rng.uniform(0.0, 1.0, n) for name in spec.states}
 
-    embeddings = {
-        label: embed_label(label, n_free, vectors=spec.label_vectors, seed=seed)
-        for label in spec.labels()
-    }
+    embeddings = {label: embed_label(label, n_free, seed) for label in spec.labels()}
     columns = [content[name] for name in spec.states]
     for src, label, _ in spec.transitions:
         col = np.empty(n)

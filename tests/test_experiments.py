@@ -177,21 +177,21 @@ class TestBlockContrast:
 class TestScheduleMetrics:
     def test_perfect_schedule(self):
         sched = [k // 3 % 5 for k in range(15 * 4)]
-        m = X.schedule_metrics(sched, 5, patience=40)
+        m = X.schedule_metrics(sched, 5)
         assert m["visited_in_order"] and m["stalls"] == 0 and m["skips"] == 0
         assert m["steps_to_cover"] == 13
 
     def test_stall_counted_once_per_dwell(self):
-        m = X.schedule_metrics([0] * 100 + [1] * 5, 5, patience=40)
+        m = X.schedule_metrics([0] * 100 + [1] * 5, 5)
         assert m["stalls"] == 1
         assert not m["visited_in_order"]
 
     def test_skip_detection(self):
-        m = X.schedule_metrics([0, 1, 3, 4], 5, patience=40)
+        m = X.schedule_metrics([0, 1, 3, 4], 5)
         assert m["skips"] == 1
 
     def test_backward_move_counts_as_skip(self):
-        m = X.schedule_metrics([2, 1], 5, patience=40)
+        m = X.schedule_metrics([2, 1], 5)
         assert m["skips"] == 1
 
 
@@ -265,16 +265,17 @@ class TestAutomatonRunner:
         runner = X.AutomatonRunner(family_tree(), n=300, seed=1)
         for vertex in runner.names:
             sigma = runner.patterns.values[:, runner.index[vertex]].copy()
-            state = step_by_hand(sigma, runner.patterns, runner.coupling, runner.params,
+            state = step_by_hand(sigma, runner.patterns, runner.coupling, X.AUTOMATON_PARAMS,
                                  X.DEFAULT_STEPS, tol=1e-9)[-1]
             r = pearson_all(state, runner.patterns)
             top = int(np.argmax(r))
             assert runner.settle_from(vertex) == (runner.names[top], float(r[top]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_state_raises(self):
-        runner = X.AutomatonRunner(family_tree(), n=200,
-                                   params=ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0))
+    def test_non_finite_state_raises(self, monkeypatch):
+        monkeypatch.setattr(X, "AUTOMATON_PARAMS",
+                            ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0))
+        runner = X.AutomatonRunner(family_tree(), n=200)
         with pytest.raises(NumericDivergenceError):
             runner.settle_from("Homer")
         with pytest.raises(NumericDivergenceError):

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdam.automata import AutomatonSpec, family_tree
-from cdam.errors import CdamError, FormatError, IngestError, LengthError, SpecError
+from cdam.errors import CdamError, FormatError, IngestError, LengthError
 from cdam.ingest import (
     compose_automaton_patterns,
     embed_label,
-    fallback_embedding,
     ingest_frames,
     load_idx,
-    load_word_vectors,
     random_patterns,
     read_pnm,
     write_pnm,
@@ -72,6 +70,13 @@ class TestIdx:
             fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
             fh.write(bytes(5))  # needs 8
         with pytest.raises(LengthError):
+            load_idx(path)
+
+    def test_image_size_beyond_any_array_dimension(self, tmp_path):
+        # zero images, so no payload is needed, but rows*cols exceeds the largest intp
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 0, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(FormatError, match="array dimension"):
             load_idx(path)
 
     # Headers are mostly well-formed with small sizes, so that a fair share
@@ -162,6 +167,14 @@ class TestPnm:
         with pytest.raises(FormatError, match="outside"):
             read_pnm(path)
 
+    @pytest.mark.parametrize("raw", [b"P2 2 1 255\n1.5 3\n", b"P2 2 1 255\n1 3e0\n",
+                                     b"P3 1 1 255\n1 +2 3\n", b"P2 2 1 255\n1.0 3\n"])
+    def test_non_integer_ascii_sample_rejected(self, tmp_path, raw):
+        path = tmp_path / "frac.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="decimal integers"):
+            read_pnm(path)
+
     # Headers are well-formed with small sizes and junk is spliced in at a
     # random offset only some of the time, so that a fair share of the files
     # parse and the valid-image branch is exercised.
@@ -238,59 +251,61 @@ class TestFrames:
         patterns = ingest_frames(tmp_path, n=4, seed=0)
         assert sorted(patterns.values[:, 0]) == [0.0, 0.25, 0.5, 1.0]
 
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns of a file with no data
+    @pytest.mark.parametrize("text", ["-3,1\n2,4\n", "1,nan\n2,4\n", "1 inf\n2 4\n", "# empty\n"])
+    def test_csv_negative_non_finite_or_empty_rejected(self, tmp_path, text):
+        (tmp_path / "x.csv").write_text(text)
+        with pytest.raises(FormatError, match="CSV frame"):
+            ingest_frames(tmp_path, n=1, seed=0)
 
-class TestWordVectors:
-    def test_fixture_exact(self, tmp_path):
-        path = tmp_path / "vecs.txt"
-        path.write_text("alpha 0.5 -1.25 3.0\nbeta 1.0 2.0 -0.5\n")
-        table = load_word_vectors(path)
-        assert np.array_equal(table["alpha"], [0.5, -1.25, 3.0])
-        assert set(table) == {"alpha", "beta"}
+    # Cells are mostly non-negative numbers, the matrix is rectangular, n is
+    # usually the whole frame and junk is spliced in at a random offset only
+    # some of the time, so that a fair share of the files parse and every
+    # cell, bad ones included, reaches the pattern.
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 9) | st.sampled_from([0, 2.5, 255, 1e300, -1, -0.5,
+                                                            float("nan"), float("inf")]),
+                       min_size=1, max_size=16),
+        width=st.integers(1, 4),
+        sep=st.sampled_from([b",", b" ", b", ", b"\t"]),
+        junk=st.sampled_from([None] * 4 + [b"-1", b"nan", b"inf", b"x", b",", b"#", b"\n",
+                                           b"1e999", b"\x00"]) | st.binary(max_size=6),
+        at=st.integers(0, 60),
+        n=st.none() | st.none() | st.integers(0, 5),
+    )
+    def test_fuzzed_csv_frame_ingests_or_raises_cdam_error(self, tmp_path_factory, cells, width,
+                                                           sep, junk, at, n):
+        # contract: a CdamError or a PatternMatrix with values in [0, 1], never another exception
+        width = min(width, len(cells))
+        rows = [cells[i : i + width] for i in range(0, len(cells) - width + 1, width)]
+        raw = b"\n".join(sep.join(b"%r" % v for v in row) for row in rows) + b"\n"
+        if junk is not None:
+            raw = raw[:at] + junk + raw[at:]
+        frame_dir = tmp_path_factory.getbasetemp() / "csv_fuzz"
+        frame_dir.mkdir(exist_ok=True)
+        (frame_dir / "frame.csv").write_bytes(raw)
+        n = len(rows) * width if n is None else n
+        try:
+            patterns = ingest_frames(frame_dir, n=n, seed=0)
+        except CdamError:
+            return
+        assert patterns.p == 1 and patterns.n == n
+        assert np.all((patterns.values >= 0.0) & (patterns.values <= 1.0))
 
-    def test_inconsistent_dimension(self, tmp_path):
-        path = tmp_path / "vecs.txt"
-        path.write_text("alpha 1.0 2.0\nbeta 1.0\n")
-        with pytest.raises(FormatError):
-            load_word_vectors(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_components_rejected(self, tmp_path, bad):
-        path = tmp_path / "vecs.txt"
-        path.write_text(f"dog 0 1 2\ncat {bad} 1 2\n")
-        with pytest.raises(FormatError, match=r"vecs\.txt:2: .*non-finite"):
-            load_word_vectors(path)
-
-    def test_embed_truncates_and_rescales(self):
-        table = {"w": np.array([0.0, 2.0, 4.0, 8.0])}
-        fitted = embed_label("w", 3, vectors=table)
-        assert np.allclose(fitted, [0.0, 0.5, 1.0])
-
-    def test_embed_tiles_cyclically(self):
-        table = {"w": np.array([1.0, 3.0])}
-        fitted = embed_label("w", 5, vectors=table)
-        assert np.allclose(fitted, [0.0, 1.0, 0.0, 1.0, 0.0])
-
-    def test_constant_vector_maps_to_half(self):
-        table = {"w": np.array([2.0, 2.0])}
-        assert np.allclose(embed_label("w", 4, vectors=table), 0.5)
-
-    @pytest.mark.parametrize("vector", [np.zeros(0), np.array([1.0, np.nan]),
-                                        np.array([np.inf, 0.0])])
-    def test_embed_rejects_empty_or_non_finite_vector(self, vector):
-        with pytest.raises(IngestError, match="empty or non-finite"):
-            embed_label("w", 4, vectors={"w": vector})
-
-    def test_fallback_deterministic_and_bounded(self):
-        a = embed_label("mystery", 40, vectors={}, seed=3)
-        b = embed_label("mystery", 40, vectors={}, seed=3)
-        assert np.array_equal(a, b)
+class TestLabelEmbedding:
+    def test_deterministic_and_bounded(self):
+        a = embed_label("mystery", 40, 3)
+        assert np.array_equal(a, embed_label("mystery", 40, 3))
         assert a.min() >= 0.0 and a.max() <= 1.0
-        assert not np.array_equal(a, embed_label("other", 40, vectors={}, seed=3))
+        assert not np.array_equal(a, embed_label("other", 40, 3))
 
-    def test_fallback_embeddings_nearly_disjoint(self):
+    def test_nearly_disjoint(self):
         # cross-label overlap stays well under a label's own support size
-        a = fallback_embedding("one", 200)
-        b = fallback_embedding("two", 200)
+        a = embed_label("one", 200, 0)
+        b = embed_label("two", 200, 0)
         assert a.sum() == b.sum() == 50
         assert (a * b).sum() < 30
 
