@@ -21,15 +21,17 @@ B states that iterate steps together.
 
 Every update moves the state by a blend of stored patterns, so the same
 loop can run in the basis of the patterns instead: the logits L = Xi^T sigma
-follow L <- L + eta*(G @ mixed - u (outer) colsum(mixed) - L), with
-G = Xi^T Xi, u = Xi^T mean_load and the softmax taken of L itself.  Both
-bases are one update, x <- x + eta*(K @ mixed - c (outer) colsum(mixed) - x):
-K = Xi, c = mean_load in state space, K = G, c = u in logit space.  The
-logit basis costs p x p per column instead of 2 n x p, but its floats
-differ from Xi^T sigma by rounding (a few 1e-12 relative), so only a run
-whose readout is discrete uses it: the retrieval sweep, which reads the
-argmax of the final logits.  Every run whose floats are reported stays in
-state space.
+follow L <- L + eta*(W @ softmax(beta*L) - L), where for fixed (a, h)
+
+    W = a*G + h*G*M^T - u (outer) (a*1 + h*M*1),   G = Xi^T Xi,  u = Xi^T mean_load
+
+is Xi^T times the centered projection of the mixing, built once per run
+(M*1 holds the row sums of the coupling, so directed graphs come out
+right).  A logit step costs one p x p product per column instead of
+2 n x p, but its floats differ from Xi^T sigma by rounding (a few 1e-12
+relative), so only a run whose readout is discrete uses it: the retrieval
+sweep, which reads the argmax of the final logits.  Every run whose floats
+are reported stays in state space.
 """
 
 from __future__ import annotations
@@ -82,15 +84,6 @@ class PatternMatrix:
         return self.values.mean(axis=1)
 
     @cached_property
-    def logit_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """G = Xi^T Xi and u = Xi^T mean_load, the projection seen in logit
-        space; built on first use, as only the retrieval sweep reads them."""
-        xi = self.values
-        gram, load = xi.T @ xi, xi.T @ self.mean_load
-        gram.flags.writeable = load.flags.writeable = False
-        return gram, load
-
-    @cached_property
     def centered(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered columns and their norms, the pattern side of every Pearson
         readout; built on first use, as sweeps never read Pearson."""
@@ -113,6 +106,9 @@ class ModelParams:
     eta: float = 0.1
 
     def __post_init__(self):
+        for name in ("a", "h", "beta", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise ContractError(f"beta must be > 0, got {self.beta}")
         if not self.eta > 0:
@@ -161,28 +157,41 @@ def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacen
 
 def retrieval_vector(
     sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency, params: ModelParams,
-    logits: bool = False,
+    operator: np.ndarray | None = None,
 ) -> np.ndarray:
     """(a*Xc + h*Xc*M^T) softmax(beta*Xi^T sigma); works on a single state
-    vector or an (n, batch) stack of states.  With logits=True, sigma holds
-    logits Xi^T sigma (p rows) and the result is Xi^T of the retrieval.
+    vector or an (n, batch) stack of states.  Given the logit operator W of
+    (patterns, m, params), sigma holds logits Xi^T sigma (p rows) and the
+    result, W softmax(beta*sigma), is Xi^T of the retrieval.
 
     Softmax logits use the raw patterns (the centered ones would only shift
     every logit by the same constant); the projection uses centered columns.
     With h == 0 the graph mixing is skipped: a*s + 0*(M^T s) equals a*s.
     """
-    if logits:
-        basis, load = patterns.logit_basis
-        s = softmax_beta(sigma, params.beta)
-    else:
-        basis, load = patterns.values, patterns.mean_load
-        s = softmax_beta(basis.T @ sigma, params.beta)
+    if operator is not None:
+        return operator @ softmax_beta(sigma, params.beta)
+    xi = patterns.values
+    s = softmax_beta(xi.T @ sigma, params.beta)
     mixed = params.a * s
     if params.h != 0:
         mixed += params.h * (m.matrix.T @ s)
-    # K @ (centered mixing) == K @ mixed - load (outer) column sums of mixed,
-    # cheaper than materializing the centered matrix.
-    return basis @ mixed - np.multiply.outer(load, mixed.sum(axis=0))
+    # Xi @ (centered mixing) == Xi @ mixed - mean_load (outer) column sums of
+    # mixed, cheaper than materializing the centered matrix.
+    return xi @ mixed - np.multiply.outer(patterns.mean_load, mixed.sum(axis=0))
+
+
+def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
+                    params: ModelParams) -> np.ndarray:
+    """W = a*G + h*G*M^T - u (outer) (a*1 + h*M*1) with G = Xi^T Xi and
+    u = Xi^T mean_load: W s is Xi^T of the centered projection of the
+    mixing a*s + h*M^T s, whose column sums are (a*1 + h*M*1)^T s."""
+    xi, coupling = patterns.values, m.matrix
+    gram = xi.T @ xi
+    op = params.a * gram
+    if params.h != 0:
+        op += params.h * (gram @ coupling.T)
+    op -= np.multiply.outer(xi.T @ patterns.mean_load, params.a + params.h * coupling.sum(axis=1))
+    return op
 
 
 def update_step(
@@ -203,7 +212,8 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             logits: bool = False) -> tuple[np.ndarray, int, str]:
     """The Euler loop of every run, sigma <- sigma + eta*(retrieval - sigma),
     on a state vector or an (n, batch) stack, for up to `steps` steps; with
-    logits=True, on logits Xi^T sigma (p rows) in the pattern basis.
+    logits=True, on logits Xi^T sigma (p rows) in the pattern basis, through
+    the logit operator built once for the call.
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...  With a
     tolerance, stops after the first step whose max |change| is below it.  A
@@ -212,8 +222,9 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     """
     sig = np.asarray(sigma0, dtype=float)
     _check_dims(sig, patterns, m, logits=logits)
+    operator = _logit_operator(patterns, m, params) if logits else None
     for t in range(1, steps + 1):
-        target = retrieval_vector(sig, patterns, m, params, logits=logits)
+        target = retrieval_vector(sig, patterns, m, params, operator=operator)
         new = sig + params.eta * (target - sig)
         if not np.isfinite(new).all():
             raise NumericDivergenceError(t)
@@ -237,6 +248,8 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {max_steps}")
+    if math.isnan(fixed_point_tol):
+        raise ContractError("fixed_point_tol must not be NaN")
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.ndim != 1:
         raise ContractError(f"state must be a vector, got shape {sigma0.shape}")
@@ -340,7 +353,7 @@ def init_state(patterns: PatternMatrix, trigger, c: float = 1.0, seed: int = 0) 
     if (index.ndim > 1 or index.dtype.kind not in "iu"
             or np.any((index < 0) | (index >= patterns.p))):
         raise ContractError(f"trigger {trigger} is not a pattern index in [0,{patterns.p})")
-    if c < 0:
-        raise ContractError(f"noise amplitude must be >= 0, got {c}")
+    if not 0 <= c < math.inf:
+        raise ContractError(f"noise amplitude must be finite and >= 0, got {c}")
     base = patterns.values[:, index]
     return base + c * np.random.default_rng(seed).uniform(-0.5, 0.5, base.shape)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,13 +148,16 @@ def write_pnm(path, array: np.ndarray, maxval: int = 255) -> None:
 def read_csv_frame(path):
     """Whitespace/comma separated matrix of finite, non-negative numbers;
     returns (array, None)."""
-    try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
+    with warnings.catch_warnings():
+        # a file with no data is rejected below; numpy would warn of it first
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            arr = np.loadtxt(path, ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"{path}: not a numeric matrix") from exc
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            try:
+                arr = np.loadtxt(path, ndmin=2)
+            except ValueError as exc:
+                raise FormatError(f"{path}: not a numeric matrix") from exc
     if arr.size == 0 or not np.all((arr >= 0) & (arr < np.inf)):
         raise FormatError(f"{path}: CSV frame is empty or holds a negative or non-finite value")
     return arr, None

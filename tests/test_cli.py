@@ -74,6 +74,39 @@ class TestSimulate:
         assert "n=0" in err and "pearson" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_comment_only_csv_frame_exits_2_with_one_error_line(self, tmp_path, capsys, recwarn):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "f.csv").write_text("# nothing\n")
+        code = main(["simulate", "--graph", "cycle:3", "--patterns", f"frames:{frames},1",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "CSV frame" in err[0]
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--a", "nan", "a must be finite"), ("--h", "inf", "h must be finite"),
+        ("--beta", "inf", "beta must be finite"), ("--eta", "inf", "eta must be finite"),
+        ("--noise-c", "nan", "noise amplitude"), ("--noise-c", "inf", "noise amplitude"),
+        ("--tol", "nan", "fixed_point_tol"),
+    ])
+    def test_non_finite_model_value_exits_2(self, tmp_path, capsys, recwarn, flag, value,
+                                            message):
+        out = tmp_path / "run"
+        code = main(["simulate", "--graph", "cycle:5", "--patterns", "random:50",
+                     "--steps", "3", flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not recwarn.list
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_zero_or_negative_tol_runs_every_step(self, tmp_path, tol):
+        out = tmp_path / "run"
+        assert main(["simulate", "--graph", "cycle:5", "--patterns", "random:50",
+                     "--steps", "4", "--tol", tol, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["steps_executed"] == 4
+
     @pytest.mark.parametrize("patterns", ["idx:{missing}", "frames:{missing},10"])
     def test_missing_pattern_file_exits_2(self, tmp_path, capsys, patterns):
         spec = patterns.format(missing=tmp_path / "missing")

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdam import dynamics
 from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
+    _logit_operator,
     energy,
     init_state,
     iterate,
@@ -273,17 +275,25 @@ class TestLogitBasis:
     def test_logit_retrieval_is_pattern_image_of_state_retrieval(self, h):
         pm, coupling, stack = exact_instance()
         params = ModelParams(a=0.5, h=h, beta=1000.0)
+        operator = _logit_operator(pm, coupling, params)
         for sigma in (stack[:, 0], stack):
-            got = retrieval_vector(pm.values.T @ sigma, pm, coupling, params, logits=True)
+            got = retrieval_vector(pm.values.T @ sigma, pm, coupling, params, operator=operator)
             assert np.array_equal(got, pm.values.T @ retrieval_vector(sigma, pm, coupling, params))
 
     def test_iterated_logits_track_iterated_states(self):
+        # directed, weighted and asymmetric, with row sums unlike column sums,
+        # so that using M for M^T or column sums for row sums moves the logits
+        graph = MemoryGraph(7, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (0, 3, 1.5),
+                                (3, 4, 1.0), (4, 5, 3.0), (5, 6, 0.7), (6, 0, 1.2),
+                                (2, 5, 0.4), (4, 1, 2.5)), directed=True)
+        coupling = normalize(graph)
+        assert not np.allclose(coupling.matrix.sum(axis=0), coupling.matrix.sum(axis=1))
         rng = np.random.default_rng(23)
         pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
-        coupling = normalize(build_cycle(7))
         sig0 = rng.uniform(0, 1, (60, 5))
-        for params in (ModelParams(a=0.5, h=0.5), ModelParams(a=1.0, h=0.0, beta=0.3)):
-            states, steps, _ = iterate(sig0, pm, coupling, params, 50)
+        for a, h in ((-0.5, 1.0), (0.3, 0.7), (1.0, 0.0)):
+            params = ModelParams(a=a, h=h, beta=3.0)
+            states, _, _ = iterate(sig0, pm, coupling, params, 50)
             logits, _, _ = iterate(pm.values.T @ sig0, pm, coupling, params, 50, logits=True)
             assert logits.shape == (7, 5)
             assert np.max(np.abs(logits - pm.values.T @ states)) < 1e-10
@@ -296,16 +306,26 @@ class TestLogitBasis:
             with pytest.raises(ContractError, match="pattern count 3"):
                 iterate(bad, pm, coupling, ModelParams(), 1, logits=True)
 
-    def test_basis_is_read_only_and_built_once(self):
-        pm, _, _ = exact_instance()
-        gram, load = pm.logit_basis
-        assert pm.logit_basis[0] is gram
-        assert np.array_equal(gram, pm.values.T @ pm.values)
-        assert np.array_equal(load, pm.values.T @ pm.mean_load)
-        with pytest.raises(ValueError):
-            gram[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            load[0] = 1.0
+    def test_operator_built_once_per_iterate(self, monkeypatch):
+        pm, coupling, stack = exact_instance()
+        built, operators = [], []
+        build, retrieve = dynamics._logit_operator, dynamics.retrieval_vector
+
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counted_retrieve(*args, operator=None):
+            operators.append(operator)
+            return retrieve(*args, operator=operator)
+
+        monkeypatch.setattr(dynamics, "_logit_operator", counted_build)
+        monkeypatch.setattr(dynamics, "retrieval_vector", counted_retrieve)
+        iterate(pm.values.T @ stack, pm, coupling, ModelParams(a=0.5, h=0.5), 9, logits=True)
+        assert len(built) == 1 and len(operators) == 9
+        assert all(op is built[0] for op in operators)
+        iterate(stack, pm, coupling, ModelParams(a=0.5, h=0.5), 4)
+        assert len(built) == 1 and operators[9:] == [None] * 4
 
 
 class TestIterate:

@@ -251,7 +251,7 @@ class TestFrames:
         patterns = ingest_frames(tmp_path, n=4, seed=0)
         assert sorted(patterns.values[:, 0]) == [0.0, 0.25, 0.5, 1.0]
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns of a file with no data
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["-3,1\n2,4\n", "1,nan\n2,4\n", "1 inf\n2 4\n", "# empty\n"])
     def test_csv_negative_non_finite_or_empty_rejected(self, tmp_path, text):
         (tmp_path / "x.csv").write_text(text)
@@ -262,7 +262,6 @@ class TestFrames:
     # usually the whole frame and junk is spliced in at a random offset only
     # some of the time, so that a fair share of the files parse and every
     # cell, bad ones included, reaches the pattern.
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     @settings(max_examples=200, deadline=None)
     @given(
         cells=st.lists(st.integers(0, 9) | st.sampled_from([0, 2.5, 255, 1e300, -1, -0.5,
