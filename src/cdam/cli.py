@@ -4,7 +4,8 @@ reproductions, and a label-driven automaton REPL.
 Graph specs are compact strings: cycle:30, dicycle:50, barbell:10,10,
 karate, tutte, regular:46,3,7 (p,k,seed), or file:PATH.  Pattern specs:
 random:1000 (neuron count; one pattern per graph vertex), idx:IMAGES,
-frames:DIR,N.  Exit codes: 0 ok, 2 usage, config or file error, 3 numeric divergence.
+frames:DIR,N.  Exit codes: 0 ok, 2 usage, config, file or size error
+(including a negative --seed), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -249,11 +250,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"simulate": cmd_simulate, "experiment": cmd_experiment, "automaton": cmd_automaton}
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return handlers[args.command](args)
     except NumericDivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CdamError, OSError) as exc:
+    except (CdamError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,8 @@ Conventions shared by the experiments:
   one state stay available through SimulationTrace.
 * Every experiment is deterministic given (seed, parameters, inputs) and
   reports them in its manifest.
+* Each experiment runs the paper's fixed settings, held as the module
+  constants below; run_all_triggers runs any other (a, h).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ FOUR_MODE_SETTINGS = ((1.0, 0.0), (0.5, 0.5), (-0.5, 1.5), (-2.5, 1.0))
 RANGE_SETTINGS = ((1.0, 0.0), (0.5, 0.5), (-0.5, 1.5), (-2.0, 3.0))
 
 MIYASHITA_PARAMS = (-2.45, 3.45)
+MIYASHITA_SEEDS = (0, 1, 2, 3, 4)
 
 # Serial-distance autocorrelation means (and SEMs) of the most
 # hetero-associated cell group in the classic temporal-cortex recordings,
@@ -130,11 +133,11 @@ def run_all_triggers(
     patterns: PatternMatrix,
     coupling: NormalizedAdjacency,
     params: ModelParams,
-    steps: int = DEFAULT_STEPS,
     seed: int = 0,
     snapshots: tuple[int, ...] = (),
 ) -> dict:
-    """One run per stored pattern, vectorized as a state-matrix iteration.
+    """One run of DEFAULT_STEPS steps per stored pattern, vectorized as a
+    state-matrix iteration.
 
     Uses the same iterate as the single-run engine (their equivalence is
     pinned by tests).  Returns final states (n x p), the pattern-correlation
@@ -148,7 +151,7 @@ def run_all_triggers(
         if t in snapshots:
             snaps[t] = _pearson_matrix(patterns.centered, sig)
 
-    sig = iterate(sig0, patterns, coupling, params, steps, observe=snapshot)[0]
+    sig = iterate(sig0, patterns, coupling, params, DEFAULT_STEPS, observe=snapshot)[0]
     return {
         "final_states": sig,
         "pattern_correlations": _pearson_matrix(patterns.centered, sig),
@@ -221,17 +224,12 @@ def _runs_per_setting(graph: MemoryGraph, settings, n: int, seed: int, **run_kw)
         yield f"a{a:+g}_h{h:+g}", res
 
 
-def four_modes(
-    graph: MemoryGraph,
-    settings=FOUR_MODE_SETTINGS,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Run every trigger under each (a, h) setting and collect the final
-    pattern correlations, state-state correlations, and mean activities,
-    with pattern correlations also at steps 1, 11, 26 and 101."""
-    report = _graph_report("four-modes", graph, n, seed, settings, graph_p=graph.p)
-    for key, res in _runs_per_setting(graph, settings, n, seed,
+def four_modes(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+    """Run every trigger under each FOUR_MODE_SETTINGS (a, h) and collect the
+    final pattern correlations, state-state correlations, and mean
+    activities, with pattern correlations also at steps 1, 11, 26 and 101."""
+    report = _graph_report("four-modes", graph, n, seed, FOUR_MODE_SETTINGS, graph_p=graph.p)
+    for key, res in _runs_per_setting(graph, FOUR_MODE_SETTINGS, n, seed,
                                       snapshots=(1, 11, 26, DEFAULT_STEPS)):
         report.outputs[f"corr_{key}"] = res["pattern_correlations"]
         report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
@@ -241,14 +239,15 @@ def four_modes(
     return report
 
 
-def hop_range(settings=RANGE_SETTINGS, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+def hop_range(n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
     """Hop-distance profiles (hops 0..HOP_RANGE_MAX_HOP) on the 30-cycle per
-    setting plus a one-way ANOVA across the per-trigger effective ranges."""
+    RANGE_SETTINGS (a, h) plus a one-way ANOVA across the per-trigger
+    effective ranges."""
     graph = build_cycle(30)
-    report = _graph_report("hop-range", graph, n, seed, settings, max_hop=HOP_RANGE_MAX_HOP)
+    report = _graph_report("hop-range", graph, n, seed, RANGE_SETTINGS, max_hop=HOP_RANGE_MAX_HOP)
     hops = hop_distances(graph)
     groups = []
-    for key, res in _runs_per_setting(graph, settings, n, seed):
+    for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
         sc = state_correlation_matrix(res["final_states"])
         means, sds = hop_profile(hops, sc, HOP_RANGE_MAX_HOP)
         ranges = per_trigger_ranges(hops, sc, HOP_RANGE_MAX_HOP)
@@ -263,14 +262,11 @@ def hop_range(settings=RANGE_SETTINGS, n: int = DEFAULT_N, seed: int = 0) -> Exp
     return report
 
 
-def miyashita_fit(
-    a: float = MIYASHITA_PARAMS[0],
-    h: float = MIYASHITA_PARAMS[1],
-    n: int = DEFAULT_N,
-    seeds=(0, 1, 2, 3, 4),
-) -> ExperimentReport:
-    """Hop 0..6 profile on the 30-cycle versus the recorded serial-distance
-    autocorrelations; reports per-seed and mean R^2."""
+def miyashita_fit(n: int = DEFAULT_N) -> ExperimentReport:
+    """Hop 0..6 profile on the 30-cycle at MIYASHITA_PARAMS versus the
+    recorded serial-distance autocorrelations; reports the R^2 of each of
+    MIYASHITA_SEEDS and their mean."""
+    (a, h), seeds = MIYASHITA_PARAMS, MIYASHITA_SEEDS
     graph = build_cycle(30)
     coupling, hops = normalize(graph), hop_distances(graph)
     report = ExperimentReport(
@@ -292,15 +288,11 @@ def miyashita_fit(
     return report
 
 
-def community_matrices(
-    graph: MemoryGraph,
-    settings=RANGE_SETTINGS,
-    n: int = DEFAULT_N,
-    seed: int = 0,
-) -> ExperimentReport:
-    """State-state correlation matrix per setting, every vertex a trigger."""
-    report = _graph_report("community", graph, n, seed, settings)
-    for key, res in _runs_per_setting(graph, settings, n, seed):
+def community_matrices(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+    """State-state correlation matrix per RANGE_SETTINGS (a, h), every vertex
+    a trigger."""
+    report = _graph_report("community", graph, n, seed, RANGE_SETTINGS)
+    for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
         report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
     return report
 
@@ -326,23 +318,27 @@ def named_block_contrast(name: str, matrix: np.ndarray) -> float:
 # -- video-sequence recall ---------------------------------------------------
 
 
-def surrogate_frames(
-    p: int = 50,
-    n: int = 2000,
-    seed: int = 0,
-    switches=(17, 34),
-) -> PatternMatrix:
-    """Synthetic stand-in for sparsely sampled video frames: each frame moves
-    every pixel by up to 0.1 (clipped to [0, 1]), with abrupt scene resets
-    at the switch indices."""
+# The sequence experiment's frames and its runs.
+FRAME_COUNT = 50
+FRAME_N = 2000
+FRAME_SWITCHES = (17, 34)
+SEQUENCE_SETTINGS = ((-2.0, 3.0), (1.0, 0.0))
+SEQUENCE_STEPS = 1500
+SEQUENCE_TRIGGER = 0
+
+
+def surrogate_frames(seed: int = 0) -> PatternMatrix:
+    """Synthetic stand-in for FRAME_COUNT sparsely sampled video frames of
+    FRAME_N pixels: each frame moves every pixel by up to 0.1 (clipped to
+    [0, 1]), with abrupt scene resets at FRAME_SWITCHES."""
     rng = np.random.default_rng(seed)
-    current = rng.uniform(0, 1, n)
+    current = rng.uniform(0, 1, FRAME_N)
     cols = []
-    for k in range(p):
-        if k in switches:
-            current = rng.uniform(0, 1, n)
+    for k in range(FRAME_COUNT):
+        if k in FRAME_SWITCHES:
+            current = rng.uniform(0, 1, FRAME_N)
         elif k > 0:
-            current = np.clip(current + 0.1 * rng.uniform(-1, 1, n), 0.0, 1.0)
+            current = np.clip(current + 0.1 * rng.uniform(-1, 1, FRAME_N), 0.0, 1.0)
         cols.append(current.copy())
     return PatternMatrix(np.column_stack(cols))
 
@@ -383,30 +379,25 @@ def schedule_metrics(argmax_per_step, p: int) -> dict:
             "steps_to_cover": cover}
 
 
-def sequence_recall(
-    patterns: PatternMatrix,
-    settings=((-2.0, 3.0), (1.0, 0.0)),
-    steps: int = 1500,
-    trigger: int = 0,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Drive a directed cycle over the frames and log the argmax-correlation
-    pattern per step, with stall/skip metrics."""
+def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
+    """Drive a directed cycle over the frames from SEQUENCE_TRIGGER for
+    SEQUENCE_STEPS steps per SEQUENCE_SETTINGS (a, h) and log the
+    argmax-correlation pattern per step, with stall/skip metrics."""
     p = patterns.p
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
     report = ExperimentReport(
         "sequence",
-        {"p": p, "n": patterns.n, "steps": steps, "trigger": trigger,
+        {"p": p, "n": patterns.n, "steps": SEQUENCE_STEPS, "trigger": SEQUENCE_TRIGGER,
          "noise_c": DEFAULT_NOISE, "seed": seed, "patience": PATIENCE,
-         "settings": list(settings)},
+         "settings": list(SEQUENCE_SETTINGS)},
         manifest={"graph_fingerprint": graph.fingerprint(),
                   "frames_fingerprint": _array_fingerprint(patterns.values)},
     )
-    for a, h in settings:
-        sig = init_state(patterns, trigger, DEFAULT_NOISE, seed)
+    for a, h in SEQUENCE_SETTINGS:
+        sig = init_state(patterns, SEQUENCE_TRIGGER, DEFAULT_NOISE, seed)
         argmaxes = []
-        iterate(sig, patterns, coupling, ModelParams(a=a, h=h), steps,
+        iterate(sig, patterns, coupling, ModelParams(a=a, h=h), SEQUENCE_STEPS,
                 observe=lambda t, s: argmaxes.append(int(np.argmax(pearson_all(s, patterns)))))
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = argmaxes
@@ -478,14 +469,18 @@ def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> d
 
 SWEEP_P_LEVELS = (10, 20, 30, 40, 50, 75, 100, 150, 200, 500)
 SWEEP_SETTINGS = ((0.1, 0.9), (0.5, 0.5), (1.0, 0.0))
+BANK_N = 784
+BANK_SIZE = 500
 
 
-def surrogate_image_bank(n: int = 784, count: int = 500, seed: int = 77) -> np.ndarray:
-    """Seeded image-bank stand-in with the difficulty structure of a real
-    image dataset, around 5 class prototypes: 20 fully distinct items, then
-    up to item 200 near-neighbor pairs (noise weight 0.2) around
-    class-clustered centers (prototype weight 0.55), then near-duplicate
-    triples (noise weight 0.06) that flood the store at high pattern counts."""
+def surrogate_image_bank(seed: int = 77) -> np.ndarray:
+    """Seeded BANK_N x BANK_SIZE image-bank stand-in with the difficulty
+    structure of a real image dataset, around 5 class prototypes: 20 fully
+    distinct items, then up to item 200 near-neighbor pairs (noise weight
+    0.2) around class-clustered centers (prototype weight 0.55), then
+    near-duplicate triples (noise weight 0.06) that flood the store at high
+    pattern counts.  A smaller bank is a slice: its first columns match."""
+    n, count = BANK_N, BANK_SIZE
     rng = np.random.default_rng(seed)
     protos = rng.uniform(0, 1, (5, n))
     cols: list[np.ndarray] = []
@@ -509,20 +504,19 @@ def surrogate_image_bank(n: int = 784, count: int = 500, seed: int = 77) -> np.n
 def retrieval_sweep(
     dataset: np.ndarray,
     p_levels=SWEEP_P_LEVELS,
-    settings=SWEEP_SETTINGS,
     trials: int = 5,
-    steps: int = DEFAULT_STEPS,
     seed: int = 0,
 ) -> ExperimentReport:
     """Exact-pattern retrieval accuracy over stored-pattern counts.
 
     Per level p: store the first p dataset columns, build the
     nearest-neighbor scaffold, trigger every pattern `trials` times with
-    fresh noise, converge, and predict the argmax-overlap pattern.  The
+    fresh noise, run DEFAULT_STEPS steps per SWEEP_SETTINGS (a, h), and
+    predict the argmax-overlap pattern.  The
     runs iterate the logits Xi^T sigma, not the states: the readout is
     their argmax, which the rounding between the two bases does not move.
     """
-    n = dataset.shape[0]
+    n, settings = dataset.shape[0], SWEEP_SETTINGS
     report = ExperimentReport(
         "retrieval-sweep",
         {"n": n, "p_levels": list(p_levels), "settings": list(settings),
@@ -544,8 +538,8 @@ def retrieval_sweep(
         targets = np.repeat(np.arange(p), trials)
         logits0 = xi.T @ init_state(patterns, targets, DEFAULT_NOISE, seed)
         for a, h in settings:
-            final, _, _ = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h), steps,
-                                  logits=True)
+            final, _, _ = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h),
+                                  DEFAULT_STEPS, logits=True)
             predicted = np.argmax(final, axis=0)
             accuracies[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(predicted == targets))
     report.outputs["accuracy"] = accuracies
@@ -555,11 +549,11 @@ def retrieval_sweep(
 # -- E-I balance --------------------------------------------------------------
 
 
-def ei_balance(settings=RANGE_SETTINGS, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
-    """Final mean activity per trigger on the 30-cycle for balanced
-    (a + h = 1) settings."""
+def ei_balance(n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+    """Final mean activity per trigger on the 30-cycle for the balanced
+    (a + h = 1) RANGE_SETTINGS."""
     graph = build_cycle(30)
-    report = _graph_report("ei-balance", graph, n, seed, settings)
-    for key, res in _runs_per_setting(graph, settings, n, seed):
+    report = _graph_report("ei-balance", graph, n, seed, RANGE_SETTINGS)
+    for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
         report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
     return report

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
@@ -30,16 +29,19 @@ from .errors import (
 
 NAMED_GRAPHS = ("karate", "tutte")
 
-# Env var pointing at an alternative directory of bundled graph/data files.
-DATA_DIR_ENV = "CDAM_DATA_DIR"
+# Largest vertex count a graph may have, whether built or read from a file:
+# the dense p x p float64 coupling of such a graph takes 2 GiB.
+MAX_GRAPH_P = 16_384
+
+
+def _check_vertex_count(p: int, error: type[Exception]) -> None:
+    """Raise `error` for a vertex count above MAX_GRAPH_P, before any edge
+    list of that size is built."""
+    if p > MAX_GRAPH_P:
+        raise error(f"p={p} vertices exceeds the graph limit of {MAX_GRAPH_P}")
 
 
 def _data_path(filename: str) -> Path:
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        candidate = Path(override) / filename
-        if candidate.exists():
-            return candidate
     return Path(str(resources.files("cdam.data") / filename))
 
 
@@ -128,6 +130,7 @@ def build_cycle(p: int, directed: bool = False) -> MemoryGraph:
     """Cycle on p >= 3 vertices, edges i -> (i+1 mod p)."""
     if p < 3:
         raise InvalidSizeError(f"cycle needs p >= 3, got {p}")
+    _check_vertex_count(p, InvalidSizeError)
     edges = [(i, (i + 1) % p, 1.0) for i in range(p)]
     return MemoryGraph(p, tuple(edges), directed=directed)
 
@@ -143,6 +146,7 @@ def build_barbell(n: int, m: int) -> MemoryGraph:
     if m < 0:
         raise InvalidSizeError(f"barbell path length must be >= 0, got {m}")
     p = 2 * n + m
+    _check_vertex_count(p, InvalidSizeError)
     edges = []
     for block_start in (0, n + m):
         for i in range(n):
@@ -176,6 +180,7 @@ def build_random_regular(p: int, k: int, seed: int) -> MemoryGraph:
         raise InvalidSizeError(f"need 1 <= k < p, got k={k}, p={p}")
     if (p * k) % 2 != 0:
         raise InvalidSizeError(f"p*k must be even, got p={p}, k={k}")
+    _check_vertex_count(p, InvalidSizeError)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(p), k)
     for _ in range(1000):
@@ -272,15 +277,10 @@ def to_text(graph: MemoryGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Largest vertex count a graph file may declare or imply: the dense p x p
-# float64 coupling of such a graph takes 2 GiB.
-MAX_TEXT_P = 16_384
-
-
 def from_text(text: str) -> MemoryGraph:
     """Parse the text format of `to_text`; GraphFormatError on any malformed
     line and on a vertex count (declared by `# p=N` or implied by the largest
-    vertex) above MAX_TEXT_P."""
+    vertex) above MAX_GRAPH_P."""
     directed = None
     declared_p = None
     edges = []
@@ -317,8 +317,7 @@ def from_text(text: str) -> MemoryGraph:
     p = declared_p if declared_p is not None else max_seen + 1
     if p <= max_seen:
         raise GraphFormatError(f"declared p={p} but saw vertex {max_seen}")
-    if p > MAX_TEXT_P:
-        raise GraphFormatError(f"p={p} vertices exceeds the graph file limit of {MAX_TEXT_P}")
+    _check_vertex_count(p, GraphFormatError)
     return MemoryGraph(p, tuple(edges), directed=directed)
 
 

@@ -129,8 +129,9 @@ def read_pnm(path):
     return values.reshape(shape), maxval
 
 
-def write_pnm(path, array: np.ndarray, maxval: int = 255) -> None:
-    """Write a P5 (2-D input) or P6 (h,w,3 input) binary netpbm file."""
+def write_pnm(path, array: np.ndarray) -> None:
+    """Write a P5 (2-D input) or P6 (h,w,3 input) binary netpbm file of
+    8-bit samples (maxval 255)."""
     arr = np.asarray(array)
     if arr.ndim == 2:
         kind, (h, w) = "P5", arr.shape
@@ -138,10 +139,9 @@ def write_pnm(path, array: np.ndarray, maxval: int = 255) -> None:
         kind, (h, w) = "P6", arr.shape[:2]
     else:
         raise FormatError(f"cannot write array of shape {arr.shape} as netpbm")
-    data = np.clip(np.round(arr), 0, maxval)
-    data = data.astype(">u2" if maxval > 255 else np.uint8)
+    data = np.clip(np.round(arr), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"{kind}\n{w} {h}\n{maxval}\n".encode())
+        fh.write(f"{kind}\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
 
 

@@ -117,7 +117,7 @@ def test_c1_oracle_equivalence():
 def test_c2_ei_balance():
     """|mean activity| <= 0.02 at 101 steps for every trigger, every balanced
     setting of the canonical sweep, 30-cycle, n=1000."""
-    rep = X.ei_balance(settings=X.RANGE_SETTINGS, n=1000, seed=0)
+    rep = X.ei_balance(n=1000, seed=0)
     worst = 0.0
     for a, h in X.RANGE_SETTINGS:
         assert a + h == pytest.approx(1.0)
@@ -235,13 +235,14 @@ def test_c5_range_control():
     assert anova.p < 0.05
 
 
-def test_c6_community_structure():
+def test_c6_community_structure(monkeypatch):
     """Wide-setting state-correlation matrices separate the club factions
     and the three dense vertex groups with block contrast > 0.3."""
     t0 = time.time()
     contrasts = {}
+    monkeypatch.setattr(X, "RANGE_SETTINGS", ((-0.5, 1.5),))
     for name in ("karate", "tutte"):
-        rep = X.community_matrices(build_named(name), settings=((-0.5, 1.5),), seed=0)
+        rep = X.community_matrices(build_named(name), seed=0)
         mat = rep.outputs["states_a-0.5_h+1.5"]
         contrasts[name] = X.named_block_contrast(name, mat)
     elapsed = time.time() - t0
@@ -417,10 +418,11 @@ def test_c10_quiescence_threshold():
     assert above > 0.1
 
 
-def test_c10_no_pure_retrieval_when_mixed():
+def test_c10_no_pure_retrieval_when_mixed(monkeypatch):
     """a, h > 0 with a non-isolated trigger always co-activates a neighbor
     (r > 0.2) while the trigger stays the argmax."""
-    rep = X.four_modes(build_cycle(30), settings=((0.5, 0.5),), n=1000, seed=0)
+    monkeypatch.setattr(X, "FOUR_MODE_SETTINGS", ((0.5, 0.5),))
+    rep = X.four_modes(build_cycle(30), n=1000, seed=0)
     r = rep.outputs["corr_a+0.5_h+0.5"]
     hops = hop_distances(build_cycle(30))
     ok = True

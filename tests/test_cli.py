@@ -280,3 +280,41 @@ class TestAutomatonCommand:
         code = main(["automaton", "--spec", str(path), "--script", "toggle", "--n", "400"])
         assert code == EXIT_USAGE
         assert "states must be a list of strings" in capsys.readouterr().err
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--graph", "cycle:5", "--patterns", "random:10", "--seed", "-1"],
+        ["experiment", "hop-range", "--n", "20", "--seed", "-1"],
+        ["experiment", "sequence", "--seed", "-2"],
+        ["automaton", "--script", "wife", "--seed", "-1", "--n", "50"],
+    ], ids=["simulate", "experiment", "experiment-sequence", "automaton"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and "pattern spec" not in err
+        assert not out.exists()
+
+    # above the cap only: a coupling at the cap takes 2 GiB
+    @pytest.mark.parametrize("spec", ["cycle:16385", "cycle:1000000", "dicycle:16385",
+                                      "barbell:8192,1", "barbell:100000,0", "barbell:2,16381",
+                                      "regular:16386,3,7"])
+    def test_graph_above_vertex_cap_exits_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "x"
+        code = main(["simulate", "--graph", spec, "--patterns", "random:10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "limit of 16384" in capsys.readouterr().err
+        assert not out.exists()
+
+    # 10**15 neurons: numpy refuses the allocation without touching memory
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--graph", "cycle:30", "--patterns", f"random:{10**15}"],
+        ["experiment", "hop-range", "--n", str(10**15)],
+    ], ids=["simulate", "experiment"])
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "allocate" in err
+        assert not out.exists()

@@ -29,14 +29,15 @@ DIVERGENT = (1e308, 1e308)
 
 
 class TestBatchedRunner:
-    def test_matches_single_runs_exactly(self):
+    def test_matches_single_runs_exactly(self, monkeypatch):
         # the batched harness must be bit-identical to stepping each trigger
         # through update_step with the same noise
         rng = np.random.default_rng(3)
         patterns = PatternMatrix(rng.uniform(0, 1, (60, 6)))
         coupling = normalize(build_cycle(6))
         params = ModelParams(a=-0.5, h=1.5)
-        res = X.run_all_triggers(patterns, coupling, params, steps=20, seed=9)
+        monkeypatch.setattr(X, "DEFAULT_STEPS", 20)
+        res = X.run_all_triggers(patterns, coupling, params, seed=9)
 
         noise = np.random.default_rng(9).uniform(-0.5, 0.5, (60, 6))
         for trig in range(6):
@@ -45,33 +46,36 @@ class TestBatchedRunner:
                 state = update_step(state, patterns, coupling, params)
             assert np.max(np.abs(state - res["final_states"][:, trig])) < 1e-12
 
-    def test_cached_pattern_correlations_equal_uncached_formula(self):
+    def test_cached_pattern_correlations_equal_uncached_formula(self, monkeypatch):
         # the experiments' shape: reduction-order changes show at this size
         rng = np.random.default_rng(5)
         patterns = PatternMatrix(rng.uniform(0, 1, (1000, 30)))
         coupling, params = normalize(build_cycle(30)), ModelParams(a=0.5, h=0.5)
-        res = X.run_all_triggers(patterns, coupling, params, steps=25, seed=2,
-                                 snapshots=(1, 10, 25))
+        monkeypatch.setattr(X, "DEFAULT_STEPS", 25)
+        res = X.run_all_triggers(patterns, coupling, params, seed=2, snapshots=(1, 10, 25))
         assert np.array_equal(res["pattern_correlations"],
                               uncached_pearson_matrix(patterns.values, res["final_states"]))
         for t, mat in res["snapshots"].items():
-            sig = X.run_all_triggers(patterns, coupling, params, steps=t, seed=2)["final_states"]
+            monkeypatch.setattr(X, "DEFAULT_STEPS", t)
+            sig = X.run_all_triggers(patterns, coupling, params, seed=2)["final_states"]
             assert np.array_equal(mat, uncached_pearson_matrix(patterns.values, sig))
         assert np.array_equal(X.state_correlation_matrix(res["final_states"]),
                               uncached_pearson_matrix(res["final_states"], res["final_states"]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_state_raises(self):
+    def test_non_finite_state_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
+        monkeypatch.setattr(X, "DEFAULT_STEPS", 5)
         with pytest.raises(NumericDivergenceError):
             X.run_all_triggers(PatternMatrix(rng.uniform(0, 1, (50, 6))), normalize(build_cycle(6)),
-                               ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0), steps=5)
+                               ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0))
 
-    def test_snapshot_times(self):
+    def test_snapshot_times(self, monkeypatch):
         rng = np.random.default_rng(4)
         patterns = PatternMatrix(rng.uniform(0, 1, (40, 5)))
+        monkeypatch.setattr(X, "DEFAULT_STEPS", 30)
         res = X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
-                                 steps=30, seed=1, snapshots=(1, 11, 26))
+                                 seed=1, snapshots=(1, 11, 26))
         assert set(res["snapshots"]) == {1, 11, 26}
         for mat in res["snapshots"].values():
             assert mat.shape == (5, 5)
@@ -157,7 +161,8 @@ class TestHopProfiles:
         X.hop_range(n=40, seed=1)
         assert len(calls) == 1
         calls.clear()
-        X.miyashita_fit(n=40, seeds=(0, 1))
+        monkeypatch.setattr(X, "MIYASHITA_SEEDS", (0, 1))
+        X.miyashita_fit(n=40)
         assert len(calls) == 1
 
 
@@ -241,12 +246,14 @@ class TestReports:
 
 
 class TestSequenceRecall:
-    def test_schedule_matches_update_step_by_hand(self):
-        frames = X.surrogate_frames(p=8, n=200, seed=3, switches=(4,))
-        settings = ((-2.0, 3.0), (1.0, 0.0))
-        rep = X.sequence_recall(frames, settings=settings, steps=60, trigger=2, seed=5)
+    def test_schedule_matches_update_step_by_hand(self, monkeypatch):
+        for name, value in [("FRAME_COUNT", 8), ("FRAME_N", 200), ("FRAME_SWITCHES", (4,)),
+                            ("SEQUENCE_STEPS", 60), ("SEQUENCE_TRIGGER", 2)]:
+            monkeypatch.setattr(X, name, value)
+        frames = X.surrogate_frames(seed=3)
+        rep = X.sequence_recall(frames, seed=5)
         coupling = normalize(build_cycle(8, directed=True))
-        for a, h in settings:
+        for a, h in X.SEQUENCE_SETTINGS:
             sig = frames.values[:, 2] + np.random.default_rng(5).uniform(-0.5, 0.5, 200)
             state, schedule = sig, []
             for _ in range(60):
@@ -255,9 +262,12 @@ class TestSequenceRecall:
             assert rep.outputs[f"schedule_a{a:+g}_h{h:+g}"] == schedule
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_state_raises(self):
+    def test_non_finite_state_raises(self, monkeypatch):
+        for name, value in [("FRAME_COUNT", 6), ("FRAME_N", 50),
+                            ("SEQUENCE_SETTINGS", (DIVERGENT,)), ("SEQUENCE_STEPS", 20)]:
+            monkeypatch.setattr(X, name, value)
         with pytest.raises(NumericDivergenceError):
-            X.sequence_recall(X.surrogate_frames(p=6, n=50), settings=(DIVERGENT,), steps=20)
+            X.sequence_recall(X.surrogate_frames())
 
 
 class TestAutomatonRunner:
@@ -283,11 +293,13 @@ class TestAutomatonRunner:
 
 
 class TestRetrievalSweep:
-    def test_accuracy_matches_update_step_by_hand(self):
-        bank = X.surrogate_image_bank(n=100, count=12, seed=3)
+    def test_accuracy_matches_update_step_by_hand(self, monkeypatch):
+        monkeypatch.setattr(X, "BANK_N", 100)
+        bank = X.surrogate_image_bank(seed=3)[:, :12]
         settings = ((0.5, 0.5), (1.0, 0.0))
-        rep = X.retrieval_sweep(bank, p_levels=(6, 12), settings=settings, trials=2,
-                                steps=30, seed=4)
+        monkeypatch.setattr(X, "SWEEP_SETTINGS", settings)
+        monkeypatch.setattr(X, "DEFAULT_STEPS", 30)
+        rep = X.retrieval_sweep(bank, p_levels=(6, 12), trials=2, seed=4)
         for p in (6, 12):
             patterns = PatternMatrix(bank[:, :p])
             coupling = normalize(build_nn_scaffold(bank[:, :p]))
@@ -303,7 +315,7 @@ class TestRetrievalSweep:
 
     def test_logits_match_state_space_iterate(self):
         # the sweep iterates logits; the state-space loop is the reference
-        bank = X.surrogate_image_bank(count=60, seed=5)
+        bank = X.surrogate_image_bank(seed=5)[:, :60]
         levels, trials = (10, 30, 60), 2
         rep = X.retrieval_sweep(bank, p_levels=levels, trials=trials, seed=2)
         want = {f"a{a:+g}_h{h:+g}": {} for a, h in X.SWEEP_SETTINGS}
@@ -323,34 +335,37 @@ class TestRetrievalSweep:
         assert rep.outputs["accuracy"] == want
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_state_raises(self):
+    def test_non_finite_state_raises(self, monkeypatch):
+        monkeypatch.setattr(X, "SWEEP_SETTINGS", (DIVERGENT,))
+        monkeypatch.setattr(X, "DEFAULT_STEPS", 5)
         with pytest.raises(NumericDivergenceError):
-            X.retrieval_sweep(X.surrogate_image_bank(count=10), p_levels=(6,),
-                              settings=(DIVERGENT,), trials=1, steps=5)
+            X.retrieval_sweep(X.surrogate_image_bank()[:, :10], p_levels=(6,), trials=1)
 
 
 class TestExperimentDeterminism:
-    def test_four_modes_reproducible(self):
+    def test_four_modes_reproducible(self, monkeypatch):
         g = build_cycle(30)
-        a = X.four_modes(g, settings=((1.0, 0.0),), n=200, seed=5)
-        b = X.four_modes(g, settings=((1.0, 0.0),), n=200, seed=5)
+        monkeypatch.setattr(X, "FOUR_MODE_SETTINGS", ((1.0, 0.0),))
+        a = X.four_modes(g, n=200, seed=5)
+        b = X.four_modes(g, n=200, seed=5)
         assert np.array_equal(a.outputs["corr_a+1_h+0"], b.outputs["corr_a+1_h+0"])
 
     def test_retrieval_sweep_levels_validated(self):
-        bank = X.surrogate_image_bank(count=50)
+        bank = X.surrogate_image_bank()[:, :50]
         with pytest.raises(ContractError):
             X.retrieval_sweep(bank, p_levels=(10, 100), trials=1)
 
-    def test_retrieval_sweep_single_pattern_is_perfect(self):
-        bank = X.surrogate_image_bank(count=4)
-        rep = X.retrieval_sweep(bank, p_levels=(1,), settings=((0.5, 0.5), (0.1, 0.9)),
-                                trials=3, seed=1)
+    def test_retrieval_sweep_single_pattern_is_perfect(self, monkeypatch):
+        bank = X.surrogate_image_bank()[:, :4]
+        monkeypatch.setattr(X, "SWEEP_SETTINGS", ((0.5, 0.5), (0.1, 0.9)))
+        rep = X.retrieval_sweep(bank, p_levels=(1,), trials=3, seed=1)
         for row in rep.outputs["accuracy"].values():
             assert row[1] == 1.0
 
-    def test_dataset_fingerprint_recorded(self):
-        bank = X.surrogate_image_bank(count=8)
-        rep = X.retrieval_sweep(bank, p_levels=(4,), settings=((1.0, 0.0),), trials=1)
+    def test_dataset_fingerprint_recorded(self, monkeypatch):
+        bank = X.surrogate_image_bank()[:, :8]
+        monkeypatch.setattr(X, "SWEEP_SETTINGS", ((1.0, 0.0),))
+        rep = X.retrieval_sweep(bank, p_levels=(4,), trials=1)
         assert len(rep.manifest["dataset_fingerprint"]) == 16
 
 
@@ -359,9 +374,11 @@ class TestMiyashitaFit:
         from cdam.stats import r_squared
         assert r_squared(X.MIYASHITA_MEANS, X.MIYASHITA_MEANS) == pytest.approx(1.0)
 
-    def test_pure_auto_profile_fits_poorly(self):
+    def test_pure_auto_profile_fits_poorly(self, monkeypatch):
         # a spike at hop 0 with a flat tail cannot reach the 0.98 band
-        rep = X.miyashita_fit(a=1.0, h=0.0, n=400, seeds=(0,))
+        monkeypatch.setattr(X, "MIYASHITA_PARAMS", (1.0, 0.0))
+        monkeypatch.setattr(X, "MIYASHITA_SEEDS", (0,))
+        rep = X.miyashita_fit(n=400)
         assert rep.outputs["r2_mean"] < 0.95
         prof = rep.outputs["profiles"][0]
         assert prof[0] == pytest.approx(1.0)
@@ -369,6 +386,7 @@ class TestMiyashitaFit:
 
 
 class TestHopRangeOp:
-    def test_pure_auto_effective_range_zero(self):
-        rep = X.hop_range(n=300, seed=2, settings=((1.0, 0.0),))
+    def test_pure_auto_effective_range_zero(self, monkeypatch):
+        monkeypatch.setattr(X, "RANGE_SETTINGS", ((1.0, 0.0),))
+        rep = X.hop_range(n=300, seed=2)
         assert rep.outputs["effective_range_a+1_h+0"] == 0

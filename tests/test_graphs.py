@@ -10,7 +10,7 @@ from cdam.errors import (
     UnknownNameError,
 )
 from cdam.graphs import (
-    MAX_TEXT_P,
+    MAX_GRAPH_P,
     MemoryGraph,
     build_barbell,
     build_cycle,
@@ -100,12 +100,6 @@ class TestNamed:
             members = sorted(v for b in blocks for v in b)
             assert members == list(range(build_named(name).p))
 
-    def test_data_dir_env_override(self, tmp_path, monkeypatch):
-        (tmp_path / "karate.txt").write_text("undirected\n# p=3\n0 1\n1 2\n")
-        monkeypatch.setenv("CDAM_DATA_DIR", str(tmp_path))
-        assert build_named("karate").p == 3
-        assert build_named("tutte").p == 46  # falls back to the bundled file
-
 
 class TestRandomRegular:
     def test_degrees_exact(self):
@@ -122,6 +116,18 @@ class TestRandomRegular:
     def test_odd_total_degree_rejected(self):
         with pytest.raises(InvalidSizeError):
             build_random_regular(5, 3, seed=0)
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("build", [
+        lambda: build_cycle(MAX_GRAPH_P + 1),
+        lambda: build_cycle(MAX_GRAPH_P + 1, directed=True),
+        lambda: build_barbell(MAX_GRAPH_P // 2, 1),
+        lambda: build_random_regular(MAX_GRAPH_P + 2, 3, seed=0),
+    ], ids=["cycle", "dicycle", "barbell", "regular"])
+    def test_builders_reject_counts_above_cap(self, build):
+        with pytest.raises(InvalidSizeError, match="limit of 16384"):
+            build()
 
 
 class TestNnScaffold:
@@ -235,16 +241,16 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text", [
         "undirected\n# p=1000000000\n0 1\n",
-        f"undirected\n# p={MAX_TEXT_P + 1}\n",
-        f"directed\n0 {MAX_TEXT_P}\n",  # implied by the largest vertex
+        f"undirected\n# p={MAX_GRAPH_P + 1}\n",
+        f"directed\n0 {MAX_GRAPH_P}\n",  # implied by the largest vertex
     ])
     def test_vertex_count_capped(self, text):
         with pytest.raises(GraphFormatError, match="limit of 16384"):
             from_text(text)
 
     def test_isolated_vertices_up_to_cap(self):
-        g = from_text(f"undirected\n# p={MAX_TEXT_P}\n0 1\n")
-        assert g.p == MAX_TEXT_P and g.edges == ((0, 1, 1.0),)
+        g = from_text(f"undirected\n# p={MAX_GRAPH_P}\n0 1\n")
+        assert g.p == MAX_GRAPH_P and g.edges == ((0, 1, 1.0),)
 
     # Headers and edge lines are drawn more often than junk, so that a
     # fair share of the texts parse and the valid-graph branch is exercised.
@@ -254,7 +260,7 @@ class TestSerialization:
         lines=st.lists(st.one_of(
             st.builds("{} {}".format, _VERTEX, _VERTEX),
             st.builds("{} {} {}".format, _VERTEX, _VERTEX, _WEIGHT),
-            st.builds("# p={}".format, st.integers(-1, 12) | st.integers(MAX_TEXT_P, MAX_TEXT_P + 1)
+            st.builds("# p={}".format, st.integers(-1, 12) | st.integers(MAX_GRAPH_P, MAX_GRAPH_P + 1)
                       | st.integers()),
         ), max_size=8),
         junk=st.sampled_from([None] * 4 + ["directed", "#", "# p=", "# p=x", "0 1 2 3"])
@@ -269,7 +275,7 @@ class TestSerialization:
             g = from_text("\n".join([header, *lines]))
         except CdamError:
             return
-        assert isinstance(g, MemoryGraph) and 1 <= g.p <= MAX_TEXT_P
+        assert isinstance(g, MemoryGraph) and 1 <= g.p <= MAX_GRAPH_P
         assert all(0 <= a < g.p and 0 <= b < g.p and np.isfinite(w) for a, b, w in g.edges)
         back = from_text(to_text(g))
         assert (back.p, back.directed, back.edges) == (g.p, g.directed, g.edges)

@@ -107,7 +107,7 @@ class TestPnm:
     def test_binary_gray_round_trip(self, tmp_path):
         arr = np.array([[0, 100], [200, 255]], dtype=float)
         path = tmp_path / "f.pgm"
-        write_pnm(path, arr, maxval=255)
+        write_pnm(path, arr)
         back, maxval = read_pnm(path)
         assert maxval == 255
         assert np.array_equal(back, arr)
@@ -122,14 +122,14 @@ class TestPnm:
     def test_binary_color(self, tmp_path):
         arr = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
         path = tmp_path / "f.ppm"
-        write_pnm(path, arr, maxval=255)
+        write_pnm(path, arr)
         back, _ = read_pnm(path)
         assert np.array_equal(back, arr)
 
     def test_sixteen_bit(self, tmp_path):
         arr = np.array([[0, 40000]], dtype=float)
         path = tmp_path / "deep.pgm"
-        write_pnm(path, arr, maxval=65535)
+        path.write_bytes(b"P5\n2 1\n65535\n" + arr.astype(">u2").tobytes())
         back, maxval = read_pnm(path)
         assert maxval == 65535
         assert np.array_equal(back, arr)
@@ -208,7 +208,7 @@ class TestPnm:
 
 class TestFrames:
     def test_known_pixels_exact(self, tmp_path):
-        write_pnm(tmp_path / "a.pgm", np.array([[10.0, 20.0], [30.0, 40.0]]), maxval=240)
+        (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n240\n" + bytes([10, 20, 30, 40]))
         patterns = ingest_frames(tmp_path, n=4, seed=0)
         assert sorted(patterns.values[:, 0]) == pytest.approx(
             [10 / 240, 20 / 240, 30 / 240, 40 / 240]
