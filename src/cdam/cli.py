@@ -5,7 +5,8 @@ Graph specs are compact strings: cycle:30, dicycle:50, barbell:10,10,
 karate, tutte, regular:46,3,7 (p,k,seed), or file:PATH.  Pattern specs:
 random:1000 (neuron count; one pattern per graph vertex), idx:IMAGES,
 frames:DIR,N.  Exit codes: 0 ok, 2 usage, config, file or size error
-(including a negative --seed), 3 numeric divergence.
+(including a negative --seed), 3 numeric divergence (a non-finite state, or
+a non-finite readout of a simulate run).
 """
 
 from __future__ import annotations

@@ -224,10 +224,12 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     _check_dims(sig, patterns, m, logits=logits)
     operator = _logit_operator(patterns, m, params) if logits else None
     for t in range(1, steps + 1):
-        target = retrieval_vector(sig, patterns, m, params, operator=operator)
-        new = sig + params.eta * (target - sig)
+        # an overflow ends as a non-finite state, reported once below
+        with np.errstate(all="ignore"):
+            target = retrieval_vector(sig, patterns, m, params, operator=operator)
+            new = sig + params.eta * (target - sig)
         if not np.isfinite(new).all():
-            raise NumericDivergenceError(t)
+            raise NumericDivergenceError(t, "network state")
         converged = tol is not None and float(np.max(np.abs(new - sig))) < tol
         sig = new
         if observe is not None:
@@ -244,7 +246,8 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     every state's readouts.
 
     The trace includes the t=0 record, so it has steps+1 rows.  A non-finite
-    state aborts with NumericDivergenceError naming the offending step.
+    state or readout (correlation, mean, SD or energy) aborts with
+    NumericDivergenceError naming the offending step.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {max_steps}")
@@ -260,12 +263,17 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     corr, means, sds, energies = [], [], [], []
 
     def record(t: int, sigma: np.ndarray) -> None:
-        corr.append(pearson_all(sigma, patterns))
-        means.append(float(sigma.mean()))
-        sds.append(float(sigma.std()))
-        if energy_graph is not None:
-            energies.append(_energy(overlaps_all(sigma, patterns), energy_graph, params,
-                                    energy_coupling))
+        with np.errstate(all="ignore"):
+            r, mean, sd = pearson_all(sigma, patterns), float(sigma.mean()), float(sigma.std())
+            e = 0.0 if energy_graph is None else _energy(
+                overlaps_all(sigma, patterns), energy_graph, params, energy_coupling)
+        if not (np.isfinite(r).all() and math.isfinite(mean) and math.isfinite(sd)
+                and math.isfinite(e)):
+            raise NumericDivergenceError(t, "readout")
+        corr.append(r)
+        means.append(mean)
+        sds.append(sd)
+        energies.append(e)
 
     record(0, sigma0)
     sigma, _, termination = iterate(
@@ -287,7 +295,8 @@ def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
 
 
 def pearson_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
-    """Pearson r against every pattern at once (same zero-variance contract)."""
+    """Pearson r against every pattern at once (same zero-variance contract);
+    NaN throughout when the state's norm overflows."""
     x = sigma - sigma.mean()
     xs = math.sqrt(float(x @ x))
     yc, ys = patterns.centered
@@ -295,6 +304,8 @@ def pearson_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
         raise UndefinedCorrelationError(
             "pearson undefined: zero-variance state or pattern"
         )
+    if math.isinf(xs):
+        return np.full(patterns.p, np.nan)
     return (yc.T @ x) / (xs * ys)
 
 

@@ -26,10 +26,10 @@ class ContractError(CdamError):
 
 
 class NumericDivergenceError(CdamError):
-    """Simulation state became non-finite."""
+    """Simulation state, or a readout of it, became non-finite."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite network state at step {step}")
+    def __init__(self, step: int, what: str):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
 
 

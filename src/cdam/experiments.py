@@ -47,7 +47,7 @@ from .graphs import (
     normalize,
 )
 from .ingest import compose_automaton_patterns, embed_label, random_patterns
-from .stats import AnovaResult, one_way_anova, r_squared
+from .stats import one_way_anova, r_squared
 
 # The four canonical operating points: pure auto-association, narrow and
 # wide hetero-association, neutral quiescence.
@@ -121,8 +121,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, AnovaResult):
-        return {"f": value.f, "p": value.p, "df": [value.df_between, value.df_within]}
     return value
 
 
@@ -266,22 +264,21 @@ def miyashita_fit(n: int = DEFAULT_N) -> ExperimentReport:
     """Hop 0..6 profile on the 30-cycle at MIYASHITA_PARAMS versus the
     recorded serial-distance autocorrelations; reports the R^2 of each of
     MIYASHITA_SEEDS and their mean."""
-    (a, h), seeds = MIYASHITA_PARAMS, MIYASHITA_SEEDS
+    a, h = MIYASHITA_PARAMS
     graph = build_cycle(30)
-    coupling, hops = normalize(graph), hop_distances(graph)
+    hops = hop_distances(graph)
     report = ExperimentReport(
         "miyashita",
-        {"a": a, "h": h, "n": n, "seeds": list(seeds)},
+        {"a": a, "h": h, "n": n, "seeds": list(MIYASHITA_SEEDS)},
         manifest={"graph_fingerprint": graph.fingerprint(),
                   "target_means": list(MIYASHITA_MEANS), "target_sems": list(MIYASHITA_SEMS)},
     )
     r2s, profiles = [], []
-    for seed in seeds:
-        patterns = random_patterns(n, graph.p, seed)
-        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1)
-        means, _ = hop_profile(hops, state_correlation_matrix(res["final_states"]), 6)
-        profiles.append(means)
-        r2s.append(r_squared(means, MIYASHITA_MEANS))
+    for seed in MIYASHITA_SEEDS:
+        for _, res in _runs_per_setting(graph, (MIYASHITA_PARAMS,), n, seed):
+            means, _ = hop_profile(hops, state_correlation_matrix(res["final_states"]), 6)
+            profiles.append(means)
+            r2s.append(r_squared(means, MIYASHITA_MEANS))
     report.outputs["profiles"] = np.array(profiles)
     report.outputs["r2_per_seed"] = r2s
     report.outputs["r2_mean"] = float(np.mean(r2s))
@@ -509,12 +506,13 @@ def retrieval_sweep(
 ) -> ExperimentReport:
     """Exact-pattern retrieval accuracy over stored-pattern counts.
 
-    Per level p: store the first p dataset columns, build the
+    Per level p >= 2: store the first p dataset columns, build the
     nearest-neighbor scaffold, trigger every pattern `trials` times with
     fresh noise, run DEFAULT_STEPS steps per SWEEP_SETTINGS (a, h), and
     predict the argmax-overlap pattern.  The
     runs iterate the logits Xi^T sigma, not the states: the readout is
     their argmax, which the rounding between the two bases does not move.
+    A level of 1 has no nearest neighbor and raises InvalidSizeError.
     """
     n, settings = dataset.shape[0], SWEEP_SETTINGS
     report = ExperimentReport(
@@ -529,12 +527,7 @@ def retrieval_sweep(
             raise ContractError(f"p={p} exceeds dataset size {dataset.shape[1]}")
         xi = dataset[:, :p].copy()
         patterns = PatternMatrix(xi)
-        if p == 1:
-            # a single stored pattern has no nearest neighbor; use the
-            # edgeless graph so the level still runs
-            coupling = normalize(MemoryGraph(1, (), directed=False))
-        else:
-            coupling = normalize(build_nn_scaffold(xi))
+        coupling = normalize(build_nn_scaffold(xi))
         targets = np.repeat(np.arange(p), trials)
         logits0 = xi.T @ init_state(patterns, targets, DEFAULT_NOISE, seed)
         for a, h in settings:

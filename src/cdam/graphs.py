@@ -98,10 +98,6 @@ class NormalizedAdjacency:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
 
 def normalize(graph: MemoryGraph) -> NormalizedAdjacency:
     """D^{-1/2} A D^{-1/2} with zero rows/columns for isolated vertices.

@@ -3,26 +3,21 @@
 The upper-tail probability of F(d1, d2) is the regularized incomplete beta
 I_x(d2/2, d1/2) at x = d2/(d2 + d1*F), evaluated with a Lentz-style
 continued fraction.
+
+one_way_anova returns the dict that an experiment report stores:
+{"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class AnovaResult:
-    f: float
-    p: float
-    df_between: int
-    df_within: int
-
-
-def one_way_anova(groups) -> AnovaResult:
-    """F = MS_between / MS_within over the supplied samples.
+def one_way_anova(groups) -> dict:
+    """F = MS_between / MS_within over the supplied samples, as
+    {"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
 
     Zero within-group variance with nonzero between-group spread reports
     F = inf, p = 0; identical groups report F = 0, p = 1.
@@ -39,11 +34,11 @@ def one_way_anova(groups) -> AnovaResult:
     df_b = len(groups) - 1
     df_w = total_n - len(groups)
     if ss_within == 0.0:
-        if ss_between == 0.0:
-            return AnovaResult(0.0, 1.0, df_b, df_w)
-        return AnovaResult(math.inf, 0.0, df_b, df_w)
-    f = (ss_between / df_b) / (ss_within / df_w)
-    return AnovaResult(f, f_sf(f, df_b, df_w), df_b, df_w)
+        f, p = (0.0, 1.0) if ss_between == 0.0 else (math.inf, 0.0)
+    else:
+        f = (ss_between / df_b) / (ss_within / df_w)
+        p = f_sf(f, df_b, df_w)
+    return {"f": f, "p": p, "df": [df_b, df_w]}
 
 
 def f_sf(f: float, d1: int, d2: int) -> float:

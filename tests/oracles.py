@@ -74,6 +74,21 @@ def naive_energy_directed(sigma, xi_columns, edges, a, h, beta):
     return -math.log(arg) / beta
 
 
+def descent_energy(sigma, xi_columns, a, beta):
+    """E'(sigma) = -(a/beta)*lse(beta*Xi^T sigma) + |sigma|^2/2 + a*mean_load.sigma,
+    the energy that an update with h = 0, a > 0 and eta <= 1 never raises:
+    its gradient is sigma - a*Xc*softmax(beta*Xi^T sigma), so the update is a
+    damped concave-convex step on it (Ramsauer et al. 2020, arXiv 2008.02217)."""
+    n = len(sigma)
+    p = len(xi_columns)
+    logits = [beta * sum(sigma[i] * col[i] for i in range(n)) for col in xi_columns]
+    top = max(logits)
+    lse = top + math.log(sum(math.exp(v - top) for v in logits))
+    mean_load = [sum(col[i] for col in xi_columns) / p for i in range(n)]
+    return (-(a / beta) * lse + 0.5 * sum(v * v for v in sigma)
+            + a * sum(mean_load[i] * sigma[i] for i in range(n)))
+
+
 def naive_pearson(x, y):
     n = len(x)
     mx = sum(x) / n

@@ -7,10 +7,14 @@ reproducible gaps between this engine and the stated thresholds, and are
 intentionally not loosened (see the marker reasons and test bodies for the
 numbers):
 
-* c3 quiescence (test_c3_quiescence): the quiescent state decays to zero
-  overlap as required, but its frozen direction keeps a residual Pearson
-  correlation near 1/sqrt(p) that no admissible parameter choice pushes
-  under 0.1.
+* c3 quiescence (test_c3_quiescence): the state moves by
+  eta*(retrieval - sigma), and the retrieval lies in span(Xc), so the
+  component of sigma(0) on ker(P Xi^T) (the states with equal overlaps on
+  every pattern), projected along span(Xc), decays exactly as (1-eta)^t,
+  and the rest decays faster in the quiescent regime: the final
+  correlations are those of that projection, max |r| 0.144 on the 30-cycle
+  and 0.124 on tutte and the random 3-regular graph, whatever (a, h), above
+  the 0.1 bound (test_c3_quiescent_correlations_are_the_kernel_projection).
 * c4 Miyashita fit (test_c4_miyashita): the mean R^2 of the hop 0..6
   profile against the recorded table plateaus near 0.92, short of 0.98.
 * c9 ordering (test_c9_soft_beats_balanced): at p=100 the soft setting
@@ -29,6 +33,7 @@ from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
     energy,
+    init_state,
     pearson_all,
     update_step,
 )
@@ -43,7 +48,12 @@ from cdam.graphs import (
     normalize,
 )
 from cdam.ingest import load_idx, random_patterns
-from oracles import naive_energy_directed, naive_energy_undirected, naive_update
+from oracles import (
+    naive_energy_directed,
+    naive_energy_undirected,
+    naive_update,
+    uncached_pearson_matrix,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -181,9 +191,12 @@ def test_c3_wide_mode(four_mode_reports):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="quiescent states decay to zero overlap, but the frozen direction "
-    "keeps max |r| at 0.11-0.15 (the 1/sqrt(p) mean-pattern geometry floor); "
-    "measured across 30 seeds, no admissible setting reaches <= 0.1",
+    reason="the state moves by eta*(retrieval - sigma), and the retrieval lies in "
+    "span(Xc), so the component of sigma(0) on ker(P Xi^T) (the states with equal "
+    "overlaps on every pattern), projected along span(Xc), decays exactly as "
+    "(1-eta)^t, and the rest decays faster in the quiescent regime: the final "
+    "correlations are those of that projection, max |r| 0.144 on the 30-cycle and "
+    "0.124 on tutte and the random 3-regular graph, whatever (a, h), above the 0.1 bound",
 )
 def test_c3_quiescence(four_mode_reports):
     """(-2.5,1): max |r| <= 0.1 at 101 steps."""
@@ -201,6 +214,36 @@ def test_c3_quiescence(four_mode_reports):
     report("criterion 3 quiescence", worst <= 0.1,
            f"max |r| {worst:.3f} (<= 0.1); final state magnitude {norm_final:.2e}")
     assert worst <= 0.1
+
+
+def _kernel_projection(xi: np.ndarray, sigma0: np.ndarray) -> np.ndarray:
+    """The component of each column of sigma0 on ker(P Xi^T), P = I - 11^T/p,
+    projected along span(Xc)."""
+    p = xi.shape[1]
+    centering = np.eye(p) - 1.0 / p
+    xc = xi - xi.mean(axis=1, keepdims=True)
+    coef = np.linalg.lstsq(centering @ xi.T @ xc, centering @ xi.T @ sigma0, rcond=None)[0]
+    return sigma0 - xc @ coef
+
+
+def test_c3_quiescent_correlations_are_the_kernel_projection(four_mode_reports):
+    """Quiescent settings end on the kernel projection of sigma(0): final
+    pattern correlations equal the projection's to 1e-9, whatever (a, h),
+    and its max |r| is above c3's 0.1 bound on every graph."""
+    worst_diff, detail = 0.0, []
+    for name, (g, _) in four_mode_reports.items():
+        pm = random_patterns(1000, g.p, 0)
+        limit = _kernel_projection(pm.values, init_state(pm, np.arange(g.p), 1.0, 1))
+        want = uncached_pearson_matrix(pm.values, limit)
+        for a, h in ((-2.5, 1.0), (-1.5, 0.0), (-2.5, 0.0), (-3.0, 0.5)):
+            res = X.run_all_triggers(pm, normalize(g), ModelParams(a=a, h=h), seed=1)
+            worst_diff = max(worst_diff, float(np.abs(res["pattern_correlations"] - want).max()))
+        detail.append(f"{name} {np.abs(want).max():.4f}")
+        assert np.abs(want).max() > 0.1
+    report("criterion 3 quiescence account", worst_diff <= 1e-9,
+           f"max |r - projection r| {worst_diff:.1e} (<= 1e-9); projection max |r| "
+           + ", ".join(detail))
+    assert worst_diff <= 1e-9
 
 
 @pytest.mark.xfail(
@@ -227,12 +270,12 @@ def test_c5_range_control():
     ranges = [rep.outputs[f"effective_range_a{a:+g}_h{h:+g}"] for a, h in X.RANGE_SETTINGS]
     anova = rep.outputs["anova"]
     monotone = all(b >= a for a, b in zip(ranges, ranges[1:]))
-    ok = monotone and 4 <= max(ranges) <= 8 and anova.p < 0.05
+    ok = monotone and 4 <= max(ranges) <= 8 and anova["p"] < 0.05
     report("criterion 5 range control", ok,
-           f"ranges {ranges}, F={anova.f:.2f}, p={anova.p:.2e}")
+           f"ranges {ranges}, F={anova['f']:.2f}, p={anova['p']:.2e}")
     assert monotone
     assert 4 <= max(ranges) <= 8
-    assert anova.p < 0.05
+    assert anova["p"] < 0.05
 
 
 def test_c6_community_structure(monkeypatch):

@@ -155,6 +155,24 @@ class TestSimulate:
                      "--out", str(tmp_path / "div")])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("extra", [["--noise-c", "1e200"], ["--noise-c", "1e154", "--energy"]])
+    def test_non_finite_readout_exits_3_without_a_trace(self, tmp_path, capsys, extra):
+        out = tmp_path / "run"
+        code = main(["simulate", "--graph", "cycle:5", "--patterns", "random:50", *extra,
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "non-finite readout at step 0" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, value", [("--beta", "1e308"), ("--eta", "1e300"),
+                                             ("--a", "1e308")])
+    def test_divergence_is_one_message_and_no_warning(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", "--graph", "cycle:5", "--patterns", "random:50", flag, value,
+                     "--out", str(tmp_path / "div")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestExperimentCommand:
     def test_unknown_name_lists_valid(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from cdam.errors import (
 )
 from cdam.graphs import MemoryGraph, build_cycle, hop_distances, normalize
 from oracles import (
+    descent_energy,
     naive_energy_directed,
     naive_energy_undirected,
     naive_pearson,
@@ -375,13 +376,24 @@ class TestIterate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_step_counts_from_the_initial_time(self):
+        # the initial state's readouts are finite; the first update overflows
         rng = np.random.default_rng(19)
-        pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e160)
+        pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e100)
         m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
         with pytest.raises(NumericDivergenceError) as exc:
-            run(rng.uniform(0.5, 1.0, 4) * 1e160, pm, m,
-                ModelParams(a=1e10, h=0.0, eta=1.0), max_steps=10)
+            run(rng.uniform(0.5, 1.0, 4), pm, m,
+                ModelParams(a=1e300, h=0.0, eta=1.0), max_steps=10)
         assert exc.value.step == 1
+        assert "network state" in str(exc.value)
+
+    @pytest.mark.parametrize("scale, energy_graph", [(1e200, None), (1e154, build_cycle(3))])
+    def test_non_finite_readout_of_the_initial_state_ends_the_run(self, scale, energy_graph):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (50, 3)))
+        sigma = np.random.default_rng(1).uniform(-0.5, 0.5, 50) * scale
+        with pytest.raises(NumericDivergenceError) as exc:
+            run(sigma, pm, normalize(build_cycle(3)), ModelParams(), energy_graph=energy_graph)
+        assert exc.value.step == 0
+        assert "readout" in str(exc.value)
 
 
 class TestMeasures:
@@ -422,6 +434,12 @@ class TestMeasures:
         for mu in range(4):
             want = naive_pearson(list(state), list(pm.values[:, mu]))
             assert pearson_all(state, pm)[mu] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_state_norm_gives_nan(self):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (50, 3)))
+        sigma = np.random.default_rng(1).uniform(-0.5, 0.5, 50) * 1e200
+        assert np.isnan(pearson_all(sigma, pm)).all()
 
     def test_zero_variance_raises(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
@@ -581,6 +599,28 @@ class TestModelParams:
 
 
 class TestTheoryProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(0.05, 3.0),
+        beta=st.floats(0.1, 20.0),
+        eta=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_auto_update_never_raises_the_descent_energy(self, seed, a, beta, eta):
+        # h = 0, a > 0, eta <= 1: each update is a damped concave-convex step on E'
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(2, 21)), int(rng.integers(1, 7))
+        pm = PatternMatrix(rng.uniform(0, 1, (n, p)))
+        states = [init_state(pm, int(rng.integers(p)), seed=seed)]
+        iterate(states[0], pm, normalize(MemoryGraph(p, (), directed=False)),
+                ModelParams(a=a, h=0.0, beta=beta, eta=eta), 200,
+                observe=lambda t, sig: states.append(sig))
+        cols = [list(pm.values[:, mu]) for mu in range(p)]
+        energies = [descent_energy(list(sig), cols, a, beta) for sig in states]
+        assert len(energies) == 201
+        for before, after in zip(energies, energies[1:]):
+            assert after - before <= 1e-12 * max(1.0, abs(before))
+
     def test_pure_hetero_one_step_successor(self):
         # a=0, h>0, out-degree one, hard softmax, full step: one-hop retrieval
         rng = np.random.default_rng(16)

@@ -13,7 +13,12 @@ from cdam.dynamics import (
     pearson_all,
     update_step,
 )
-from cdam.errors import ContractError, NumericDivergenceError, UndefinedCorrelationError
+from cdam.errors import (
+    ContractError,
+    InvalidSizeError,
+    NumericDivergenceError,
+    UndefinedCorrelationError,
+)
 from cdam.graphs import (
     MemoryGraph,
     build_cycle,
@@ -355,12 +360,11 @@ class TestExperimentDeterminism:
         with pytest.raises(ContractError):
             X.retrieval_sweep(bank, p_levels=(10, 100), trials=1)
 
-    def test_retrieval_sweep_single_pattern_is_perfect(self, monkeypatch):
+    def test_retrieval_sweep_single_pattern_is_rejected(self):
+        # one stored pattern has no nearest neighbor to build a scaffold from
         bank = X.surrogate_image_bank()[:, :4]
-        monkeypatch.setattr(X, "SWEEP_SETTINGS", ((0.5, 0.5), (0.1, 0.9)))
-        rep = X.retrieval_sweep(bank, p_levels=(1,), trials=3, seed=1)
-        for row in rep.outputs["accuracy"].values():
-            assert row[1] == 1.0
+        with pytest.raises(InvalidSizeError):
+            X.retrieval_sweep(bank, p_levels=(1,), trials=3, seed=1)
 
     def test_dataset_fingerprint_recorded(self, monkeypatch):
         bank = X.surrogate_image_bank()[:, :8]
