@@ -29,9 +29,26 @@ is Xi^T times the centered projection of the mixing, built once per run
 (M*1 holds the row sums of the coupling, so directed graphs come out
 right).  A logit step costs one p x p product per column instead of
 2 n x p, but its floats differ from Xi^T sigma by rounding (a few 1e-12
-relative), so only a run whose readout is discrete uses it: the retrieval
-sweep, which reads the argmax of the final logits.  Every run whose floats
-are reported stays in state space.
+relative), so only a run whose readout is discrete uses it.
+
+The mean row.  W carries one more row, a*d + h*M*d with d the column
+means of Xi minus the mean of mean_load, so a logit state may carry one
+more row too: row p holds the mean activity mean(sigma), which the same
+step moves exactly.
+
+The readout identity.  yc_mu.(sigma - mean(sigma)) = L_mu - n*m_mu*mean(sigma),
+with m_mu the mean and yc_mu the centered column of pattern mu, and
+|sigma - mean(sigma)| is the same for every mu, so the argmax of
+pearson_all(sigma) is the argmax of (L_mu - n*m_mu*L_p) / |yc_mu|.
+
+The rounding envelope.  The retrieval sweep reads the argmax of its final
+logits and sequence recall the Pearson argmax of every step; every run
+whose floats are reported stays in state space.  At (a, h) = (-2, 3) a
+sequence schedule's tail is sensitive to rounding: starting the
+state-space run from sigma0*(1 + 2^-52) moves its own schedule at bench
+seeds 44 and 52 (from steps 1254 and 1136), and the pattern-basis schedule
+parts from the state-space one at seed 52 only, from step 1158, with the
+same metrics (tools/sequence_basis.py).
 """
 
 from __future__ import annotations
@@ -145,9 +162,10 @@ def softmax_beta(z: np.ndarray, beta: float) -> np.ndarray:
 def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency, *,
                 logits: bool) -> None:
     """Raise unless sigma (a vector or a (rows, batch) stack, with p rows of
-    logits or n rows of state) and m fit the patterns."""
+    logits, or p + 1 with the mean row, or n rows of state) and m fit the
+    patterns."""
     rows, name = (patterns.p, "pattern") if logits else (patterns.n, "neuron")
-    if sigma.ndim not in (1, 2) or sigma.shape[0] != rows:
+    if sigma.ndim not in (1, 2) or sigma.shape[0] not in (rows, rows + logits):
         raise ContractError(f"state of shape {sigma.shape} does not fit {name} count {rows}")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise ContractError(
@@ -161,15 +179,16 @@ def retrieval_vector(
 ) -> np.ndarray:
     """(a*Xc + h*Xc*M^T) softmax(beta*Xi^T sigma); works on a single state
     vector or an (n, batch) stack of states.  Given the logit operator W of
-    (patterns, m, params), sigma holds logits Xi^T sigma (p rows) and the
-    result, W softmax(beta*sigma), is Xi^T of the retrieval.
+    (patterns, m, params), sigma holds logits Xi^T sigma (p rows, or p + 1
+    with the mean activity last) and the result, W softmax(beta*logits) cut
+    to as many rows, is Xi^T of the retrieval (and its mean).
 
     Softmax logits use the raw patterns (the centered ones would only shift
     every logit by the same constant); the projection uses centered columns.
     With h == 0 the graph mixing is skipped: a*s + 0*(M^T s) equals a*s.
     """
     if operator is not None:
-        return operator @ softmax_beta(sigma, params.beta)
+        return operator[:len(sigma)] @ softmax_beta(sigma[:patterns.p], params.beta)
     xi = patterns.values
     s = softmax_beta(xi.T @ sigma, params.beta)
     mixed = params.a * s
@@ -184,14 +203,19 @@ def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
                     params: ModelParams) -> np.ndarray:
     """W = a*G + h*G*M^T - u (outer) (a*1 + h*M*1) with G = Xi^T Xi and
     u = Xi^T mean_load: W s is Xi^T of the centered projection of the
-    mixing a*s + h*M^T s, whose column sums are (a*1 + h*M*1)^T s."""
+    mixing a*s + h*M^T s, whose column sums are (a*1 + h*M*1)^T s.  Row p
+    is a*d + h*M*d, with d = the column means of Xi minus the mean of
+    mean_load: (W s)[p] is the mean of that projection, d^T of the mixing."""
     xi, coupling = patterns.values, m.matrix
     gram = xi.T @ xi
     op = params.a * gram
+    d = xi.mean(axis=0) - patterns.mean_load.mean()
+    mean_row = params.a * d
     if params.h != 0:
         op += params.h * (gram @ coupling.T)
+        mean_row += params.h * (coupling @ d)
     op -= np.multiply.outer(xi.T @ patterns.mean_load, params.a + params.h * coupling.sum(axis=1))
-    return op
+    return np.vstack([op, mean_row])
 
 
 def update_step(
@@ -212,8 +236,9 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             logits: bool = False) -> tuple[np.ndarray, int, str]:
     """The Euler loop of every run, sigma <- sigma + eta*(retrieval - sigma),
     on a state vector or an (n, batch) stack, for up to `steps` steps; with
-    logits=True, on logits Xi^T sigma (p rows) in the pattern basis, through
-    the logit operator built once for the call.
+    logits=True, on logits Xi^T sigma (p rows, or p + 1 whose last holds
+    mean(sigma)) in the pattern basis, through the logit operator built once
+    for the call.
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...  With a
     tolerance, stops after the first step whose max |change| is below it.  A

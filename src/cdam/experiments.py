@@ -36,7 +36,12 @@ from .dynamics import (
     pearson_all,
     retrieval_vector,  # noqa: F401  (public here too: perfbench traces it by this name)
 )
-from .errors import ContractError, UndefinedCorrelationError, UnknownNameError
+from .errors import (
+    ContractError,
+    NumericDivergenceError,
+    UndefinedCorrelationError,
+    UnknownNameError,
+)
 from .graphs import (
     MemoryGraph,
     NormalizedAdjacency,
@@ -140,30 +145,39 @@ def run_all_triggers(
     Uses the same iterate as the single-run engine (their equivalence is
     pinned by tests).  Returns final states (n x p), the pattern-correlation
     matrix r[mu, trigger], mean activity per trigger, and requested
-    per-snapshot correlation matrices.
+    per-snapshot correlation matrices.  A final or snapshot state whose
+    centered norm is not finite raises NumericDivergenceError.
     """
     sig0 = init_state(patterns, np.arange(patterns.p), DEFAULT_NOISE, seed)
     snaps = {}
 
+    def correlations(t: int, sig: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = _center_columns(sig)
+        if not np.isfinite(centered[1]).all():
+            raise NumericDivergenceError(t, "readout")
+        return _pearson_matrix(patterns.centered, centered)
+
     def snapshot(t: int, sig: np.ndarray) -> None:
         if t in snapshots:
-            snaps[t] = _pearson_matrix(patterns.centered, sig)
+            snaps[t] = correlations(t, sig)
 
-    sig = iterate(sig0, patterns, coupling, params, DEFAULT_STEPS, observe=snapshot)[0]
+    sig, steps, _ = iterate(sig0, patterns, coupling, params, DEFAULT_STEPS, observe=snapshot)
     return {
         "final_states": sig,
-        "pattern_correlations": _pearson_matrix(patterns.centered, sig),
+        "pattern_correlations": correlations(steps, sig),
         "mean_activity": sig.mean(axis=0),
         "snapshots": snaps,
     }
 
 
-def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray], state_cols: np.ndarray) -> np.ndarray:
-    """r[i, j] between reference column i and column j of state_cols; `ref`
-    holds the reference's centered columns and their norms.  A zero-variance
-    column on either side raises UndefinedCorrelationError."""
+def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray],
+                    states: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """r[i, j] between reference column i and state column j; each side is
+    given by its centered columns and their norms.  A zero-variance column
+    on either side raises UndefinedCorrelationError."""
     rc, rnorms = ref
-    sc, snorms = _center_columns(state_cols)
+    sc, snorms = states
     if np.any(rnorms == 0.0) or np.any(snorms == 0.0):
         raise UndefinedCorrelationError("pearson undefined: zero-variance state or pattern")
     return (rc.T @ sc) / (rnorms[:, None] * snorms[None, :])
@@ -173,7 +187,7 @@ def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
     """Pearson correlations between the final states of every trigger pair."""
     # Centered twice on purpose: numpy computes `x.T @ x` with a symmetric
     # kernel that rounds differently from the general product.
-    return _pearson_matrix(_center_columns(final_states), final_states)
+    return _pearson_matrix(_center_columns(final_states), _center_columns(final_states))
 
 
 def _mean(vals: np.ndarray) -> float:
@@ -379,8 +393,18 @@ def schedule_metrics(argmax_per_step, p: int) -> dict:
 def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     """Drive a directed cycle over the frames from SEQUENCE_TRIGGER for
     SEQUENCE_STEPS steps per SEQUENCE_SETTINGS (a, h) and log the
-    argmax-correlation pattern per step, with stall/skip metrics."""
-    p = patterns.p
+    argmax-correlation pattern per step, with stall/skip metrics.
+
+    The runs iterate the logits Xi^T sigma with the mean row, not the
+    states, and read the argmax of pearson_all(sigma) from them by the
+    readout identity of the dynamics module.  A zero-variance frame raises
+    UndefinedCorrelationError.
+    """
+    p, xi = patterns.p, patterns.values
+    ys = patterns.centered[1]
+    if np.any(ys == 0.0):
+        raise UndefinedCorrelationError("pearson undefined: zero-variance pattern")
+    shift = patterns.n * xi.mean(axis=0)
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
     report = ExperimentReport(
@@ -394,8 +418,9 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     for a, h in SEQUENCE_SETTINGS:
         sig = init_state(patterns, SEQUENCE_TRIGGER, DEFAULT_NOISE, seed)
         argmaxes = []
-        iterate(sig, patterns, coupling, ModelParams(a=a, h=h), SEQUENCE_STEPS,
-                observe=lambda t, s: argmaxes.append(int(np.argmax(pearson_all(s, patterns)))))
+        iterate(np.append(xi.T @ sig, sig.mean()), patterns, coupling, ModelParams(a=a, h=h),
+                SEQUENCE_STEPS, logits=True,
+                observe=lambda t, L: argmaxes.append(int(np.argmax((L[:p] - shift * L[p]) / ys))))
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = argmaxes
         report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p)

@@ -257,6 +257,17 @@ def exact_instance():
     return PatternMatrix(xi), normalize(build_cycle(4, directed=True)), sigma
 
 
+def asymmetric_coupling():
+    """Directed, weighted and asymmetric, with row sums unlike column sums,
+    so that using M for M^T or column sums for row sums moves the logits."""
+    graph = MemoryGraph(7, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (0, 3, 1.5),
+                            (3, 4, 1.0), (4, 5, 3.0), (5, 6, 0.7), (6, 0, 1.2),
+                            (2, 5, 0.4), (4, 1, 2.5)), directed=True)
+    coupling = normalize(graph)
+    assert not np.allclose(coupling.matrix.sum(axis=0), coupling.matrix.sum(axis=1))
+    return coupling
+
+
 class TestLogitBasis:
     def test_skipped_mixing_is_bitwise_the_oracle(self):
         pm, coupling, stack = exact_instance()
@@ -282,13 +293,7 @@ class TestLogitBasis:
             assert np.array_equal(got, pm.values.T @ retrieval_vector(sigma, pm, coupling, params))
 
     def test_iterated_logits_track_iterated_states(self):
-        # directed, weighted and asymmetric, with row sums unlike column sums,
-        # so that using M for M^T or column sums for row sums moves the logits
-        graph = MemoryGraph(7, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (0, 3, 1.5),
-                                (3, 4, 1.0), (4, 5, 3.0), (5, 6, 0.7), (6, 0, 1.2),
-                                (2, 5, 0.4), (4, 1, 2.5)), directed=True)
-        coupling = normalize(graph)
-        assert not np.allclose(coupling.matrix.sum(axis=0), coupling.matrix.sum(axis=1))
+        coupling = asymmetric_coupling()
         rng = np.random.default_rng(23)
         pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
         sig0 = rng.uniform(0, 1, (60, 5))
@@ -299,10 +304,28 @@ class TestLogitBasis:
             assert logits.shape == (7, 5)
             assert np.max(np.abs(logits - pm.values.T @ states)) < 1e-10
 
+    @pytest.mark.parametrize("a, h", [(-0.5, 0.0), (-0.5, 1.0), (0.3, 0.7)])
+    def test_mean_row_tracks_state_mean(self, a, h):
+        coupling = asymmetric_coupling()
+        rng = np.random.default_rng(29)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        sig0 = rng.uniform(0, 1, (60, 5))
+        params = ModelParams(a=a, h=h, beta=3.0)
+        means, rows = [], []
+        iterate(sig0, pm, coupling, params, 101, observe=lambda t, s: means.append(s.mean(axis=0)))
+        logits0 = np.vstack([pm.values.T @ sig0, sig0.mean(axis=0)])
+        final = iterate(logits0, pm, coupling, params, 101, logits=True,
+                        observe=lambda t, L: rows.append(L[-1]))[0]
+        assert final.shape == (8, 5) and len(rows) == 101
+        assert np.max(np.abs(np.array(rows) - np.array(means))) < 1e-10
+        assert np.ptp(np.array(means)) > 0.1  # the mean moves, so the row is tested
+
     def test_logit_shapes_validated(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         coupling = normalize(build_cycle(3))
         iterate(np.zeros((3, 2)), pm, coupling, ModelParams(), 1, logits=True)
+        iterate(np.zeros(4), pm, coupling, ModelParams(), 1, logits=True)  # with the mean row
+        # p + 2 rows: the n = 5 rows of a state are not logits either
         for bad in (np.zeros(5), np.zeros((5, 2)), np.zeros((3, 2, 1))):
             with pytest.raises(ContractError, match="pattern count 3"):
                 iterate(bad, pm, coupling, ModelParams(), 1, logits=True)

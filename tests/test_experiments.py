@@ -27,6 +27,7 @@ from cdam.graphs import (
     hop_distances,
     normalize,
 )
+from cdam.ingest import random_patterns
 from oracles import step_by_hand, uncached_pearson_matrix
 
 # Overflows to a non-finite state within a few steps on any small store.
@@ -74,6 +75,14 @@ class TestBatchedRunner:
         with pytest.raises(NumericDivergenceError):
             X.run_all_triggers(PatternMatrix(rng.uniform(0, 1, (50, 6))), normalize(build_cycle(6)),
                                ModelParams(a=DIVERGENT[0], h=DIVERGENT[1], eta=1.0))
+
+    @pytest.mark.parametrize("snapshots, step", [((), 101), ((1, 50), 1)])
+    def test_overflowing_readout_raises(self, snapshots, step):
+        # finite states of size 6e199, whose centered norms overflow
+        with pytest.raises(NumericDivergenceError, match="readout") as caught:
+            X.run_all_triggers(random_patterns(1000, 30, 0), normalize(build_cycle(30)),
+                               ModelParams(a=1e200, h=0), snapshots=snapshots)
+        assert caught.value.step == step
 
     def test_snapshot_times(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -265,6 +274,25 @@ class TestSequenceRecall:
                 state = update_step(state, frames, coupling, ModelParams(a=a, h=h))
                 schedule.append(int(np.argmax(pearson_all(state, frames))))
             assert rep.outputs[f"schedule_a{a:+g}_h{h:+g}"] == schedule
+
+    def test_stock_schedules_match_state_space(self):
+        # the pattern-basis readout against argmax(pearson_all) of the states
+        frames = X.surrogate_frames(0)
+        rep = X.sequence_recall(frames, seed=1)
+        coupling = normalize(build_cycle(X.FRAME_COUNT, directed=True))
+        for a, h in X.SEQUENCE_SETTINGS:
+            schedule = []
+            iterate(init_state(frames, X.SEQUENCE_TRIGGER, X.DEFAULT_NOISE, 1), frames, coupling,
+                    ModelParams(a=a, h=h), X.SEQUENCE_STEPS,
+                    observe=lambda t, s: schedule.append(int(np.argmax(pearson_all(s, frames)))))
+            assert len(schedule) == 1500
+            assert rep.outputs[f"schedule_a{a:+g}_h{h:+g}"] == schedule
+
+    def test_zero_variance_frame_raises(self):
+        values = np.random.default_rng(2).uniform(0, 1, (50, 6))
+        values[:, 3] = 0.5
+        with pytest.raises(UndefinedCorrelationError):
+            X.sequence_recall(PatternMatrix(values))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
