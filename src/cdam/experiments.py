@@ -31,6 +31,8 @@ from .dynamics import (
     ModelParams,
     PatternMatrix,
     _center_columns,
+    _centered_states,
+    _pearson_matrix,
     init_state,
     iterate,
     pearson_all,
@@ -38,7 +40,6 @@ from .dynamics import (
 )
 from .errors import (
     ContractError,
-    NumericDivergenceError,
     UndefinedCorrelationError,
     UnknownNameError,
 )
@@ -152,11 +153,7 @@ def run_all_triggers(
     snaps = {}
 
     def correlations(t: int, sig: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            centered = _center_columns(sig)
-        if not np.isfinite(centered[1]).all():
-            raise NumericDivergenceError(t, "readout")
-        return _pearson_matrix(patterns.centered, centered)
+        return _pearson_matrix(patterns.centered, _centered_states(sig, t))
 
     def snapshot(t: int, sig: np.ndarray) -> None:
         if t in snapshots:
@@ -169,18 +166,6 @@ def run_all_triggers(
         "mean_activity": sig.mean(axis=0),
         "snapshots": snaps,
     }
-
-
-def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray],
-                    states: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """r[i, j] between reference column i and state column j; each side is
-    given by its centered columns and their norms.  A zero-variance column
-    on either side raises UndefinedCorrelationError."""
-    rc, rnorms = ref
-    sc, snorms = states
-    if np.any(rnorms == 0.0) or np.any(snorms == 0.0):
-        raise UndefinedCorrelationError("pearson undefined: zero-variance state or pattern")
-    return (rc.T @ sc) / (rnorms[:, None] * snorms[None, :])
 
 
 def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
@@ -456,9 +441,11 @@ class AutomatonRunner:
         self.state = name
 
     def _settle(self, sigma: np.ndarray) -> tuple[str, float]:
-        """Run to a fixed point and read the argmax-Pearson vertex."""
-        sigma = iterate(sigma, self.patterns, self.coupling, AUTOMATON_PARAMS, DEFAULT_STEPS,
-                        tol=1e-9)[0]
+        """Run to a fixed point and read the argmax-Pearson vertex; a settled
+        state too large to read raises NumericDivergenceError."""
+        sigma, steps, _ = iterate(sigma, self.patterns, self.coupling, AUTOMATON_PARAMS,
+                                  DEFAULT_STEPS, tol=1e-9)
+        _centered_states(sigma[:, None], steps)  # the check; r is pearson_all's, as before
         r = pearson_all(sigma, self.patterns)
         top = int(np.argmax(r))
         return self.names[top], float(r[top])

@@ -8,7 +8,6 @@ correlation values linearly from [-1, 1] onto [0, 255].
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -18,25 +17,28 @@ from .dynamics import SimulationTrace
 from .ingest import write_pnm
 
 
+def _csv_line(fields) -> str:
+    """One CSV row as csv.writer writes these fields (none needs quoting)."""
+    return ",".join(fields) + "\r\n"
+
+
 def trace_to_csv(trace: SimulationTrace, path) -> None:
-    p = trace.correlations.shape[1]
+    steps = trace.correlations.shape[0]
+    energies = [""] * steps if trace.energies is None else map(repr, trace.energies.tolist())
+    lines = [_csv_line(["t", "mean_activity", "sd_activity", "energy",
+                        *(f"r_{mu}" for mu in range(trace.correlations.shape[1]))])]
+    for t, (mean, sd, energy, r) in enumerate(zip(trace.mean_activity.tolist(),
+                                                  trace.sd_activity.tolist(), energies,
+                                                  trace.correlations.tolist())):
+        lines.append(_csv_line([str(t), repr(mean), repr(sd), energy, *map(repr, r)]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_activity", "sd_activity", "energy"]
-                        + [f"r_{mu}" for mu in range(p)])
-        for t in range(trace.correlations.shape[0]):
-            energy = "" if trace.energies is None else repr(float(trace.energies[t]))
-            writer.writerow(
-                [t, repr(float(trace.mean_activity[t])), repr(float(trace.sd_activity[t])), energy]
-                + [repr(float(v)) for v in trace.correlations[t]]
-            )
+        fh.write("".join(lines))
 
 
 def matrix_to_csv(matrix: np.ndarray, path) -> None:
+    rows = np.asarray(matrix, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("".join(_csv_line(map(repr, row)) for row in rows))
 
 
 def matrix_to_pgm(matrix: np.ndarray, path) -> None:

@@ -38,6 +38,17 @@ from oracles import (
 )
 
 
+def assert_readouts_match(trace, states, pm, graph, params):
+    """The trace's readouts equal the per-state pearson_all, mean, std and
+    energy within 1e-13 (absolute for r, mean and SD, relative for energy)."""
+    assert np.max(np.abs(trace.correlations - [pearson_all(s, pm) for s in states])) < 1e-13
+    assert np.max(np.abs(trace.mean_activity - [s.mean() for s in states])) < 1e-13
+    assert np.max(np.abs(trace.sd_activity - [s.std() for s in states])) < 1e-13
+    if graph is not None:
+        want = np.array([energy(s, pm, graph, params) for s in states])
+        assert np.max(np.abs(trace.energies - want) / np.abs(want)) < 1e-13
+
+
 def random_instance(rng, n_max=20, p_max=5):
     n = int(rng.integers(3, n_max + 1))
     p = int(rng.integers(2, p_max + 1))
@@ -257,13 +268,16 @@ def exact_instance():
     return PatternMatrix(xi), normalize(build_cycle(4, directed=True)), sigma
 
 
+def asymmetric_graph():
+    return MemoryGraph(7, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (0, 3, 1.5),
+                           (3, 4, 1.0), (4, 5, 3.0), (5, 6, 0.7), (6, 0, 1.2),
+                           (2, 5, 0.4), (4, 1, 2.5)), directed=True)
+
+
 def asymmetric_coupling():
     """Directed, weighted and asymmetric, with row sums unlike column sums,
     so that using M for M^T or column sums for row sums moves the logits."""
-    graph = MemoryGraph(7, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (0, 3, 1.5),
-                            (3, 4, 1.0), (4, 5, 3.0), (5, 6, 0.7), (6, 0, 1.2),
-                            (2, 5, 0.4), (4, 1, 2.5)), directed=True)
-    coupling = normalize(graph)
+    coupling = normalize(asymmetric_graph())
     assert not np.allclose(coupling.matrix.sum(axis=0), coupling.matrix.sum(axis=1))
     return coupling
 
@@ -367,11 +381,10 @@ class TestIterate:
         assert trace.steps == len(states) - 1
         assert trace.termination == ("fixed-point" if trace.steps < 200 else "max-steps")
         assert (trace.termination == "fixed-point") == (tol > 0)
-        assert np.array_equal(trace.correlations, [pearson_all(s, pm) for s in states])
-        assert np.array_equal(trace.mean_activity, [s.mean() for s in states])
-        assert np.array_equal(trace.sd_activity, [s.std() for s in states])
-        assert np.array_equal(trace.energies, [energy(s, pm, graph, params) for s in states])
         assert np.array_equal(trace.final_state, states[-1])
+        # the readouts run a block of states through one product, which rounds
+        # unlike a product per state
+        assert_readouts_match(trace, states, pm, graph, params)
 
     def test_observer_sees_every_step(self):
         rng = np.random.default_rng(22)
@@ -416,6 +429,106 @@ class TestIterate:
         with pytest.raises(NumericDivergenceError) as exc:
             run(sigma, pm, normalize(build_cycle(3)), ModelParams(), energy_graph=energy_graph)
         assert exc.value.step == 0
+        assert "readout" in str(exc.value)
+
+
+K = dynamics.READOUT_BLOCK
+
+
+def first_bad_readout(states, pm, graph, params):
+    """The first step whose per-state readouts are not all finite, or None."""
+    with np.errstate(all="ignore"):
+        for t, s in enumerate(states):
+            values = [*pearson_all(s, pm), s.mean(), s.std()]
+            if graph is not None:
+                values.append(energy(s, pm, graph, params))
+            if not np.isfinite(values).all():
+                return t
+    return None
+
+
+class TestReadoutBlocks:
+    """run() computes its readouts READOUT_BLOCK states at a time."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("records", [2, K - 1, K, K + 1, 2 * K + 1])
+    def test_block_boundaries(self, records, directed):
+        # a run records at least two states; the block of one state is the
+        # tail of K + 1 and 2K + 1
+        rng = np.random.default_rng(23)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        graph = asymmetric_graph() if directed else build_cycle(7)
+        coupling, params = normalize(graph), ModelParams(a=0.5, h=0.5)
+        initial = init_state(pm, 3, seed=2)
+        trace = run(initial, pm, coupling, params, max_steps=records - 1, fixed_point_tol=0.0,
+                    energy_graph=graph)
+        states = step_by_hand(initial, pm, coupling, params, records - 1)
+        assert trace.steps + 1 == len(states) == records
+        assert trace.termination == "max-steps"
+        assert np.array_equal(trace.final_state, states[-1])
+        assert_readouts_match(trace, states, pm, graph, params)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_fixed_point_exit_mid_block(self, directed):
+        rng = np.random.default_rng(24)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        graph = asymmetric_graph() if directed else build_cycle(7)
+        coupling, params = normalize(graph), ModelParams(a=1.0, h=0.0, eta=0.3)
+        initial = init_state(pm, 1, seed=5)
+        trace = run(initial, pm, coupling, params, max_steps=500, fixed_point_tol=1e-9,
+                    energy_graph=graph)
+        states = step_by_hand(initial, pm, coupling, params, 500, tol=1e-9)
+        assert trace.termination == "fixed-point"
+        assert trace.steps + 1 == len(states) and len(states) % K not in (0, 1)
+        assert np.array_equal(trace.final_state, states[-1])
+        assert_readouts_match(trace, states, pm, graph, params)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_energy_pairs_in_chunks_of_states(self, monkeypatch, directed):
+        # the 14 or 10 pair terms of two states per chunk, the last chunk one state
+        monkeypatch.setattr(dynamics, "ENERGY_PAIR_BUDGET", 29)
+        rng = np.random.default_rng(25)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        graph = asymmetric_graph() if directed else build_cycle(7)
+        coupling, params = normalize(graph), ModelParams(a=0.5, h=0.5)
+        initial = init_state(pm, 4, seed=6)
+        trace = run(initial, pm, coupling, params, max_steps=K, fixed_point_tol=0.0,
+                    energy_graph=graph)
+        assert_readouts_match(trace, step_by_hand(initial, pm, coupling, params, K), pm, graph,
+                              params)
+
+    def test_undefined_energy_is_not_a_divergence(self):
+        # a*sum exp(b*m^2) + h*sum w*exp(b*m_a*m_k) < 0 from the first state
+        pm = PatternMatrix(np.random.default_rng(26).uniform(0, 1, (40, 7)))
+        graph = asymmetric_graph()
+        with pytest.raises(EnergyUndefinedError):
+            run(init_state(pm, 0, seed=1), pm, normalize(graph), ModelParams(a=-2.5, h=1.0),
+                energy_graph=graph)
+
+    @pytest.mark.parametrize("a, eta, with_energy", [
+        (1e154, 0.1, False),  # the state norm overflows; the state stays finite
+        (1e154, 0.02, False),  # the same, in the second block
+        (400.0, 0.1, True),  # the energy overflows
+        (1.0, 1e5, False),  # the norm overflows, then the state, in the same block
+    ])
+    def test_bad_readout_mid_block_is_named_by_its_step(self, a, eta, with_energy):
+        rng = np.random.default_rng(3)
+        pm = PatternMatrix(rng.uniform(0, 1, (40, 4)))
+        graph = build_cycle(4)
+        coupling, params = normalize(graph), ModelParams(a=a, h=0.0, eta=eta)
+        initial = init_state(pm, 0, seed=1)
+        with np.errstate(all="ignore"):
+            states = step_by_hand(initial, pm, coupling, params, 3 * K)
+        finite = [bool(np.isfinite(s).all()) for s in states]
+        limit = finite.index(False) if False in finite else len(states)
+        t = first_bad_readout(states[:limit], pm, graph if with_energy else None, params)
+        assert t is not None and t % K != 0
+        # the later state divergence, if any, falls in the same block
+        assert limit == len(states) or t < limit < (t // K + 1) * K
+        with pytest.raises(NumericDivergenceError) as exc:
+            run(initial, pm, coupling, params, max_steps=3 * K, fixed_point_tol=0.0,
+                energy_graph=graph if with_energy else None)
+        assert exc.value.step == t
         assert "readout" in str(exc.value)
 
 
@@ -553,17 +666,20 @@ class TestEnergy:
         assert with_h == pytest.approx(without_h)
 
     def test_run_computes_each_states_overlaps_once(self, monkeypatch):
-        # the energy needs one overlap vector per recorded state
+        # the energy needs one overlap product per block of recorded states
         import cdam.dynamics as D
-        calls = []
-        monkeypatch.setattr(D, "overlaps_all", lambda s, pm: calls.append(1) or overlaps_all(s, pm))
+        shapes = []
+        monkeypatch.setattr(D, "overlaps_all",
+                            lambda s, pm: shapes.append(s.shape) or overlaps_all(s, pm))
         rng = np.random.default_rng(17)
         pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
         graph = build_cycle(5)
         trace = run(init_state(pm, 0, seed=1), pm, normalize(graph), ModelParams(),
-                    max_steps=7, fixed_point_tol=0.0, energy_graph=graph)
-        assert len(calls) == trace.steps + 1 == 8
-        assert trace.energies[-1] == energy(trace.final_state, pm, graph, ModelParams())
+                    max_steps=2 * D.READOUT_BLOCK + 7, fixed_point_tol=0.0, energy_graph=graph)
+        assert shapes == [(40, D.READOUT_BLOCK), (40, D.READOUT_BLOCK), (40, 8)]
+        assert 2 * D.READOUT_BLOCK + 8 == trace.steps + 1
+        assert trace.energies[-1] == pytest.approx(
+            energy(trace.final_state, pm, graph, ModelParams()), rel=1e-13, abs=0)
 
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))

@@ -324,6 +324,14 @@ class TestAutomatonRunner:
         with pytest.raises(NumericDivergenceError):
             runner.query("wife")
 
+    def test_settled_state_too_large_to_read_raises(self, monkeypatch):
+        # the state stays finite, but its norm overflows
+        monkeypatch.setattr(X, "AUTOMATON_PARAMS", ModelParams(a=1e200, h=0.0, beta=50.0, eta=1.0))
+        runner = X.AutomatonRunner(family_tree(), n=200)
+        with pytest.raises(NumericDivergenceError) as exc:
+            runner.settle_from("Marge")
+        assert "readout" in str(exc.value) and exc.value.step >= 1
+
 
 class TestRetrievalSweep:
     def test_accuracy_matches_update_step_by_hand(self, monkeypatch):
