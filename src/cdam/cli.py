@@ -191,10 +191,7 @@ def cmd_experiment(args) -> int:
         bank = experiments.surrogate_image_bank(seed=77)
         report = experiments.retrieval_sweep(bank, seed=args.seed)
     elif name == "automaton-sweep":
-        sweep = experiments.automaton_sweep(family_tree(), n=n, seed=args.seed)
-        report = experiments.ExperimentReport(
-            "automaton-sweep", {"n": n, "seed": args.seed}, {"landed": sweep}
-        )
+        report = experiments.automaton_sweep(family_tree(), n=n, seed=args.seed)
     else:  # ei-balance
         report = experiments.ei_balance(n=n, seed=args.seed)
     report.write(args.out)

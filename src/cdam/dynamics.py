@@ -52,15 +52,14 @@ same metrics (tools/sequence_basis.py).
 
 The readout block.  run() copies each recorded state into a buffer of
 READOUT_BLOCK rows and reads a full buffer, and the last partial one,
-together: the centered columns and norms, the Pearson r of every state
-as one product with the centered patterns, the overlaps as one
-Xi^T S / n product, and the mean, SD and energy of every column.  The
-states are iterate's, bit for bit, and the mean and SD take the same
-reductions as per state, so they are bitwise too; r and the energy round
-unlike the per-state pearson_all and energy(), by at most 2.6e-15 in r
-and 9.1e-16 relative in the energy over the 36 bench simulate runs at
-seeds 0, 5 and 7.  A bad readout is still named by its own step, though
-the run may take up to READOUT_BLOCK - 1 more steps before it raises.
+together: pearson_all and energy of the stack, the overlaps as one
+Xi^T S / n product, and the mean and SD of every column.  The states are
+iterate's, bit for bit, and the mean and SD take the same reductions as
+per state, so they are bitwise too; r and the energy of a block round
+unlike those of one state, by at most 2.6e-15 in r and 9.1e-16 relative
+in the energy over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad
+readout is still named by its own step, though the run may take up to
+READOUT_BLOCK - 1 more steps before it raises.
 """
 
 from __future__ import annotations
@@ -131,17 +130,6 @@ def _center_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns minus their own means, and the Euclidean norms of the results."""
     centered = cols - cols.mean(axis=0, keepdims=True)
     return centered, np.sqrt((centered**2).sum(axis=0))
-
-
-def _centered_states(states: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """_center_columns of an (n, k) stack of states at step t; a centered
-    norm that is not finite (a state too large to read) raises
-    NumericDivergenceError naming t."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = _center_columns(states)
-    if not np.isfinite(centered[1]).all():
-        raise NumericDivergenceError(t, "readout")
-    return centered
 
 
 def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray],
@@ -259,24 +247,21 @@ def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
     return np.vstack([op, mean_row])
 
 
-def update_step(
-    sigma: np.ndarray,
-    patterns: PatternMatrix,
-    m: NormalizedAdjacency,
-    params: ModelParams,
-) -> np.ndarray:
-    """One synchronous update; returns a fresh state, input untouched."""
-    _check_dims(sigma, patterns, m, logits=False)
-    target = retrieval_vector(sigma, patterns, m, params)
-    return sigma + params.eta * (target - sigma)
+def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
+                params: ModelParams, operator: np.ndarray | None) -> np.ndarray:
+    """iterate's step sigma + eta*(retrieval - sigma), on states or, given the
+    logit operator, logits; an overflow leaves a non-finite result."""
+    with np.errstate(all="ignore"):
+        target = retrieval_vector(sigma, patterns, m, params, operator=operator)
+        return sigma + params.eta * (target - sigma)
 
 
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             params: ModelParams, steps: int, tol: float | None = None,
             observe: Callable[[int, np.ndarray], None] | None = None,
             logits: bool = False) -> tuple[np.ndarray, int, str]:
-    """The Euler loop of every run, sigma <- sigma + eta*(retrieval - sigma),
-    on a state vector or an (n, batch) stack, for up to `steps` steps; with
+    """The Euler loop of every run, sigma <- update_step(sigma), on a state
+    vector or an (n, batch) stack, for up to `steps` steps; with
     logits=True, on logits Xi^T sigma (p rows, or p + 1 whose last holds
     mean(sigma)) in the pattern basis, through the logit operator built once
     for the call.
@@ -290,10 +275,7 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     _check_dims(sig, patterns, m, logits=logits)
     operator = _logit_operator(patterns, m, params) if logits else None
     for t in range(1, steps + 1):
-        # an overflow ends as a non-finite state, reported once below
-        with np.errstate(all="ignore"):
-            target = retrieval_vector(sig, patterns, m, params, operator=operator)
-            new = sig + params.eta * (target - sig)
+        new = update_step(sig, patterns, m, params, operator)
         if not np.isfinite(new).all():
             raise NumericDivergenceError(t, "network state")
         converged = tol is not None and float(np.max(np.abs(new - sig))) < tol
@@ -313,13 +295,11 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
 
     The trace includes the t=0 record, so it has steps+1 rows.  The loop is
     iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
-    computed READOUT_BLOCK states at a time from a copy of each state; r and
-    the energy differ from the per-state pearson_all and energy by rounding
-    only (see the module docstring).  A non-finite state or readout aborts
-    with NumericDivergenceError naming the offending step: a bad readout is
-    still named by its own step, though the run may take up to
-    READOUT_BLOCK - 1 more steps before it raises, and a state that
-    diverges in those steps does not hide it.
+    computed READOUT_BLOCK states at a time from a copy of each state (see
+    the module docstring).  A non-finite state or readout aborts with
+    NumericDivergenceError naming the offending step, though the run may
+    take up to READOUT_BLOCK - 1 more steps before it raises, and a state
+    that diverges in those steps does not hide it.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {max_steps}")
@@ -344,18 +324,16 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             return
         t0 = READOUT_BLOCK * len(means)  # every block but the last is full
         states = block[:k].T
+        r = pearson_all(states, patterns)
         with np.errstate(all="ignore"):
-            centered = _center_columns(states)
-            r = _pearson_matrix(patterns.centered, centered)
             mean, sd = states.mean(axis=0), states.std(axis=0)
             e, arg = ((np.zeros(k), np.ones(k)) if terms is None
-                      else _energy(overlaps_all(states, patterns), terms, params))
-        # a norm that overflows leaves r finite (zero), so it is checked itself
-        finite = np.isfinite(np.vstack([centered[1], mean, sd, e])).all(axis=0)
-        bad = ~(finite & np.isfinite(r).all(axis=0)) | (arg <= 0.0)
+                      else energy(overlaps_all(states, patterns), terms, params))
+        bad = ~np.isfinite(np.vstack([r, mean, sd, e])).all(axis=0) | (arg <= 0.0)
         if bad.any():
             j = int(bad.argmax())
-            _check_energy_argument(arg[j])
+            if arg[j] <= 0.0:
+                raise EnergyUndefinedError(f"energy log argument {arg[j]} <= 0")
             raise NumericDivergenceError(t0 + j, "readout")
         corr.append(r.T)
         means.append(mean)
@@ -393,41 +371,16 @@ def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     return (patterns.values.T @ sigma) / patterns.n
 
 
-def pearson_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
-    """Pearson r against every pattern at once (same zero-variance contract);
-    NaN throughout when the state's norm overflows."""
-    x = sigma - sigma.mean()
-    xs = math.sqrt(float(x @ x))
-    yc, ys = patterns.centered
-    if xs == 0.0 or np.any(ys == 0.0):
-        raise UndefinedCorrelationError(
-            "pearson undefined: zero-variance state or pattern"
-        )
-    if math.isinf(xs):
-        return np.full(patterns.p, np.nan)
-    return (yc.T @ x) / (xs * ys)
-
-
-def energy(
-    sigma: np.ndarray,
-    patterns: PatternMatrix,
-    graph: MemoryGraph,
-    params: ModelParams,
-) -> float:
-    """Log-sum-exp energy of the current state over the memory graph.
-
-    Undirected graphs use the coupling-weighted double sum
-        -(a/b)*log sum_mu exp(b*m_mu^2) - (h/b)*log sum_{a,k} M_ak exp(b*m_a*m_k)
-    with the hetero term omitted when the graph has no edges.  Directed graphs
-    use the single-log form
-        -(1/b)*log(a*sum_mu exp(b*m_mu^2) + h*sum_edges w*exp(b*m_a*m_k))
-    and raise if the log argument is not positive.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):  # the log of an argument <= 0
-        e, arg = _energy(overlaps_all(sigma, patterns)[:, None],
-                         _energy_terms(graph, patterns.p), params)
-    _check_energy_argument(arg[0])
-    return float(e[0])
+def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
+    """Pearson r of a state (n,) or of each column of an (n, K) stack against
+    every pattern, as (p,) or (p, K).  A state whose centered norm is not
+    finite (too large to read) reads NaN; a zero-variance state or pattern
+    raises UndefinedCorrelationError."""
+    with np.errstate(all="ignore"):
+        centered = _center_columns(states.reshape(len(states), -1))
+        r = _pearson_matrix(patterns.centered, centered)
+    r[:, ~np.isfinite(centered[1])] = np.nan
+    return r.reshape(-1, *states.shape[1:])
 
 
 def _energy_terms(graph: MemoryGraph, p: int) -> tuple:
@@ -447,11 +400,16 @@ def _energy_terms(graph: MemoryGraph, p: int) -> tuple:
     return graph.directed, bool(graph.edges), rows, cols, weights
 
 
-def _energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Energies of the states whose overlaps are the columns of m (p x K),
-    and the log argument each needs positive (the directed sum, or the
-    undirected hetero sum); the hetero sum runs over the graph's nonzero
-    pairs in column chunks of at most ENERGY_PAIR_BUDGET pair terms."""
+def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp energies over the graph of _energy_terms (gathered once
+    per run) of the states whose overlaps are the columns of m (p x K), and
+    the log argument each needs positive.  Undirected graphs use
+        -(a/b)*log sum_mu exp(b*m_mu^2) - (h/b)*log sum_{a,k} M_ak exp(b*m_a*m_k)
+    without the hetero term when the graph has no edges; directed graphs use
+        -(1/b)*log(a*sum_mu exp(b*m_mu^2) + h*sum_edges w*exp(b*m_a*m_k)).
+    The hetero sum runs over the nonzero pairs in column chunks of at most
+    ENERGY_PAIR_BUDGET pair terms.
+    """
     directed, has_edges, rows, cols, weights = terms
     b = params.beta
     auto = np.exp(b * m * m).sum(axis=0)
@@ -465,11 +423,6 @@ def _energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarra
     if not has_edges:
         return total, auto
     return total - (params.h / b) * np.log(hetero), hetero
-
-
-def _check_energy_argument(arg: float) -> None:
-    if arg <= 0.0:
-        raise EnergyUndefinedError(f"energy log argument {arg} <= 0")
 
 
 def init_state(patterns: PatternMatrix, trigger, c: float = 1.0, seed: int = 0) -> np.ndarray:

@@ -31,7 +31,6 @@ from .dynamics import (
     ModelParams,
     PatternMatrix,
     _center_columns,
-    _centered_states,
     _pearson_matrix,
     init_state,
     iterate,
@@ -40,6 +39,7 @@ from .dynamics import (
 )
 from .errors import (
     ContractError,
+    NumericDivergenceError,
     UndefinedCorrelationError,
     UnknownNameError,
 )
@@ -133,6 +133,15 @@ def _jsonable(value):
 # -- batched simulation harness ---------------------------------------------
 
 
+def _readout(states: np.ndarray, patterns: PatternMatrix, t: int) -> np.ndarray:
+    """pearson_all of the states at step t; a non-finite r raises
+    NumericDivergenceError naming t."""
+    r = pearson_all(states, patterns)
+    if not np.isfinite(r).all():
+        raise NumericDivergenceError(t, "readout")
+    return r
+
+
 def run_all_triggers(
     patterns: PatternMatrix,
     coupling: NormalizedAdjacency,
@@ -147,22 +156,19 @@ def run_all_triggers(
     pinned by tests).  Returns final states (n x p), the pattern-correlation
     matrix r[mu, trigger], mean activity per trigger, and requested
     per-snapshot correlation matrices.  A final or snapshot state whose
-    centered norm is not finite raises NumericDivergenceError.
+    correlations are not finite raises NumericDivergenceError.
     """
     sig0 = init_state(patterns, np.arange(patterns.p), DEFAULT_NOISE, seed)
     snaps = {}
 
-    def correlations(t: int, sig: np.ndarray) -> np.ndarray:
-        return _pearson_matrix(patterns.centered, _centered_states(sig, t))
-
     def snapshot(t: int, sig: np.ndarray) -> None:
         if t in snapshots:
-            snaps[t] = correlations(t, sig)
+            snaps[t] = _readout(sig, patterns, t)
 
     sig, steps, _ = iterate(sig0, patterns, coupling, params, DEFAULT_STEPS, observe=snapshot)
     return {
         "final_states": sig,
-        "pattern_correlations": correlations(steps, sig),
+        "pattern_correlations": _readout(sig, patterns, steps),
         "mean_activity": sig.mean(axis=0),
         "snapshots": snaps,
     }
@@ -253,8 +259,7 @@ def hop_range(n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
         report.outputs[f"profile_sd_{key}"] = sds
         report.outputs[f"ranges_{key}"] = ranges
         report.outputs[f"effective_range_{key}"] = effective_range(means)
-    if len(groups) >= 2:
-        report.outputs["anova"] = one_way_anova(groups)
+    report.outputs["anova"] = one_way_anova(groups)
     report.outputs["mean_ranges"] = [float(np.mean(g)) for g in groups]
     return report
 
@@ -381,9 +386,9 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     argmax-correlation pattern per step, with stall/skip metrics.
 
     The runs iterate the logits Xi^T sigma with the mean row, not the
-    states, and read the argmax of pearson_all(sigma) from them by the
-    readout identity of the dynamics module.  A zero-variance frame raises
-    UndefinedCorrelationError.
+    states, and read the argmax of pearson_all(sigma), every state-space
+    run's readout, from them by the readout identity of the dynamics
+    module.  A zero-variance frame raises UndefinedCorrelationError.
     """
     p, xi = patterns.p, patterns.values
     ys = patterns.centered[1]
@@ -445,8 +450,7 @@ class AutomatonRunner:
         state too large to read raises NumericDivergenceError."""
         sigma, steps, _ = iterate(sigma, self.patterns, self.coupling, AUTOMATON_PARAMS,
                                   DEFAULT_STEPS, tol=1e-9)
-        _centered_states(sigma[:, None], steps)  # the check; r is pearson_all's, as before
-        r = pearson_all(sigma, self.patterns)
+        r = _readout(sigma, self.patterns, steps)
         top = int(np.argmax(r))
         return self.names[top], float(r[top])
 
@@ -467,11 +471,12 @@ class AutomatonRunner:
         return self._settle(sigma)
 
 
-def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> dict[str, str]:
-    """Settle from every vertex pattern; transition vertices should land on
-    their targets and state vertices on themselves (the full edge set)."""
+def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
+    """Settle from every vertex pattern and report where each "landed":
+    transitions should land on their targets and states on themselves."""
     runner = AutomatonRunner(spec, n=n, seed=seed)
-    return {vertex: runner.settle_from(vertex)[0] for vertex in spec.vertex_names()}
+    landed = {vertex: runner.settle_from(vertex)[0] for vertex in spec.vertex_names()}
+    return ExperimentReport("automaton-sweep", {"n": n, "seed": seed}, {"landed": landed})
 
 
 # -- retrieval-accuracy sweep -------------------------------------------------

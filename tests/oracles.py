@@ -131,20 +131,23 @@ def naive_anova_f(groups):
 # The references below are numpy, not loops, so that the package's shared
 # paths can be held to exact (bitwise) equality with them: the Pearson
 # formulas the package evaluated before it cached the centered pattern
-# statistics, and a run stepped one update_step at a time.
+# statistics, and a run stepped one update at a time.
 
 
 def step_by_hand(sigma, patterns, coupling, params, steps, tol=None):
-    """Every state of a run through update_step, stopping after the first
-    step whose max |change| is below tol."""
+    """Every state of a run of updates s + eta*(retrieval_vector(s) - s),
+    stopping after the first step whose max |change| is below tol.  Unlike
+    iterate, it steps on past a non-finite state."""
     import numpy as np
 
-    from cdam.dynamics import update_step
+    from cdam.dynamics import retrieval_vector
 
     states = [sigma]
     for _ in range(steps):
-        new = update_step(states[-1], patterns, coupling, params)
-        done = tol is not None and np.max(np.abs(new - states[-1])) < tol
+        s = states[-1]
+        with np.errstate(all="ignore"):
+            new = s + params.eta * (retrieval_vector(s, patterns, coupling, params) - s)
+        done = tol is not None and np.max(np.abs(new - s)) < tol
         states.append(new)
         if done:
             break

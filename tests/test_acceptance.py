@@ -32,10 +32,13 @@ from cdam.automata import family_tree
 from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
+    _energy_terms,
     energy,
     init_state,
+    iterate,
+    overlaps_all,
     pearson_all,
-    update_step,
+    run,
 )
 from cdam.errors import EnergyUndefinedError
 from cdam.graphs import (
@@ -81,8 +84,10 @@ def _random_instance(rng):
 
 
 def test_c1_oracle_equivalence():
-    """update_step and energy against brute-force references, 100 seeded
-    instances with n <= 20, p <= 5, to 1e-10, in under a second."""
+    """One update (iterate for one step) and the energy (the block energy on
+    one column) against brute-force references, 100 seeded instances with
+    n <= 20, p <= 5, to 1e-10, in under a second; an undefined energy at
+    t=0 ends run with EnergyUndefinedError."""
     rng = np.random.default_rng(7)
     t0 = time.time()
     worst_update = worst_energy = 0.0
@@ -90,7 +95,7 @@ def test_c1_oracle_equivalence():
         xi, graph, params, sigma = _random_instance(rng)
         pm = PatternMatrix(xi)
         coupling = normalize(graph)
-        got = update_step(sigma.copy(), pm, coupling, params)
+        got = iterate(sigma.copy(), pm, coupling, params, 1)[0]
         want = naive_update(
             list(sigma), [list(xi[:, mu]) for mu in range(xi.shape[1])],
             [list(row) for row in coupling.matrix],
@@ -98,7 +103,6 @@ def test_c1_oracle_equivalence():
         )
         worst_update = max(worst_update, float(np.max(np.abs(got - np.array(want)))))
 
-        state = sigma
         cols = [list(xi[:, mu]) for mu in range(xi.shape[1])]
         if graph.directed:
             try:
@@ -107,14 +111,15 @@ def test_c1_oracle_equivalence():
                 )
             except ValueError:
                 with pytest.raises(EnergyUndefinedError):
-                    energy(state, pm, graph, params)
+                    run(sigma, pm, coupling, params, max_steps=1, energy_graph=graph)
                 continue
         else:
             want_e = naive_energy_undirected(
                 list(sigma), cols, [list(r) for r in coupling.matrix],
                 params.a, params.h, params.beta,
             )
-        worst_energy = max(worst_energy, abs(energy(state, pm, graph, params) - want_e))
+        got_e = energy(overlaps_all(sigma, pm)[:, None], _energy_terms(graph, pm.p), params)[0][0]
+        worst_energy = max(worst_energy, abs(got_e - want_e))
     elapsed = time.time() - t0
     ok = worst_update < 1e-10 and worst_energy < 1e-10 and elapsed < 1.0
     report("criterion 1 oracle equivalence", ok,
@@ -333,7 +338,7 @@ def _automaton_battery(spec, n, seed):
             want = defined.get((state, label), state)
             if got != want:
                 failures.append((state, label, want, got))
-    for vertex, got in X.automaton_sweep(spec, n=n, seed=seed).items():
+    for vertex, got in X.automaton_sweep(spec, n=n, seed=seed).outputs["landed"].items():
         want = vertex if vertex in spec.states else defined[tuple(vertex.split("+", 1))]
         if got != want:
             failures.append(("sweep", vertex, want, got))
@@ -430,7 +435,7 @@ def test_c10_pure_hetero_one_step():
     params = ModelParams(a=0.0, h=1.0, beta=50.0, eta=1.0)
     ok = True
     for mu in range(12):
-        state = update_step(pm.values[:, mu].copy(), pm, coupling, params)
+        state = iterate(pm.values[:, mu].copy(), pm, coupling, params, 1)[0]
         ok = ok and int(np.argmax(pearson_all(state, pm))) == (mu + 1) % 12
     report("criterion 10 pure hetero step", ok, "argmax lands on the successor for all 12 starts")
     assert ok

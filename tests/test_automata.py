@@ -221,7 +221,10 @@ class TestRunner:
     def test_sweep_reproduces_edge_set(self):
         spec = family_tree()
         target = {(s, label): d for s, label, d in spec.transitions}
-        landed = automaton_sweep(spec, n=600, seed=0)
+        report = automaton_sweep(spec, n=600, seed=0)
+        assert (report.name, report.params) == ("automaton-sweep", {"n": 600, "seed": 0})
+        landed = report.outputs["landed"]
+        assert list(landed) == spec.vertex_names()
         for vertex, got in landed.items():
             if "+" in vertex:
                 assert got == target[tuple(vertex.split("+", 1))]

@@ -10,7 +10,6 @@ from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
     _logit_operator,
-    energy,
     init_state,
     iterate,
     overlaps_all,
@@ -18,7 +17,6 @@ from cdam.dynamics import (
     retrieval_vector,
     run,
     softmax_beta,
-    update_step,
 )
 from cdam.errors import (
     ContractError,
@@ -35,17 +33,41 @@ from oracles import (
     naive_update,
     step_by_hand,
     uncached_pearson_all,
+    uncached_pearson_matrix,
 )
 
 
+def step(sigma, patterns, m, params):
+    """One update: iterate for one step."""
+    return iterate(sigma, patterns, m, params, 1)[0]
+
+
+def energy_of(state, pm, graph, params):
+    """The energy of one state: the package's block energy on one column."""
+    e, _ = dynamics.energy(overlaps_all(state, pm)[:, None],
+                           dynamics._energy_terms(graph, pm.p), params)
+    return float(e[0])
+
+
+def naive_energy(state, pm, graph, params):
+    cols = [list(pm.values[:, mu]) for mu in range(pm.p)]
+    if graph.directed:
+        return naive_energy_directed(list(state), cols, graph.edges, params.a, params.h,
+                                     params.beta)
+    return naive_energy_undirected(list(state), cols, [list(r) for r in normalize(graph).matrix],
+                                   params.a, params.h, params.beta)
+
+
 def assert_readouts_match(trace, states, pm, graph, params):
-    """The trace's readouts equal the per-state pearson_all, mean, std and
-    energy within 1e-13 (absolute for r, mean and SD, relative for energy)."""
-    assert np.max(np.abs(trace.correlations - [pearson_all(s, pm) for s in states])) < 1e-13
+    """The trace's readouts equal the per-state Pearson, mean, std and
+    energy references within 1e-13 (absolute for r, mean and SD, relative
+    for energy)."""
+    want_r = [uncached_pearson_all(s, pm.values) for s in states]
+    assert np.max(np.abs(trace.correlations - want_r)) < 1e-13
     assert np.max(np.abs(trace.mean_activity - [s.mean() for s in states])) < 1e-13
     assert np.max(np.abs(trace.sd_activity - [s.std() for s in states])) < 1e-13
     if graph is not None:
-        want = np.array([energy(s, pm, graph, params) for s in states])
+        want = np.array([naive_energy(s, pm, graph, params) for s in states])
         assert np.max(np.abs(trace.energies - want) / np.abs(want)) < 1e-13
 
 
@@ -149,12 +171,14 @@ class TestPatternMatrix:
 
 
 class TestUpdateStep:
+    """One update, through iterate."""
+
     def test_matches_oracle_on_seeded_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             xi, graph, params, sigma = random_instance(rng)
             m = normalize(graph)
-            got = update_step(sigma.copy(), PatternMatrix(xi), m, params)
+            got = step(sigma.copy(), PatternMatrix(xi), m, params)
             want = naive_update(
                 list(sigma), [list(xi[:, mu]) for mu in range(xi.shape[1])],
                 [list(row) for row in m.matrix],
@@ -167,7 +191,7 @@ class TestUpdateStep:
         xi = rng.uniform(0, 1, (10, 3))
         state = rng.normal(0, 1, 10)
         before = state.copy()
-        update_step(state, PatternMatrix(xi), normalize(build_cycle(3)), ModelParams())
+        step(state, PatternMatrix(xi), normalize(build_cycle(3)), ModelParams())
         assert np.array_equal(state, before)
 
     def test_zero_drive_decays_to_zero(self):
@@ -179,10 +203,8 @@ class TestUpdateStep:
         params = ModelParams(a=0.0, h=0.0, eta=0.5)
         state = rng.normal(0, 1, 20)
         expected = state * 0.5
-        stepped = update_step(state, pm, m, params)
-        assert np.allclose(stepped, expected)
-        for _ in range(200):
-            state = update_step(state, pm, m, params)
+        assert np.allclose(step(state, pm, m, params), expected)
+        state = iterate(state, pm, m, params, 200)[0]
         assert np.max(np.abs(state)) < 1e-12
 
     def test_single_pattern_store_decays(self):
@@ -190,17 +212,15 @@ class TestUpdateStep:
         xi = np.random.default_rng(3).uniform(0, 1, (15, 1))
         pm = PatternMatrix(xi)
         m = normalize(MemoryGraph(1, ((0, 0, 1.0),), directed=True))
-        state = xi[:, 0].copy()
-        for _ in range(300):
-            state = update_step(state, pm, m, ModelParams(a=1.0, h=0.0, eta=0.3))
+        state = iterate(xi[:, 0].copy(), pm, m, ModelParams(a=1.0, h=0.0, eta=0.3), 300)[0]
         assert np.max(np.abs(state)) < 1e-6
 
     def test_dimension_mismatch(self):
         pm = PatternMatrix(np.ones((4, 3)))
         with pytest.raises(ContractError):
-            update_step(np.ones(5), pm, normalize(build_cycle(3)), ModelParams())
+            step(np.ones(5), pm, normalize(build_cycle(3)), ModelParams())
         with pytest.raises(ContractError):
-            update_step(np.ones(4), pm, normalize(build_cycle(4)), ModelParams())
+            step(np.ones(4), pm, normalize(build_cycle(4)), ModelParams())
 
     def test_balanced_fixed_point_is_centered_pattern(self):
         # a=1, h=0: the attractor is the triggered pattern minus the mean load
@@ -208,9 +228,7 @@ class TestUpdateStep:
         xi = rng.uniform(0, 1, (400, 6))
         pm = PatternMatrix(xi)
         m = normalize(build_cycle(6))
-        state = xi[:, 2].copy()
-        for _ in range(400):
-            state = update_step(state, pm, m, ModelParams(a=1.0, h=0.0, eta=0.2))
+        state = iterate(xi[:, 2].copy(), pm, m, ModelParams(a=1.0, h=0.0, eta=0.2), 400)[0]
         assert np.max(np.abs(state - (xi[:, 2] - pm.mean_load))) < 1e-8
 
 
@@ -436,12 +454,14 @@ K = dynamics.READOUT_BLOCK
 
 
 def first_bad_readout(states, pm, graph, params):
-    """The first step whose per-state readouts are not all finite, or None."""
+    """The first step whose per-state readouts are not all finite, or None;
+    a centered squared norm that overflows makes r unreadable."""
     with np.errstate(all="ignore"):
         for t, s in enumerate(states):
-            values = [*pearson_all(s, pm), s.mean(), s.std()]
+            x = s - s.mean()
+            values = [x @ x, *uncached_pearson_all(s, pm.values), s.mean(), s.std()]
             if graph is not None:
-                values.append(energy(s, pm, graph, params))
+                values.append(energy_of(s, pm, graph, params))
             if not np.isfinite(values).all():
                 return t
     return None
@@ -585,16 +605,33 @@ class TestMeasures:
         with pytest.raises(UndefinedCorrelationError):
             pearson_all(np.arange(10.0), flat)
 
-    def test_pearson_all_equals_uncached_formula_exactly(self):
+    def test_pearson_all_equals_uncached_matrix_exactly(self):
         rng = np.random.default_rng(13)
         shapes = [(2000, 50)] + [(int(rng.integers(3, 300)), int(rng.integers(1, 40)))
                                  for _ in range(15)]
         for n, p in shapes:
             pm = PatternMatrix(rng.uniform(0, 1, (n, p)))
-            for _ in range(3):  # the first call fills the cache, later calls read it
-                sigma = rng.normal(0, 1, n)
-                assert np.array_equal(pearson_all(sigma, pm),
-                                      uncached_pearson_all(sigma, pm.values))
+            for k in (1, 3, 64):  # the first call fills the cache, later calls read it
+                stack = rng.normal(0, 1, (n, k))
+                got = pearson_all(stack, pm)
+                assert got.shape == (p, k)
+                assert np.array_equal(got, uncached_pearson_matrix(pm.values, stack))
+                vector = pearson_all(stack[:, 0], pm)
+                assert vector.shape == (p,)
+                assert np.array_equal(vector, uncached_pearson_matrix(pm.values, stack[:, :1])[:, 0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_column_of_a_stack_reads_nan_alone(self):
+        rng = np.random.default_rng(14)
+        pm = PatternMatrix(rng.uniform(0, 1, (50, 3)))
+        stack = rng.uniform(-0.5, 0.5, (50, 4))
+        stack[:, 2] *= 1e200
+        r = pearson_all(stack, pm)
+        assert np.isnan(r[:, 2]).all()
+        assert np.isfinite(np.delete(r, 2, axis=1)).all()
+        # a column's product rounds by its block's shape, not by its neighbours' values
+        for j in (0, 1, 3):
+            assert np.max(np.abs(r[:, j] - pearson_all(stack[:, j], pm))) < 1e-15
 
     def test_zero_variance_pattern_raises_on_every_call(self):
         flat = PatternMatrix(np.column_stack([np.arange(10.0), np.ones(10)]))
@@ -623,46 +660,38 @@ class TestEnergy:
         g = MemoryGraph(1, (), directed=False)
         state = xi[:, 0].copy()
         m = overlaps_all(state, pm)[0]
-        val = energy(state, pm, g, ModelParams(a=1.0, h=0.0, beta=1.0))
+        val = energy_of(state, pm, g, ModelParams(a=1.0, h=0.0, beta=1.0))
         assert val == pytest.approx(-m * m)
 
     def test_directed_degenerate_raises(self):
+        # a = h = 0: the log argument is 0 at every state
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
         g = MemoryGraph(2, ((0, 1, 1.0),), directed=True)
-        state = np.zeros(10)
+        state = np.random.default_rng(1).normal(0, 1, 10)
         with pytest.raises(EnergyUndefinedError):
-            energy(state, pm, g, ModelParams(a=0.0, h=0.0))
+            run(state, pm, normalize(g), ModelParams(a=0.0, h=0.0), max_steps=1, energy_graph=g)
 
     def test_matches_oracles(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
             xi, graph, params, sigma = random_instance(rng, n_max=8, p_max=4)
             pm = PatternMatrix(xi)
-            state = sigma
-            cols = [list(xi[:, mu]) for mu in range(xi.shape[1])]
-            if graph.directed:
-                try:
-                    want = naive_energy_directed(
-                        list(sigma), cols, graph.edges, params.a, params.h, params.beta
-                    )
-                except ValueError:
-                    with pytest.raises(EnergyUndefinedError):
-                        energy(state, pm, graph, params)
-                    continue
-            else:
-                want = naive_energy_undirected(
-                    list(sigma), cols, [list(r) for r in normalize(graph).matrix],
-                    params.a, params.h, params.beta,
-                )
-            assert energy(state, pm, graph, params) == pytest.approx(want, abs=1e-10)
+            try:
+                want = naive_energy(sigma, pm, graph, params)
+            except ValueError:
+                # an undefined energy at t=0 is the first bad readout of the run
+                with pytest.raises(EnergyUndefinedError):
+                    run(sigma, pm, normalize(graph), params, max_steps=1, energy_graph=graph)
+                continue
+            assert energy_of(sigma, pm, graph, params) == pytest.approx(want, abs=1e-10)
 
     def test_empty_edge_set_drops_hetero_term(self):
         rng = np.random.default_rng(15)
         pm = PatternMatrix(rng.uniform(0, 1, (10, 3)))
         state = rng.normal(0, 1, 10)
         lonely = MemoryGraph(3, (), directed=False)
-        with_h = energy(state, pm, lonely, ModelParams(a=1.0, h=5.0))
-        without_h = energy(state, pm, lonely, ModelParams(a=1.0, h=0.0))
+        with_h = energy_of(state, pm, lonely, ModelParams(a=1.0, h=5.0))
+        without_h = energy_of(state, pm, lonely, ModelParams(a=1.0, h=0.0))
         assert with_h == pytest.approx(without_h)
 
     def test_run_computes_each_states_overlaps_once(self, monkeypatch):
@@ -679,12 +708,13 @@ class TestEnergy:
         assert shapes == [(40, D.READOUT_BLOCK), (40, D.READOUT_BLOCK), (40, 8)]
         assert 2 * D.READOUT_BLOCK + 8 == trace.steps + 1
         assert trace.energies[-1] == pytest.approx(
-            energy(trace.final_state, pm, graph, ModelParams()), rel=1e-13, abs=0)
+            energy_of(trace.final_state, pm, graph, ModelParams()), rel=1e-13, abs=0)
 
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))
-        with pytest.raises(ContractError):
-            energy(np.zeros(10), pm, build_cycle(4), ModelParams())
+        with pytest.raises(ContractError, match="p=4"):
+            run(np.arange(10.0), pm, normalize(build_cycle(3)), ModelParams(),
+                energy_graph=build_cycle(4))
 
 
 class TestInitState:
@@ -767,7 +797,7 @@ class TestTheoryProperties:
         m = normalize(build_cycle(10, directed=True))
         params = ModelParams(a=0.0, h=1.0, beta=50.0, eta=1.0)
         for mu in (0, 4, 9):
-            state = update_step(pm.values[:, mu].copy(), pm, m, params)
+            state = step(pm.values[:, mu].copy(), pm, m, params)
             assert int(np.argmax(pearson_all(state, pm))) == (mu + 1) % 10
 
     def test_no_pure_retrieval_with_mixed_hebbian(self):
@@ -791,15 +821,12 @@ class TestTheoryProperties:
         g = MemoryGraph(12, tuple(edges), directed=False)
         m = normalize(g)
         params = ModelParams(a=0.0, h=1.0)
-        state = init_state(pm, 1, c=1.0, seed=5)
-        reached = np.zeros(12, dtype=bool)
-        leaked = False
-        for _ in range(101):
-            state = update_step(state, pm, m, params)
-            r = pearson_all(state, pm)
-            reached |= np.abs(r) > 0.1
-            # signed bound: the complement must never be positively retrieved
-            # (mean-load centering makes it mildly anti-correlated instead)
-            leaked = leaked or np.any(r[6:] > 0.05)
-        assert reached[:6].all()
-        assert not leaked
+        states = []
+        iterate(init_state(pm, 1, c=1.0, seed=5), pm, m, params, 101,
+                observe=lambda t, s: states.append(s))
+        r = pearson_all(np.column_stack(states), pm)
+        assert r.shape == (12, 101)
+        assert (np.abs(r[:6]) > 0.1).any(axis=1).all()
+        # signed bound: the complement must never be positively retrieved
+        # (mean-load centering makes it mildly anti-correlated instead)
+        assert not (r[6:] > 0.05).any()

@@ -1,11 +1,17 @@
-"""Print two size measures of the package: the line count of `src/` and the
-number of independently settable values in it.
+"""Print three size measures of the package: the line count of `src/`, the
+number of independently settable values in it, and the number of its
+public functions and methods.
 
 Settable values are counted from the syntax tree: every parameter with a
 default value (functions, methods and nested functions), every field of a
 `@dataclass` class, every `add_argument` call in `cli.py`, and every read
 of an environment variable (`os.environ.get(...)`, `os.getenv(...)` or
 `os.environ[...]`).
+
+Public functions are the module-level functions and the methods of
+module-level classes whose names do not start with an underscore;
+properties, static and class methods are not counted.  These are the
+callables that perfbench/tracing.py wraps, one span name each.
 
 Run from the root of a checkout: python3 tools/surface.py
 """
@@ -56,18 +62,43 @@ def settable_counts(tree: ast.AST, is_cli: bool) -> tuple[int, int, int, int]:
     return defaults, fields, arguments, env_reads
 
 
+_NOT_FUNCTIONS = {"property", "cached_property", "staticmethod", "classmethod"}
+
+
+def _decorator_names(node: ast.FunctionDef) -> set[str]:
+    return {getattr(d, "attr", getattr(d, "id", None)) for d in node.decorator_list}
+
+
+def public_callables(tree: ast.Module) -> tuple[int, int]:
+    """(public module-level functions, public methods of public classes) of
+    one module."""
+    functions = methods = 0
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            functions += 1
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods += sum(isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                           and not _decorator_names(stmt) & _NOT_FUNCTIONS for stmt in node.body)
+    return functions, methods
+
+
 def main() -> int:
     lines = 0
     totals = [0, 0, 0, 0]
+    callables = [0, 0]
     for path in sorted(Path("src").rglob("*.py")):
         text = path.read_text()
         lines += len(text.splitlines())
-        counts = settable_counts(ast.parse(text), path.name == "cli.py")
+        tree = ast.parse(text)
+        counts = settable_counts(tree, path.name == "cli.py")
         totals = [t + c for t, c in zip(totals, counts)]
+        callables = [t + c for t, c in zip(callables, public_callables(tree))]
     print(f"src lines: {lines}")
     print(f"settable values: {sum(totals)} "
           f"(defaulted parameters {totals[0]}, dataclass fields {totals[1]}, "
           f"add_argument calls {totals[2]}, environment reads {totals[3]})")
+    print(f"public functions: {sum(callables)} "
+          f"(module functions {callables[0]}, methods {callables[1]})")
     return 0
 
 
