@@ -15,18 +15,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import experiments, reports
+from . import dynamics, experiments, reports
 from .automata import family_tree, load_spec_file
 from .dynamics import ModelParams, PatternMatrix, init_state, run
 from .errors import CdamError, NumericDivergenceError
-from .graphs import (
-    build_barbell,
-    build_cycle,
-    build_named,
-    build_random_regular,
-    normalize,
-    read_graph,
-)
+from .graphs import build_barbell, build_cycle, build_named, build_random_regular, read_graph
 from .ingest import ingest_frames, load_idx, random_patterns
 
 EXPERIMENT_NAMES = (
@@ -91,14 +84,14 @@ def parse_pattern_spec(spec: str, p: int, seed: int):
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--a", type=float, default=1.0)
-    parser.add_argument("--h", type=float, default=0.0)
-    parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--eta", type=float, default=0.1)
-    parser.add_argument("--steps", type=int, default=101)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--a", type=float, default=ModelParams.a)
+    parser.add_argument("--h", type=float, default=ModelParams.h)
+    parser.add_argument("--beta", type=float, default=ModelParams.beta)
+    parser.add_argument("--eta", type=float, default=ModelParams.eta)
+    parser.add_argument("--steps", type=int, default=dynamics.DEFAULT_STEPS)
+    parser.add_argument("--tol", type=float, default=dynamics.FIXED_POINT_TOL)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--noise-c", type=float, default=1.0)
+    parser.add_argument("--noise-c", type=float, default=dynamics.DEFAULT_NOISE)
 
 
 def build_parser():
@@ -137,29 +130,17 @@ def build_parser():
 def cmd_simulate(args) -> int:
     graph = parse_graph_spec(args.graph)
     patterns = parse_pattern_spec(args.patterns, graph.p, args.seed)
-    if not 0 <= args.trigger < patterns.p:
-        raise UsageError(f"trigger {args.trigger} outside [0, {patterns.p})")
     params = ModelParams(a=args.a, h=args.h, beta=args.beta, eta=args.eta)
     state = init_state(patterns, args.trigger, c=args.noise_c, seed=args.seed)
-    coupling = normalize(graph)
-    trace = run(state, patterns, coupling, params, max_steps=args.steps,
-                fixed_point_tol=args.tol, energy_graph=graph if args.energy else None)
+    trace = run(state, patterns, graph, params, max_steps=args.steps,
+                fixed_point_tol=args.tol, with_energy=args.energy)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports.trace_to_csv(trace, out / "trace.csv")
-    reports.write_manifest(
-        {
-            "command": "simulate",
-            "a": args.a, "h": args.h, "beta": args.beta, "eta": args.eta,
-            "steps": args.steps, "tol": args.tol, "seed": args.seed,
-            "noise_c": args.noise_c, "trigger": args.trigger,
-            "graph": args.graph, "patterns": args.patterns,
-            "graph_fingerprint": graph.fingerprint(),
-            "termination": trace.termination,
-            "steps_executed": trace.steps,
-        },
-        out / "manifest.json",
-    )
+    manifest = {k: v for k, v in vars(args).items() if k not in ("out", "energy")}
+    manifest.update(graph_fingerprint=graph.fingerprint(), termination=trace.termination,
+                    steps_executed=trace.steps)
+    reports.write_manifest(manifest, out / "manifest.json")
     print(f"wrote {out / 'trace.csv'} ({trace.steps} steps, {trace.termination})")
     return EXIT_OK
 

@@ -50,16 +50,16 @@ seeds 44 and 52 (from steps 1254 and 1136), and the pattern-basis schedule
 parts from the state-space one at seed 52 only, from step 1158, with the
 same metrics (tools/sequence_basis.py).
 
-The readout block.  run() copies each recorded state into a buffer of
-READOUT_BLOCK rows and reads a full buffer, and the last partial one,
-together: pearson_all and energy of the stack, the overlaps as one
-Xi^T S / n product, and the mean and SD of every column.  The states are
-iterate's, bit for bit, and the mean and SD take the same reductions as
-per state, so they are bitwise too; r and the energy of a block round
-unlike those of one state, by at most 2.6e-15 in r and 9.1e-16 relative
-in the energy over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad
-readout is still named by its own step, though the run may take up to
-READOUT_BLOCK - 1 more steps before it raises.
+The readout block.  run() keeps the states iterate hands its observer,
+which iterate never writes again, and reads READOUT_BLOCK of them, and the
+last partial block, together: pearson_all and energy of the stack, the
+overlaps as one Xi^T S / n product, and the mean and SD of every column.
+The states are iterate's, bit for bit, and the mean and SD take the same
+reductions as per state, so they are bitwise too; r and the energy of a
+block round unlike those of one state, by at most 2.6e-15 in r and 9.1e-16
+relative in the energy over the 36 bench simulate runs at seeds 0, 5 and 7.
+A bad readout is still named by its own step, though the run may take up
+to READOUT_BLOCK - 1 more steps before it raises.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ from .errors import (
 )
 from .graphs import MemoryGraph, NormalizedAdjacency, normalize
 
+# The stock run: steps, the noise amplitude of init_state, and the
+# infinity-norm change below which a run has reached a fixed point.
+DEFAULT_STEPS = 101
+DEFAULT_NOISE = 1.0
+FIXED_POINT_TOL = 1e-9
 # States whose readouts run() computes together: one product with the
 # patterns per block instead of one per state.
 READOUT_BLOCK = 64
@@ -168,7 +173,7 @@ class SimulationTrace:
     correlations: np.ndarray  # (steps+1, p) pearson r per pattern
     mean_activity: np.ndarray  # (steps+1,)
     sd_activity: np.ndarray  # (steps+1,)
-    energies: np.ndarray | None  # (steps+1,) when an energy graph was given
+    energies: np.ndarray | None  # (steps+1,) when the run recorded energies
     final_state: np.ndarray
     termination: str  # "max-steps" | "fixed-point"
 
@@ -266,10 +271,12 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     mean(sigma)) in the pattern basis, through the logit operator built once
     for the call.
 
-    observe(t, sigma) sees the state after each step t = 1, 2, ...  With a
-    tolerance, stops after the first step whose max |change| is below it.  A
-    non-finite state raises NumericDivergenceError naming its step.  Returns
-    (final state, steps taken, "max-steps" or "fixed-point").
+    observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
+    a new array that iterate never writes again, so an observer may keep it
+    without a copy.  With a tolerance, stops after the first step whose max
+    |change| is below it.  A non-finite state raises NumericDivergenceError
+    naming its step.  Returns (final state, steps taken, "max-steps" or
+    "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
     _check_dims(sig, patterns, m, logits=logits)
@@ -287,16 +294,17 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     return sig, steps, "max-steps"
 
 
-def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
-        params: ModelParams, max_steps: int = 101, fixed_point_tol: float = 1e-9,
-        energy_graph: MemoryGraph | None = None) -> SimulationTrace:
-    """Iterate until max_steps or an infinity-norm fixed point, recording
-    every state's readouts.
+def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
+        params: ModelParams, max_steps: int = DEFAULT_STEPS,
+        fixed_point_tol: float = FIXED_POINT_TOL, with_energy: bool = False) -> SimulationTrace:
+    """Iterate on the normalized coupling of `graph` until max_steps or an
+    infinity-norm fixed point, recording every state's readouts, with its
+    energy over the same graph when with_energy is set.
 
     The trace includes the t=0 record, so it has steps+1 rows.  The loop is
     iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
-    computed READOUT_BLOCK states at a time from a copy of each state (see
-    the module docstring).  A non-finite state or readout aborts with
+    computed READOUT_BLOCK of iterate's own states at a time (see the module
+    docstring).  A non-finite state or readout aborts with
     NumericDivergenceError naming the offending step, though the run may
     take up to READOUT_BLOCK - 1 more steps before it raises, and a state
     that diverges in those steps does not hide it.
@@ -308,26 +316,25 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.ndim != 1:
         raise ContractError(f"state must be a vector, got shape {sigma0.shape}")
+    m = normalize(graph)
     _check_dims(sigma0, patterns, m, logits=False)
-    terms = None if energy_graph is None else _energy_terms(energy_graph, patterns.p)
+    terms = _energy_terms(graph, m) if with_energy else None
 
-    block = np.empty((READOUT_BLOCK, patterns.n))  # row j: the state at step t0 + j
-    filled = 0
-    corr, means, sds, energies = [], [], [], []
+    pending = [sigma0]  # states not yet read, from step READOUT_BLOCK * len(blocks)
+    blocks = []  # (r, mean, sd, energy) of each block read
 
     def flush() -> None:
-        """Readouts of the buffered states; the first state with a bad
+        """Readouts of the pending states; the first state with a bad
         readout ends the run, as the per-state order would."""
-        nonlocal filled
-        k, filled = filled, 0
-        if not k:
+        if not pending:
             return
-        t0 = READOUT_BLOCK * len(means)  # every block but the last is full
-        states = block[:k].T
+        t0 = READOUT_BLOCK * len(blocks)  # every block but the last is full
+        states = np.array(pending).T
+        pending.clear()
         r = pearson_all(states, patterns)
         with np.errstate(all="ignore"):
             mean, sd = states.mean(axis=0), states.std(axis=0)
-            e, arg = ((np.zeros(k), np.ones(k)) if terms is None
+            e, arg = ((np.zeros_like(mean), np.ones_like(mean)) if terms is None
                       else energy(overlaps_all(states, patterns), terms, params))
         bad = ~np.isfinite(np.vstack([r, mean, sd, e])).all(axis=0) | (arg <= 0.0)
         if bad.any():
@@ -335,36 +342,24 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             if arg[j] <= 0.0:
                 raise EnergyUndefinedError(f"energy log argument {arg[j]} <= 0")
             raise NumericDivergenceError(t0 + j, "readout")
-        corr.append(r.T)
-        means.append(mean)
-        sds.append(sd)
-        energies.append(e)
+        blocks.append((r.T, mean, sd, e))
 
     def record(t: int, sigma: np.ndarray) -> None:
-        nonlocal filled
-        block[filled] = sigma
-        filled += 1
-        if filled == READOUT_BLOCK:
+        pending.append(sigma)
+        if len(pending) == READOUT_BLOCK:
             flush()
 
-    record(0, sigma0)
     try:
         sigma, _, termination = iterate(
             sigma0, patterns, m, params, max_steps, fixed_point_tol, observe=record
         )
     finally:
         # the last, partial block; after a state divergence, a bad readout
-        # buffered before it still wins
+        # pending before it still wins
         flush()
 
-    return SimulationTrace(
-        correlations=np.concatenate(corr),
-        mean_activity=np.concatenate(means),
-        sd_activity=np.concatenate(sds),
-        energies=np.concatenate(energies) if energy_graph is not None else None,
-        final_state=sigma,
-        termination=termination,
-    )
+    corr, means, sds, energies = (np.concatenate(column) for column in zip(*blocks))
+    return SimulationTrace(corr, means, sds, energies if with_energy else None, sigma, termination)
 
 
 def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
@@ -383,20 +378,17 @@ def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     return r.reshape(-1, *states.shape[1:])
 
 
-def _energy_terms(graph: MemoryGraph, p: int) -> tuple:
+def _energy_terms(graph: MemoryGraph, m: NormalizedAdjacency) -> tuple:
     """What the energy reads of a graph, gathered once per run: whether it
     is directed, whether it has edges, and the (rows, cols, weights) of the
-    hetero sum, which are the nonzero entries of the normalized coupling of
-    an undirected graph and the edges of a directed one."""
-    if graph.p != p:
-        raise ContractError(f"graph has p={graph.p}, patterns hold p={p}")
+    hetero sum, which are the nonzero entries of m, the graph's normalized
+    coupling, for an undirected graph and the raw edges of a directed one."""
     if graph.directed:
         edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
         rows, cols, weights = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
     else:
-        coupling = normalize(graph).matrix
-        rows, cols = np.nonzero(coupling)
-        weights = coupling[rows, cols]
+        rows, cols = np.nonzero(m.matrix)
+        weights = m.matrix[rows, cols]
     return graph.directed, bool(graph.edges), rows, cols, weights
 
 
@@ -425,7 +417,8 @@ def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray
     return total - (params.h / b) * np.log(hetero), hetero
 
 
-def init_state(patterns: PatternMatrix, trigger, c: float = 1.0, seed: int = 0) -> np.ndarray:
+def init_state(patterns: PatternMatrix, trigger, c: float = DEFAULT_NOISE,
+               seed: int = 0) -> np.ndarray:
     """sigma(0) = xi^trigger + c*zeta with zeta uniform on [-0.5, 0.5].
 
     `trigger` is one pattern index, giving an (n,) state, or an array of k

@@ -28,6 +28,9 @@ import numpy as np
 from . import reports
 from .automata import AutomatonSpec
 from .dynamics import (
+    DEFAULT_NOISE,
+    DEFAULT_STEPS,
+    FIXED_POINT_TOL,
     ModelParams,
     PatternMatrix,
     _center_columns,
@@ -72,8 +75,6 @@ MIYASHITA_MEANS = (1.0, 0.33810, 0.19700, 0.11940, 0.08806, 0.07015, 0.06493)
 MIYASHITA_SEMS = (0.0, 0.03731, 0.03582, 0.02985, 0.02388, 0.02015, 0.02239)
 
 DEFAULT_N = 1000
-DEFAULT_STEPS = 101
-DEFAULT_NOISE = 1.0
 EFFECTIVE_RANGE_THRESHOLD = 0.1
 HOP_RANGE_MAX_HOP = 10
 
@@ -449,7 +450,7 @@ class AutomatonRunner:
         """Run to a fixed point and read the argmax-Pearson vertex; a settled
         state too large to read raises NumericDivergenceError."""
         sigma, steps, _ = iterate(sigma, self.patterns, self.coupling, AUTOMATON_PARAMS,
-                                  DEFAULT_STEPS, tol=1e-9)
+                                  DEFAULT_STEPS, tol=FIXED_POINT_TOL)
         r = _readout(sigma, self.patterns, steps)
         top = int(np.argmax(r))
         return self.names[top], float(r[top])

@@ -2,7 +2,7 @@
 
 CSV layout for a trace: one row per step with columns
 t, mean_activity, sd_activity, energy, r_0..r_{p-1}; the energy column is
-left empty when no energy graph was configured.  Grayscale heatmaps map
+left empty when the run recorded no energy.  Grayscale heatmaps map
 correlation values linearly from [-1, 1] onto [0, 255].
 """
 

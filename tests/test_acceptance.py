@@ -18,11 +18,18 @@ numbers):
 * c4 Miyashita fit (test_c4_miyashita): the mean R^2 of the hop 0..6
   profile against the recorded table plateaus near 0.92, short of 0.98.
 * c9 ordering (test_c9_soft_beats_balanced): at p=100 the soft setting
-  (0.1, 0.9) does not beat the balanced (0.5, 0.5) retrieval accuracy.
+  (0.1, 0.9) scores 0.450 and the balanced (0.5, 0.5) 0.550, and every
+  wrong argmax of either lies 1 or 2 hops from its trigger on the
+  nearest-neighbour scaffold (205 and 70 errors for soft, 210 and 15 for
+  balanced; test_c9_errors_are_scaffold_neighbours): c9 measures how
+  strongly h pulls toward the near-duplicate twin the surrogate bank
+  builds in.  The paper's ordering was measured on real images, which
+  this repository does not hold.
 """
 
 import struct
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +53,7 @@ from cdam.graphs import (
     NormalizedAdjacency,
     build_cycle,
     build_named,
+    build_nn_scaffold,
     build_random_regular,
     hop_distances,
     normalize,
@@ -111,14 +119,15 @@ def test_c1_oracle_equivalence():
                 )
             except ValueError:
                 with pytest.raises(EnergyUndefinedError):
-                    run(sigma, pm, coupling, params, max_steps=1, energy_graph=graph)
+                    run(sigma, pm, graph, params, max_steps=1, with_energy=True)
                 continue
         else:
             want_e = naive_energy_undirected(
                 list(sigma), cols, [list(r) for r in coupling.matrix],
                 params.a, params.h, params.beta,
             )
-        got_e = energy(overlaps_all(sigma, pm)[:, None], _energy_terms(graph, pm.p), params)[0][0]
+        got_e = energy(overlaps_all(sigma, pm)[:, None], _energy_terms(graph, coupling),
+                       params)[0][0]
         worst_energy = max(worst_energy, abs(got_e - want_e))
     elapsed = time.time() - t0
     ok = worst_update < 1e-10 and worst_energy < 1e-10 and elapsed < 1.0
@@ -413,9 +422,11 @@ def test_c9_catastrophic_drop(sweep_accuracy):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="at p=100 both mixed settings sit on the pair-coin plateau "
-    "(0.45 vs 0.55); the soft-auto advantage the ordering expects does not "
-    "materialize under a hard softmax at these scales",
+    reason="at p=100 soft (0.1, 0.9) scores 0.450 and balanced (0.5, 0.5) 0.550, and "
+    "every wrong argmax lies 1 or 2 hops from its trigger on the nearest-neighbour "
+    "scaffold (205 and 70 errors for soft, 210 and 15 for balanced): c9 measures how "
+    "strongly h pulls toward the near-duplicate twin the surrogate bank builds in; the "
+    "paper's ordering was measured on real images, which this repository does not hold",
 )
 def test_c9_soft_beats_balanced(sweep_accuracy):
     """accuracy(a=0.1, h=0.9) > accuracy(a=0.5, h=0.5) at p = 100."""
@@ -424,6 +435,31 @@ def test_c9_soft_beats_balanced(sweep_accuracy):
     report("criterion 9 soft-vs-balanced ordering", soft > balanced,
            f"acc(0.1,0.9)={soft:.3f} vs acc(0.5,0.5)={balanced:.3f} at p=100")
     assert soft > balanced
+
+
+def test_c9_errors_are_scaffold_neighbours(sweep_accuracy):
+    """At p = 100, with the sweep's own bank, trials, seed and logit runs,
+    every wrong argmax of the two mixed settings lies 1 or 2 hops from its
+    trigger on the nearest-neighbour scaffold."""
+    p, trials, seed = 100, 5, 3
+    xi = X.surrogate_image_bank(seed=77)[:, :p].copy()
+    patterns, graph = PatternMatrix(xi), build_nn_scaffold(xi)
+    coupling, hops = normalize(graph), hop_distances(graph)
+    targets = np.repeat(np.arange(p), trials)
+    logits0 = xi.T @ init_state(patterns, targets, X.DEFAULT_NOISE, seed)
+    found = {}
+    for a, h in ((0.1, 0.9), (0.5, 0.5)):
+        final = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h), X.DEFAULT_STEPS,
+                        logits=True)[0]
+        predicted = np.argmax(final, axis=0)
+        wrong = predicted != targets
+        accuracy = float(np.mean(~wrong))
+        assert accuracy == sweep_accuracy[f"a{a:+g}_h{h:+g}"][p]
+        by_hop = dict(sorted(Counter(hops[targets[wrong], predicted[wrong]].tolist()).items()))
+        found[(a, h)] = (accuracy, by_hop)
+        report("criterion 9 errors by hop", set(by_hop) <= {1, 2},
+               f"({a}, {h}): accuracy {accuracy:.3f}, errors by hop {by_hop}")
+    assert found == {(0.1, 0.9): (0.45, {1: 205, 2: 70}), (0.5, 0.5): (0.55, {1: 210, 2: 15})}
 
 
 def test_c10_pure_hetero_one_step():

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from cdam.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, parse_graph_spec
-from cdam.ingest import write_pnm
+from cdam.dynamics import ModelParams, init_state
+from cdam.graphs import build_cycle, normalize
+from cdam.ingest import random_patterns, write_pnm
+from oracles import naive_energy_directed, step_by_hand
 
 
 class TestGraphSpecs:
@@ -140,6 +143,24 @@ class TestSimulate:
               "--steps", "5", "--energy", "--out", str(out)])
         row = (out / "trace.csv").read_text().splitlines()[1].split(",")
         assert row[3] != ""
+
+    def test_directed_energy_column_matches_the_oracle(self, tmp_path):
+        # a directed graph's energy is one log over its raw edges (naive_energy_directed)
+        out = tmp_path / "e"
+        assert main(["simulate", "--graph", "dicycle:6", "--patterns", "random:200",
+                     "--a", "0.5", "--h", "0.5", "--energy", "--steps", "5",
+                     "--out", str(out)]) == EXIT_OK
+        graph, patterns = build_cycle(6, directed=True), random_patterns(200, 6, 0)
+        params = ModelParams(a=0.5, h=0.5)
+        states = step_by_hand(init_state(patterns, 0, seed=0), patterns, normalize(graph),
+                              params, 5)
+        cols = [list(patterns.values[:, mu]) for mu in range(patterns.p)]
+        want = [naive_energy_directed(list(s), cols, graph.edges, params.a, params.h, params.beta)
+                for s in states]
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        got = [float(row.split(",")[3]) for row in rows]
+        assert len(got) == len(want) == 6
+        assert np.max(np.abs(np.array(got) - want)) < 1e-10
 
     def test_writes_only_inside_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -45,7 +45,7 @@ def step(sigma, patterns, m, params):
 def energy_of(state, pm, graph, params):
     """The energy of one state: the package's block energy on one column."""
     e, _ = dynamics.energy(overlaps_all(state, pm)[:, None],
-                           dynamics._energy_terms(graph, pm.p), params)
+                           dynamics._energy_terms(graph, normalize(graph)), params)
     return float(e[0])
 
 
@@ -236,7 +236,7 @@ class TestRun:
     def test_exact_step_count_with_zero_tol(self):
         rng = np.random.default_rng(5)
         pm = PatternMatrix(rng.uniform(0, 1, (30, 4)))
-        trace = run(init_state(pm, 0, seed=1), pm, normalize(build_cycle(4)),
+        trace = run(init_state(pm, 0, seed=1), pm, build_cycle(4),
                     ModelParams(), max_steps=101, fixed_point_tol=0.0)
         assert trace.steps == 101
         assert trace.correlations.shape[0] == 102
@@ -245,7 +245,7 @@ class TestRun:
     def test_tiny_eta_hits_fixed_point_immediately(self):
         rng = np.random.default_rng(6)
         pm = PatternMatrix(rng.uniform(0, 1, (30, 4)))
-        trace = run(init_state(pm, 0, seed=1), pm, normalize(build_cycle(4)),
+        trace = run(init_state(pm, 0, seed=1), pm, build_cycle(4),
                     ModelParams(eta=1e-12), max_steps=50, fixed_point_tol=1e-6)
         assert trace.termination == "fixed-point"
         assert trace.steps == 1
@@ -253,7 +253,7 @@ class TestRun:
     def test_auto_retrieval_wins_argmax(self):
         rng = np.random.default_rng(7)
         pm = PatternMatrix(rng.uniform(0, 1, (1000, 8)))
-        trace = run(init_state(pm, 3, c=1.0, seed=2), pm, normalize(build_cycle(8)),
+        trace = run(init_state(pm, 3, c=1.0, seed=2), pm, build_cycle(8),
                     ModelParams(a=1.0, h=0.0))
         final_r = trace.correlations[-1]
         assert int(np.argmax(final_r)) == 3
@@ -262,16 +262,16 @@ class TestRun:
     def test_divergence_detected(self):
         rng = np.random.default_rng(19)
         pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e160)
-        m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
+        graph = MemoryGraph(2, ((0, 1, 1.0),), directed=False)
         with pytest.raises(NumericDivergenceError):
-            run(rng.uniform(0.5, 1.0, 4) * 1e160, pm, m,
+            run(rng.uniform(0.5, 1.0, 4) * 1e160, pm, graph,
                 ModelParams(a=1e10, h=0.0, eta=1.0), max_steps=10)
 
     def test_max_steps_validation(self):
         pm = PatternMatrix(np.ones((3, 2)) * 0.5)
-        m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
+        graph = MemoryGraph(2, ((0, 1, 1.0),), directed=False)
         with pytest.raises(ContractError):
-            run(np.zeros(3), pm, m, ModelParams(), max_steps=0)
+            run(np.zeros(3), pm, graph, ModelParams(), max_steps=0)
 
 
 def exact_instance():
@@ -393,8 +393,8 @@ class TestIterate:
         coupling = normalize(graph)
         params = ModelParams(a=0.5, h=0.5, eta=eta)
         initial = init_state(pm, 2, seed=4)
-        trace = run(initial, pm, coupling, params, max_steps=200,
-                    fixed_point_tol=tol, energy_graph=graph)
+        trace = run(initial, pm, graph, params, max_steps=200,
+                    fixed_point_tol=tol, with_energy=True)
         states = step_by_hand(initial, pm, coupling, params, 200, tol=tol)
         assert trace.steps == len(states) - 1
         assert trace.termination == ("fixed-point" if trace.steps < 200 else "max-steps")
@@ -419,6 +419,24 @@ class TestIterate:
             assert np.array_equal(s, want)
         assert np.array_equal(sigma, states[-1])
 
+    @pytest.mark.parametrize("kind", ["vector", "stack", "logits"])
+    def test_observed_states_are_never_written_again(self, kind):
+        # run() keeps the states it observes without copying them
+        rng = np.random.default_rng(30)
+        pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
+        coupling, params = normalize(build_cycle(5)), ModelParams(a=0.5, h=0.5, beta=3.0)
+        stack = init_state(pm, np.arange(5), seed=2)
+        sigma0 = {"vector": stack[:, 1], "stack": stack,  # logits: p rows and the mean row
+                  "logits": np.vstack([pm.values.T @ stack, stack.mean(axis=0)])}[kind]
+        logits = kind == "logits"
+        kept, fresh = [sigma0], [sigma0.copy()]
+        iterate(sigma0, pm, coupling, params, 4, logits=logits, observe=lambda t, s: kept.append(s))
+        iterate(sigma0.copy(), pm, coupling, params, 4, logits=logits,
+                observe=lambda t, s: fresh.append(s.copy()))
+        assert len(kept) == len(fresh) == 5
+        for state, want in zip(kept, fresh):
+            assert np.array_equal(state, want)
+
     def test_shapes_validated(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         coupling = normalize(build_cycle(3))
@@ -433,9 +451,9 @@ class TestIterate:
         # the initial state's readouts are finite; the first update overflows
         rng = np.random.default_rng(19)
         pm = PatternMatrix(rng.uniform(0.5, 1.0, (4, 2)) * 1e100)
-        m = normalize(MemoryGraph(2, ((0, 1, 1.0),), directed=False))
+        graph = MemoryGraph(2, ((0, 1, 1.0),), directed=False)
         with pytest.raises(NumericDivergenceError) as exc:
-            run(rng.uniform(0.5, 1.0, 4), pm, m,
+            run(rng.uniform(0.5, 1.0, 4), pm, graph,
                 ModelParams(a=1e300, h=0.0, eta=1.0), max_steps=10)
         assert exc.value.step == 1
         assert "network state" in str(exc.value)
@@ -445,7 +463,7 @@ class TestIterate:
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (50, 3)))
         sigma = np.random.default_rng(1).uniform(-0.5, 0.5, 50) * scale
         with pytest.raises(NumericDivergenceError) as exc:
-            run(sigma, pm, normalize(build_cycle(3)), ModelParams(), energy_graph=energy_graph)
+            run(sigma, pm, build_cycle(3), ModelParams(), with_energy=energy_graph is not None)
         assert exc.value.step == 0
         assert "readout" in str(exc.value)
 
@@ -480,8 +498,8 @@ class TestReadoutBlocks:
         graph = asymmetric_graph() if directed else build_cycle(7)
         coupling, params = normalize(graph), ModelParams(a=0.5, h=0.5)
         initial = init_state(pm, 3, seed=2)
-        trace = run(initial, pm, coupling, params, max_steps=records - 1, fixed_point_tol=0.0,
-                    energy_graph=graph)
+        trace = run(initial, pm, graph, params, max_steps=records - 1, fixed_point_tol=0.0,
+                    with_energy=True)
         states = step_by_hand(initial, pm, coupling, params, records - 1)
         assert trace.steps + 1 == len(states) == records
         assert trace.termination == "max-steps"
@@ -495,8 +513,8 @@ class TestReadoutBlocks:
         graph = asymmetric_graph() if directed else build_cycle(7)
         coupling, params = normalize(graph), ModelParams(a=1.0, h=0.0, eta=0.3)
         initial = init_state(pm, 1, seed=5)
-        trace = run(initial, pm, coupling, params, max_steps=500, fixed_point_tol=1e-9,
-                    energy_graph=graph)
+        trace = run(initial, pm, graph, params, max_steps=500, fixed_point_tol=1e-9,
+                    with_energy=True)
         states = step_by_hand(initial, pm, coupling, params, 500, tol=1e-9)
         assert trace.termination == "fixed-point"
         assert trace.steps + 1 == len(states) and len(states) % K not in (0, 1)
@@ -512,8 +530,8 @@ class TestReadoutBlocks:
         graph = asymmetric_graph() if directed else build_cycle(7)
         coupling, params = normalize(graph), ModelParams(a=0.5, h=0.5)
         initial = init_state(pm, 4, seed=6)
-        trace = run(initial, pm, coupling, params, max_steps=K, fixed_point_tol=0.0,
-                    energy_graph=graph)
+        trace = run(initial, pm, graph, params, max_steps=K, fixed_point_tol=0.0,
+                    with_energy=True)
         assert_readouts_match(trace, step_by_hand(initial, pm, coupling, params, K), pm, graph,
                               params)
 
@@ -522,8 +540,8 @@ class TestReadoutBlocks:
         pm = PatternMatrix(np.random.default_rng(26).uniform(0, 1, (40, 7)))
         graph = asymmetric_graph()
         with pytest.raises(EnergyUndefinedError):
-            run(init_state(pm, 0, seed=1), pm, normalize(graph), ModelParams(a=-2.5, h=1.0),
-                energy_graph=graph)
+            run(init_state(pm, 0, seed=1), pm, graph, ModelParams(a=-2.5, h=1.0),
+                with_energy=True)
 
     @pytest.mark.parametrize("a, eta, with_energy", [
         (1e154, 0.1, False),  # the state norm overflows; the state stays finite
@@ -546,8 +564,8 @@ class TestReadoutBlocks:
         # the later state divergence, if any, falls in the same block
         assert limit == len(states) or t < limit < (t // K + 1) * K
         with pytest.raises(NumericDivergenceError) as exc:
-            run(initial, pm, coupling, params, max_steps=3 * K, fixed_point_tol=0.0,
-                energy_graph=graph if with_energy else None)
+            run(initial, pm, graph, params, max_steps=3 * K, fixed_point_tol=0.0,
+                with_energy=with_energy)
         assert exc.value.step == t
         assert "readout" in str(exc.value)
 
@@ -669,7 +687,7 @@ class TestEnergy:
         g = MemoryGraph(2, ((0, 1, 1.0),), directed=True)
         state = np.random.default_rng(1).normal(0, 1, 10)
         with pytest.raises(EnergyUndefinedError):
-            run(state, pm, normalize(g), ModelParams(a=0.0, h=0.0), max_steps=1, energy_graph=g)
+            run(state, pm, g, ModelParams(a=0.0, h=0.0), max_steps=1, with_energy=True)
 
     def test_matches_oracles(self):
         rng = np.random.default_rng(14)
@@ -681,7 +699,7 @@ class TestEnergy:
             except ValueError:
                 # an undefined energy at t=0 is the first bad readout of the run
                 with pytest.raises(EnergyUndefinedError):
-                    run(sigma, pm, normalize(graph), params, max_steps=1, energy_graph=graph)
+                    run(sigma, pm, graph, params, max_steps=1, with_energy=True)
                 continue
             assert energy_of(sigma, pm, graph, params) == pytest.approx(want, abs=1e-10)
 
@@ -703,8 +721,8 @@ class TestEnergy:
         rng = np.random.default_rng(17)
         pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
         graph = build_cycle(5)
-        trace = run(init_state(pm, 0, seed=1), pm, normalize(graph), ModelParams(),
-                    max_steps=2 * D.READOUT_BLOCK + 7, fixed_point_tol=0.0, energy_graph=graph)
+        trace = run(init_state(pm, 0, seed=1), pm, graph, ModelParams(),
+                    max_steps=2 * D.READOUT_BLOCK + 7, fixed_point_tol=0.0, with_energy=True)
         assert shapes == [(40, D.READOUT_BLOCK), (40, D.READOUT_BLOCK), (40, 8)]
         assert 2 * D.READOUT_BLOCK + 8 == trace.steps + 1
         assert trace.energies[-1] == pytest.approx(
@@ -712,9 +730,8 @@ class TestEnergy:
 
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))
-        with pytest.raises(ContractError, match="p=4"):
-            run(np.arange(10.0), pm, normalize(build_cycle(3)), ModelParams(),
-                energy_graph=build_cycle(4))
+        with pytest.raises(ContractError, match=r"coupling matrix is \(4, 4\)"):
+            run(np.arange(10.0), pm, build_cycle(4), ModelParams(), with_energy=True)
 
 
 class TestInitState:
@@ -805,8 +822,7 @@ class TestTheoryProperties:
         rng = np.random.default_rng(17)
         pm = PatternMatrix(rng.uniform(0, 1, (1000, 30)))
         g = build_cycle(30)
-        m = normalize(g)
-        trace = run(init_state(pm, 7, c=1.0, seed=3), pm, m, ModelParams(a=0.5, h=0.5))
+        trace = run(init_state(pm, 7, c=1.0, seed=3), pm, g, ModelParams(a=0.5, h=0.5))
         final_r = trace.correlations[-1]
         assert int(np.argmax(final_r)) == 7
         assert max(final_r[u] for u in np.flatnonzero(hop_distances(g)[7] == 1)) > 0.2
