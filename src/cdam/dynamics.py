@@ -19,6 +19,10 @@ on a multiple of the mean pattern.
 A state is a float array: one vector of shape (n,), or an (n, B) stack of
 B states that iterate steps together.
 
+A step allocates p x B arrays and two n x B ones, the outer product of the
+mean-load correction and the projection Xi @ mixed, which that correction
+and the Euler step turn in place into the new state iterate hands out.
+
 Every update moves the state by a blend of stored patterns, so the same
 loop can run in the basis of the patterns instead: the logits L = Xi^T sigma
 follow L <- L + eta*(W @ softmax(beta*L) - L), where for fixed (a, h)
@@ -230,7 +234,9 @@ def retrieval_vector(
         mixed += params.h * (m.matrix.T @ s)
     # Xi @ (centered mixing) == Xi @ mixed - mean_load (outer) column sums of
     # mixed, cheaper than materializing the centered matrix.
-    return xi @ mixed - np.multiply.outer(patterns.mean_load, mixed.sum(axis=0))
+    retrieval = xi @ mixed
+    retrieval -= np.multiply.outer(patterns.mean_load, mixed.sum(axis=0))
+    return retrieval
 
 
 def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
@@ -254,11 +260,15 @@ def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
 
 def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
                 params: ModelParams, operator: np.ndarray | None) -> np.ndarray:
-    """iterate's step sigma + eta*(retrieval - sigma), on states or, given the
-    logit operator, logits; an overflow leaves a non-finite result."""
+    """iterate's step sigma + eta*(retrieval - sigma), in place on the fresh
+    retrieval of states or, given the logit operator, logits; an overflow
+    leaves a non-finite result."""
     with np.errstate(all="ignore"):
-        target = retrieval_vector(sigma, patterns, m, params, operator=operator)
-        return sigma + params.eta * (target - sigma)
+        new = retrieval_vector(sigma, patterns, m, params, operator=operator)
+        new -= sigma
+        new *= params.eta
+        new += sigma
+        return new
 
 
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
@@ -273,10 +283,10 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
     a new array that iterate never writes again, so an observer may keep it
-    without a copy.  With a tolerance, stops after the first step whose max
-    |change| is below it.  A non-finite state raises NumericDivergenceError
-    naming its step.  Returns (final state, steps taken, "max-steps" or
-    "fixed-point").
+    without a copy.  With a tolerance > 0 (one <= 0 is never met, so never
+    checked), stops after the first step whose max |change| is below it.
+    A non-finite state raises NumericDivergenceError naming its step.
+    Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
     _check_dims(sig, patterns, m, logits=logits)
@@ -285,7 +295,7 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
         new = update_step(sig, patterns, m, params, operator)
         if not np.isfinite(new).all():
             raise NumericDivergenceError(t, "network state")
-        converged = tol is not None and float(np.max(np.abs(new - sig))) < tol
+        converged = tol is not None and tol > 0 and np.abs(d := new - sig, out=d).max() < tol
         sig = new
         if observe is not None:
             observe(t, sig)

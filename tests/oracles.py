@@ -134,19 +134,33 @@ def naive_anova_f(groups):
 # statistics, and a run stepped one update at a time.
 
 
-def step_by_hand(sigma, patterns, coupling, params, steps, tol=None):
-    """Every state of a run of updates s + eta*(retrieval_vector(s) - s),
-    stopping after the first step whose max |change| is below tol.  Unlike
-    iterate, it steps on past a non-finite state."""
+def retrieval_by_formula(sigma, patterns, coupling, params):
+    """The retrieval (a*Xc + h*Xc*M^T) softmax(beta*Xi^T sigma) as one
+    out-of-place expression, Xi @ mixed - mean_load (outer) column sums of
+    mixed, for a state vector or an (n, B) stack."""
     import numpy as np
 
-    from cdam.dynamics import retrieval_vector
+    from cdam.dynamics import softmax_beta
+
+    xi = patterns.values
+    s = softmax_beta(xi.T @ sigma, params.beta)
+    mixed = params.a * s
+    if params.h != 0:
+        mixed = mixed + params.h * (coupling.matrix.T @ s)
+    return xi @ mixed - np.multiply.outer(patterns.mean_load, mixed.sum(axis=0))
+
+
+def step_by_hand(sigma, patterns, coupling, params, steps, tol=None):
+    """Every state of a run of updates s + eta*(retrieval_by_formula(s) - s),
+    each a new array, stopping after the first step whose max |change| is
+    below tol.  Unlike iterate, it steps on past a non-finite state."""
+    import numpy as np
 
     states = [sigma]
     for _ in range(steps):
         s = states[-1]
         with np.errstate(all="ignore"):
-            new = s + params.eta * (retrieval_vector(s, patterns, coupling, params) - s)
+            new = s + params.eta * (retrieval_by_formula(s, patterns, coupling, params) - s)
         done = tol is not None and np.max(np.abs(new - s)) < tol
         states.append(new)
         if done:

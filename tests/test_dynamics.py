@@ -31,6 +31,7 @@ from oracles import (
     naive_energy_undirected,
     naive_pearson,
     naive_update,
+    retrieval_by_formula,
     step_by_hand,
     uncached_pearson_all,
     uncached_pearson_matrix,
@@ -186,13 +187,43 @@ class TestUpdateStep:
             )
             assert np.max(np.abs(got - np.array(want))) < 1e-10
 
+    @pytest.mark.parametrize("h", [0.0, 0.7])
+    def test_retrieval_is_bitwise_the_formula(self, h):
+        # the in-place mean-load correction gives the out-of-place floats
+        rng = np.random.default_rng(31)
+        pm = PatternMatrix(rng.uniform(0, 1, (50, 7)))
+        coupling = asymmetric_coupling()
+        params = ModelParams(a=-0.4, h=h, beta=2.5)
+        for sigma in (rng.normal(0, 1, 50), rng.normal(0, 1, (50, 4))):
+            got = retrieval_vector(sigma, pm, coupling, params)
+            assert got.shape == sigma.shape
+            assert np.array_equal(got, retrieval_by_formula(sigma, pm, coupling, params))
+
     def test_input_state_unmodified(self):
+        # sigma0 is never written, returned or observed (nor any memory of
+        # it): a vector, a stack, logits with the mean row, and a vector run
+        # to a tolerance, also through run
         rng = np.random.default_rng(1)
-        xi = rng.uniform(0, 1, (10, 3))
-        state = rng.normal(0, 1, 10)
-        before = state.copy()
-        step(state, PatternMatrix(xi), normalize(build_cycle(3)), ModelParams())
-        assert np.array_equal(state, before)
+        pm = PatternMatrix(rng.uniform(0, 1, (10, 3)))
+        coupling = normalize(build_cycle(3))
+        params = ModelParams(a=0.5, h=0.5)
+        vector = rng.normal(0, 1, 10)
+        logits = np.append(pm.values.T @ vector, vector.mean())
+        for sigma0, tol, is_logits in ((vector, None, False), (rng.normal(0, 1, (10, 4)), None, False),
+                                       (logits, None, True), (vector, 1e-3, False)):
+            before = sigma0.copy()
+            seen = []
+            final, steps, termination = iterate(sigma0, pm, coupling, params, 200, tol=tol,
+                                                observe=lambda t, s: seen.append(s),
+                                                logits=is_logits)
+            assert np.array_equal(sigma0, before)
+            assert (termination == "fixed-point") == (tol is not None) and len(seen) == steps
+            assert final is seen[-1]
+            assert not any(np.shares_memory(s, sigma0) for s in seen)
+        trace = run(vector, pm, build_cycle(3), params, max_steps=200, fixed_point_tol=1e-3)
+        assert np.array_equal(vector, before)
+        assert not np.shares_memory(trace.final_state, vector)
+        assert np.array_equal(trace.final_state, final)
 
     def test_zero_drive_decays_to_zero(self):
         # a = h = 0 leaves only the leak, so the state contracts to zero
@@ -352,6 +383,18 @@ class TestLogitBasis:
         assert np.max(np.abs(np.array(rows) - np.array(means))) < 1e-10
         assert np.ptp(np.array(means)) > 0.1  # the mean moves, so the row is tested
 
+    def test_logit_step_is_the_out_of_place_step(self):
+        coupling = asymmetric_coupling()
+        rng = np.random.default_rng(27)
+        pm = PatternMatrix(rng.uniform(0, 1, (40, 7)))
+        sig0 = rng.uniform(0, 1, (40, 3))
+        params = ModelParams(a=-0.5, h=1.0, beta=2.0, eta=0.3)
+        operator = _logit_operator(pm, coupling, params)
+        for logits in (pm.values.T @ sig0, np.vstack([pm.values.T @ sig0, sig0.mean(axis=0)])):
+            retrieval = operator[:len(logits)] @ softmax_beta(logits[:pm.p], params.beta)
+            want = logits + params.eta * (retrieval - logits)
+            assert np.array_equal(iterate(logits, pm, coupling, params, 1, logits=True)[0], want)
+
     def test_logit_shapes_validated(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         coupling = normalize(build_cycle(3))
@@ -403,6 +446,17 @@ class TestIterate:
         # the readouts run a block of states through one product, which rounds
         # unlike a product per state
         assert_readouts_match(trace, states, pm, graph, params)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_tolerance_never_met_is_no_tolerance(self, tol):
+        rng = np.random.default_rng(24)
+        pm = PatternMatrix(rng.uniform(0, 1, (30, 4)))
+        coupling = normalize(build_cycle(4))
+        sig0 = rng.uniform(0, 1, (30, 3))
+        want, _, _ = iterate(sig0, pm, coupling, ModelParams(eta=1.0), 60)
+        got, steps, termination = iterate(sig0, pm, coupling, ModelParams(eta=1.0), 60, tol=tol)
+        assert (steps, termination) == (60, "max-steps")
+        assert np.array_equal(got, want)
 
     def test_observer_sees_every_step(self):
         rng = np.random.default_rng(22)
