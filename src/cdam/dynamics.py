@@ -75,12 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    EnergyUndefinedError,
-    NumericDivergenceError,
-    UndefinedCorrelationError,
-)
+from .errors import CdamError, NumericDivergenceError
 from .graphs import MemoryGraph, NormalizedAdjacency, normalize
 
 # The stock run: steps, the noise amplitude of init_state, and the
@@ -105,11 +100,11 @@ class PatternMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
-            raise ContractError(f"pattern matrix must be 2-D, got shape {v.shape}")
+            raise CdamError(f"pattern matrix must be 2-D, got shape {v.shape}")
         if 0 in v.shape:
-            raise ContractError(f"pattern matrix needs n, p >= 1, got shape {v.shape}")
+            raise CdamError(f"pattern matrix needs n, p >= 1, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ContractError("pattern matrix contains non-finite values")
+            raise CdamError("pattern matrix contains non-finite values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -145,11 +140,11 @@ def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray],
                     states: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """r[i, j] between reference column i and state column j; each side is
     given by its centered columns and their norms.  A zero-variance column
-    on either side raises UndefinedCorrelationError."""
+    on either side raises CdamError."""
     rc, rnorms = ref
     sc, snorms = states
     if np.any(rnorms == 0.0) or np.any(snorms == 0.0):
-        raise UndefinedCorrelationError("pearson undefined: zero-variance state or pattern")
+        raise CdamError("pearson undefined: zero-variance state or pattern")
     return (rc.T @ sc) / (rnorms[:, None] * snorms[None, :])
 
 
@@ -163,11 +158,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("a", "h", "beta", "eta"):
             if not math.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
+                raise CdamError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
-            raise ContractError(f"beta must be > 0, got {self.beta}")
+            raise CdamError(f"beta must be > 0, got {self.beta}")
         if not self.eta > 0:
-            raise ContractError(f"eta must be > 0, got {self.eta}")
+            raise CdamError(f"eta must be > 0, got {self.eta}")
 
 
 @dataclass
@@ -204,9 +199,9 @@ def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacen
     patterns."""
     rows, name = (patterns.p, "pattern") if logits else (patterns.n, "neuron")
     if sigma.ndim not in (1, 2) or sigma.shape[0] not in (rows, rows + logits):
-        raise ContractError(f"state of shape {sigma.shape} does not fit {name} count {rows}")
+        raise CdamError(f"state of shape {sigma.shape} does not fit {name} count {rows}")
     if m.matrix.shape != (patterns.p, patterns.p):
-        raise ContractError(
+        raise CdamError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
         )
 
@@ -320,12 +315,12 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     that diverges in those steps does not hide it.
     """
     if max_steps < 1:
-        raise ContractError(f"max_steps must be >= 1, got {max_steps}")
+        raise CdamError(f"max_steps must be >= 1, got {max_steps}")
     if math.isnan(fixed_point_tol):
-        raise ContractError("fixed_point_tol must not be NaN")
+        raise CdamError("fixed_point_tol must not be NaN")
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.ndim != 1:
-        raise ContractError(f"state must be a vector, got shape {sigma0.shape}")
+        raise CdamError(f"state must be a vector, got shape {sigma0.shape}")
     m = normalize(graph)
     _check_dims(sigma0, patterns, m, logits=False)
     terms = _energy_terms(graph, m) if with_energy else None
@@ -350,7 +345,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
         if bad.any():
             j = int(bad.argmax())
             if arg[j] <= 0.0:
-                raise EnergyUndefinedError(f"energy log argument {arg[j]} <= 0")
+                raise CdamError(f"energy log argument {arg[j]} <= 0")
             raise NumericDivergenceError(t0 + j, "readout")
         blocks.append((r.T, mean, sd, e))
 
@@ -380,7 +375,7 @@ def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r of a state (n,) or of each column of an (n, K) stack against
     every pattern, as (p,) or (p, K).  A state whose centered norm is not
     finite (too large to read) reads NaN; a zero-variance state or pattern
-    raises UndefinedCorrelationError."""
+    raises CdamError."""
     with np.errstate(all="ignore"):
         centered = _center_columns(states.reshape(len(states), -1))
         r = _pearson_matrix(patterns.centered, centered)
@@ -437,8 +432,8 @@ def init_state(patterns: PatternMatrix, trigger, c: float = DEFAULT_NOISE,
     index = np.asarray(trigger)
     if (index.ndim > 1 or index.dtype.kind not in "iu"
             or np.any((index < 0) | (index >= patterns.p))):
-        raise ContractError(f"trigger {trigger} is not a pattern index in [0,{patterns.p})")
+        raise CdamError(f"trigger {trigger} is not a pattern index in [0,{patterns.p})")
     if not 0 <= c < math.inf:
-        raise ContractError(f"noise amplitude must be finite and >= 0, got {c}")
+        raise CdamError(f"noise amplitude must be finite and >= 0, got {c}")
     base = patterns.values[:, index]
     return base + c * np.random.default_rng(seed).uniform(-0.5, 0.5, base.shape)

@@ -40,12 +40,7 @@ from .dynamics import (
     pearson_all,
     retrieval_vector,  # noqa: F401  (public here too: perfbench traces it by this name)
 )
-from .errors import (
-    ContractError,
-    NumericDivergenceError,
-    UndefinedCorrelationError,
-    UnknownNameError,
-)
+from .errors import CdamError, NumericDivergenceError
 from .graphs import (
     MemoryGraph,
     NormalizedAdjacency,
@@ -307,7 +302,7 @@ def block_contrast(matrix: np.ndarray, blocks) -> float:
     for b, members in enumerate(blocks):
         labels[list(members)] = b
     if (labels < 0).any():
-        raise ContractError("blocks do not cover every vertex")
+        raise CdamError("blocks do not cover every vertex")
     same = (labels[:, None] == labels[None, :]) & ~np.eye(p, dtype=bool)
     diff = labels[:, None] != labels[None, :]
     return float(matrix[same].mean() - matrix[diff].mean())
@@ -389,12 +384,12 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     The runs iterate the logits Xi^T sigma with the mean row, not the
     states, and read the argmax of pearson_all(sigma), every state-space
     run's readout, from them by the readout identity of the dynamics
-    module.  A zero-variance frame raises UndefinedCorrelationError.
+    module.  A zero-variance frame raises CdamError.
     """
     p, xi = patterns.p, patterns.values
     ys = patterns.centered[1]
     if np.any(ys == 0.0):
-        raise UndefinedCorrelationError("pearson undefined: zero-variance pattern")
+        raise CdamError("pearson undefined: zero-variance pattern")
     shift = patterns.n * xi.mean(axis=0)
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
@@ -443,7 +438,7 @@ class AutomatonRunner:
 
     def set_state(self, name: str) -> None:
         if name not in self.spec.states:
-            raise UnknownNameError(f"unknown state {name!r}")
+            raise CdamError(f"unknown state {name!r}")
         self.state = name
 
     def _settle(self, sigma: np.ndarray) -> tuple[str, float]:
@@ -530,7 +525,7 @@ def retrieval_sweep(
     predict the argmax-overlap pattern.  The
     runs iterate the logits Xi^T sigma, not the states: the readout is
     their argmax, which the rounding between the two bases does not move.
-    A level of 1 has no nearest neighbor and raises InvalidSizeError.
+    A level of 1 has no nearest neighbor and raises CdamError.
     """
     n, settings = dataset.shape[0], SWEEP_SETTINGS
     report = ExperimentReport(
@@ -542,7 +537,7 @@ def retrieval_sweep(
     accuracies: dict[str, dict[int, float]] = {f"a{a:+g}_h{h:+g}": {} for a, h in settings}
     for p in p_levels:
         if p > dataset.shape[1]:
-            raise ContractError(f"p={p} exceeds dataset size {dataset.shape[1]}")
+            raise CdamError(f"p={p} exceeds dataset size {dataset.shape[1]}")
         xi = dataset[:, :p].copy()
         patterns = PatternMatrix(xi)
         coupling = normalize(build_nn_scaffold(xi))

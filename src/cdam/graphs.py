@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    GraphFormatError,
-    InvalidSizeError,
-    RetryExhaustedError,
-    UnknownNameError,
-)
+from .errors import CdamError
 
 NAMED_GRAPHS = ("karate", "tutte")
 
@@ -34,11 +28,11 @@ NAMED_GRAPHS = ("karate", "tutte")
 MAX_GRAPH_P = 16_384
 
 
-def _check_vertex_count(p: int, error: type[Exception]) -> None:
-    """Raise `error` for a vertex count above MAX_GRAPH_P, before any edge
+def _check_vertex_count(p: int) -> None:
+    """Raise CdamError for a vertex count above MAX_GRAPH_P, before any edge
     list of that size is built."""
     if p > MAX_GRAPH_P:
-        raise error(f"p={p} vertices exceeds the graph limit of {MAX_GRAPH_P}")
+        raise CdamError(f"p={p} vertices exceeds the graph limit of {MAX_GRAPH_P}")
 
 
 def _data_path(filename: str) -> Path:
@@ -60,14 +54,14 @@ class MemoryGraph:
 
     def __post_init__(self):
         if self.p < 1:
-            raise InvalidSizeError(f"graph needs at least one vertex, got p={self.p}")
+            raise CdamError(f"graph needs at least one vertex, got p={self.p}")
         canon = []
         for src, dst, w in self.edges:
             src, dst, w = int(src), int(dst), float(w)
             if not (0 <= src < self.p and 0 <= dst < self.p):
-                raise ContractError(f"edge ({src},{dst}) outside [0,{self.p})")
+                raise CdamError(f"edge ({src},{dst}) outside [0,{self.p})")
             if not np.isfinite(w):
-                raise ContractError(f"edge ({src},{dst}) weight {w} not finite")
+                raise CdamError(f"edge ({src},{dst}) weight {w} not finite")
             if not self.directed and src > dst:
                 src, dst = dst, src
             canon.append((src, dst, w))
@@ -125,8 +119,8 @@ def _inv_sqrt(degrees: np.ndarray) -> np.ndarray:
 def build_cycle(p: int, directed: bool = False) -> MemoryGraph:
     """Cycle on p >= 3 vertices, edges i -> (i+1 mod p)."""
     if p < 3:
-        raise InvalidSizeError(f"cycle needs p >= 3, got {p}")
-    _check_vertex_count(p, InvalidSizeError)
+        raise CdamError(f"cycle needs p >= 3, got {p}")
+    _check_vertex_count(p)
     edges = [(i, (i + 1) % p, 1.0) for i in range(p)]
     return MemoryGraph(p, tuple(edges), directed=directed)
 
@@ -138,11 +132,11 @@ def build_barbell(n: int, m: int) -> MemoryGraph:
     vertex of the second; with m = 0 those two are bridged directly.
     """
     if n < 2:
-        raise InvalidSizeError(f"barbell cliques need n >= 2, got {n}")
+        raise CdamError(f"barbell cliques need n >= 2, got {n}")
     if m < 0:
-        raise InvalidSizeError(f"barbell path length must be >= 0, got {m}")
+        raise CdamError(f"barbell path length must be >= 0, got {m}")
     p = 2 * n + m
-    _check_vertex_count(p, InvalidSizeError)
+    _check_vertex_count(p)
     edges = []
     for block_start in (0, n + m):
         for i in range(n):
@@ -157,7 +151,7 @@ def build_barbell(n: int, m: int) -> MemoryGraph:
 def build_named(name: str) -> MemoryGraph:
     """Load a bundled graph by name ('karate' or 'tutte')."""
     if name not in NAMED_GRAPHS:
-        raise UnknownNameError(f"unknown graph {name!r}; known: {', '.join(NAMED_GRAPHS)}")
+        raise CdamError(f"unknown graph {name!r}; known: {', '.join(NAMED_GRAPHS)}")
     return read_graph(_data_path(f"{name}.txt"))
 
 
@@ -166,17 +160,17 @@ def named_communities(name: str) -> list[list[int]]:
     with open(_data_path("communities.json")) as fh:
         table = json.load(fh)
     if name not in table:
-        raise UnknownNameError(f"no community data for {name!r}")
+        raise CdamError(f"no community data for {name!r}")
     return table[name]
 
 
 def build_random_regular(p: int, k: int, seed: int) -> MemoryGraph:
     """Simple k-regular graph via the pairing model with rejection."""
     if k >= p or k < 1:
-        raise InvalidSizeError(f"need 1 <= k < p, got k={k}, p={p}")
+        raise CdamError(f"need 1 <= k < p, got k={k}, p={p}")
     if (p * k) % 2 != 0:
-        raise InvalidSizeError(f"p*k must be even, got p={p}, k={k}")
-    _check_vertex_count(p, InvalidSizeError)
+        raise CdamError(f"p*k must be even, got p={p}, k={k}")
+    _check_vertex_count(p)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(p), k)
     for _ in range(1000):
@@ -189,7 +183,7 @@ def build_random_regular(p: int, k: int, seed: int) -> MemoryGraph:
             continue
         edges = tuple((u, v, 1.0) for u, v in sorted(canon))
         return MemoryGraph(p, edges, directed=False)
-    raise RetryExhaustedError(f"no simple {k}-regular graph on {p} vertices in 1000 draws")
+    raise CdamError(f"no simple {k}-regular graph on {p} vertices in 1000 draws")
 
 
 def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
@@ -202,7 +196,7 @@ def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
     values = np.asarray(values, dtype=float)
     p = values.shape[1]
     if p < 2:
-        raise InvalidSizeError(f"nearest-neighbor scaffold needs p >= 2, got {p}")
+        raise CdamError(f"nearest-neighbor scaffold needs p >= 2, got {p}")
     sq = (values**2).sum(axis=0)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (values.T @ values)
     np.fill_diagonal(d2, np.inf)
@@ -274,7 +268,7 @@ def to_text(graph: MemoryGraph) -> str:
 
 
 def from_text(text: str) -> MemoryGraph:
-    """Parse the text format of `to_text`; GraphFormatError on any malformed
+    """Parse the text format of `to_text`; CdamError on any malformed
     line and on a vertex count (declared by `# p=N` or implied by the largest
     vertex) above MAX_GRAPH_P."""
     directed = None
@@ -289,31 +283,31 @@ def from_text(text: str) -> MemoryGraph:
                 try:
                     declared_p = int(pragma[2:])
                 except ValueError as exc:
-                    raise GraphFormatError(f"line {lineno}: bad vertex count {pragma!r}") from exc
+                    raise CdamError(f"line {lineno}: bad vertex count {pragma!r}") from exc
             continue
         if not line:
             continue
         if directed is None:
             if line not in ("directed", "undirected"):
-                raise GraphFormatError(f"line {lineno}: expected 'directed' or 'undirected' header")
+                raise CdamError(f"line {lineno}: expected 'directed' or 'undirected' header")
             directed = line == "directed"
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise GraphFormatError(f"line {lineno}: expected 'src dst [weight]', got {line!r}")
+            raise CdamError(f"line {lineno}: expected 'src dst [weight]', got {line!r}")
         try:
             src, dst = int(parts[0]), int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {line!r}") from exc
+            raise CdamError(f"line {lineno}: {line!r}") from exc
         edges.append((src, dst, w))
         max_seen = max(max_seen, src, dst)
     if directed is None:
-        raise GraphFormatError("missing 'directed'/'undirected' header line")
+        raise CdamError("missing 'directed'/'undirected' header line")
     p = declared_p if declared_p is not None else max_seen + 1
     if p <= max_seen:
-        raise GraphFormatError(f"declared p={p} but saw vertex {max_seen}")
-    _check_vertex_count(p, GraphFormatError)
+        raise CdamError(f"declared p={p} but saw vertex {max_seen}")
+    _check_vertex_count(p)
     return MemoryGraph(p, tuple(edges), directed=directed)
 
 
@@ -321,5 +315,5 @@ def read_graph(path) -> MemoryGraph:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
+        raise CdamError(f"cannot read graph file {path}: {exc}") from exc
     return from_text(text)

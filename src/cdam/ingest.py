@@ -3,7 +3,7 @@ frames (PGM/PPM or CSV), and the composite patterns of an automaton.
 
 Every path is bit-reproducible per seed and produces values in [0, 1]:
 frames are divided by their declared maxval (or, for CSV, their largest
-value), and a negative or non-finite CSV entry is a FormatError.
+value), and a negative or non-finite CSV entry is a CdamError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .automata import AutomatonSpec
 from .dynamics import PatternMatrix
-from .errors import FormatError, IngestError, LengthError
+from .errors import CdamError
 from .graphs import MemoryGraph, build_automaton_graph
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -34,7 +34,7 @@ LABEL_DENSITY = 0.25
 def random_patterns(n: int, p: int, seed: int = 0) -> PatternMatrix:
     """n x p matrix of uniform [0,1] entries, deterministic per seed."""
     if n < 1 or p < 1:
-        raise IngestError(f"need n, p >= 1, got n={n}, p={p}")
+        raise CdamError(f"need n, p >= 1, got n={n}, p={p}")
     return PatternMatrix(np.random.default_rng(seed).uniform(0.0, 1.0, (n, p)))
 
 
@@ -46,15 +46,15 @@ def load_idx(images_path) -> np.ndarray:
     rows scaled by 1/255."""
     raw = Path(images_path).read_bytes()
     if len(raw) < 16:
-        raise LengthError(f"{images_path}: too short for an IDX image header")
+        raise CdamError(f"{images_path}: too short for an IDX image header")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+        raise CdamError(f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
     if rows * cols > np.iinfo(np.intp).max:
-        raise FormatError(f"{images_path}: image size {rows}x{cols} exceeds any array dimension")
+        raise CdamError(f"{images_path}: image size {rows}x{cols} exceeds any array dimension")
     need = 16 + count * rows * cols
     if len(raw) < need:
-        raise LengthError(f"{images_path}: payload {len(raw) - 16} bytes, header needs {need - 16}")
+        raise CdamError(f"{images_path}: payload {len(raw) - 16} bytes, header needs {need - 16}")
     pixels = np.frombuffer(raw[16:need], dtype=np.uint8)
     return pixels.reshape(count, rows * cols).astype(float) / 255.0
 
@@ -68,11 +68,11 @@ def read_pnm(path):
     Returns (array, maxval); array shape is (h, w) for grayscale or
     (h, w, 3) for color, raw sample values in [0, maxval] (not yet
     normalized).  A sample outside that range, or an ASCII sample that is
-    not a decimal integer, is a FormatError.
+    not a decimal integer, is a CdamError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 2 or raw[0:1] != b"P" or raw[1:2] not in b"2356":
-        raise FormatError(f"{path}: not a P2/P3/P5/P6 netpbm file")
+        raise CdamError(f"{path}: not a P2/P3/P5/P6 netpbm file")
     kind = raw[:2].decode()
 
     # header tokens: width, height, maxval; '#' comments run to end of line
@@ -80,7 +80,7 @@ def read_pnm(path):
     pos = 2
     while len(tokens) < 3:
         if pos >= len(raw):
-            raise LengthError(f"{path}: truncated header")
+            raise CdamError(f"{path}: truncated header")
         ch = raw[pos : pos + 1]
         if ch == b"#":
             nl = raw.find(b"\n", pos)
@@ -96,11 +96,11 @@ def read_pnm(path):
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric header fields {tokens}") from exc
+        raise CdamError(f"{path}: non-numeric header fields {tokens}") from exc
     if width < 1 or height < 1:
-        raise FormatError(f"{path}: image size {width}x{height} is not positive")
+        raise CdamError(f"{path}: image size {width}x{height} is not positive")
     if not 0 < maxval <= 65535:
-        raise FormatError(f"{path}: maxval {maxval} outside (0, 65535]")
+        raise CdamError(f"{path}: maxval {maxval} outside (0, 65535]")
     channels = 3 if kind in ("P3", "P6") else 1
     count = width * height * channels
 
@@ -109,21 +109,21 @@ def read_pnm(path):
         try:
             values = np.array(samples, dtype=float)
         except ValueError as exc:
-            raise FormatError(f"{path}: non-numeric sample data") from exc
+            raise CdamError(f"{path}: non-numeric sample data") from exc
         if values.size < count:
-            raise LengthError(f"{path}: {values.size} samples, header needs {count}")
+            raise CdamError(f"{path}: {values.size} samples, header needs {count}")
     else:
         pos += 1  # single whitespace byte after maxval
         want = count * (2 if maxval > 255 else 1)
         body = raw[pos : pos + want]
         if len(body) < want:
-            raise LengthError(f"{path}: {len(body)} payload bytes, header needs {want}")
+            raise CdamError(f"{path}: {len(body)} payload bytes, header needs {want}")
         dtype = ">u2" if maxval > 255 else np.uint8
         values = np.frombuffer(body, dtype=dtype).astype(float)
     if not np.all((values >= 0) & (values <= maxval)):
-        raise FormatError(f"{path}: sample values outside [0, {maxval}]")
+        raise CdamError(f"{path}: sample values outside [0, {maxval}]")
     if kind in ("P2", "P3") and not all(t.isdigit() for t in samples):
-        raise FormatError(f"{path}: ASCII samples must be decimal integers")
+        raise CdamError(f"{path}: ASCII samples must be decimal integers")
 
     shape = (height, width, 3) if channels == 3 else (height, width)
     return values.reshape(shape), maxval
@@ -138,7 +138,7 @@ def write_pnm(path, array: np.ndarray) -> None:
     elif arr.ndim == 3 and arr.shape[2] == 3:
         kind, (h, w) = "P6", arr.shape[:2]
     else:
-        raise FormatError(f"cannot write array of shape {arr.shape} as netpbm")
+        raise CdamError(f"cannot write array of shape {arr.shape} as netpbm")
     data = np.clip(np.round(arr), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"{kind}\n{w} {h}\n255\n".encode())
@@ -157,9 +157,9 @@ def read_csv_frame(path):
             try:
                 arr = np.loadtxt(path, ndmin=2)
             except ValueError as exc:
-                raise FormatError(f"{path}: not a numeric matrix") from exc
+                raise CdamError(f"{path}: not a numeric matrix") from exc
     if arr.size == 0 or not np.all((arr >= 0) & (arr < np.inf)):
-        raise FormatError(f"{path}: CSV frame is empty or holds a negative or non-finite value")
+        raise CdamError(f"{path}: CSV frame is empty or holds a negative or non-finite value")
     return arr, None
 
 
@@ -177,7 +177,7 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
         if f.is_file() and f.suffix.lower() in FRAME_SUFFIXES
     )
     if not files:
-        raise IngestError(f"no frame files found in {frame_dir}")
+        raise CdamError(f"no frame files found in {frame_dir}")
     arrays, maxvals = [], []
     for f in files:
         arr, maxval = (read_csv_frame(f) if f.suffix.lower() == ".csv" else read_pnm(f))
@@ -186,17 +186,17 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
     shape = arrays[0].shape
     for f, arr in zip(files, arrays):
         if arr.shape != shape:
-            raise IngestError(f"{f.name}: shape {arr.shape} != first frame {shape}")
+            raise CdamError(f"{f.name}: shape {arr.shape} != first frame {shape}")
     declared = {v for v in maxvals if v is not None}
     if len(declared) > 1:
-        raise IngestError(f"frames declare conflicting maxvals {sorted(declared)}")
+        raise CdamError(f"frames declare conflicting maxvals {sorted(declared)}")
     normalizer = float(declared.pop()) if declared else float(max(a.max() for a in arrays))
     if normalizer <= 0:
-        raise IngestError(f"normalizer must be positive, got {normalizer}")
+        raise CdamError(f"normalizer must be positive, got {normalizer}")
 
     flat_len = int(np.prod(shape))
     if not 0 < n <= flat_len:
-        raise IngestError(f"cannot sample n={n} from frames of length {flat_len}")
+        raise CdamError(f"cannot sample n={n} from frames of length {flat_len}")
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(flat_len, n, replace=False))
     return PatternMatrix(np.column_stack([arr.reshape(-1)[indices] / normalizer for arr in arrays]))
@@ -237,7 +237,7 @@ def compose_automaton_patterns(
         for name in spec.states:
             vec = np.asarray(spec.state_content[name], dtype=float)
             if vec.shape[0] != n:
-                raise IngestError(
+                raise CdamError(
                     f"content for {name!r} has length {vec.shape[0]}, expected n={n}"
                 )
             content[name] = vec

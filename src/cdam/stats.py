@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ContractError
+from .errors import CdamError
 
 
 def one_way_anova(groups) -> dict:
@@ -24,9 +24,9 @@ def one_way_anova(groups) -> dict:
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:
-        raise ContractError(f"ANOVA needs >= 2 groups, got {len(groups)}")
+        raise CdamError(f"ANOVA needs >= 2 groups, got {len(groups)}")
     if any(len(g) < 2 for g in groups):
-        raise ContractError("every ANOVA group needs >= 2 samples")
+        raise CdamError("every ANOVA group needs >= 2 samples")
     total_n = sum(len(g) for g in groups)
     grand = sum(sum(g) for g in groups) / total_n
     ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)
@@ -37,24 +37,24 @@ def one_way_anova(groups) -> dict:
         f, p = (0.0, 1.0) if ss_between == 0.0 else (math.inf, 0.0)
     else:
         f = (ss_between / df_b) / (ss_within / df_w)
-        p = f_sf(f, df_b, df_w)
+        p = _f_sf(f, df_b, df_w)
     return {"f": f, "p": p, "df": [df_b, df_w]}
 
 
-def f_sf(f: float, d1: int, d2: int) -> float:
+def _f_sf(f: float, d1: int, d2: int) -> float:
     """Upper-tail probability of the F(d1, d2) distribution."""
     if f <= 0.0:
         return 1.0
     if math.isinf(f):
         return 0.0
     x = d2 / (d2 + d1 * f)
-    return betainc_regularized(d2 / 2.0, d1 / 2.0, x)
+    return _betainc_regularized(d2 / 2.0, d1 / 2.0, x)
 
 
-def betainc_regularized(a: float, b: float, x: float) -> float:
+def _betainc_regularized(a: float, b: float, x: float) -> float:
     """I_x(a, b) via the continued fraction, symmetrized for convergence."""
     if not (a > 0 and b > 0):
-        raise ContractError(f"beta parameters must be positive, got a={a}, b={b}")
+        raise CdamError(f"beta parameters must be positive, got a={a}, b={b}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -105,7 +105,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 3e-14:
             return h
-    raise ContractError(f"incomplete beta failed to converge (a={a}, b={b}, x={x})")
+    raise CdamError(f"incomplete beta failed to converge (a={a}, b={b}, x={x})")
 
 
 def r_squared(xs, ys) -> float:
@@ -113,12 +113,12 @@ def r_squared(xs, ys) -> float:
     xs = list(map(float, xs))
     ys = list(map(float, ys))
     if len(xs) != len(ys) or len(xs) < 2:
-        raise ContractError("r_squared needs two sequences of equal length >= 2")
+        raise CdamError("r_squared needs two sequences of equal length >= 2")
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     sxx = sum((x - mx) ** 2 for x in xs)
     syy = sum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
-        raise ContractError("r_squared undefined for constant input")
+        raise CdamError("r_squared undefined for constant input")
     return (sxy * sxy) / (sxx * syy)

@@ -47,7 +47,7 @@ from cdam.dynamics import (
     pearson_all,
     run,
 )
-from cdam.errors import EnergyUndefinedError
+from cdam.errors import CdamError
 from cdam.graphs import (
     MemoryGraph,
     NormalizedAdjacency,
@@ -95,7 +95,7 @@ def test_c1_oracle_equivalence():
     """One update (iterate for one step) and the energy (the block energy on
     one column) against brute-force references, 100 seeded instances with
     n <= 20, p <= 5, to 1e-10, in under a second; an undefined energy at
-    t=0 ends run with EnergyUndefinedError."""
+    t=0 ends run with a CdamError."""
     rng = np.random.default_rng(7)
     t0 = time.time()
     worst_update = worst_energy = 0.0
@@ -118,7 +118,7 @@ def test_c1_oracle_equivalence():
                     list(sigma), cols, graph.edges, params.a, params.h, params.beta
                 )
             except ValueError:
-                with pytest.raises(EnergyUndefinedError):
+                with pytest.raises(CdamError, match="energy log argument .* <= 0"):
                     run(sigma, pm, graph, params, max_steps=1, with_energy=True)
                 continue
         else:

@@ -5,9 +5,67 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdam.automata import AutomatonSpec, family_tree, load_spec_file
-from cdam.errors import CdamError, SpecError, UnknownNameError
+from cdam.errors import CdamError
 from cdam.experiments import AutomatonRunner, automaton_sweep
 from cdam.graphs import build_automaton_graph
+
+
+# The message each malformed spec must raise.  The parametrize ids below
+# are the ones pytest gives the input columns alone, so that adding the
+# message column renames no case.
+NOT_STATES = "states must be a list of strings"
+NOT_TRIPLES = r"transitions must be a list of \(source, label, target\) string triples"
+NOT_A_DICT = "state content must be a dict of name -> vector"
+NOT_VECTORS = "state content must hold non-empty, 1-D, real, finite vectors"
+BAD_FIELDS = [
+    ({"states": ["a", ["b"]], "transitions": []}, NOT_STATES),  # list-valued state name
+    ({"states": "ab", "transitions": []}, NOT_STATES),          # a string is not a list of states
+    ({"states": ["a"], "transitions": [("a", 1, "a")]}, NOT_TRIPLES),   # non-string label
+    ({"states": ["a"], "transitions": [("a", "go")]}, NOT_TRIPLES),     # not a triple
+    ({"states": ["a"], "transitions": ("a", "go", "a")}, NOT_TRIPLES),  # one triple, not a list
+    ({"states": ["a"], "transitions": [], "reserve_fraction": "0.5"},
+     r"reserve fraction 0.5 outside \(0, 1\)"),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": 3}},        # not a vector
+     NOT_VECTORS),
+    ({"states": ["a"], "transitions": [], "state_content": [np.zeros(4)]},  # not a dict
+     NOT_A_DICT),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": "abc"}},   # not numeric
+     NOT_VECTORS),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": np.zeros((2, 2))}},  # 2-D
+     NOT_VECTORS),
+    ({"states": ["a"], "transitions": [], "state_content": {1: np.ones(3)}},      # key not a str
+     NOT_A_DICT),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": np.zeros(0)}},   # empty
+     NOT_VECTORS),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": [1.0, np.nan]}},  # not finite
+     NOT_VECTORS),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": np.ones(2, dtype=complex)}},
+     NOT_VECTORS),
+    ({"states": ["a"], "transitions": [], "state_content": {"a": [[1.0], [2.0, 3.0]]}},  # ragged
+     "state content is not a numeric vector"),
+    ({"states": ["a", "b"], "transitions": [],
+      "state_content": {"a": np.ones(3), "b": np.ones(4)}},                      # lengths differ
+     r"state content vectors differ in length: \[3, 4\]"),
+    ({"states": ["a", "b"], "transitions": [], "state_content": {"a": np.ones(3)}},  # missing "b"
+     r"content missing for states: \['b'\]"),
+]
+UNREADABLE_SPECS = [
+    (b'{"states": ["caf\xe9"], "transitions": []}',                  # Latin-1, not UTF-8
+     "cannot parse automaton spec .*'utf-8' codec can't decode"),
+    (b'{"states": ["a"], "transitions": [], "reserve_fraction": 1' + b"0" * 400 + b"}",
+     "malformed automaton spec: int too large to convert to float"),
+    (b"[" * 100_000 + b"]" * 100_000,                                # nested past the parser
+     "cannot parse automaton spec .*recursion"),
+]
+NON_STRING_FIELDS = [
+    ("ab", [["a", "go", "b"]], NOT_STATES),                # a string is not a list of states
+    (["a", ["b"]], [["a", "go", "a"]], NOT_STATES),        # list-valued state name
+    (["a", "b"], [["a", ["go"], "b"]], NOT_TRIPLES),       # list-valued label
+    (["a", "b"], [["a", "go", 1]], NOT_TRIPLES),           # non-string target
+    (["a", "b"], [["a", "go"]], NOT_TRIPLES),              # not a triple
+    (["a", "b"], {"a": "b"}, NOT_TRIPLES),                 # transitions not a list
+    (["a", "b"], ["a go b"], NOT_TRIPLES),                 # transition not a list
+]
 
 
 class TestSpecValidation:
@@ -16,56 +74,38 @@ class TestSpecValidation:
 
     def test_unknown_target(self):
         spec = AutomatonSpec(states=["a"], transitions=[("a", "go", "b")])
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match="transition target 'b' is not a state"):
             spec.validate()
 
     def test_unknown_source(self):
         spec = AutomatonSpec(states=["a"], transitions=[("b", "go", "a")])
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match="transition source 'b' is not a state"):
             spec.validate()
 
     def test_duplicate_state(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match="state names must be unique"):
             AutomatonSpec(states=["a", "a"], transitions=[]).validate()
 
     def test_duplicate_transition_pair(self):
         spec = AutomatonSpec(states=["a", "b"],
                              transitions=[("a", "go", "b"), ("a", "go", "a")])
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match=r"duplicate transition for \('a', 'go'\)"):
             spec.validate()
 
     def test_bad_reserve_fraction(self):
         spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=1.0)
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match=r"reserve fraction 1.0 outside \(0, 1\)"):
             spec.validate()
 
-    @pytest.mark.parametrize("fields", [
-        {"states": ["a", ["b"]], "transitions": []},           # list-valued state name
-        {"states": "ab", "transitions": []},                   # a string is not a list of states
-        {"states": ["a"], "transitions": [("a", 1, "a")]},     # non-string label
-        {"states": ["a"], "transitions": [("a", "go")]},       # not a triple
-        {"states": ["a"], "transitions": ("a", "go", "a")},    # one triple, not a list of them
-        {"states": ["a"], "transitions": [], "reserve_fraction": "0.5"},
-        {"states": ["a"], "transitions": [], "state_content": {"a": 3}},        # not a vector
-        {"states": ["a"], "transitions": [], "state_content": [np.zeros(4)]},  # not a dict
-        {"states": ["a"], "transitions": [], "state_content": {"a": "abc"}},   # not numeric
-        {"states": ["a"], "transitions": [], "state_content": {"a": np.zeros((2, 2))}},  # 2-D
-        {"states": ["a"], "transitions": [], "state_content": {1: np.ones(3)}},      # key not a str
-        {"states": ["a"], "transitions": [], "state_content": {"a": np.zeros(0)}},   # empty
-        {"states": ["a"], "transitions": [], "state_content": {"a": [1.0, np.nan]}},  # not finite
-        {"states": ["a"], "transitions": [], "state_content": {"a": np.ones(2, dtype=complex)}},
-        {"states": ["a"], "transitions": [], "state_content": {"a": [[1.0], [2.0, 3.0]]}},  # ragged
-        {"states": ["a", "b"], "transitions": [],
-         "state_content": {"a": np.ones(3), "b": np.ones(4)}},                       # lengths differ
-        {"states": ["a", "b"], "transitions": [], "state_content": {"a": np.ones(3)}},  # missing "b"
-    ])
-    def test_field_types_raise_spec_error(self, fields):
-        with pytest.raises(SpecError):
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS,
+                             ids=[f"fields{i}" for i in range(len(BAD_FIELDS))])
+    def test_field_types_raise_spec_error(self, fields, message):
+        with pytest.raises(CdamError, match=message):
             AutomatonSpec(**fields).validate()
 
     def test_slot_counts_need_both_blocks(self):
         spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=0.04)
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match="reserve fraction 0.04 leaves an empty block at n=10"):
             spec.slot_counts(10)  # floor(0.04 * 10) leaves no reserved slots
 
 
@@ -113,39 +153,31 @@ class TestSpecFile:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match="cannot parse automaton spec"):
             load_spec_file(path)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match="expected keys 'states' and 'transitions'"):
             load_spec_file(path)
 
-    @pytest.mark.parametrize("raw", [
-        b'{"states": ["caf\xe9"], "transitions": []}',                  # Latin-1, not UTF-8
-        b'{"states": ["a"], "transitions": [], "reserve_fraction": 1' + b"0" * 400 + b"}",
-        b"[" * 100_000 + b"]" * 100_000,                                # nested past the parser
-    ])
-    def test_undecodable_or_out_of_range_raise_spec_error(self, tmp_path, raw):
+    @pytest.mark.parametrize("raw, message", UNREADABLE_SPECS,
+                             ids=[raw for raw, _ in UNREADABLE_SPECS])
+    def test_undecodable_or_out_of_range_raise_spec_error(self, tmp_path, raw, message):
         path = tmp_path / "odd.json"
         path.write_bytes(raw)
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match=message):
             load_spec_file(path)
 
-    @pytest.mark.parametrize("states, transitions", [
-        ("ab", [["a", "go", "b"]]),                # a string is not a list of states
-        (["a", ["b"]], [["a", "go", "a"]]),        # list-valued state name
-        (["a", "b"], [["a", ["go"], "b"]]),        # list-valued label
-        (["a", "b"], [["a", "go", 1]]),            # non-string target
-        (["a", "b"], [["a", "go"]]),               # not a triple
-        (["a", "b"], {"a": "b"}),                  # transitions not a list
-        (["a", "b"], ["a go b"]),                  # transition not a list
-    ])
-    def test_non_string_fields_raise_spec_error(self, tmp_path, states, transitions):
+    @pytest.mark.parametrize(
+        "states, transitions, message", NON_STRING_FIELDS,
+        ids=[f"{s if isinstance(s, str) else f'states{i}'}-transitions{i}"
+             for i, (s, _, _) in enumerate(NON_STRING_FIELDS)])
+    def test_non_string_fields_raise_spec_error(self, tmp_path, states, transitions, message):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({"states": states, "transitions": transitions}))
-        with pytest.raises(SpecError):
+        with pytest.raises(CdamError, match=message):
             load_spec_file(path)
 
 
@@ -206,7 +238,7 @@ class TestRunner:
 
     def test_unknown_state(self):
         runner = AutomatonRunner(family_tree(), n=200, seed=0)
-        with pytest.raises(UnknownNameError):
+        with pytest.raises(CdamError, match="unknown state 'Maggie'"):
             runner.set_state("Maggie")
 
     def test_script_trajectories(self):

@@ -357,3 +357,43 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "allocate" in err
         assert not out.exists()
+
+    # one malformed input per cause; stderr is exactly one line naming it
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--graph", "cycle:2", "--patterns", "random:10"],
+         "bad graph spec 'cycle:2': cycle needs p >= 3, got 2"),
+        (["simulate", "--graph", "regular:10,9,0", "--patterns", "random:10"],
+         "bad graph spec 'regular:10,9,0': no simple 9-regular graph on 10 vertices in 1000 draws"),
+        (["automaton", "--script", "wife", "--start", "Nobody", "--n", "50"],
+         "unknown state 'Nobody'"),
+        (["simulate", "--graph", "file:noheader.txt", "--patterns", "random:10"],
+         "bad graph spec 'file:noheader.txt': line 1: expected 'directed' or 'undirected' header"),
+        (["simulate", "--graph", "cycle:5", "--patterns", "random:50", "--trigger", "99"],
+         "trigger 99 is not a pattern index in [0,5)"),
+        (["experiment", "hop-range", "--n", "1"],
+         "pearson undefined: zero-variance state or pattern"),
+        (["simulate", "--graph", "dicycle:5", "--patterns", "random:50", "--a", "0", "--h", "0",
+          "--energy"],
+         "energy log argument 0.0 <= 0"),
+        (["simulate", "--graph", "cycle:3", "--patterns", "frames:garbled,4"],
+         "bad pattern spec 'frames:garbled,4': garbled/f.pgm: not a P2/P3/P5/P6 netpbm file"),
+        (["simulate", "--graph", "cycle:3", "--patterns", "frames:truncated,4"],
+         "bad pattern spec 'frames:truncated,4': truncated/f.pgm: 1 payload bytes, header needs 4"),
+        (["simulate", "--graph", "cycle:3", "--patterns", "frames:empty,4"],
+         "bad pattern spec 'frames:empty,4': no frame files found in empty"),
+        (["automaton", "--spec", "duplicate.json", "--script", "x"],
+         "state names must be unique"),
+    ], ids=["size", "retries", "unknown-state", "graph-file", "trigger", "correlation", "energy",
+            "pnm-format", "pnm-length", "no-frames", "spec"])
+    def test_malformed_input_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv,
+                                                      line):
+        monkeypatch.chdir(tmp_path)
+        Path("noheader.txt").write_text("0 1\n1 2\n")
+        for name in ("garbled", "truncated", "empty"):
+            Path(name).mkdir()
+        Path("garbled/f.pgm").write_bytes(b"XX\n")
+        Path("truncated/f.pgm").write_bytes(b"P5\n2 2\n255\n\x01")
+        Path("duplicate.json").write_text(json.dumps({"states": ["a", "a"], "transitions": []}))
+        assert main(argv + ["--out", "out"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not Path("out").exists()

@@ -18,12 +18,7 @@ from cdam.dynamics import (
     run,
     softmax_beta,
 )
-from cdam.errors import (
-    ContractError,
-    EnergyUndefinedError,
-    NumericDivergenceError,
-    UndefinedCorrelationError,
-)
+from cdam.errors import CdamError, NumericDivergenceError
 from cdam.graphs import MemoryGraph, build_cycle, hop_distances, normalize
 from oracles import (
     descent_energy,
@@ -144,12 +139,12 @@ class TestPatternMatrix:
         assert np.max(np.abs(pm.mean_load - pm.values.mean(axis=1))) < 1e-12
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="pattern matrix contains non-finite values"):
             PatternMatrix(np.array([[1.0, np.inf]]))
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_rejected(self, shape):
-        with pytest.raises(ContractError, match="n, p >= 1"):
+        with pytest.raises(CdamError, match="n, p >= 1"):
             PatternMatrix(np.zeros(shape))
 
     def test_values_frozen(self):
@@ -248,9 +243,9 @@ class TestUpdateStep:
 
     def test_dimension_mismatch(self):
         pm = PatternMatrix(np.ones((4, 3)))
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match=r"state of shape \(5,\) does not fit neuron count 4"):
             step(np.ones(5), pm, normalize(build_cycle(3)), ModelParams())
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match=r"coupling matrix is \(4, 4\), patterns hold p=3"):
             step(np.ones(4), pm, normalize(build_cycle(4)), ModelParams())
 
     def test_balanced_fixed_point_is_centered_pattern(self):
@@ -301,7 +296,7 @@ class TestRun:
     def test_max_steps_validation(self):
         pm = PatternMatrix(np.ones((3, 2)) * 0.5)
         graph = MemoryGraph(2, ((0, 1, 1.0),), directed=False)
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="max_steps must be >= 1, got 0"):
             run(np.zeros(3), pm, graph, ModelParams(), max_steps=0)
 
 
@@ -402,7 +397,7 @@ class TestLogitBasis:
         iterate(np.zeros(4), pm, coupling, ModelParams(), 1, logits=True)  # with the mean row
         # p + 2 rows: the n = 5 rows of a state are not logits either
         for bad in (np.zeros(5), np.zeros((5, 2)), np.zeros((3, 2, 1))):
-            with pytest.raises(ContractError, match="pattern count 3"):
+            with pytest.raises(CdamError, match="pattern count 3"):
                 iterate(bad, pm, coupling, ModelParams(), 1, logits=True)
 
     def test_operator_built_once_per_iterate(self, monkeypatch):
@@ -495,9 +490,9 @@ class TestIterate:
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         coupling = normalize(build_cycle(3))
         for bad in (np.float64(1.0), np.zeros((5, 3, 1)), np.zeros(4), np.zeros((4, 2))):
-            with pytest.raises(ContractError):
+            with pytest.raises(CdamError, match="does not fit neuron count 5"):
                 iterate(bad, pm, coupling, ModelParams(), 3)
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match=r"coupling matrix is \(4, 4\), patterns hold p=3"):
             iterate(np.zeros(5), pm, normalize(build_cycle(4)), ModelParams(), 3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -593,7 +588,7 @@ class TestReadoutBlocks:
         # a*sum exp(b*m^2) + h*sum w*exp(b*m_a*m_k) < 0 from the first state
         pm = PatternMatrix(np.random.default_rng(26).uniform(0, 1, (40, 7)))
         graph = asymmetric_graph()
-        with pytest.raises(EnergyUndefinedError):
+        with pytest.raises(CdamError, match="energy log argument .* <= 0"):
             run(init_state(pm, 0, seed=1), pm, graph, ModelParams(a=-2.5, h=1.0),
                 with_energy=True)
 
@@ -671,10 +666,10 @@ class TestMeasures:
 
     def test_zero_variance_raises(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
             pearson_all(np.ones(10), pm)
         flat = PatternMatrix(np.column_stack([np.ones(10), np.arange(10.0)]))
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
             pearson_all(np.arange(10.0), flat)
 
     def test_pearson_all_equals_uncached_matrix_exactly(self):
@@ -709,7 +704,7 @@ class TestMeasures:
         flat = PatternMatrix(np.column_stack([np.arange(10.0), np.ones(10)]))
         state = np.arange(10.0) ** 2
         for _ in range(2):
-            with pytest.raises(UndefinedCorrelationError):
+            with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
                 pearson_all(state, flat)
 
     @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 1e3])
@@ -740,7 +735,7 @@ class TestEnergy:
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
         g = MemoryGraph(2, ((0, 1, 1.0),), directed=True)
         state = np.random.default_rng(1).normal(0, 1, 10)
-        with pytest.raises(EnergyUndefinedError):
+        with pytest.raises(CdamError, match="energy log argument 0.0 <= 0"):
             run(state, pm, g, ModelParams(a=0.0, h=0.0), max_steps=1, with_energy=True)
 
     def test_matches_oracles(self):
@@ -752,7 +747,7 @@ class TestEnergy:
                 want = naive_energy(sigma, pm, graph, params)
             except ValueError:
                 # an undefined energy at t=0 is the first bad readout of the run
-                with pytest.raises(EnergyUndefinedError):
+                with pytest.raises(CdamError, match="energy log argument .* <= 0"):
                     run(sigma, pm, graph, params, max_steps=1, with_energy=True)
                 continue
             assert energy_of(sigma, pm, graph, params) == pytest.approx(want, abs=1e-10)
@@ -784,7 +779,7 @@ class TestEnergy:
 
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))
-        with pytest.raises(ContractError, match=r"coupling matrix is \(4, 4\)"):
+        with pytest.raises(CdamError, match=r"coupling matrix is \(4, 4\)"):
             run(np.arange(10.0), pm, build_cycle(4), ModelParams(), with_energy=True)
 
 
@@ -808,9 +803,9 @@ class TestInitState:
     def test_validation(self):
         pm = PatternMatrix(np.ones((5, 2)) * 0.5)
         for trigger in (2, -1, np.array([0, 2]), np.array([[0]]), 1.0):
-            with pytest.raises(ContractError):
+            with pytest.raises(CdamError, match=r"is not a pattern index in \[0,2\)"):
                 init_state(pm, trigger)
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="noise amplitude must be finite and >= 0, got -1.0"):
             init_state(pm, 0, c=-1.0)
 
     def test_index_array_stacks_single_trigger_draws_bitwise(self):
@@ -829,9 +824,9 @@ class TestInitState:
 
 class TestModelParams:
     def test_positive_constraints(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="beta must be > 0, got 0.0"):
             ModelParams(beta=0.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="eta must be > 0, got -0.1"):
             ModelParams(eta=-0.1)
 
     def test_signs_unrestricted(self):

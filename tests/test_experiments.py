@@ -12,12 +12,7 @@ from cdam.dynamics import (
     iterate,
     pearson_all,
 )
-from cdam.errors import (
-    ContractError,
-    InvalidSizeError,
-    NumericDivergenceError,
-    UndefinedCorrelationError,
-)
+from cdam.errors import CdamError, NumericDivergenceError
 from cdam.graphs import (
     MemoryGraph,
     build_cycle,
@@ -135,7 +130,7 @@ class TestHopProfiles:
         assert np.max(np.abs(diff)) < 1e-12
 
     def test_state_correlation_matrix_zero_variance_raises(self):
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state or pattern"):
             X.state_correlation_matrix(np.ones((5, 3)))
 
     def test_profile_hop_zero_is_one(self):
@@ -187,7 +182,7 @@ class TestBlockContrast:
         assert X.block_contrast(mat, [[0, 1], [2, 3]]) == pytest.approx(1.0)
 
     def test_blocks_must_cover(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="blocks do not cover every vertex"):
             X.block_contrast(np.eye(4), [[0, 1], [2]])
 
 
@@ -287,7 +282,7 @@ class TestSequenceRecall:
     def test_zero_variance_frame_raises(self):
         values = np.random.default_rng(2).uniform(0, 1, (50, 6))
         values[:, 3] = 0.5
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
             X.sequence_recall(PatternMatrix(values))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -389,13 +384,13 @@ class TestExperimentDeterminism:
 
     def test_retrieval_sweep_levels_validated(self):
         bank = X.surrogate_image_bank()[:, :50]
-        with pytest.raises(ContractError):
+        with pytest.raises(CdamError, match="p=100 exceeds dataset size 50"):
             X.retrieval_sweep(bank, p_levels=(10, 100), trials=1)
 
     def test_retrieval_sweep_single_pattern_is_rejected(self):
         # one stored pattern has no nearest neighbor to build a scaffold from
         bank = X.surrogate_image_bank()[:, :4]
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(CdamError, match="nearest-neighbor scaffold needs p >= 2, got 1"):
             X.retrieval_sweep(bank, p_levels=(1,), trials=3, seed=1)
 
     def test_dataset_fingerprint_recorded(self, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdam.automata import AutomatonSpec, family_tree
-from cdam.errors import CdamError, FormatError, IngestError, LengthError
+from cdam.errors import CdamError
 from cdam.ingest import (
     compose_automaton_patterns,
     embed_label,
@@ -31,7 +31,7 @@ class TestRandomPatterns:
         assert 0.0 <= pm.values[0, 0] <= 1.0
 
     def test_size_validation(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(CdamError, match="need n, p >= 1, got n=0, p=3"):
             random_patterns(0, 3)
 
 
@@ -61,7 +61,7 @@ class TestIdx:
         with open(path, "wb") as fh:
             fh.write(struct.pack(">IIII", 0x00000804, 1, 2, 2))
             fh.write(bytes(4))
-        with pytest.raises(FormatError):
+        with pytest.raises(CdamError, match="magic 0x00000804, expected 0x00000803"):
             load_idx(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -69,14 +69,14 @@ class TestIdx:
         with open(path, "wb") as fh:
             fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
             fh.write(bytes(5))  # needs 8
-        with pytest.raises(LengthError):
+        with pytest.raises(CdamError, match="payload 5 bytes, header needs 8"):
             load_idx(path)
 
     def test_image_size_beyond_any_array_dimension(self, tmp_path):
         # zero images, so no payload is needed, but rows*cols exceeds the largest intp
         path = tmp_path / "huge.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000803, 0, 2**32 - 1, 2**32 - 1))
-        with pytest.raises(FormatError, match="array dimension"):
+        with pytest.raises(CdamError, match="array dimension"):
             load_idx(path)
 
     # Headers are mostly well-formed with small sizes, so that a fair share
@@ -137,13 +137,13 @@ class TestPnm:
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
-        with pytest.raises(LengthError):
+        with pytest.raises(CdamError, match="2 payload bytes, header needs 4"):
             read_pnm(path)
 
     def test_not_pnm(self, tmp_path):
         path = tmp_path / "nope.pgm"
         path.write_bytes(b"JUNK")
-        with pytest.raises(FormatError):
+        with pytest.raises(CdamError, match="not a P2/P3/P5/P6 netpbm file"):
             read_pnm(path)
 
     @pytest.mark.parametrize("header", [b"P2 -1 2 255\n", b"P2 0 0 255\n", b"P2 3 0 255\n",
@@ -151,7 +151,7 @@ class TestPnm:
     def test_non_positive_size_rejected(self, tmp_path, header):
         path = tmp_path / "empty.pnm"
         path.write_bytes(header + b"1 2 3 4 5 6\n")
-        with pytest.raises(FormatError, match="not positive"):
+        with pytest.raises(CdamError, match="not positive"):
             read_pnm(path)
 
     @pytest.mark.parametrize("raw", [
@@ -164,7 +164,7 @@ class TestPnm:
     def test_sample_outside_maxval_rejected(self, tmp_path, raw):
         path = tmp_path / "hot.pnm"
         path.write_bytes(raw)
-        with pytest.raises(FormatError, match="outside"):
+        with pytest.raises(CdamError, match="outside"):
             read_pnm(path)
 
     @pytest.mark.parametrize("raw", [b"P2 2 1 255\n1.5 3\n", b"P2 2 1 255\n1 3e0\n",
@@ -172,7 +172,7 @@ class TestPnm:
     def test_non_integer_ascii_sample_rejected(self, tmp_path, raw):
         path = tmp_path / "frac.pgm"
         path.write_bytes(raw)
-        with pytest.raises(FormatError, match="decimal integers"):
+        with pytest.raises(CdamError, match="decimal integers"):
             read_pnm(path)
 
     # Headers are well-formed with small sizes and junk is spliced in at a
@@ -222,7 +222,7 @@ class TestFrames:
         assert patterns.p == 3 and patterns.n == 20
         assert ingest_frames(tmp_path, n=6 * 5 * 3, seed=2).n == 6 * 5 * 3
         for n in (0, -1, 6 * 5 * 3 + 1):
-            with pytest.raises(IngestError):
+            with pytest.raises(CdamError, match=f"cannot sample n={n} from frames of length 90"):
                 ingest_frames(tmp_path, n=n, seed=2)
 
     def test_constant_frame_gives_constant_pattern(self, tmp_path):
@@ -239,11 +239,11 @@ class TestFrames:
     def test_dimension_mismatch(self, tmp_path):
         write_pnm(tmp_path / "a.pgm", np.zeros((2, 2)))
         write_pnm(tmp_path / "b.pgm", np.zeros((3, 3)))
-        with pytest.raises(IngestError):
+        with pytest.raises(CdamError, match=r"b.pgm: shape \(3, 3\) != first frame \(2, 2\)"):
             ingest_frames(tmp_path, n=4, seed=0)
 
     def test_empty_directory(self, tmp_path):
-        with pytest.raises(IngestError):
+        with pytest.raises(CdamError, match="no frame files found in"):
             ingest_frames(tmp_path, n=4, seed=0)
 
     def test_csv_frames_default_normalizer(self, tmp_path):
@@ -255,7 +255,7 @@ class TestFrames:
     @pytest.mark.parametrize("text", ["-3,1\n2,4\n", "1,nan\n2,4\n", "1 inf\n2 4\n", "# empty\n"])
     def test_csv_negative_non_finite_or_empty_rejected(self, tmp_path, text):
         (tmp_path / "x.csv").write_text(text)
-        with pytest.raises(FormatError, match="CSV frame"):
+        with pytest.raises(CdamError, match="CSV frame"):
             ingest_frames(tmp_path, n=1, seed=0)
 
     # Cells are mostly non-negative numbers, the matrix is rectangular, n is
@@ -356,5 +356,5 @@ class TestComposeAutomaton:
     def test_content_length_mismatch(self):
         spec = family_tree()
         spec.state_content = {s: np.zeros(50) for s in spec.states}
-        with pytest.raises(IngestError):
+        with pytest.raises(CdamError, match="has length 50, expected n=100"):
             compose_automaton_patterns(spec, n=100, seed=0)
