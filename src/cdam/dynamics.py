@@ -56,14 +56,23 @@ same metrics (tools/sequence_basis.py).
 
 The readout block.  run() keeps the states iterate hands its observer,
 which iterate never writes again, and reads READOUT_BLOCK of them, and the
-last partial block, together: pearson_all and energy of the stack, the
-overlaps as one Xi^T S / n product, and the mean and SD of every column.
-The states are iterate's, bit for bit, and the mean and SD take the same
-reductions as per state, so they are bitwise too; r and the energy of a
-block round unlike those of one state, by at most 2.6e-15 in r and 9.1e-16
-relative in the energy over the 36 bench simulate runs at seeds 0, 5 and 7.
-A bad readout is still named by its own step, though the run may take up
-to READOUT_BLOCK - 1 more steps before it raises.
+last partial block, together as the raw (n, K) stack S.  The mean and SD
+of every column take the same reductions as per state, and one product
+Zc = yc^T S with the cached centered patterns yc gives the rest:
+
+    r = (Zc - (sum_i yc_i) (outer) mean) / (|yc| (outer) sqrt(n)*SD)
+    overlaps Xi^T S / n = (Zc + n*m (outer) mean) / n,  m the column means of Xi
+
+since |S - mean| is sqrt(n)*SD.  The centered side is the pattern: on
+low-contrast patterns (values near 0.99) the raw logits Xi^T S would
+cancel n*m_mu*mean against each other and lose about 1e-9 of r, where
+Zc stays within 5e-14 of a loop-level Pearson.  The states are iterate's,
+bit for bit, and so are the mean and SD; r and the energy of a block
+round unlike those of one state (pearson_all, and the energy of
+overlaps_all), by at most 2.6e-15 in r and 9.1e-16 relative in the energy
+over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad readout is
+still named by its own step, though the run may take up to
+READOUT_BLOCK - 1 more steps before it raises.
 """
 
 from __future__ import annotations
@@ -308,11 +317,13 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
 
     The trace includes the t=0 record, so it has steps+1 rows.  The loop is
     iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
-    computed READOUT_BLOCK of iterate's own states at a time (see the module
-    docstring).  A non-finite state or readout aborts with
-    NumericDivergenceError naming the offending step, though the run may
-    take up to READOUT_BLOCK - 1 more steps before it raises, and a state
-    that diverges in those steps does not hide it.
+    computed READOUT_BLOCK of iterate's own states at a time, r and the
+    energy's overlaps from one product of the block with the centered
+    patterns (see the module docstring).  A zero-variance state or pattern
+    raises CdamError, as in pearson_all.  A non-finite state or readout
+    aborts with NumericDivergenceError naming the offending step, though
+    the run may take up to READOUT_BLOCK - 1 more steps before it raises,
+    and a state that diverges in those steps does not hide it.
     """
     if max_steps < 1:
         raise CdamError(f"max_steps must be >= 1, got {max_steps}")
@@ -336,11 +347,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
         t0 = READOUT_BLOCK * len(blocks)  # every block but the last is full
         states = np.array(pending).T
         pending.clear()
-        r = pearson_all(states, patterns)
-        with np.errstate(all="ignore"):
-            mean, sd = states.mean(axis=0), states.std(axis=0)
-            e, arg = ((np.zeros_like(mean), np.ones_like(mean)) if terms is None
-                      else energy(overlaps_all(states, patterns), terms, params))
+        r, mean, sd, e, arg = _block_readouts(states, patterns, terms, params)
         bad = ~np.isfinite(np.vstack([r, mean, sd, e])).all(axis=0) | (arg <= 0.0)
         if bad.any():
             j = int(bad.argmax())
@@ -365,6 +372,29 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
 
     corr, means, sds, energies = (np.concatenate(column) for column in zip(*blocks))
     return SimulationTrace(corr, means, sds, energies if with_energy else None, sigma, termination)
+
+
+def _block_readouts(states: np.ndarray, patterns: PatternMatrix, terms: tuple | None,
+                    params: ModelParams) -> tuple[np.ndarray, ...]:
+    """Pearson r (p x K), mean, SD, energy and the energy's log argument of
+    the columns of an (n, K) stack of states, from the one product
+    Zc = yc^T S with the cached centered patterns yc (see the module
+    docstring); without energy terms the energy reads 0 and its argument 1.
+    A zero-variance state or pattern raises CdamError, as in pearson_all."""
+    yc, norms = patterns.centered
+    n = patterns.n
+    with np.errstate(all="ignore"):
+        mean, sd = states.mean(axis=0), states.std(axis=0)
+        if np.any(norms == 0.0) or np.any(sd == 0.0):
+            raise CdamError("pearson undefined: zero-variance state or pattern")
+        zc = yc.T @ states
+        r = zc - np.multiply.outer(yc.sum(axis=0), mean)
+        r /= np.multiply.outer(norms, math.sqrt(n) * sd)
+        if terms is None:
+            return r, mean, sd, np.zeros_like(mean), np.ones_like(mean)
+        zc += np.multiply.outer(n * patterns.values.mean(axis=0), mean)
+        zc /= n
+        return r, mean, sd, *energy(zc, terms, params)
 
 
 def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:

@@ -3,7 +3,8 @@ frames (PGM/PPM or CSV), and the composite patterns of an automaton.
 
 Every path is bit-reproducible per seed and produces values in [0, 1]:
 frames are divided by their declared maxval (or, for CSV, their largest
-value), and a negative or non-finite CSV entry is a CdamError.
+value), a directory holding both CSV and netpbm frames is a CdamError, and
+so is a negative or non-finite CSV entry.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def read_pnm(path):
 
     Returns (array, maxval); array shape is (h, w) for grayscale or
     (h, w, 3) for color, raw sample values in [0, maxval] (not yet
-    normalized).  A sample outside that range, or an ASCII sample that is
-    not a decimal integer, is a CdamError.
+    normalized): float64 for P2/P3, and for P5/P6 a read-only array of the
+    file's own type, uint8 or big-endian uint16 ('>u2').  A sample outside
+    that range, or an ASCII sample that is not a decimal integer, is a
+    CdamError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 2 or raw[0:1] != b"P" or raw[1:2] not in b"2356":
@@ -119,7 +122,7 @@ def read_pnm(path):
         if len(body) < want:
             raise CdamError(f"{path}: {len(body)} payload bytes, header needs {want}")
         dtype = ">u2" if maxval > 255 else np.uint8
-        values = np.frombuffer(body, dtype=dtype).astype(float)
+        values = np.frombuffer(body, dtype=dtype)
     if not np.all((values >= 0) & (values <= maxval)):
         raise CdamError(f"{path}: sample values outside [0, {maxval}]")
     if kind in ("P2", "P3") and not all(t.isdigit() for t in samples):
@@ -168,9 +171,10 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
 
     Frames are read in lexicographic filename order; all must share one
     shape.  Flattening is row-major with color channels interleaved last.
-    Every frame is divided by the files' declared maxval (which must agree
-    across frames) or, for CSV frames, by the maximum value observed
-    anywhere, and sampled at the same n seeded indices.
+    The frames are all CSV or all netpbm.  Each is sampled at the same n
+    seeded indices, and only those samples are divided, as floats, by the
+    files' declared maxval (which must agree across frames) or, for CSV
+    frames, by the maximum value observed anywhere.
     """
     files = sorted(
         f for f in Path(frame_dir).iterdir()
@@ -178,9 +182,13 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
     )
     if not files:
         raise CdamError(f"no frame files found in {frame_dir}")
+    csv = [f.suffix.lower() == ".csv" for f in files]
+    if any(csv) and not all(csv):
+        raise CdamError(f"{frame_dir} mixes CSV frame {files[csv.index(True)].name} and "
+                        f"netpbm frame {files[csv.index(False)].name}; use one kind")
     arrays, maxvals = [], []
-    for f in files:
-        arr, maxval = (read_csv_frame(f) if f.suffix.lower() == ".csv" else read_pnm(f))
+    for f, is_csv in zip(files, csv):
+        arr, maxval = read_csv_frame(f) if is_csv else read_pnm(f)
         arrays.append(arr)
         maxvals.append(maxval)
     shape = arrays[0].shape

@@ -381,16 +381,21 @@ class TestRejectedInputs:
          "bad pattern spec 'frames:truncated,4': truncated/f.pgm: 1 payload bytes, header needs 4"),
         (["simulate", "--graph", "cycle:3", "--patterns", "frames:empty,4"],
          "bad pattern spec 'frames:empty,4': no frame files found in empty"),
+        (["simulate", "--graph", "cycle:3", "--patterns", "frames:mixed,4"],
+         "bad pattern spec 'frames:mixed,4': mixed mixes CSV frame b.csv and netpbm frame a.pgm;"
+         " use one kind"),
         (["automaton", "--spec", "duplicate.json", "--script", "x"],
          "state names must be unique"),
     ], ids=["size", "retries", "unknown-state", "graph-file", "trigger", "correlation", "energy",
-            "pnm-format", "pnm-length", "no-frames", "spec"])
+            "pnm-format", "pnm-length", "no-frames", "mixed-frames", "spec"])
     def test_malformed_input_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv,
                                                       line):
         monkeypatch.chdir(tmp_path)
         Path("noheader.txt").write_text("0 1\n1 2\n")
-        for name in ("garbled", "truncated", "empty"):
+        for name in ("garbled", "truncated", "empty", "mixed"):
             Path(name).mkdir()
+        Path("mixed/a.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")
+        Path("mixed/b.csv").write_text("1000,1\n2,3\n")
         Path("garbled/f.pgm").write_bytes(b"XX\n")
         Path("truncated/f.pgm").write_bytes(b"P5\n2 2\n255\n\x01")
         Path("duplicate.json").write_text(json.dumps({"states": ["a", "a"], "transitions": []}))

@@ -20,6 +20,7 @@ from cdam.dynamics import (
 )
 from cdam.errors import CdamError, NumericDivergenceError
 from cdam.graphs import MemoryGraph, build_cycle, hop_distances, normalize
+from cdam.ingest import random_patterns
 from oracles import (
     descent_energy,
     naive_energy_directed,
@@ -592,6 +593,42 @@ class TestReadoutBlocks:
             run(init_state(pm, 0, seed=1), pm, graph, ModelParams(a=-2.5, h=1.0),
                 with_energy=True)
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_r_matches_loop_pearson_on_low_contrast_patterns(self, c):
+        # every pattern value near 0.99: a readout through the raw logits
+        # Xi^T S would cancel n*m_mu*mean(sigma) against them and lose 1e-9
+        rng = np.random.default_rng(27)
+        pm = PatternMatrix(np.clip(0.99 + 0.002 * rng.normal(size=(2000, 50)), 0.0, 1.0))
+        graph, params = build_cycle(50), ModelParams(a=-2.0, h=3.0)
+        initial = init_state(pm, 3, c=c, seed=1)
+        trace = run(initial, pm, graph, params, max_steps=3, fixed_point_tol=0.0)
+        states = [initial]
+        iterate(initial, pm, normalize(graph), params, 3, observe=lambda t, s: states.append(s))
+        cols = [list(pm.values[:, mu]) for mu in range(pm.p)]
+        want = [[naive_pearson(list(s), col) for col in cols] for s in states]
+        assert np.max(np.abs(trace.correlations - want)) <= 1e-12
+
+    def test_r_matches_per_state_pearson_all_on_the_stock_simulate_run(self):
+        # the states of cdam simulate --graph cycle:30 --patterns random:1000
+        pm, graph = random_patterns(1000, 30, 0), build_cycle(30)
+        initial = init_state(pm, 0, seed=0)
+        trace = run(initial, pm, graph, ModelParams())
+        states = [initial]
+        iterate(initial, pm, normalize(graph), ModelParams(), trace.steps,
+                observe=lambda t, s: states.append(s))
+        assert len(states) == trace.steps + 1 > K
+        want = [pearson_all(s, pm) for s in states]
+        assert np.max(np.abs(trace.correlations - want)) <= 1e-13
+
+    @pytest.mark.parametrize("what", ["state", "pattern"])
+    def test_zero_variance_readout_raises(self, what):
+        values = np.random.default_rng(28).uniform(0, 1, (40, 4))
+        sigma = np.full(40, 0.3) if what == "state" else values[:, 0].copy()
+        if what == "pattern":
+            values[:, 2] = 0.5
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state or pattern"):
+            run(sigma, PatternMatrix(values), build_cycle(4), ModelParams())
+
     @pytest.mark.parametrize("a, eta, with_energy", [
         (1e154, 0.1, False),  # the state norm overflows; the state stays finite
         (1e154, 0.02, False),  # the same, in the second block
@@ -762,11 +799,15 @@ class TestEnergy:
         assert with_h == pytest.approx(without_h)
 
     def test_run_computes_each_states_overlaps_once(self, monkeypatch):
-        # the energy needs one overlap product per block of recorded states
+        # r and the energy's overlaps come from one pattern product per block
+        # of recorded states, formed by _block_readouts and by nothing else
         import cdam.dynamics as D
         shapes = []
-        monkeypatch.setattr(D, "overlaps_all",
-                            lambda s, pm: shapes.append(s.shape) or overlaps_all(s, pm))
+        block_readouts = D._block_readouts
+        monkeypatch.setattr(D, "_block_readouts",
+                            lambda s, *rest: shapes.append(s.shape) or block_readouts(s, *rest))
+        for name in ("overlaps_all", "pearson_all"):
+            monkeypatch.setattr(D, name, lambda *args: pytest.fail("a second pattern product"))
         rng = np.random.default_rng(17)
         pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
         graph = build_cycle(5)

@@ -110,6 +110,7 @@ class TestPnm:
         write_pnm(path, arr)
         back, maxval = read_pnm(path)
         assert maxval == 255
+        assert back.dtype == np.uint8
         assert np.array_equal(back, arr)
 
     def test_ascii_gray(self, tmp_path):
@@ -124,6 +125,7 @@ class TestPnm:
         path = tmp_path / "f.ppm"
         write_pnm(path, arr)
         back, _ = read_pnm(path)
+        assert back.dtype == np.uint8
         assert np.array_equal(back, arr)
 
     def test_sixteen_bit(self, tmp_path):
@@ -132,6 +134,7 @@ class TestPnm:
         path.write_bytes(b"P5\n2 1\n65535\n" + arr.astype(">u2").tobytes())
         back, maxval = read_pnm(path)
         assert maxval == 65535
+        assert back.dtype == np.dtype(">u2")
         assert np.array_equal(back, arr)
 
     def test_truncated_body(self, tmp_path):
@@ -240,6 +243,33 @@ class TestFrames:
         write_pnm(tmp_path / "a.pgm", np.zeros((2, 2)))
         write_pnm(tmp_path / "b.pgm", np.zeros((3, 3)))
         with pytest.raises(CdamError, match=r"b.pgm: shape \(3, 3\) != first frame \(2, 2\)"):
+            ingest_frames(tmp_path, n=4, seed=0)
+
+    @pytest.mark.parametrize("kind", ["P5", "P5-300", "P5-65535", "P6", "P2"])
+    def test_equals_float_first_oracle_bitwise(self, tmp_path, kind):
+        # only the sampled pixels become floats; the old path converted
+        # every pixel first, then sampled and divided
+        rng = np.random.default_rng(7)
+        maxval = {"P5-300": 300, "P5-65535": 65535}.get(kind, 255)
+        shape = (5, 6, 3) if kind == "P6" else (5, 6)
+        for k in range(3):
+            pixels = rng.integers(0, maxval + 1, shape)
+            header = f"{kind[:2]}\n6 5\n{maxval}\n".encode()
+            body = (" ".join(map(str, pixels.reshape(-1))).encode() if kind == "P2"
+                    else pixels.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+            (tmp_path / f"f{k}.pnm").write_bytes(header + body)
+        n, seed = 17, 4
+        indices = np.sort(np.random.default_rng(seed).choice(pixels.size, n, replace=False))
+        want = [read_pnm(tmp_path / f"f{k}.pnm")[0].astype(float).reshape(-1)[indices] / maxval
+                for k in range(3)]
+        got = ingest_frames(tmp_path, n=n, seed=seed).values
+        assert np.array_equal(got, np.column_stack(want))
+
+    def test_mixed_csv_and_netpbm_rejected(self, tmp_path):
+        # a CSV frame was divided by the netpbm maxval: 1000/255 = 3.92
+        (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3]))
+        (tmp_path / "b.csv").write_text("1000,1\n2,3\n")
+        with pytest.raises(CdamError, match="mixes CSV frame b.csv and netpbm frame a.pgm"):
             ingest_frames(tmp_path, n=4, seed=0)
 
     def test_empty_directory(self, tmp_path):
