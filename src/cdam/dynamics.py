@@ -63,15 +63,15 @@ Zc = yc^T S with the cached centered patterns yc gives the rest:
     r = (Zc - (sum_i yc_i) (outer) mean) / (|yc| (outer) sqrt(n)*SD)
     overlaps Xi^T S / n = (Zc + n*m (outer) mean) / n,  m the column means of Xi
 
-since |S - mean| is sqrt(n)*SD.  The centered side is the pattern: on
-low-contrast patterns (values near 0.99) the raw logits Xi^T S would
-cancel n*m_mu*mean against each other and lose about 1e-9 of r, where
-Zc stays within 5e-14 of a loop-level Pearson.  The states are iterate's,
-bit for bit, and so are the mean and SD; r and the energy of a block
-round unlike those of one state (pearson_all, and the energy of
-overlaps_all), by at most 2.6e-15 in r and 9.1e-16 relative in the energy
-over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad readout is
-still named by its own step, though the run may take up to
+since |S - mean| is sqrt(n)*SD.  The patterns, not the states, are the
+centered side: on low-contrast patterns (values near 0.99) the raw logits
+Xi^T S would cancel n*m_mu*mean against each other and lose about 1e-9
+of r, where Zc stays within 5e-14 of a loop-level Pearson.  The states
+are iterate's, bit for bit, and so are the mean and SD; r and the energy
+of a block round unlike those of one state (pearson_all, and the energy
+of overlaps_all), by at most 2.6e-15 in r and 9.1e-16 relative in the
+energy over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad
+readout is still named by its own step, though the run may take up to
 READOUT_BLOCK - 1 more steps before it raises.
 """
 
