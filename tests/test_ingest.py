@@ -247,8 +247,8 @@ class TestFrames:
 
     @pytest.mark.parametrize("kind", ["P5", "P5-300", "P5-65535", "P6", "P2"])
     def test_equals_float_first_oracle_bitwise(self, tmp_path, kind):
-        # only the sampled pixels become floats; the old path converted
-        # every pixel first, then sampled and divided
+        # only the sampled pixels become floats, with the floats of
+        # converting every pixel first
         rng = np.random.default_rng(7)
         maxval = {"P5-300": 300, "P5-65535": 65535}.get(kind, 255)
         shape = (5, 6, 3) if kind == "P6" else (5, 6)
@@ -266,7 +266,7 @@ class TestFrames:
         assert np.array_equal(got, np.column_stack(want))
 
     def test_mixed_csv_and_netpbm_rejected(self, tmp_path):
-        # a CSV frame was divided by the netpbm maxval: 1000/255 = 3.92
+        # no one normalizer serves both: the CSV's 1000 over maxval 255 is 3.92
         (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3]))
         (tmp_path / "b.csv").write_text("1000,1\n2,3\n")
         with pytest.raises(CdamError, match="mixes CSV frame b.csv and netpbm frame a.pgm"):
