@@ -77,15 +77,6 @@ class AutomatonSpec:
     def labels(self) -> list[str]:
         return sorted({label for _, label, _ in self.transitions})
 
-    def slot_counts(self, n: int) -> tuple[int, int]:
-        reserved = int(np.floor(self.reserve_fraction * n))
-        free = n - reserved
-        if reserved < 1 or free < 1:
-            raise CdamError(
-                f"reserve fraction {self.reserve_fraction} leaves an empty block at n={n}"
-            )
-        return reserved, free
-
 
 def _vectors(table, what: str) -> list[np.ndarray]:
     """The vectors of a name -> vector dict; CdamError unless every key is

@@ -4,8 +4,8 @@ A memory graph has one vertex per stored pattern; its edges define which
 patterns hetero-associate.  The update rule couples patterns through the
 normalized adjacency matrix D^{-1/2} A D^{-1/2}, so this module owns graph
 construction (cycles, barbells, the bundled karate-club and Tutte graphs,
-random regular graphs, nearest-neighbor scaffolds, automaton graphs),
-normalization, and the plain-text serialization format.
+random regular graphs, nearest-neighbor scaffolds), normalization, and the
+plain-text serialization format.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _data_path(filename: str) -> Path:
 
 @dataclass(frozen=True)
 class MemoryGraph:
-    """Weighted directed multigraph over pattern vertices.
+    """Positively weighted directed multigraph over pattern vertices.
 
     Undirected graphs store each edge once in canonical (min, max) order and
     expand it symmetrically when the adjacency matrix is built.  Edges are
@@ -62,6 +62,8 @@ class MemoryGraph:
                 raise CdamError(f"edge ({src},{dst}) outside [0,{self.p})")
             if not np.isfinite(w):
                 raise CdamError(f"edge ({src},{dst}) weight {w} not finite")
+            if w <= 0:
+                raise CdamError(f"edge ({src},{dst}) weight {w} not positive")
             if not self.directed and src > dst:
                 src, dst = dst, src
             canon.append((src, dst, w))
@@ -205,24 +207,6 @@ def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
         nn = int(np.argmin(d2[v]))  # argmin takes the lowest index on ties
         edges.add((min(v, nn), max(v, nn), 1.0))
     return MemoryGraph(p, tuple(sorted(edges)), directed=False)
-
-
-def build_automaton_graph(spec) -> MemoryGraph:
-    """Directed graph realizing a finite automaton over composite patterns.
-
-    One vertex per state and one per (state, label) transition.  Every state
-    vertex carries a self-loop; each transition vertex has a single out-edge
-    to its target state and no in-edges, so stimulating a transition pattern
-    retrieves the target while states are attractors of their own.
-    """
-    spec.validate()
-    names = spec.vertex_names()
-    index = {name: i for i, name in enumerate(names)}
-    n_states = len(spec.states)
-    edges = [(index[s], index[s], 1.0) for s in spec.states]
-    for pos, (_, _, dst) in enumerate(spec.transitions):
-        edges.append((n_states + pos, index[dst], 1.0))
-    return MemoryGraph(len(names), tuple(edges), directed=True)
 
 
 # -- traversal helpers ----------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .automata import AutomatonSpec
 from .dynamics import PatternMatrix
 from .errors import CdamError
-from .graphs import MemoryGraph, build_automaton_graph
+from .graphs import MemoryGraph
 
 IDX_IMAGES_MAGIC = 0x00000803
 
@@ -229,13 +229,21 @@ def compose_automaton_patterns(
     """Build the pattern matrix, memory graph, and free-slot indices for an
     automaton.
 
-    A seeded random subset of floor(reserve_fraction * n) neuron indices is
-    reserved; the rest are free, returned sorted.  State patterns carry
-    their full content vector; transition patterns copy the source state's
-    reserved slots exactly and put the label's embedding on the free slots.
+    One vertex per state, then one per (state, label) transition in spec
+    order, as `AutomatonSpec.vertex_names` lists them.  A seeded random
+    subset of floor(reserve_fraction * n) neuron indices is reserved; the
+    rest are free, returned sorted.  State patterns carry their full content
+    vector; transition patterns copy the source state's reserved slots
+    exactly and put the label's embedding on the free slots.  The directed
+    graph puts a self-loop on every state vertex and gives each transition
+    vertex a single out-edge to its target state and no in-edges, so
+    stimulating a transition pattern retrieves the target while states are
+    attractors of their own.
     """
     spec.validate()
-    n_reserved, n_free = spec.slot_counts(n)
+    n_reserved = int(np.floor(spec.reserve_fraction * n))
+    if not 0 < n_reserved < n:
+        raise CdamError(f"reserve fraction {spec.reserve_fraction} leaves an empty block at n={n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     reserved, free = np.sort(perm[:n_reserved]), np.sort(perm[n_reserved:])
@@ -252,12 +260,15 @@ def compose_automaton_patterns(
     else:
         content = {name: rng.uniform(0.0, 1.0, n) for name in spec.states}
 
-    embeddings = {label: embed_label(label, n_free, seed) for label in spec.labels()}
+    embeddings = {label: embed_label(label, free.size, seed) for label in spec.labels()}
+    index = {name: i for i, name in enumerate(spec.states)}
     columns = [content[name] for name in spec.states]
-    for src, label, _ in spec.transitions:
+    edges = [(i, i, 1.0) for i in range(len(columns))]
+    for src, label, dst in spec.transitions:
+        edges.append((len(columns), index[dst], 1.0))
         col = np.empty(n)
         col[reserved] = content[src][reserved]
         col[free] = embeddings[label]
         columns.append(col)
-    patterns = PatternMatrix(np.column_stack(columns))
-    return patterns, build_automaton_graph(spec), free
+    graph = MemoryGraph(len(columns), tuple(edges), directed=True)
+    return PatternMatrix(np.column_stack(columns)), graph, free

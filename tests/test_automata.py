@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cdam.automata import AutomatonSpec, family_tree, load_spec_file
 from cdam.errors import CdamError
 from cdam.experiments import AutomatonRunner, automaton_sweep
-from cdam.graphs import build_automaton_graph
+from cdam.ingest import compose_automaton_patterns
 
 
 # The message each malformed spec must raise.  The parametrize ids below
@@ -103,15 +103,24 @@ class TestSpecValidation:
         with pytest.raises(CdamError, match=message):
             AutomatonSpec(**fields).validate()
 
-    def test_slot_counts_need_both_blocks(self):
+    def test_reserve_split_needs_both_blocks(self):
         spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=0.04)
         with pytest.raises(CdamError, match="reserve fraction 0.04 leaves an empty block at n=10"):
-            spec.slot_counts(10)  # floor(0.04 * 10) leaves no reserved slots
+            compose_automaton_patterns(spec, 10, 0)  # floor(0.04 * 10) leaves no reserved slots
+
+    # a spec built in Python is validated only when its patterns are composed;
+    # without that check the unknown target would surface as a KeyError
+    @pytest.mark.parametrize("build", [lambda spec: compose_automaton_patterns(spec, 100, 0),
+                                       lambda spec: AutomatonRunner(spec, n=100, seed=0)],
+                             ids=["compose", "runner"])
+    def test_unknown_target_rejected_when_built(self, build):
+        with pytest.raises(CdamError, match="transition target 'b' is not a state"):
+            build(AutomatonSpec(["a"], [("a", "go", "b")]))
 
 
 class TestGraphConstruction:
     def test_family_tree_shape(self):
-        g = build_automaton_graph(family_tree())
+        _, g, _ = compose_automaton_patterns(family_tree(), 100, 0)
         assert g.p == 16
         a = g.adjacency()
         # self-loop on every state vertex, none on transition vertices
@@ -123,7 +132,7 @@ class TestGraphConstruction:
 
     def test_edges_realize_transition_table(self):
         spec = family_tree()
-        g = build_automaton_graph(spec)
+        _, g, _ = compose_automaton_patterns(spec, 100, 0)
         names = spec.vertex_names()
         idx = {n: i for i, n in enumerate(names)}
         a = g.adjacency()
@@ -134,7 +143,7 @@ class TestGraphConstruction:
 
     def test_empty_transitions_all_self_loops(self):
         spec = AutomatonSpec(states=["x", "y", "z"], transitions=[])
-        g = build_automaton_graph(spec)
+        _, g, _ = compose_automaton_patterns(spec, 100, 0)
         assert np.array_equal(g.adjacency(), np.eye(3))
 
 

@@ -386,12 +386,19 @@ class TestRejectedInputs:
          " use one kind"),
         (["automaton", "--spec", "duplicate.json", "--script", "x"],
          "state names must be unique"),
+        # the negative edge leaves vertices 0 and 1 with degree 0, which normalize would zero
+        (["simulate", "--graph", "file:neg.txt", "--patterns", "random:50", "--a", "0", "--h", "1"],
+         "bad graph spec 'file:neg.txt': edge (0,1) weight -1.0 not positive"),
+        (["experiment", "four-modes", "--graph", "file:neg.txt", "--n", "50"],
+         "bad graph spec 'file:neg.txt': edge (0,1) weight -1.0 not positive"),
     ], ids=["size", "retries", "unknown-state", "graph-file", "trigger", "correlation", "energy",
-            "pnm-format", "pnm-length", "no-frames", "mixed-frames", "spec"])
+            "pnm-format", "pnm-length", "no-frames", "mixed-frames", "spec", "weight-simulate",
+            "weight-experiment"])
     def test_malformed_input_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv,
                                                       line):
         monkeypatch.chdir(tmp_path)
         Path("noheader.txt").write_text("0 1\n1 2\n")
+        Path("neg.txt").write_text("undirected\n0 1 -1\n1 2 1\n2 0 1\n")
         for name in ("garbled", "truncated", "empty", "mixed"):
             Path(name).mkdir()
         Path("mixed/a.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")

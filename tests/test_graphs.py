@@ -314,6 +314,12 @@ class TestInvariants:
         with pytest.raises(CdamError, match=r"edge \(0,1\) weight nan not finite"):
             MemoryGraph(3, ((0, 1, float("nan")),), directed=False)
 
+    # normalize's D^-1/2 would zero a vertex whose listed edges sum to <= 0
+    @pytest.mark.parametrize("w", [-1.0, 0.0, -0.0])
+    def test_non_positive_weight_rejected(self, w):
+        with pytest.raises(CdamError, match=rf"edge \(0,1\) weight {w} not positive"):
+            MemoryGraph(3, ((0, 1, w),), directed=False)
+
     def test_undirected_canonical_storage(self):
         g = MemoryGraph(3, ((2, 0, 1.0),), directed=False)
         assert g.edges == ((0, 2, 1.0),)
