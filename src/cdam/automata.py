@@ -6,7 +6,8 @@ pattern: the state's content on a reserved block of neurons, the label's
 embedding on the remaining free block.  The memory graph puts a self-loop
 on every state vertex and one directed edge from each transition vertex to
 its target, so stimulating the free block with a label embedding walks the
-machine one step.
+machine one step.  A spec is checked when it is made and cannot change
+afterwards.
 """
 
 from __future__ import annotations
@@ -23,35 +24,37 @@ from .errors import CdamError
 DEFAULT_RESERVE_FRACTION = 0.75
 
 
-@dataclass
+@dataclass(frozen=True)
 class AutomatonSpec:
-    """States, labelled transitions, and pattern-composition knobs.
-
-    state_content optionally maps state names to content vectors (all the
-    same length); when absent, compose_automaton_patterns draws seeded
-    random content.  Every label gets a seeded sparse embedding.
+    """States, labelled transitions, and pattern-composition knobs, checked
+    when made (CdamError) and unchangeable after.  states and transitions,
+    given as lists or tuples, are stored as tuples; the optional
+    state_content (state name -> content vector, all one length) as a copied
+    dict of read-only float vectors.  Without it, compose_automaton_patterns
+    draws seeded random content.  Every label gets a seeded sparse embedding.
     """
 
-    states: list[str]
-    transitions: list[tuple[str, str, str]]  # (source, label, target)
+    states: tuple[str, ...]
+    transitions: tuple[tuple[str, str, str], ...]  # (source, label, target)
     reserve_fraction: float = DEFAULT_RESERVE_FRACTION
     state_content: dict[str, np.ndarray] | None = None
 
-    def validate(self) -> None:
-        if not isinstance(self.states, list) or not all(isinstance(s, str) for s in self.states):
+    def __post_init__(self) -> None:
+        states, transitions, content = self.states, self.transitions, self.state_content
+        if not isinstance(states, (list, tuple)) or not all(isinstance(s, str) for s in states):
             raise CdamError("states must be a list of strings")
-        if not isinstance(self.transitions, list) or not all(
+        if not isinstance(transitions, (list, tuple)) or not all(
             isinstance(t, (list, tuple)) and len(t) == 3 and all(isinstance(v, str) for v in t)
-            for t in self.transitions
+            for t in transitions
         ):
             raise CdamError("transitions must be a list of (source, label, target) string triples")
-        if not self.states:
+        if not states:
             raise CdamError("automaton needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        if len(set(states)) != len(states):
             raise CdamError("state names must be unique")
-        known = set(self.states)
+        known = set(states)
         seen = set()
-        for src, label, dst in self.transitions:
+        for src, label, dst in transitions:
             if src not in known:
                 raise CdamError(f"transition source {src!r} is not a state")
             if dst not in known:
@@ -61,14 +64,28 @@ class AutomatonSpec:
             seen.add((src, label))
         if not isinstance(self.reserve_fraction, Real) or not 0.0 < self.reserve_fraction < 1.0:
             raise CdamError(f"reserve fraction {self.reserve_fraction} outside (0, 1)")
-        if self.state_content is not None:
-            arrays = _vectors(self.state_content, "state content")
-            lengths = {v.shape[0] for v in arrays}
+        if content is not None:
+            if not isinstance(content, dict) or not all(isinstance(k, str) for k in content):
+                raise CdamError("state content must be a dict of name -> vector")
+            try:
+                arrays = {k: np.asarray(v) for k, v in content.items()}
+            except ValueError as exc:
+                raise CdamError(f"state content is not a numeric vector: {exc}") from exc
+            if any(v.ndim != 1 or v.size == 0 or v.dtype.kind not in "iuf"
+                   or not np.isfinite(v).all() for v in arrays.values()):
+                raise CdamError("state content must hold non-empty, 1-D, real, finite vectors")
+            lengths = {v.shape[0] for v in arrays.values()}
             if len(lengths) > 1:
                 raise CdamError(f"state content vectors differ in length: {sorted(lengths)}")
-            missing = known - set(self.state_content)
+            missing = known - set(content)
             if missing:
                 raise CdamError(f"content missing for states: {sorted(missing)}")
+            content = {k: np.array(v, dtype=float) for k, v in arrays.items()}
+            for v in content.values():
+                v.flags.writeable = False
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "transitions", tuple(tuple(t) for t in transitions))
+        object.__setattr__(self, "state_content", content)
 
     def vertex_names(self) -> list[str]:
         """States first, then one 'src+label' vertex per transition."""
@@ -76,21 +93,6 @@ class AutomatonSpec:
 
     def labels(self) -> list[str]:
         return sorted({label for _, label, _ in self.transitions})
-
-
-def _vectors(table, what: str) -> list[np.ndarray]:
-    """The vectors of a name -> vector dict; CdamError unless every key is
-    a string and every vector is 1-D, non-empty, real and finite."""
-    if not isinstance(table, dict) or not all(isinstance(k, str) for k in table):
-        raise CdamError(f"{what} must be a dict of name -> vector")
-    try:
-        arrays = [np.asarray(v) for v in table.values()]
-    except ValueError as exc:
-        raise CdamError(f"{what} is not a numeric vector: {exc}") from exc
-    if any(v.ndim != 1 or v.size == 0 or v.dtype.kind not in "iuf" or not np.isfinite(v).all()
-           for v in arrays):
-        raise CdamError(f"{what} must hold non-empty, 1-D, real, finite vectors")
-    return arrays
 
 
 def load_spec_file(path) -> AutomatonSpec:
@@ -108,10 +110,7 @@ def load_spec_file(path) -> AutomatonSpec:
         reserve_fraction = float(doc.get("reserve_fraction", DEFAULT_RESERVE_FRACTION))
     except (TypeError, ValueError, OverflowError) as exc:
         raise CdamError(f"{path}: malformed automaton spec: {exc}") from exc
-    spec = AutomatonSpec(doc["states"], doc["transitions"], reserve_fraction)
-    spec.validate()
-    spec.transitions = [tuple(t) for t in spec.transitions]
-    return spec
+    return AutomatonSpec(doc["states"], doc["transitions"], reserve_fraction)
 
 
 def family_tree() -> AutomatonSpec:

@@ -463,6 +463,8 @@ class AutomatonRunner:
     def settle_from(self, vertex: str) -> tuple[str, float]:
         """Start at a vertex pattern (state or transition) with no
         stimulation and report where the dynamics land."""
+        if vertex not in self.index:
+            raise CdamError(f"unknown vertex {vertex!r}")
         sigma = self.patterns.values[:, self.index[vertex]].copy()
         return self._settle(sigma)
 
@@ -525,8 +527,10 @@ def retrieval_sweep(
     predict the argmax-overlap pattern.  The
     runs iterate the logits Xi^T sigma, not the states: the readout is
     their argmax, which the rounding between the two bases does not move.
-    A level of 1 has no nearest neighbor and raises CdamError.
+    A level of 1 (no nearest neighbor) and trials < 1 raise CdamError.
     """
+    if trials < 1:
+        raise CdamError(f"retrieval sweep needs trials >= 1, got {trials}")
     n, settings = dataset.shape[0], SWEEP_SETTINGS
     report = ExperimentReport(
         "retrieval-sweep",

@@ -289,7 +289,7 @@ def from_text(text: str) -> MemoryGraph:
     if directed is None:
         raise CdamError("missing 'directed'/'undirected' header line")
     p = declared_p if declared_p is not None else max_seen + 1
-    if p <= max_seen:
+    if edges and p <= max_seen:
         raise CdamError(f"declared p={p} but saw vertex {max_seen}")
     _check_vertex_count(p)
     return MemoryGraph(p, tuple(edges), directed=directed)

@@ -240,7 +240,6 @@ def compose_automaton_patterns(
     stimulating a transition pattern retrieves the target while states are
     attractors of their own.
     """
-    spec.validate()
     n_reserved = int(np.floor(spec.reserve_fraction * n))
     if not 0 < n_reserved < n:
         raise CdamError(f"reserve fraction {spec.reserve_fraction} leaves an empty block at n={n}")
@@ -248,17 +247,12 @@ def compose_automaton_patterns(
     perm = rng.permutation(n)
     reserved, free = np.sort(perm[:n_reserved]), np.sort(perm[n_reserved:])
 
-    if spec.state_content is not None:
-        content = {}
-        for name in spec.states:
-            vec = np.asarray(spec.state_content[name], dtype=float)
-            if vec.shape[0] != n:
-                raise CdamError(
-                    f"content for {name!r} has length {vec.shape[0]}, expected n={n}"
-                )
-            content[name] = vec
-    else:
+    content = spec.state_content
+    if content is None:
         content = {name: rng.uniform(0.0, 1.0, n) for name in spec.states}
+    for name in spec.states:
+        if len(content[name]) != n:
+            raise CdamError(f"content for {name!r} has length {len(content[name])}, expected n={n}")
 
     embeddings = {label: embed_label(label, free.size, seed) for label in spec.labels()}
     index = {name: i for i, name in enumerate(spec.states)}

@@ -27,6 +27,7 @@ numbers):
   this repository does not hold.
 """
 
+import dataclasses
 import struct
 import time
 from collections import Counter
@@ -375,7 +376,8 @@ def test_c8_automaton_fidelity(tmp_path):
     idx_path.write_bytes(struct.pack(">IIII", 0x00000803, len(sprites), 28, 28) + pixels.tobytes())
     images = load_idx(idx_path)
     supplied = family_tree()
-    supplied.state_content = {s: images[i] for i, s in enumerate(supplied.states)}
+    supplied = dataclasses.replace(
+        supplied, state_content={s: images[i] for i, s in enumerate(supplied.states)})
     failures += _automaton_battery(supplied, n=784, seed=0)
 
     rows = [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -70,46 +71,61 @@ NON_STRING_FIELDS = [
 
 class TestSpecValidation:
     def test_family_tree_valid(self):
-        family_tree().validate()
+        family_tree()
 
     def test_unknown_target(self):
-        spec = AutomatonSpec(states=["a"], transitions=[("a", "go", "b")])
         with pytest.raises(CdamError, match="transition target 'b' is not a state"):
-            spec.validate()
+            AutomatonSpec(states=["a"], transitions=[("a", "go", "b")])
 
     def test_unknown_source(self):
-        spec = AutomatonSpec(states=["a"], transitions=[("b", "go", "a")])
         with pytest.raises(CdamError, match="transition source 'b' is not a state"):
-            spec.validate()
+            AutomatonSpec(states=["a"], transitions=[("b", "go", "a")])
 
     def test_duplicate_state(self):
         with pytest.raises(CdamError, match="state names must be unique"):
-            AutomatonSpec(states=["a", "a"], transitions=[]).validate()
+            AutomatonSpec(states=["a", "a"], transitions=[])
 
     def test_duplicate_transition_pair(self):
-        spec = AutomatonSpec(states=["a", "b"],
-                             transitions=[("a", "go", "b"), ("a", "go", "a")])
         with pytest.raises(CdamError, match=r"duplicate transition for \('a', 'go'\)"):
-            spec.validate()
+            AutomatonSpec(states=["a", "b"], transitions=[("a", "go", "b"), ("a", "go", "a")])
 
     def test_bad_reserve_fraction(self):
-        spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=1.0)
         with pytest.raises(CdamError, match=r"reserve fraction 1.0 outside \(0, 1\)"):
-            spec.validate()
+            AutomatonSpec(states=["a"], transitions=[], reserve_fraction=1.0)
 
     @pytest.mark.parametrize("fields, message", BAD_FIELDS,
                              ids=[f"fields{i}" for i in range(len(BAD_FIELDS))])
     def test_field_types_raise_spec_error(self, fields, message):
         with pytest.raises(CdamError, match=message):
-            AutomatonSpec(**fields).validate()
+            AutomatonSpec(**fields)
+
+    def test_checked_spec_cannot_change(self):
+        vec = np.linspace(0.0, 1.0, 100)
+        content = {"a": vec, "b": 1.0 - vec}
+        given = {name: v.copy() for name, v in content.items()}
+        spec = AutomatonSpec(["a", "b"], [("a", "go", "b")], state_content=content)
+        for field in ("states", "transitions", "reserve_fraction", "state_content"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field, None)
+        runner = AutomatonRunner(spec, n=100, seed=0)
+        patterns = runner.patterns.values.copy()
+        vec[:] = 0.5
+        content["b"] = np.zeros(100)
+        content["c"] = np.ones(100)
+        assert list(spec.state_content) == ["a", "b"]
+        assert all(np.array_equal(spec.state_content[name], given[name]) for name in given)
+        assert np.array_equal(runner.patterns.values, patterns)
+        assert not any(v.flags.writeable for v in spec.state_content.values())
+        with pytest.raises(ValueError, match="read-only"):
+            spec.state_content["a"][0] = 1.0
 
     def test_reserve_split_needs_both_blocks(self):
         spec = AutomatonSpec(states=["a"], transitions=[], reserve_fraction=0.04)
         with pytest.raises(CdamError, match="reserve fraction 0.04 leaves an empty block at n=10"):
             compose_automaton_patterns(spec, 10, 0)  # floor(0.04 * 10) leaves no reserved slots
 
-    # a spec built in Python is validated only when its patterns are composed;
-    # without that check the unknown target would surface as a KeyError
+    # the spec is checked when it is made, so construction raises before
+    # either builder runs
     @pytest.mark.parametrize("build", [lambda spec: compose_automaton_patterns(spec, 100, 0),
                                        lambda spec: AutomatonRunner(spec, n=100, seed=0)],
                              ids=["compose", "runner"])
@@ -155,9 +171,9 @@ class TestSpecFile:
         path = tmp_path / "machine.json"
         path.write_text(json.dumps(doc))
         spec = load_spec_file(path)
-        assert spec.states == ["on", "off"]
+        assert spec.states == ("on", "off")
         assert spec.reserve_fraction == 0.6
-        assert spec.transitions == [("on", "toggle", "off"), ("off", "toggle", "on")]
+        assert spec.transitions == (("on", "toggle", "off"), ("off", "toggle", "on"))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -214,7 +230,7 @@ class TestSpecFileFuzz:
     )
     def test_fuzzed_spec_loads_or_raises_cdam_error(self, tmp_path_factory, states, transitions,
                                                     reserve, junk, at):
-        # contract: a CdamError or a spec that validates, never another exception
+        # contract: a CdamError or a checked spec, never another exception
         doc = {"states": states, "transitions": transitions}
         if reserve is not None:
             doc["reserve_fraction"] = reserve
@@ -227,7 +243,7 @@ class TestSpecFileFuzz:
             spec = load_spec_file(path)
         except CdamError:
             return
-        spec.validate()
+        assert dataclasses.replace(spec) == spec  # constructing it again passes the checks
         assert all(isinstance(t, tuple) for t in spec.transitions)
 
 

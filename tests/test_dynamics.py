@@ -681,7 +681,7 @@ class TestMeasures:
         flipped = -2.0 * pm.values[:, 0] + 5.0
         assert pearson_all(flipped, pm)[0] == pytest.approx(-1.0)
 
-    def test_pearson_independent_vectors_small(self):
+    def test_pearson_independent_draws_small(self):
         rng = np.random.default_rng(11)
         pm = PatternMatrix(rng.uniform(0, 1, (1000, 3)))
         state = rng.uniform(0, 1, 1000)

@@ -305,6 +305,11 @@ class TestAutomatonRunner:
             top = int(np.argmax(r))
             assert runner.settle_from(vertex) == (runner.names[top], float(r[top]))
 
+    def test_settle_from_unknown_vertex(self):
+        runner = X.AutomatonRunner(family_tree(), n=200)
+        with pytest.raises(CdamError, match="unknown vertex 'Nobody'"):
+            runner.settle_from("Nobody")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
         monkeypatch.setattr(X, "AUTOMATON_PARAMS",
@@ -386,6 +391,9 @@ class TestExperimentDeterminism:
         bank = X.surrogate_image_bank()[:, :50]
         with pytest.raises(CdamError, match="p=100 exceeds dataset size 50"):
             X.retrieval_sweep(bank, p_levels=(10, 100), trials=1)
+        for trials in (0, -1):
+            with pytest.raises(CdamError, match=f"needs trials >= 1, got {trials}"):
+                X.retrieval_sweep(bank, p_levels=(10,), trials=trials)
 
     def test_retrieval_sweep_single_pattern_is_rejected(self):
         # one stored pattern has no nearest neighbor to build a scaffold from

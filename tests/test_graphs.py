@@ -250,6 +250,11 @@ class TestSerialization:
         with pytest.raises(CdamError, match="limit of 16384"):
             from_text(text)
 
+    def test_negative_declared_count_without_edges(self):
+        # no vertex was read, so the error is the graph's own, not a vertex mismatch
+        with pytest.raises(CdamError, match="graph needs at least one vertex, got p=-1"):
+            from_text("undirected\n# p=-1\n")
+
     def test_isolated_vertices_up_to_cap(self):
         g = from_text(f"undirected\n# p={MAX_GRAPH_P}\n0 1\n")
         assert g.p == MAX_GRAPH_P and g.edges == ((0, 1, 1.0),)

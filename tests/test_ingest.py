@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -366,8 +367,8 @@ class TestComposeAutomaton:
         spec = family_tree()
         _, g1, _ = compose_automaton_patterns(spec, n=200, seed=0)
         rng = np.random.default_rng(5)
-        spec2 = family_tree()
-        spec2.state_content = {s: rng.uniform(0, 1, 200) for s in spec2.states}
+        spec2 = dataclasses.replace(
+            spec, state_content={s: rng.uniform(0, 1, 200) for s in spec.states})
         patterns, g2, _ = compose_automaton_patterns(spec2, n=200, seed=0)
         assert g1.edges == g2.edges
         for i, s in enumerate(spec2.states):
@@ -385,6 +386,6 @@ class TestComposeAutomaton:
 
     def test_content_length_mismatch(self):
         spec = family_tree()
-        spec.state_content = {s: np.zeros(50) for s in spec.states}
+        spec = dataclasses.replace(spec, state_content={s: np.zeros(50) for s in spec.states})
         with pytest.raises(CdamError, match="has length 50, expected n=100"):
             compose_automaton_patterns(spec, n=100, seed=0)
