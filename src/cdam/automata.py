@@ -52,16 +52,18 @@ class AutomatonSpec:
             raise CdamError("automaton needs at least one state")
         if len(set(states)) != len(states):
             raise CdamError("state names must be unique")
-        known = set(states)
-        seen = set()
+        known, seen = set(states), {}  # seen: transition vertex name -> (source, label)
         for src, label, dst in transitions:
             if src not in known:
                 raise CdamError(f"transition source {src!r} is not a state")
             if dst not in known:
                 raise CdamError(f"transition target {dst!r} is not a state")
-            if (src, label) in seen:
+            name = f"{src}+{label}"
+            if seen.get(name) == (src, label):
                 raise CdamError(f"duplicate transition for ({src!r}, {label!r})")
-            seen.add((src, label))
+            if name in known or name in seen:
+                raise CdamError(f"transition vertex {name!r} has the name of another vertex")
+            seen[name] = (src, label)
         if not isinstance(self.reserve_fraction, Real) or not 0.0 < self.reserve_fraction < 1.0:
             raise CdamError(f"reserve fraction {self.reserve_fraction} outside (0, 1)")
         if content is not None:
@@ -88,7 +90,7 @@ class AutomatonSpec:
         object.__setattr__(self, "state_content", content)
 
     def vertex_names(self) -> list[str]:
-        """States first, then one 'src+label' vertex per transition."""
+        """States first, then one 'src+label' vertex per transition; all distinct."""
         return list(self.states) + [f"{s}+{l}" for s, l, _ in self.transitions]
 
     def labels(self) -> list[str]:

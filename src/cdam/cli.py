@@ -24,18 +24,9 @@ from .errors import CdamError, NumericDivergenceError
 from .graphs import build_barbell, build_cycle, build_named, build_random_regular, read_graph
 from .ingest import ingest_frames, load_idx, random_patterns
 
-EXPERIMENT_NAMES = (
-    "four-modes", "hop-range", "miyashita", "karate", "tutte", "barbell",
-    "sequence", "retrieval-sweep", "automaton-sweep", "ei-balance",
-)
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-class UsageError(CdamError):
-    pass
 
 
 def parse_graph_spec(spec: str):
@@ -56,44 +47,33 @@ def parse_graph_spec(spec: str):
         if kind in ("karate", "tutte") and not rest:
             return build_named(kind)
     except (ValueError, CdamError) as exc:
-        raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unrecognized graph spec {spec!r}")
+        raise CdamError(f"bad graph spec {spec!r}: {exc}") from exc
+    raise CdamError(f"unrecognized graph spec {spec!r}")
 
 
 def parse_pattern_spec(spec: str, p: int, seed: int):
     kind, _, rest = spec.partition(":")
+    if kind not in ("random", "idx", "frames"):
+        raise CdamError(f"unrecognized pattern spec {spec!r}")
+    if kind == "idx" and "," in rest:
+        raise CdamError(f"idx takes one image archive, got {rest!r}")
     try:
         if kind == "random":
             return random_patterns(int(rest), p, seed)
         if kind == "idx":
-            if "," in rest:
-                raise UsageError(f"idx takes one image archive, got {rest!r}")
             images = load_idx(rest)
-            if images.shape[0] < p:
-                raise UsageError(f"archive holds {images.shape[0]} images, graph needs {p}")
-            return PatternMatrix(images[:p].T)
-        if kind == "frames":
+            if images.shape[0] >= p:
+                return PatternMatrix(images[:p].T)
+        else:
             directory, n = rest.rsplit(",", 1)
             patterns = ingest_frames(directory, int(n), seed)
-            if patterns.p != p:
-                raise UsageError(f"{patterns.p} frames found, graph needs {p}")
-            return patterns
-    except UsageError:
-        raise
+            if patterns.p == p:
+                return patterns
     except (ValueError, CdamError) as exc:
-        raise UsageError(f"bad pattern spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unrecognized pattern spec {spec!r}")
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--a", type=float, default=ModelParams.a)
-    parser.add_argument("--h", type=float, default=ModelParams.h)
-    parser.add_argument("--beta", type=float, default=ModelParams.beta)
-    parser.add_argument("--eta", type=float, default=ModelParams.eta)
-    parser.add_argument("--steps", type=int, default=dynamics.DEFAULT_STEPS)
-    parser.add_argument("--tol", type=float, default=dynamics.FIXED_POINT_TOL)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--noise-c", type=float, default=dynamics.DEFAULT_NOISE)
+        raise CdamError(f"bad pattern spec {spec!r}: {exc}") from exc
+    if kind == "idx":
+        raise CdamError(f"archive holds {images.shape[0]} images, graph needs {p}")
+    raise CdamError(f"{patterns.p} frames found, graph needs {p}")
 
 
 def build_parser():
@@ -102,7 +82,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one simulation and export its trace")
-    _add_model_flags(sim)
+    sim.add_argument("--a", type=float, default=ModelParams.a)
+    sim.add_argument("--h", type=float, default=ModelParams.h)
+    sim.add_argument("--beta", type=float, default=ModelParams.beta)
+    sim.add_argument("--eta", type=float, default=ModelParams.eta)
+    sim.add_argument("--steps", type=int, default=dynamics.DEFAULT_STEPS)
+    sim.add_argument("--tol", type=float, default=dynamics.FIXED_POINT_TOL)
+    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--noise-c", type=float, default=dynamics.DEFAULT_NOISE)
     sim.add_argument("--graph", required=True)
     sim.add_argument("--patterns", required=True)
     sim.add_argument("--trigger", type=int, default=0)
@@ -149,40 +136,23 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     name = args.name
-    if name not in EXPERIMENT_NAMES:
-        raise UsageError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENT_NAMES)}")
-    if args.n is not None and name in ("sequence", "retrieval-sweep"):
-        raise UsageError(f"experiment {name} has a fixed neuron count and takes no --n")
-    if args.graph is not None and name != "four-modes":
-        raise UsageError(f"experiment {name} has a fixed graph and takes no --graph")
-    n = experiments.DEFAULT_N if args.n is None else args.n
-    if name == "four-modes":
-        graph = parse_graph_spec(args.graph) if args.graph is not None else build_cycle(30)
-        report = experiments.four_modes(graph, n=n, seed=args.seed)
-    elif name == "hop-range":
-        report = experiments.hop_range(n=n, seed=args.seed)
-    elif name == "miyashita":
-        report = experiments.miyashita_fit(n=n)
-    elif name in ("karate", "tutte"):
-        report = experiments.community_matrices(build_named(name), n=n, seed=args.seed)
-    elif name == "barbell":
-        report = experiments.community_matrices(build_barbell(10, 10), n=n, seed=args.seed)
-    elif name == "sequence":
-        frames = experiments.surrogate_frames(seed=args.seed)
-        report = experiments.sequence_recall(frames, seed=args.seed + 1)
-    elif name == "retrieval-sweep":
-        bank = experiments.surrogate_image_bank(seed=77)
-        report = experiments.retrieval_sweep(bank, seed=args.seed)
-    elif name == "automaton-sweep":
-        report = experiments.automaton_sweep(family_tree(), n=n, seed=args.seed)
-    else:  # ei-balance
-        report = experiments.ei_balance(n=n, seed=args.seed)
+    if name not in experiments.EXPERIMENTS:
+        raise CdamError(f"unknown experiment {name!r}; valid: {', '.join(experiments.EXPERIMENTS)}")
+    run_experiment, takes_n, takes_graph = experiments.EXPERIMENTS[name]
+    if args.n is not None and not takes_n:
+        raise CdamError(f"experiment {name} has a fixed neuron count and takes no --n")
+    if args.graph is not None and not takes_graph:
+        raise CdamError(f"experiment {name} has a fixed graph and takes no --graph")
+    graph = parse_graph_spec(args.graph) if args.graph is not None else None
+    report = run_experiment(experiments.DEFAULT_N if args.n is None else args.n, args.seed, graph)
     report.write(args.out)
     print(f"wrote {Path(args.out) / 'report.json'}")
     return EXIT_OK
 
 
 def cmd_automaton(args) -> int:
+    if args.script is None and not args.repl:
+        raise CdamError("automaton needs --script or --repl")
     spec = load_spec_file(args.spec) if args.spec else family_tree()
     runner = experiments.AutomatonRunner(spec, n=args.n, seed=args.seed)
     if args.start:
@@ -195,11 +165,9 @@ def cmd_automaton(args) -> int:
 
     if args.script is not None:
         tokens = args.script.split(",")
-    elif args.repl:
+    else:
         emit("labels step the machine; :state NAME resets, :quit exits")
         tokens = (raw.strip() for raw in sys.stdin)
-    else:
-        raise UsageError("automaton needs --script or --repl")
     for token in tokens:
         if not token:
             continue
@@ -232,7 +200,7 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "experiment": cmd_experiment, "automaton": cmd_automaton}
     try:
         if args.seed < 0:
-            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise CdamError(f"--seed must be a non-negative integer, got {args.seed}")
         return handlers[args.command](args)
     except NumericDivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)

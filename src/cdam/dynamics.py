@@ -12,9 +12,11 @@ toward that pattern's graph successors.
 
 Centering the projection columns is what keeps the mean activity at zero
 for a + h = 1 (on graphs whose coupling columns sum to one it equals an
-uncentered projection minus the full mean-load vector), and it makes the
-quiescent regime a < -k*h decay toward the zero state instead of parking
-on a multiple of the mean pattern.
+uncentered projection minus the full mean-load vector).  On a regular graph
+zero is then a fixed point, stable (quiescent) for uniform patterns roughly when
+-(2-eta)/eta < c*(a + h*lambda_i) < 1, c = beta*n/(12p), for each non-constant
+eigenvalue lambda_i of M; the bounds are the onset of retrieval and a flip of
+the Euler step.  On an irregular graph the quiescent state is a trigger-independent sigma*.
 
 A state is a float array: one vector of shape (n,), or an (n, B) stack of
 B states that iterate steps together.

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .automata import AutomatonSpec
+from .automata import AutomatonSpec, family_tree
 from .dynamics import (
     DEFAULT_NOISE,
     DEFAULT_STEPS,
@@ -44,7 +44,9 @@ from .errors import CdamError, NumericDivergenceError
 from .graphs import (
     MemoryGraph,
     NormalizedAdjacency,
+    build_barbell,
     build_cycle,
+    build_named,
     build_nn_scaffold,
     hop_distances,
     named_communities,
@@ -567,3 +569,22 @@ def ei_balance(n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
     for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
         report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
     return report
+
+
+# `cdam experiment` name -> (run(n, seed, graph), whether n is free, whether a graph may replace
+# the default).  A run looks its experiment up by module name when it runs, for perfbench's tracer.
+EXPERIMENTS = {
+    "four-modes": (lambda n, seed, graph: four_modes(
+        graph if graph is not None else build_cycle(30), n, seed), True, True),
+    "hop-range": (lambda n, seed, _: hop_range(n, seed), True, False),
+    "miyashita": (lambda n, seed, _: miyashita_fit(n), True, False),
+    "karate": (lambda n, seed, _: community_matrices(build_named("karate"), n, seed), True, False),
+    "tutte": (lambda n, seed, _: community_matrices(build_named("tutte"), n, seed), True, False),
+    "barbell": (lambda n, seed, _: community_matrices(build_barbell(10, 10), n, seed), True, False),
+    "sequence": (lambda n, seed, _: sequence_recall(surrogate_frames(seed), seed + 1),
+                 False, False),
+    "retrieval-sweep": (lambda n, seed, _: retrieval_sweep(surrogate_image_bank(), seed=seed),
+                        False, False),
+    "automaton-sweep": (lambda n, seed, _: automaton_sweep(family_tree(), n, seed), True, False),
+    "ei-balance": (lambda n, seed, _: ei_balance(n, seed), True, False),
+}

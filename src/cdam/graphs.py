@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -41,7 +41,7 @@ def _data_path(filename: str) -> Path:
 
 @dataclass(frozen=True)
 class MemoryGraph:
-    """Positively weighted directed multigraph over pattern vertices.
+    """Positively weighted directed multigraph over pattern vertices of finite degree.
 
     Undirected graphs store each edge once in canonical (min, max) order and
     expand it symmetrically when the adjacency matrix is built.  Edges are
@@ -55,7 +55,8 @@ class MemoryGraph:
     def __post_init__(self):
         if self.p < 1:
             raise CdamError(f"graph needs at least one vertex, got p={self.p}")
-        canon = []
+        kinds = ("out-degree", "in-degree") if self.directed else ("degree", "degree")
+        canon, degree = [], Counter()
         for src, dst, w in self.edges:
             src, dst, w = int(src), int(dst), float(w)
             if not (0 <= src < self.p and 0 <= dst < self.p):
@@ -67,6 +68,10 @@ class MemoryGraph:
             if not self.directed and src > dst:
                 src, dst = dst, src
             canon.append((src, dst, w))
+            degree.update({(src, kinds[0]): w, (dst, kinds[1]): w})  # undirected loop: one key
+        overflow = sorted(end for end, total in degree.items() if total == np.inf)
+        if overflow:
+            raise CdamError(f"weighted {overflow[0][1]} of vertex {overflow[0][0]} is not finite")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     def adjacency(self) -> np.ndarray:

@@ -49,6 +49,10 @@ BAD_FIELDS = [
      r"state content vectors differ in length: \[3, 4\]"),
     ({"states": ["a", "b"], "transitions": [], "state_content": {"a": np.ones(3)}},  # missing "b"
      r"content missing for states: \['b'\]"),
+    ({"states": ["a", "a+go", "b"], "transitions": [("a", "go", "b"), ("b", "back", "a")]},
+     r"^transition vertex 'a\+go' has the name of another vertex$"),  # a state's name
+    ({"states": ["a", "a+b"], "transitions": [("a", "b+c", "a"), ("a+b", "c", "a")]},
+     r"^transition vertex 'a\+b\+c' has the name of another vertex$"),  # a transition's name
 ]
 UNREADABLE_SPECS = [
     (b'{"states": ["caf\xe9"], "transitions": []}',                  # Latin-1, not UTF-8

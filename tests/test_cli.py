@@ -26,9 +26,9 @@ class TestGraphSpecs:
         assert parse_graph_spec(f"file:{path}").p == 3
 
     def test_bad_specs(self):
-        from cdam.cli import UsageError
+        from cdam.errors import CdamError
         for spec in ("cycle:2", "mesh:4", "barbell:1,0", "karate:9"):
-            with pytest.raises(UsageError):
+            with pytest.raises(CdamError):
                 parse_graph_spec(spec)
 
 
@@ -270,6 +270,30 @@ class TestExperimentCommand:
         assert doc["outputs"]["landed"]["Marge+husband"] == "Homer"
 
 
+    def test_experiments_are_called_by_their_module_names(self, tmp_path, monkeypatch):
+        # perfbench's tracer wraps these names, so a run must look them up when it runs
+        import inspect
+
+        from cdam import experiments
+        calls = []
+        for name in ("sequence_recall", "hop_range"):
+            original = getattr(experiments, name)
+
+            def record(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, inspect.signature(_original).bind(*args, **kwargs).arguments))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, record)
+        assert main(["experiment", "sequence", "--seed", "3",
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert main(["experiment", "hop-range", "--n", "60", "--seed", "2",
+                     "--out", str(tmp_path / "h")]) == EXIT_OK
+        assert [name for name, _ in calls] == ["sequence_recall", "hop_range"]
+        sequence, hop = calls[0][1], calls[1][1]
+        assert sequence["seed"] == 4
+        assert np.array_equal(sequence["patterns"].values, experiments.surrogate_frames(3).values)
+        assert hop == {"n": 60, "seed": 2}
+
+
 class TestAutomatonCommand:
     def test_script_replay(self, tmp_path, capsys):
         code = main(["automaton", "--script", "husband,brother,daughter",
@@ -299,6 +323,11 @@ class TestAutomatonCommand:
 
     def test_needs_mode(self, capsys):
         assert main(["automaton"]) == EXIT_USAGE
+
+    def test_mode_checked_before_the_runner_is_built(self, capsys):
+        # numpy could not allocate 10**12 neurons; the missing mode is reported instead
+        assert main(["automaton", "--n", str(10**12)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: automaton needs --script or --repl\n"
 
     def test_spec_file(self, tmp_path, capsys):
         spec = {"states": ["on", "off"],
@@ -391,14 +420,18 @@ class TestRejectedInputs:
          "bad graph spec 'file:neg.txt': edge (0,1) weight -1.0 not positive"),
         (["experiment", "four-modes", "--graph", "file:neg.txt", "--n", "50"],
          "bad graph spec 'file:neg.txt': edge (0,1) weight -1.0 not positive"),
+        # vertex 0's degree overflows, which normalize would zero
+        (["experiment", "four-modes", "--graph", "file:deg.txt", "--n", "200"],
+         "bad graph spec 'file:deg.txt': weighted degree of vertex 0 is not finite"),
     ], ids=["size", "retries", "unknown-state", "graph-file", "trigger", "correlation", "energy",
             "pnm-format", "pnm-length", "no-frames", "mixed-frames", "spec", "weight-simulate",
-            "weight-experiment"])
+            "weight-experiment", "degree"])
     def test_malformed_input_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv,
                                                       line):
         monkeypatch.chdir(tmp_path)
         Path("noheader.txt").write_text("0 1\n1 2\n")
         Path("neg.txt").write_text("undirected\n0 1 -1\n1 2 1\n2 0 1\n")
+        Path("deg.txt").write_text("undirected\n0 1 1e308\n0 2 1e308\n1 2\n")
         for name in ("garbled", "truncated", "empty", "mixed"):
             Path(name).mkdir()
         Path("mixed/a.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")

@@ -173,6 +173,24 @@ class TestHopProfiles:
         assert len(calls) == 1
 
 
+class TestZeroStateRule:
+    # the dynamics docstring's rule on the 30-cycle, n = 1000, pattern seed 0, run seed 1:
+    # (-1, 1) is quiescent though it is not below -k*h (k = 2)
+    @pytest.mark.parametrize("a, h, quiescent", [(-1.0, 1.0, True), (-2.5, 1.0, True),
+                                                 (0.5, 0.5, False)])
+    def test_multipliers_predict_quiescence(self, a, h, quiescent):
+        graph, n, params = build_cycle(30), 1000, ModelParams(a=a, h=h)
+        coupling = normalize(graph)
+        lam = np.linalg.eigvalsh(coupling.matrix)
+        assert lam[-1] == pytest.approx(1.0) and lam[-2] < 1 - 1e-3  # one constant eigenvector
+        c = params.beta * n / (12 * graph.p)
+        multipliers = 1 - params.eta + params.eta * c * (a + h * lam[:-1])
+        assert (np.abs(multipliers).max() < 1) == quiescent
+        final = X.run_all_triggers(random_patterns(n, graph.p, 0), coupling, params,
+                                   seed=1)["final_states"]
+        assert (np.abs(final).max() < 1e-4) == quiescent
+
+
 class TestBlockContrast:
     def test_perfect_blocks(self):
         mat = np.full((4, 4), -0.2)

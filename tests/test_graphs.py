@@ -325,6 +325,25 @@ class TestInvariants:
         with pytest.raises(CdamError, match=rf"edge \(0,1\) weight {w} not positive"):
             MemoryGraph(3, ((0, 1, w),), directed=False)
 
+    # a summed weight that overflows would normalize that vertex's row and column to zero
+    @pytest.mark.parametrize("edges, directed, name", [
+        (((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1.0)), False, "degree of vertex 0"),
+        (((0, 1, 1e308), (0, 1, 1e308)), False, "degree of vertex 0"),
+        (((0, 1, 1e308), (0, 1, 1e308)), True, "out-degree of vertex 0"),
+        (((0, 1, 1e308), (2, 1, 1e308)), True, "in-degree of vertex 1"),
+    ])
+    def test_overflowing_degree_rejected(self, edges, directed, name):
+        with pytest.raises(CdamError, match=f"^weighted {name} is not finite$"):
+            MemoryGraph(3, edges, directed=directed)
+
+    # a self-loop counts once in each degree of its vertex, as in the adjacency matrix
+    @pytest.mark.parametrize("edges, directed", [
+        (((0, 0, 1.5e308), (0, 1, 1e307)), False),
+        (((0, 0, 1e308), (0, 1, 5e307), (1, 0, 5e307)), True),
+    ])
+    def test_largest_finite_degrees_normalize(self, edges, directed):
+        assert np.isfinite(normalize(MemoryGraph(2, edges, directed)).matrix).all()
+
     def test_undirected_canonical_storage(self):
         g = MemoryGraph(3, ((2, 0, 1.0),), directed=False)
         assert g.edges == ((0, 2, 1.0),)

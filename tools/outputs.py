@@ -23,9 +23,9 @@ from pathlib import Path
 
 sys.path.insert(0, "src")
 
-from cdam import cli  # noqa: E402
+from cdam import cli, experiments  # noqa: E402
 
-ENTRIES = {name: ["experiment", name] for name in cli.EXPERIMENT_NAMES}
+ENTRIES = {name: ["experiment", name] for name in experiments.EXPERIMENTS}
 ENTRIES["simulate"] = ["simulate", "--graph", "cycle:30", "--patterns", "random:1000", "--energy"]
 ENTRIES["automaton"] = ["automaton", "--script", "husband,brother,daughter", "--start", "Marge"]
 
