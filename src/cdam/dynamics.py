@@ -42,6 +42,12 @@ means of Xi minus the mean of mean_load, so a logit state may carry one
 more row too: row p holds the mean activity mean(sigma), which the same
 step moves exactly.
 
+Three Pearson paths.  pearson_all centers the states and takes one product
+with the cached centered patterns, for batched runs, snapshots, the automaton
+and the state x state correlations (a copy of the states as the patterns).
+run() reads simulate traces from one such product per block of states (the
+readout block, below), and sequence recall its argmax by the readout identity.
+
 The readout identity.  yc_mu.(sigma - mean(sigma)) = L_mu - n*m_mu*mean(sigma),
 with m_mu the mean and yc_mu the centered column of pattern mu, and
 |sigma - mean(sigma)| is the same for every mu, so the argmax of
@@ -145,18 +151,6 @@ def _center_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns minus their own means, and the Euclidean norms of the results."""
     centered = cols - cols.mean(axis=0, keepdims=True)
     return centered, np.sqrt((centered**2).sum(axis=0))
-
-
-def _pearson_matrix(ref: tuple[np.ndarray, np.ndarray],
-                    states: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """r[i, j] between reference column i and state column j; each side is
-    given by its centered columns and their norms.  A zero-variance column
-    on either side raises CdamError."""
-    rc, rnorms = ref
-    sc, snorms = states
-    if np.any(rnorms == 0.0) or np.any(snorms == 0.0):
-        raise CdamError("pearson undefined: zero-variance state or pattern")
-    return (rc.T @ sc) / (rnorms[:, None] * snorms[None, :])
 
 
 @dataclass(frozen=True)
@@ -409,9 +403,12 @@ def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     finite (too large to read) reads NaN; a zero-variance state or pattern
     raises CdamError."""
     with np.errstate(all="ignore"):
-        centered = _center_columns(states.reshape(len(states), -1))
-        r = _pearson_matrix(patterns.centered, centered)
-    r[:, ~np.isfinite(centered[1])] = np.nan
+        yc, norms = patterns.centered
+        sc, snorms = _center_columns(states.reshape(len(states), -1))
+        if np.any(norms == 0.0) or np.any(snorms == 0.0):
+            raise CdamError("pearson undefined: zero-variance state or pattern")
+        r = (yc.T @ sc) / (norms[:, None] * snorms[None, :])
+    r[:, ~np.isfinite(snorms)] = np.nan
     return r.reshape(-1, *states.shape[1:])
 
 

@@ -33,8 +33,6 @@ from .dynamics import (
     FIXED_POINT_TOL,
     ModelParams,
     PatternMatrix,
-    _center_columns,
-    _pearson_matrix,
     init_state,
     iterate,
     pearson_all,
@@ -173,10 +171,10 @@ def run_all_triggers(
 
 
 def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
-    """Pearson correlations between the final states of every trigger pair."""
-    # Centered twice on purpose: numpy computes `x.T @ x` with a symmetric
-    # kernel that rounds differently from the general product.
-    return _pearson_matrix(_center_columns(final_states), _center_columns(final_states))
+    """Pearson correlations between the final states of every trigger pair,
+    pearson_all of the states against a copy of them (PatternMatrix makes
+    its values read-only)."""
+    return pearson_all(final_states, PatternMatrix(np.array(final_states)))
 
 
 def _mean(vals: np.ndarray) -> float:

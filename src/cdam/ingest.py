@@ -10,6 +10,7 @@ so is a negative or non-finite CSV entry.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -24,6 +25,12 @@ from .graphs import MemoryGraph
 IDX_IMAGES_MAGIC = 0x00000803
 
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pnm", ".csv")
+
+# A netpbm header after its magic: width, height and maxval, separated by
+# whitespace and '#' comments that run to the end of a line.  The quantifiers
+# are possessive, so a short header cannot match a token inside a comment or
+# split one token in two.
+_PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*+\n?)*+([^\s#]\S*+)")
 
 # Label embeddings are sparse binary: a seeded quarter of the slots set to
 # one.  Sparsity is what keeps the automaton readout unambiguous:
@@ -78,24 +85,10 @@ def read_pnm(path):
         raise CdamError(f"{path}: not a P2/P3/P5/P6 netpbm file")
     kind = raw[:2].decode()
 
-    # header tokens: width, height, maxval; '#' comments run to end of line
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(raw):
-            raise CdamError(f"{path}: truncated header")
-        ch = raw[pos : pos + 1]
-        if ch == b"#":
-            nl = raw.find(b"\n", pos)
-            pos = len(raw) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end : end + 1].isspace():
-                end += 1
-            tokens.append(raw[pos:end])
-            pos = end
+    header = _PNM_HEADER.match(raw, 2)
+    if header is None:
+        raise CdamError(f"{path}: truncated header")
+    tokens, pos = list(header.groups()), header.end()
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:

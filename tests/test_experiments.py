@@ -18,6 +18,7 @@ from cdam.graphs import (
     build_cycle,
     build_named,
     build_nn_scaffold,
+    build_random_regular,
     hop_distances,
     normalize,
 )
@@ -189,6 +190,38 @@ class TestZeroStateRule:
         final = X.run_all_triggers(random_patterns(n, graph.p, 0), coupling, params,
                                    seed=1)["final_states"]
         assert (np.abs(final).max() < 1e-4) == quiescent
+
+    # The zero-state verdicts on a committed grid, n = 1000, pattern seed 0:
+    # the closed form against the exact spectral radius of J at sigma = 0.
+    # There the softmax Jacobian is (beta/p)(I - 11^T/p), so J's eigenvalues
+    # are 1 - eta + eta*mu for the eigenvalues mu of the p x p matrix
+    # (beta/p)(I - 11^T/p) Xi^T Xc (aI + hM^T), and 1 - eta for the other
+    # n - p.  The closed form misses only cells near a boundary, where the
+    # Marchenko-Pastur spread of Xi^T Xc about (n/12)(I - 11^T/p) decides.
+    GRID = [(a / 2, h / 2) for a in range(-8, 5) for h in range(0, 9)]
+
+    @pytest.mark.parametrize("name, agree", [("cycle", 112), ("tutte", 116), ("regular", 115)])
+    def test_closed_form_agrees_with_exact_radius_on_grid(self, name, agree):
+        graph = {"cycle": lambda: build_cycle(30), "tutte": lambda: build_named("tutte"),
+                 "regular": lambda: build_random_regular(46, 3, 5)}[name]()
+        n, p, params = 1000, graph.p, ModelParams()
+        coupling = normalize(graph).matrix
+        patterns = random_patterns(n, p, 0)
+        xc = patterns.values - patterns.mean_load[:, None]
+        jac = (params.beta / p) * (np.eye(p) - 1 / p) @ (patterns.values.T @ xc)
+        lam = np.linalg.eigvalsh(coupling)[:-1]  # without the constant eigenvector's 1
+        c = params.beta * n / (12 * p)
+        verdicts = {}
+        for a, h in self.GRID:
+            x = c * (a + h * lam)
+            closed = bool(np.all((-(2 - params.eta) / params.eta < x) & (x < 1)))
+            mu = np.linalg.eigvals(jac @ (a * np.eye(p) + h * coupling.T))
+            exact = bool(np.abs(1 - params.eta + params.eta * mu).max() < 1)
+            verdicts[a, h] = closed, exact
+        assert len(verdicts) == 117
+        assert sum(closed == exact for closed, exact in verdicts.values()) == agree
+        if name == "cycle":
+            assert verdicts[-1.0, 1.0] == (True, True)
 
 
 class TestBlockContrast:

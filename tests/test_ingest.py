@@ -144,6 +144,28 @@ class TestPnm:
         with pytest.raises(CdamError, match="2 payload bytes, header needs 4"):
             read_pnm(path)
 
+    @pytest.mark.parametrize("raw", [
+        b"P5#magic\n2 #width\n1 #height\n255\n\x07\x09",  # a comment after every token
+        b"P5\x0b2\x0c1\x0b255\x0c\x07\x09",                 # vertical tab and form feed
+    ])
+    def test_header_separators(self, tmp_path, raw):
+        path = tmp_path / "sep.pgm"
+        path.write_bytes(raw)
+        arr, maxval = read_pnm(path)
+        assert maxval == 255
+        assert np.array_equal(arr, [[7, 9]])
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5 2 1 # 255", "truncated header"),            # comment at EOF, no newline
+        (b"P5 255", "truncated header"),                  # one token is not three
+        (b"P5 2#x 1 255\n\x07\x09", r"non-numeric header fields \[b'2#x', b'1', b'255'\]"),
+    ])
+    def test_header_token_errors(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(CdamError, match=message):
+            read_pnm(path)
+
     def test_not_pnm(self, tmp_path):
         path = tmp_path / "nope.pgm"
         path.write_bytes(b"JUNK")

@@ -88,3 +88,13 @@ class _B:
     def m(self): pass
 '''
     assert _surface_module().public_callables(ast.parse(code)) == (2, 1)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a helper another cdam module needs is public; a private one stays in its module
+    found = []
+    for path in sorted((ROOT / "src" / "cdam").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cdam")):
+                found += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
