@@ -171,9 +171,9 @@ def run_all_triggers(
 
 
 def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
-    """Pearson correlations between the final states of every trigger pair,
-    pearson_all of the states against a copy of them (PatternMatrix makes
-    its values read-only)."""
+    """Pearson correlations between the final states of every trigger pair:
+    pearson_all against a read-only PatternMatrix copy, so non-finite or
+    non-2-D states raise the PatternMatrix CdamError."""
     return pearson_all(final_states, PatternMatrix(np.array(final_states)))
 
 

@@ -27,10 +27,10 @@ IDX_IMAGES_MAGIC = 0x00000803
 FRAME_SUFFIXES = (".pgm", ".ppm", ".pnm", ".csv")
 
 # A netpbm header after its magic: width, height and maxval, separated by
-# whitespace and '#' comments that run to the end of a line.  The quantifiers
-# are possessive, so a short header cannot match a token inside a comment or
-# split one token in two.
-_PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*+\n?)*+([^\s#]\S*+)")
+# whitespace and '#' comments that run to the end of a line.  A comment ends
+# only at a newline or the end, and a token only at whitespace or the end, so
+# a short header cannot match a token inside a comment or split one in two.
+_PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)(?!\S)")
 
 # Label embeddings are sparse binary: a seeded quarter of the slots set to
 # one.  Sparsity is what keeps the automaton readout unambiguous:
