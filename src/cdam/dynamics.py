@@ -38,9 +38,9 @@ right).  A logit step costs one p x p product per column instead of
 relative), so only a run whose readout is discrete uses it.
 
 The mean row.  W carries one more row, a*d + h*M*d with d the column
-means of Xi minus the mean of mean_load, so a logit state may carry one
-more row too: row p holds the mean activity mean(sigma), which the same
-step moves exactly.
+means of Xi minus the mean of mean_load, and so does every pattern-basis
+state: iterate forms [Xi^T sigma; mean(sigma)] from the states it is given,
+and row p, the mean activity, moves under the same step exactly.
 
 Three Pearson paths.  pearson_all centers the states and takes one product
 with the cached centered patterns, for batched runs, snapshots, the automaton
@@ -197,14 +197,11 @@ def softmax_beta(z: np.ndarray, beta: float) -> np.ndarray:
     return e
 
 
-def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency, *,
-                logits: bool) -> None:
-    """Raise unless sigma (a vector or a (rows, batch) stack, with p rows of
-    logits, or p + 1 with the mean row, or n rows of state) and m fit the
-    patterns."""
-    rows, name = (patterns.p, "pattern") if logits else (patterns.n, "neuron")
-    if sigma.ndim not in (1, 2) or sigma.shape[0] not in (rows, rows + logits):
-        raise CdamError(f"state of shape {sigma.shape} does not fit {name} count {rows}")
+def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency) -> None:
+    """Raise unless sigma (a state vector or an (n, batch) stack) and m fit
+    the patterns."""
+    if sigma.ndim not in (1, 2) or sigma.shape[0] != patterns.n:
+        raise CdamError(f"state of shape {sigma.shape} does not fit neuron count {patterns.n}")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise CdamError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
@@ -217,16 +214,15 @@ def retrieval_vector(
 ) -> np.ndarray:
     """(a*Xc + h*Xc*M^T) softmax(beta*Xi^T sigma); works on a single state
     vector or an (n, batch) stack of states.  Given the logit operator W of
-    (patterns, m, params), sigma holds logits Xi^T sigma (p rows, or p + 1
-    with the mean activity last) and the result, W softmax(beta*logits) cut
-    to as many rows, is Xi^T of the retrieval (and its mean).
+    (patterns, m, params), sigma is a pattern-basis state [Xi^T sigma;
+    mean(sigma)] and the result, W softmax(beta*sigma[:p]), is the retrieval's.
 
     Softmax logits use the raw patterns (the centered ones would only shift
     every logit by the same constant); the projection uses centered columns.
     With h == 0 the graph mixing is skipped: a*s + 0*(M^T s) equals a*s.
     """
     if operator is not None:
-        return operator[:len(sigma)] @ softmax_beta(sigma[:patterns.p], params.beta)
+        return operator @ softmax_beta(sigma[:patterns.p], params.beta)
     xi = patterns.values
     s = softmax_beta(xi.T @ sigma, params.beta)
     mixed = params.a * s
@@ -261,8 +257,8 @@ def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
 def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
                 params: ModelParams, operator: np.ndarray | None) -> np.ndarray:
     """iterate's step sigma + eta*(retrieval - sigma), in place on the fresh
-    retrieval of states or, given the logit operator, logits; an overflow
-    leaves a non-finite result."""
+    retrieval of states or, given the logit operator, pattern-basis states;
+    an overflow leaves a non-finite result."""
     with np.errstate(all="ignore"):
         new = retrieval_vector(sigma, patterns, m, params, operator=operator)
         new -= sigma
@@ -277,9 +273,9 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             logits: bool = False) -> tuple[np.ndarray, int, str]:
     """The Euler loop of every run, sigma <- update_step(sigma), on a state
     vector or an (n, batch) stack, for up to `steps` steps; with
-    logits=True, on logits Xi^T sigma (p rows, or p + 1 whose last holds
-    mean(sigma)) in the pattern basis, through the logit operator built once
-    for the call.
+    logits=True, in the pattern basis, on the p + 1 rows [Xi^T sigma0;
+    mean(sigma0)] it forms from the states, through the logit operator
+    built once for the call, and it observes and returns those rows.
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
     a new array that iterate never writes again, so an observer may keep it
@@ -289,8 +285,10 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
-    _check_dims(sig, patterns, m, logits=logits)
+    _check_dims(sig, patterns, m)
     operator = _logit_operator(patterns, m, params) if logits else None
+    if logits:
+        sig = np.concatenate([patterns.values.T @ sig, sig.mean(axis=0, keepdims=True)])
     for t in range(1, steps + 1):
         new = update_step(sig, patterns, m, params, operator)
         if not np.isfinite(new).all():
@@ -329,7 +327,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     if sigma0.ndim != 1:
         raise CdamError(f"state must be a vector, got shape {sigma0.shape}")
     m = normalize(graph)
-    _check_dims(sigma0, patterns, m, logits=False)
+    _check_dims(sigma0, patterns, m)
     terms = _energy_terms(graph, m) if with_energy else None
 
     pending = [sigma0]  # states not yet read, from step READOUT_BLOCK * len(blocks)

@@ -381,16 +381,16 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     SEQUENCE_STEPS steps per SEQUENCE_SETTINGS (a, h) and log the
     argmax-correlation pattern per step, with stall/skip metrics.
 
-    The runs iterate the logits Xi^T sigma with the mean row, not the
-    states, and read the argmax of pearson_all(sigma), every state-space
-    run's readout, from them by the readout identity of the dynamics
-    module.  A zero-variance frame raises CdamError.
+    The runs iterate in the pattern basis, not in state space, and read the
+    argmax of pearson_all(sigma), every state-space run's readout, from
+    the p + 1 rows of each step by the readout identity of the dynamics
+    module, once per run.  A zero-variance frame raises CdamError.
     """
-    p, xi = patterns.p, patterns.values
+    p = patterns.p
     ys = patterns.centered[1]
     if np.any(ys == 0.0):
         raise CdamError("pearson undefined: zero-variance pattern")
-    shift = patterns.n * xi.mean(axis=0)
+    shift = patterns.n * patterns.values.mean(axis=0)
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
     report = ExperimentReport(
@@ -401,12 +401,13 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
         manifest={"graph_fingerprint": graph.fingerprint(),
                   "frames_fingerprint": _array_fingerprint(patterns.values)},
     )
+    sigma0 = init_state(patterns, SEQUENCE_TRIGGER, DEFAULT_NOISE, seed)
     for a, h in SEQUENCE_SETTINGS:
-        sig = init_state(patterns, SEQUENCE_TRIGGER, DEFAULT_NOISE, seed)
-        argmaxes = []
-        iterate(np.append(xi.T @ sig, sig.mean()), patterns, coupling, ModelParams(a=a, h=h),
-                SEQUENCE_STEPS, logits=True,
-                observe=lambda t, L: argmaxes.append(int(np.argmax((L[:p] - shift * L[p]) / ys))))
+        kept = []
+        iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h), SEQUENCE_STEPS, logits=True,
+                observe=lambda t, L: kept.append(L))
+        logits = np.array(kept)
+        argmaxes = np.argmax((logits[:, :p] - shift * logits[:, p:]) / ys, axis=1).tolist()
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = argmaxes
         report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p)
@@ -525,8 +526,8 @@ def retrieval_sweep(
     nearest-neighbor scaffold, trigger every pattern `trials` times with
     fresh noise, run DEFAULT_STEPS steps per SWEEP_SETTINGS (a, h), and
     predict the argmax-overlap pattern.  The
-    runs iterate the logits Xi^T sigma, not the states: the readout is
-    their argmax, which the rounding between the two bases does not move.
+    runs iterate in the pattern basis: the readout is the argmax of their
+    logit rows Xi^T sigma, which the rounding between the bases does not move.
     A level of 1 (no nearest neighbor) and trials < 1 raise CdamError.
     """
     if trials < 1:
@@ -546,11 +547,11 @@ def retrieval_sweep(
         patterns = PatternMatrix(xi)
         coupling = normalize(build_nn_scaffold(xi))
         targets = np.repeat(np.arange(p), trials)
-        logits0 = xi.T @ init_state(patterns, targets, DEFAULT_NOISE, seed)
+        sigma0 = init_state(patterns, targets, DEFAULT_NOISE, seed)
         for a, h in settings:
-            final, _, _ = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h),
+            final, _, _ = iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h),
                                   DEFAULT_STEPS, logits=True)
-            predicted = np.argmax(final, axis=0)
+            predicted = np.argmax(final[:p], axis=0)
             accuracies[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(predicted == targets))
     report.outputs["accuracy"] = accuracies
     return report

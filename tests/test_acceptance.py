@@ -448,12 +448,12 @@ def test_c9_errors_are_scaffold_neighbours(sweep_accuracy):
     patterns, graph = PatternMatrix(xi), build_nn_scaffold(xi)
     coupling, hops = normalize(graph), hop_distances(graph)
     targets = np.repeat(np.arange(p), trials)
-    logits0 = xi.T @ init_state(patterns, targets, X.DEFAULT_NOISE, seed)
+    sigma0 = init_state(patterns, targets, X.DEFAULT_NOISE, seed)
     found = {}
     for a, h in ((0.1, 0.9), (0.5, 0.5)):
-        final = iterate(logits0, patterns, coupling, ModelParams(a=a, h=h), X.DEFAULT_STEPS,
+        final = iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h), X.DEFAULT_STEPS,
                         logits=True)[0]
-        predicted = np.argmax(final, axis=0)
+        predicted = np.argmax(final[:p], axis=0)
         wrong = predicted != targets
         accuracy = float(np.mean(~wrong))
         assert accuracy == sweep_accuracy[f"a{a:+g}_h{h:+g}"][p]

@@ -197,16 +197,15 @@ class TestUpdateStep:
 
     def test_input_state_unmodified(self):
         # sigma0 is never written, returned or observed (nor any memory of
-        # it): a vector, a stack, logits with the mean row, and a vector run
-        # to a tolerance, also through run
+        # it): a vector, a stack, a vector run in the pattern basis, and a
+        # vector run to a tolerance, also through run
         rng = np.random.default_rng(1)
         pm = PatternMatrix(rng.uniform(0, 1, (10, 3)))
         coupling = normalize(build_cycle(3))
         params = ModelParams(a=0.5, h=0.5)
         vector = rng.normal(0, 1, 10)
-        logits = np.append(pm.values.T @ vector, vector.mean())
         for sigma0, tol, is_logits in ((vector, None, False), (rng.normal(0, 1, (10, 4)), None, False),
-                                       (logits, None, True), (vector, 1e-3, False)):
+                                       (vector, None, True), (vector, 1e-3, False)):
             before = sigma0.copy()
             seen = []
             final, steps, termination = iterate(sigma0, pm, coupling, params, 200, tol=tol,
@@ -319,6 +318,11 @@ def asymmetric_graph():
                            (2, 5, 0.4), (4, 1, 2.5)), directed=True)
 
 
+def basis_state(sigma, pm):
+    """The pattern-basis state [Xi^T sigma; mean(sigma)] of a state or a stack."""
+    return np.concatenate([pm.values.T @ sigma, sigma.mean(axis=0, keepdims=True)])
+
+
 def asymmetric_coupling():
     """Directed, weighted and asymmetric, with row sums unlike column sums,
     so that using M for M^T or column sums for row sums moves the logits."""
@@ -348,8 +352,11 @@ class TestLogitBasis:
         params = ModelParams(a=0.5, h=h, beta=1000.0)
         operator = _logit_operator(pm, coupling, params)
         for sigma in (stack[:, 0], stack):
-            got = retrieval_vector(pm.values.T @ sigma, pm, coupling, params, operator=operator)
-            assert np.array_equal(got, pm.values.T @ retrieval_vector(sigma, pm, coupling, params))
+            got = retrieval_vector(basis_state(sigma, pm), pm, coupling, params, operator=operator)
+            want = retrieval_vector(sigma, pm, coupling, params)
+            assert got.shape == (pm.p + 1, *sigma.shape[1:])
+            assert np.array_equal(got[:pm.p], pm.values.T @ want)
+            assert np.allclose(got[pm.p], want.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_iterated_logits_track_iterated_states(self):
         coupling = asymmetric_coupling()
@@ -359,9 +366,9 @@ class TestLogitBasis:
         for a, h in ((-0.5, 1.0), (0.3, 0.7), (1.0, 0.0)):
             params = ModelParams(a=a, h=h, beta=3.0)
             states, _, _ = iterate(sig0, pm, coupling, params, 50)
-            logits, _, _ = iterate(pm.values.T @ sig0, pm, coupling, params, 50, logits=True)
-            assert logits.shape == (7, 5)
-            assert np.max(np.abs(logits - pm.values.T @ states)) < 1e-10
+            logits, _, _ = iterate(sig0, pm, coupling, params, 50, logits=True)
+            assert logits.shape == (8, 5)
+            assert np.max(np.abs(logits[:7] - pm.values.T @ states)) < 1e-10
 
     @pytest.mark.parametrize("a, h", [(-0.5, 0.0), (-0.5, 1.0), (0.3, 0.7)])
     def test_mean_row_tracks_state_mean(self, a, h):
@@ -372,8 +379,7 @@ class TestLogitBasis:
         params = ModelParams(a=a, h=h, beta=3.0)
         means, rows = [], []
         iterate(sig0, pm, coupling, params, 101, observe=lambda t, s: means.append(s.mean(axis=0)))
-        logits0 = np.vstack([pm.values.T @ sig0, sig0.mean(axis=0)])
-        final = iterate(logits0, pm, coupling, params, 101, logits=True,
+        final = iterate(sig0, pm, coupling, params, 101, logits=True,
                         observe=lambda t, L: rows.append(L[-1]))[0]
         assert final.shape == (8, 5) and len(rows) == 101
         assert np.max(np.abs(np.array(rows) - np.array(means))) < 1e-10
@@ -386,19 +392,20 @@ class TestLogitBasis:
         sig0 = rng.uniform(0, 1, (40, 3))
         params = ModelParams(a=-0.5, h=1.0, beta=2.0, eta=0.3)
         operator = _logit_operator(pm, coupling, params)
-        for logits in (pm.values.T @ sig0, np.vstack([pm.values.T @ sig0, sig0.mean(axis=0)])):
-            retrieval = operator[:len(logits)] @ softmax_beta(logits[:pm.p], params.beta)
-            want = logits + params.eta * (retrieval - logits)
-            assert np.array_equal(iterate(logits, pm, coupling, params, 1, logits=True)[0], want)
+        for sigma0 in (sig0[:, 0], sig0):
+            x = basis_state(sigma0, pm)
+            want = x + params.eta * (operator @ softmax_beta(x[:pm.p], params.beta) - x)
+            assert np.array_equal(iterate(sigma0, pm, coupling, params, 1, logits=True)[0], want)
 
     def test_logit_shapes_validated(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         coupling = normalize(build_cycle(3))
-        iterate(np.zeros((3, 2)), pm, coupling, ModelParams(), 1, logits=True)
-        iterate(np.zeros(4), pm, coupling, ModelParams(), 1, logits=True)  # with the mean row
-        # p + 2 rows: the n = 5 rows of a state are not logits either
-        for bad in (np.zeros(5), np.zeros((5, 2)), np.zeros((3, 2, 1))):
-            with pytest.raises(CdamError, match="pattern count 3"):
+        for sigma0, rows in ((np.zeros((5, 2)), (4, 2)), (np.zeros(5), (4,))):
+            assert iterate(sigma0, pm, coupling, ModelParams(), 1, logits=True)[0].shape == rows
+        # logit rows, with or without the mean row, are not states
+        for bad in (np.zeros(3), np.zeros(4), np.zeros((4, 2)), np.zeros((5, 2, 1)),
+                    np.float64(1.0)):
+            with pytest.raises(CdamError, match="does not fit neuron count 5"):
                 iterate(bad, pm, coupling, ModelParams(), 1, logits=True)
 
     def test_operator_built_once_per_iterate(self, monkeypatch):
@@ -416,7 +423,7 @@ class TestLogitBasis:
 
         monkeypatch.setattr(dynamics, "_logit_operator", counted_build)
         monkeypatch.setattr(dynamics, "retrieval_vector", counted_retrieve)
-        iterate(pm.values.T @ stack, pm, coupling, ModelParams(a=0.5, h=0.5), 9, logits=True)
+        iterate(stack, pm, coupling, ModelParams(a=0.5, h=0.5), 9, logits=True)
         assert len(built) == 1 and len(operators) == 9
         assert all(op is built[0] for op in operators)
         iterate(stack, pm, coupling, ModelParams(a=0.5, h=0.5), 4)
@@ -476,8 +483,7 @@ class TestIterate:
         pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
         coupling, params = normalize(build_cycle(5)), ModelParams(a=0.5, h=0.5, beta=3.0)
         stack = init_state(pm, np.arange(5), seed=2)
-        sigma0 = {"vector": stack[:, 1], "stack": stack,  # logits: p rows and the mean row
-                  "logits": np.vstack([pm.values.T @ stack, stack.mean(axis=0)])}[kind]
+        sigma0 = stack[:, 1] if kind == "vector" else stack
         logits = kind == "logits"
         kept, fresh = [sigma0], [sigma0.copy()]
         iterate(sigma0, pm, coupling, params, 4, logits=logits, observe=lambda t, s: kept.append(s))
