@@ -26,41 +26,40 @@ mean-load correction and the projection Xi @ mixed, which that correction
 and the Euler step turn in place into the new state iterate hands out.
 
 Every update moves the state by a blend of stored patterns, so the same
-loop can run in the basis of the patterns instead: the logits L = Xi^T sigma
-follow L <- L + eta*(W @ softmax(beta*L) - L), where for fixed (a, h)
+loop can run in the basis of the patterns instead.  Given an n x k basis B
+whose first p columns are the patterns, the rows x = B^T sigma, whose
+first p are the logits Xi^T sigma, follow
+x <- x + eta*(W @ softmax(beta*x[:p]) - x), where for fixed (a, h)
 
-    W = a*G + h*G*M^T - u (outer) (a*1 + h*M*1),   G = Xi^T Xi,  u = Xi^T mean_load
+    W = B^T Xc (a*I + h*M^T)
 
-is Xi^T times the centered projection of the mixing, built once per run
-(M*1 holds the row sums of the coupling, so directed graphs come out
-right).  A logit step costs one p x p product per column instead of
-2 n x p, but its floats differ from Xi^T sigma by rounding (a few 1e-12
-relative), so only a run whose readout is discrete uses it.
+is B^T times the centered projection of the mixing, built once per run.
+A step costs one k x p product per column instead of 2 n x p, but its
+floats differ from B^T sigma by rounding, so only a run whose readout is
+discrete uses it: the retrieval sweep (B = Xi) and sequence recall
+(B = [Xi | yc], yc the centered patterns).  Xc is formed as the patterns
+minus mean_load, not expanded into Xi^T Xi minus an outer product with
+Xi^T mean_load: on low-contrast patterns (values near 0.99) both terms are
+about 0.98*n and cancel down to the contrasts between patterns, losing up
+to 1e-7 of them, where the explicit Xc holds the contrasts themselves
+(within 4e-12 of B^T of the state-space retrieval).
 
-The mean row.  W carries one more row, a*d + h*M*d with d the column
-means of Xi minus the mean of mean_load, and so does every pattern-basis
-state: iterate forms [Xi^T sigma; mean(sigma)] from the states it is given,
-and row p, the mean activity, moves under the same step exactly.
+Pearson readouts.  pearson_all centers the states and takes one product
+with the cached centered patterns yc, for batched runs, snapshots, the
+automaton and the state x state correlations (a copy of the states as the
+patterns).  run() reads simulate traces from one such product per block
+of states (the readout block, below).  Sequence recall steps the rows
+yc^T sigma themselves: the columns of yc sum to zero, so yc_mu.sigma is
+|sigma - mean(sigma)| |yc_mu| times the r of pattern mu, and the argmax of
+those rows over |yc| is the argmax of pearson_all(sigma).  Each path takes
+the patterns, not the states, as the centered side.
 
-Three Pearson paths.  pearson_all centers the states and takes one product
-with the cached centered patterns, for batched runs, snapshots, the automaton
-and the state x state correlations (a copy of the states as the patterns).
-run() reads simulate traces from one such product per block of states (the
-readout block, below), and sequence recall its argmax by the readout identity.
-
-The readout identity.  yc_mu.(sigma - mean(sigma)) = L_mu - n*m_mu*mean(sigma),
-with m_mu the mean and yc_mu the centered column of pattern mu, and
-|sigma - mean(sigma)| is the same for every mu, so the argmax of
-pearson_all(sigma) is the argmax of (L_mu - n*m_mu*L_p) / |yc_mu|.
-
-The rounding envelope.  The retrieval sweep reads the argmax of its final
-logits and sequence recall the Pearson argmax of every step; every run
-whose floats are reported stays in state space.  At (a, h) = (-2, 3) a
-sequence schedule's tail is sensitive to rounding: starting the
-state-space run from sigma0*(1 + 2^-52) moves its own schedule at bench
-seeds 44 and 52 (from steps 1254 and 1136), and the pattern-basis schedule
-parts from the state-space one at seed 52 only, from step 1158, with the
-same metrics (tools/sequence_basis.py).
+The rounding envelope.  At (a, h) = (-2, 3) a sequence schedule's tail is
+sensitive to rounding: over bench seeds 0-63, starting the state-space run
+from sigma0*(1 + 2^-52) moves its own schedule at seeds 44 and 52 (from
+steps 1254 and 1136), and the pattern-basis schedule parts from the
+state-space one at those seeds only, later (from steps 1268 and 1436),
+with the same metrics (tools/sequence_basis.py 0 63).
 
 The readout block.  run() keeps the states iterate hands its observer,
 which iterate never writes again, and reads READOUT_BLOCK of them, and the
@@ -213,9 +212,10 @@ def retrieval_vector(
     operator: np.ndarray | None = None,
 ) -> np.ndarray:
     """(a*Xc + h*Xc*M^T) softmax(beta*Xi^T sigma); works on a single state
-    vector or an (n, batch) stack of states.  Given the logit operator W of
-    (patterns, m, params), sigma is a pattern-basis state [Xi^T sigma;
-    mean(sigma)] and the result, W softmax(beta*sigma[:p]), is the retrieval's.
+    vector or an (n, batch) stack of states.  Given the basis operator
+    W = basis^T Xc (a*I + h*M^T), sigma holds the basis rows basis^T sigma,
+    whose first p are the logits, and the result, W softmax(beta*sigma[:p]),
+    holds those of the retrieval.
 
     Softmax logits use the raw patterns (the centered ones would only shift
     every logit by the same constant); the projection uses centered columns.
@@ -235,29 +235,21 @@ def retrieval_vector(
     return retrieval
 
 
-def _logit_operator(patterns: PatternMatrix, m: NormalizedAdjacency,
+def _basis_operator(basis: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
                     params: ModelParams) -> np.ndarray:
-    """W = a*G + h*G*M^T - u (outer) (a*1 + h*M*1) with G = Xi^T Xi and
-    u = Xi^T mean_load: W s is Xi^T of the centered projection of the
-    mixing a*s + h*M^T s, whose column sums are (a*1 + h*M*1)^T s.  Row p
-    is a*d + h*M*d, with d = the column means of Xi minus the mean of
-    mean_load: (W s)[p] is the mean of that projection, d^T of the mixing."""
-    xi, coupling = patterns.values, m.matrix
-    gram = xi.T @ xi
-    op = params.a * gram
-    d = xi.mean(axis=0) - patterns.mean_load.mean()
-    mean_row = params.a * d
-    if params.h != 0:
-        op += params.h * (gram @ coupling.T)
-        mean_row += params.h * (coupling @ d)
-    op -= np.multiply.outer(xi.T @ patterns.mean_load, params.a + params.h * coupling.sum(axis=1))
-    return np.vstack([op, mean_row])
+    """W = basis^T Xc (a*I + h*M^T), the rows basis^T of the centered
+    projection of the mixing; raises unless the first p columns of the
+    n x k basis are the patterns, the logits the softmax reads."""
+    if basis.ndim != 2 or not np.array_equal(basis[:, :patterns.p], patterns.values):
+        raise CdamError(f"basis of shape {basis.shape} does not start with the patterns")
+    xc = patterns.values - patterns.mean_load[:, None]
+    return (basis.T @ xc) @ (params.a * np.eye(patterns.p) + params.h * m.matrix.T)
 
 
 def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
                 params: ModelParams, operator: np.ndarray | None) -> np.ndarray:
     """iterate's step sigma + eta*(retrieval - sigma), in place on the fresh
-    retrieval of states or, given the logit operator, pattern-basis states;
+    retrieval of states or, given the basis operator, basis rows;
     an overflow leaves a non-finite result."""
     with np.errstate(all="ignore"):
         new = retrieval_vector(sigma, patterns, m, params, operator=operator)
@@ -270,12 +262,12 @@ def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacen
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
             params: ModelParams, steps: int, tol: float | None = None,
             observe: Callable[[int, np.ndarray], None] | None = None,
-            logits: bool = False) -> tuple[np.ndarray, int, str]:
+            basis: np.ndarray | None = None) -> tuple[np.ndarray, int, str]:
     """The Euler loop of every run, sigma <- update_step(sigma), on a state
-    vector or an (n, batch) stack, for up to `steps` steps; with
-    logits=True, in the pattern basis, on the p + 1 rows [Xi^T sigma0;
-    mean(sigma0)] it forms from the states, through the logit operator
-    built once for the call, and it observes and returns those rows.
+    vector or an (n, batch) stack, for up to `steps` steps; given an n x k
+    basis whose first p columns are the patterns, in the pattern basis, on
+    the rows basis^T sigma0, through the basis operator built once for the
+    call, and it observes and returns those rows.
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
     a new array that iterate never writes again, so an observer may keep it
@@ -286,9 +278,11 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     """
     sig = np.asarray(sigma0, dtype=float)
     _check_dims(sig, patterns, m)
-    operator = _logit_operator(patterns, m, params) if logits else None
-    if logits:
-        sig = np.concatenate([patterns.values.T @ sig, sig.mean(axis=0, keepdims=True)])
+    operator = None
+    if basis is not None:
+        basis = np.asarray(basis, dtype=float)
+        operator = _basis_operator(basis, patterns, m, params)
+        sig = basis.T @ sig
     for t in range(1, steps + 1):
         new = update_step(sig, patterns, m, params, operator)
         if not np.isfinite(new).all():

@@ -381,16 +381,17 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     SEQUENCE_STEPS steps per SEQUENCE_SETTINGS (a, h) and log the
     argmax-correlation pattern per step, with stall/skip metrics.
 
-    The runs iterate in the pattern basis, not in state space, and read the
-    argmax of pearson_all(sigma), every state-space run's readout, from
-    the p + 1 rows of each step by the readout identity of the dynamics
-    module, once per run.  A zero-variance frame raises CdamError.
+    The runs iterate in the pattern basis [Xi | yc], with yc the centered
+    frames, not in state space.  The argmax of pearson_all(sigma), every
+    state-space run's readout, is the argmax of yc^T sigma / |yc|, since
+    the columns of yc sum to zero; it is read from the last p rows of every
+    step, once per run.  A zero-variance frame raises CdamError.
     """
     p = patterns.p
-    ys = patterns.centered[1]
+    yc, ys = patterns.centered
     if np.any(ys == 0.0):
         raise CdamError("pearson undefined: zero-variance pattern")
-    shift = patterns.n * patterns.values.mean(axis=0)
+    basis = np.hstack([patterns.values, yc])
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
     report = ExperimentReport(
@@ -404,10 +405,9 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     sigma0 = init_state(patterns, SEQUENCE_TRIGGER, DEFAULT_NOISE, seed)
     for a, h in SEQUENCE_SETTINGS:
         kept = []
-        iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h), SEQUENCE_STEPS, logits=True,
-                observe=lambda t, L: kept.append(L))
-        logits = np.array(kept)
-        argmaxes = np.argmax((logits[:, :p] - shift * logits[:, p:]) / ys, axis=1).tolist()
+        iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h), SEQUENCE_STEPS,
+                observe=lambda t, rows: kept.append(rows[p:]), basis=basis)
+        argmaxes = np.argmax(np.array(kept) / ys, axis=1).tolist()
         key = f"a{a:+g}_h{h:+g}"
         report.outputs[f"schedule_{key}"] = argmaxes
         report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p)
@@ -526,7 +526,7 @@ def retrieval_sweep(
     nearest-neighbor scaffold, trigger every pattern `trials` times with
     fresh noise, run DEFAULT_STEPS steps per SWEEP_SETTINGS (a, h), and
     predict the argmax-overlap pattern.  The
-    runs iterate in the pattern basis: the readout is the argmax of their
+    runs iterate in the pattern basis Xi: the readout is the argmax of their
     logit rows Xi^T sigma, which the rounding between the bases does not move.
     A level of 1 (no nearest neighbor) and trials < 1 raise CdamError.
     """
@@ -550,8 +550,8 @@ def retrieval_sweep(
         sigma0 = init_state(patterns, targets, DEFAULT_NOISE, seed)
         for a, h in settings:
             final, _, _ = iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h),
-                                  DEFAULT_STEPS, logits=True)
-            predicted = np.argmax(final[:p], axis=0)
+                                  DEFAULT_STEPS, basis=patterns.values)
+            predicted = np.argmax(final, axis=0)
             accuracies[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(predicted == targets))
     report.outputs["accuracy"] = accuracies
     return report

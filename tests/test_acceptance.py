@@ -452,8 +452,8 @@ def test_c9_errors_are_scaffold_neighbours(sweep_accuracy):
     found = {}
     for a, h in ((0.1, 0.9), (0.5, 0.5)):
         final = iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h), X.DEFAULT_STEPS,
-                        logits=True)[0]
-        predicted = np.argmax(final[:p], axis=0)
+                        basis=xi)[0]
+        predicted = np.argmax(final, axis=0)
         wrong = predicted != targets
         accuracy = float(np.mean(~wrong))
         assert accuracy == sweep_accuracy[f"a{a:+g}_h{h:+g}"][p]

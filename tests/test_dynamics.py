@@ -9,7 +9,7 @@ from cdam import dynamics
 from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
-    _logit_operator,
+    _basis_operator,
     init_state,
     iterate,
     overlaps_all,
@@ -210,7 +210,7 @@ class TestUpdateStep:
             seen = []
             final, steps, termination = iterate(sigma0, pm, coupling, params, 200, tol=tol,
                                                 observe=lambda t, s: seen.append(s),
-                                                logits=is_logits)
+                                                basis=pm.values if is_logits else None)
             assert np.array_equal(sigma0, before)
             assert (termination == "fixed-point") == (tol is not None) and len(seen) == steps
             assert final is seen[-1]
@@ -318,11 +318,6 @@ def asymmetric_graph():
                            (2, 5, 0.4), (4, 1, 2.5)), directed=True)
 
 
-def basis_state(sigma, pm):
-    """The pattern-basis state [Xi^T sigma; mean(sigma)] of a state or a stack."""
-    return np.concatenate([pm.values.T @ sigma, sigma.mean(axis=0, keepdims=True)])
-
-
 def asymmetric_coupling():
     """Directed, weighted and asymmetric, with row sums unlike column sums,
     so that using M for M^T or column sums for row sums moves the logits."""
@@ -350,13 +345,12 @@ class TestLogitBasis:
     def test_logit_retrieval_is_pattern_image_of_state_retrieval(self, h):
         pm, coupling, stack = exact_instance()
         params = ModelParams(a=0.5, h=h, beta=1000.0)
-        operator = _logit_operator(pm, coupling, params)
+        operator = _basis_operator(pm.values, pm, coupling, params)
         for sigma in (stack[:, 0], stack):
-            got = retrieval_vector(basis_state(sigma, pm), pm, coupling, params, operator=operator)
+            got = retrieval_vector(pm.values.T @ sigma, pm, coupling, params, operator=operator)
             want = retrieval_vector(sigma, pm, coupling, params)
-            assert got.shape == (pm.p + 1, *sigma.shape[1:])
-            assert np.array_equal(got[:pm.p], pm.values.T @ want)
-            assert np.allclose(got[pm.p], want.mean(axis=0), rtol=0, atol=1e-15)
+            assert got.shape == (pm.p, *sigma.shape[1:])
+            assert np.array_equal(got, pm.values.T @ want)
 
     def test_iterated_logits_track_iterated_states(self):
         coupling = asymmetric_coupling()
@@ -366,24 +360,34 @@ class TestLogitBasis:
         for a, h in ((-0.5, 1.0), (0.3, 0.7), (1.0, 0.0)):
             params = ModelParams(a=a, h=h, beta=3.0)
             states, _, _ = iterate(sig0, pm, coupling, params, 50)
-            logits, _, _ = iterate(sig0, pm, coupling, params, 50, logits=True)
-            assert logits.shape == (8, 5)
-            assert np.max(np.abs(logits[:7] - pm.values.T @ states)) < 1e-10
+            logits, _, _ = iterate(sig0, pm, coupling, params, 50, basis=pm.values)
+            assert logits.shape == (7, 5)
+            assert np.max(np.abs(logits - pm.values.T @ states)) < 1e-10
 
-    @pytest.mark.parametrize("a, h", [(-0.5, 0.0), (-0.5, 1.0), (0.3, 0.7)])
-    def test_mean_row_tracks_state_mean(self, a, h):
-        coupling = asymmetric_coupling()
-        rng = np.random.default_rng(29)
-        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
-        sig0 = rng.uniform(0, 1, (60, 5))
-        params = ModelParams(a=a, h=h, beta=3.0)
-        means, rows = [], []
-        iterate(sig0, pm, coupling, params, 101, observe=lambda t, s: means.append(s.mean(axis=0)))
-        final = iterate(sig0, pm, coupling, params, 101, logits=True,
-                        observe=lambda t, L: rows.append(L[-1]))[0]
-        assert final.shape == (8, 5) and len(rows) == 101
-        assert np.max(np.abs(np.array(rows) - np.array(means))) < 1e-10
-        assert np.ptp(np.array(means)) > 0.1  # the mean moves, so the row is tested
+    @pytest.mark.parametrize("case", ["low-contrast", "low-contrast-h0", "directed"])
+    def test_basis_operator_contrasts_match_state_retrieval(self, case):
+        # W s against basis^T of the state-space retrieval from the same
+        # softmax s, for the sequence basis [Xi | yc].  On patterns near
+        # 0.99, a W expanded as Xi^T Xi minus the mean-load outer product
+        # cancels n*m_mu*m_nu and loses up to 7.8e-8 of the across-pattern contrasts.
+        rng = np.random.default_rng(0)
+        if case == "directed":
+            pm, coupling = PatternMatrix(rng.uniform(0, 1, (60, 7))), asymmetric_coupling()
+            params = ModelParams(a=-0.5, h=1.0, beta=3.0)
+        else:
+            pm = PatternMatrix(np.clip(0.99 + 0.002 * rng.normal(size=(2000, 50)), 0.0, 1.0))
+            coupling = normalize(build_cycle(50, directed=True))
+            a, h = (1.0, 0.0) if case.endswith("h0") else (-2.0, 3.0)
+            params = ModelParams(a=a, h=h)
+        basis = np.hstack([pm.values, pm.centered[0]])
+        operator = _basis_operator(basis, pm, coupling, params)
+        stack = init_state(pm, np.arange(pm.p), seed=1)
+        for sigma in (stack[:, 0], stack):
+            got = operator @ softmax_beta(pm.values.T @ sigma, params.beta)
+            want = basis.T @ retrieval_vector(sigma, pm, coupling, params)
+            for rows in (slice(None, pm.p), slice(pm.p, None)):
+                g, w = got[rows] - got[rows].mean(axis=0), want[rows] - want[rows].mean(axis=0)
+                assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
 
     def test_logit_step_is_the_out_of_place_step(self):
         coupling = asymmetric_coupling()
@@ -391,27 +395,34 @@ class TestLogitBasis:
         pm = PatternMatrix(rng.uniform(0, 1, (40, 7)))
         sig0 = rng.uniform(0, 1, (40, 3))
         params = ModelParams(a=-0.5, h=1.0, beta=2.0, eta=0.3)
-        operator = _logit_operator(pm, coupling, params)
+        basis = np.hstack([pm.values, pm.centered[0]])
+        operator = _basis_operator(basis, pm, coupling, params)
         for sigma0 in (sig0[:, 0], sig0):
-            x = basis_state(sigma0, pm)
+            x = basis.T @ sigma0
             want = x + params.eta * (operator @ softmax_beta(x[:pm.p], params.beta) - x)
-            assert np.array_equal(iterate(sigma0, pm, coupling, params, 1, logits=True)[0], want)
+            assert np.array_equal(iterate(sigma0, pm, coupling, params, 1, basis=basis)[0], want)
 
     def test_logit_shapes_validated(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         coupling = normalize(build_cycle(3))
+        basis = np.hstack([pm.values, np.ones((5, 1))])
         for sigma0, rows in ((np.zeros((5, 2)), (4, 2)), (np.zeros(5), (4,))):
-            assert iterate(sigma0, pm, coupling, ModelParams(), 1, logits=True)[0].shape == rows
-        # logit rows, with or without the mean row, are not states
+            assert iterate(sigma0, pm, coupling, ModelParams(), 1, basis=basis)[0].shape == rows
+        # logit rows are not states
         for bad in (np.zeros(3), np.zeros(4), np.zeros((4, 2)), np.zeros((5, 2, 1)),
                     np.float64(1.0)):
             with pytest.raises(CdamError, match="does not fit neuron count 5"):
-                iterate(bad, pm, coupling, ModelParams(), 1, logits=True)
+                iterate(bad, pm, coupling, ModelParams(), 1, basis=basis)
+        # a basis must start with the patterns, whose rows the softmax reads
+        for bad in (pm.values[:, :2], pm.values[:, ::-1], np.vstack([pm.values, pm.values]),
+                    pm.values[:, 0]):
+            with pytest.raises(CdamError, match="does not start with the patterns"):
+                iterate(np.zeros(5), pm, coupling, ModelParams(), 1, basis=bad)
 
     def test_operator_built_once_per_iterate(self, monkeypatch):
         pm, coupling, stack = exact_instance()
         built, operators = [], []
-        build, retrieve = dynamics._logit_operator, dynamics.retrieval_vector
+        build, retrieve = dynamics._basis_operator, dynamics.retrieval_vector
 
         def counted_build(*args):
             built.append(build(*args))
@@ -421,9 +432,9 @@ class TestLogitBasis:
             operators.append(operator)
             return retrieve(*args, operator=operator)
 
-        monkeypatch.setattr(dynamics, "_logit_operator", counted_build)
+        monkeypatch.setattr(dynamics, "_basis_operator", counted_build)
         monkeypatch.setattr(dynamics, "retrieval_vector", counted_retrieve)
-        iterate(stack, pm, coupling, ModelParams(a=0.5, h=0.5), 9, logits=True)
+        iterate(stack, pm, coupling, ModelParams(a=0.5, h=0.5), 9, basis=pm.values)
         assert len(built) == 1 and len(operators) == 9
         assert all(op is built[0] for op in operators)
         iterate(stack, pm, coupling, ModelParams(a=0.5, h=0.5), 4)
@@ -484,11 +495,11 @@ class TestIterate:
         coupling, params = normalize(build_cycle(5)), ModelParams(a=0.5, h=0.5, beta=3.0)
         stack = init_state(pm, np.arange(5), seed=2)
         sigma0 = stack[:, 1] if kind == "vector" else stack
-        logits = kind == "logits"
+        basis = pm.values if kind == "logits" else None
         kept, fresh = [sigma0], [sigma0.copy()]
-        iterate(sigma0, pm, coupling, params, 4, logits=logits, observe=lambda t, s: kept.append(s))
-        iterate(sigma0.copy(), pm, coupling, params, 4, logits=logits,
-                observe=lambda t, s: fresh.append(s.copy()))
+        iterate(sigma0, pm, coupling, params, 4, observe=lambda t, s: kept.append(s), basis=basis)
+        iterate(sigma0.copy(), pm, coupling, params, 4, observe=lambda t, s: fresh.append(s.copy()),
+                basis=basis)
         assert len(kept) == len(fresh) == 5
         for state, want in zip(kept, fresh):
             assert np.array_equal(state, want)

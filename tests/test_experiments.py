@@ -337,6 +337,23 @@ class TestSequenceRecall:
             assert len(schedule) == 1500
             assert rep.outputs[f"schedule_a{a:+g}_h{h:+g}"] == schedule
 
+    def test_low_contrast_schedules_match_state_space(self, monkeypatch):
+        # frames near 0.99: a readout through the raw logits Xi^T sigma would
+        # cancel n*m_mu*mean(sigma) and part from the state space at step 211.
+        # By step 300 the states' SD is 5e-15; from about step 350 it is the
+        # rounding floor (1e-16), where a state-space r is noise.
+        monkeypatch.setattr(X, "SEQUENCE_STEPS", 300)
+        rng = np.random.default_rng(0)
+        frames = PatternMatrix(np.clip(0.99 + 0.002 * rng.normal(size=(2000, 50)), 0.0, 1.0))
+        rep = X.sequence_recall(frames, seed=1)
+        coupling = normalize(build_cycle(50, directed=True))
+        for a, h in X.SEQUENCE_SETTINGS:
+            schedule = []
+            iterate(init_state(frames, X.SEQUENCE_TRIGGER, X.DEFAULT_NOISE, 1), frames, coupling,
+                    ModelParams(a=a, h=h), 300,
+                    observe=lambda t, s: schedule.append(int(np.argmax(pearson_all(s, frames)))))
+            assert rep.outputs[f"schedule_a{a:+g}_h{h:+g}"] == schedule
+
     def test_zero_variance_frame_raises(self):
         values = np.random.default_rng(2).uniform(0, 1, (50, 6))
         values[:, 3] = 0.5
@@ -345,7 +362,9 @@ class TestSequenceRecall:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
-        for name, value in [("FRAME_COUNT", 6), ("FRAME_N", 50),
+        # at the stock 2000 pixels; at 50 every entry of the centred basis
+        # operator stays below 0.9, so even a = h = 1e308 keeps the rows finite
+        for name, value in [("FRAME_COUNT", 6),
                             ("SEQUENCE_SETTINGS", (DIVERGENT,)), ("SEQUENCE_STEPS", 20)]:
             monkeypatch.setattr(X, name, value)
         with pytest.raises(NumericDivergenceError):
@@ -422,9 +441,8 @@ class TestRetrievalSweep:
             for a, h in X.SWEEP_SETTINGS:
                 params = ModelParams(a=a, h=h)
                 states = iterate(sig0, patterns, coupling, params, X.DEFAULT_STEPS)[0]
-                logits = iterate(sig0, patterns, coupling, params, X.DEFAULT_STEPS,
-                                 logits=True)[0]
-                assert np.max(np.abs(logits[:p] - xi.T @ states)) < 1e-10
+                logits = iterate(sig0, patterns, coupling, params, X.DEFAULT_STEPS, basis=xi)[0]
+                assert np.max(np.abs(logits - xi.T @ states)) < 1e-10
                 hits = np.argmax(xi.T @ states, axis=0) == np.repeat(np.arange(p), trials)
                 want[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(hits))
         assert rep.outputs["accuracy"] == want

@@ -98,3 +98,10 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cdam")):
                 found += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # the declared minimum in pyproject.toml; newer syntax would fail at import
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    for path in sorted((ROOT / "src" / "cdam").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

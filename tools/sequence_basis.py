@@ -1,8 +1,9 @@
 """Compare the sequence experiment's pattern-basis schedules with the
 state-space ones, seed by seed.
 
-`cdam experiment sequence --seed S` reads the Pearson argmax of every step
-from the logits Xi^T sigma and the mean activity.  For each seed S in
+`cdam experiment sequence --seed S` steps its runs in the pattern basis
+[Xi | yc], yc the centered frames, and reads the Pearson argmax of every
+step from the rows yc^T sigma, not from the states.  For each seed S in
 SEED_FROM..SEED_TO (inclusive) and each sequence setting, this prints two
 steps:
 
