@@ -364,6 +364,23 @@ class TestLogitBasis:
             assert logits.shape == (7, 5)
             assert np.max(np.abs(logits - pm.values.T @ states)) < 1e-10
 
+    @pytest.mark.parametrize("a, h", [(-0.5, 0.0), (-0.5, 1.0), (0.3, 0.7)])
+    def test_mean_row_tracks_state_mean(self, a, h):
+        # a basis column of 1/n past the patterns reads the state mean
+        coupling = asymmetric_coupling()
+        rng = np.random.default_rng(29)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        sig0 = rng.uniform(0, 1, (60, 5))
+        params = ModelParams(a=a, h=h, beta=3.0)
+        basis = np.hstack([pm.values, np.full((60, 1), 1 / 60)])
+        means, rows = [], []
+        iterate(sig0, pm, coupling, params, 101, observe=lambda t, s: means.append(s.mean(axis=0)))
+        final = iterate(sig0, pm, coupling, params, 101, basis=basis,
+                        observe=lambda t, L: rows.append(L[-1]))[0]
+        assert final.shape == (8, 5) and len(rows) == 101
+        assert np.max(np.abs(np.array(rows) - np.array(means))) < 1e-10
+        assert np.ptp(np.array(means)) > 0.1  # the mean moves, so the row is tested
+
     @pytest.mark.parametrize("case", ["low-contrast", "low-contrast-h0", "directed"])
     def test_basis_operator_contrasts_match_state_retrieval(self, case):
         # W s against basis^T of the state-space retrieval from the same
