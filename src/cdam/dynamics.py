@@ -196,11 +196,16 @@ def softmax_beta(z: np.ndarray, beta: float) -> np.ndarray:
     return e
 
 
-def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency) -> None:
-    """Raise unless sigma (a state vector or an (n, batch) stack) and m fit
-    the patterns."""
+def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
+                steps: int) -> None:
+    """Raise unless sigma (a state vector or an (n, batch) stack of at least
+    one state) and m fit the patterns, and steps >= 0."""
     if sigma.ndim not in (1, 2) or sigma.shape[0] != patterns.n:
         raise CdamError(f"state of shape {sigma.shape} does not fit neuron count {patterns.n}")
+    if sigma.size == 0:
+        raise CdamError(f"state stack of shape {sigma.shape} holds no states")
+    if steps < 0:
+        raise CdamError(f"steps must be >= 0, got {steps}")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise CdamError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
@@ -218,16 +223,14 @@ def retrieval_vector(
     holds those of the retrieval.
 
     Softmax logits use the raw patterns (the centered ones would only shift
-    every logit by the same constant); the projection uses centered columns.
-    With h == 0 the graph mixing is skipped: a*s + 0*(M^T s) equals a*s.
+    every logit by the same constant); the projection uses centered columns
+    of the mixing a*s + h*(M^T s), the (a*I + h*M^T) s of the basis operator.
     """
     if operator is not None:
         return operator @ softmax_beta(sigma[:patterns.p], params.beta)
     xi = patterns.values
     s = softmax_beta(xi.T @ sigma, params.beta)
-    mixed = params.a * s
-    if params.h != 0:
-        mixed += params.h * (m.matrix.T @ s)
+    mixed = params.a * s + params.h * (m.matrix.T @ s)
     # Xi @ (centered mixing) == Xi @ mixed - mean_load (outer) column sums of
     # mixed, cheaper than materializing the centered matrix.
     retrieval = xi @ mixed
@@ -260,7 +263,7 @@ def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacen
 
 
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
-            params: ModelParams, steps: int, tol: float | None = None,
+            params: ModelParams, steps: int, tol: float = 0.0,
             observe: Callable[[int, np.ndarray], None] | None = None,
             basis: np.ndarray | None = None) -> tuple[np.ndarray, int, str]:
     """The Euler loop of every run, sigma <- update_step(sigma), on a state
@@ -271,13 +274,13 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
 
     observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
     a new array that iterate never writes again, so an observer may keep it
-    without a copy.  With a tolerance > 0 (one <= 0 is never met, so never
-    checked), stops after the first step whose max |change| is below it.
-    A non-finite state raises NumericDivergenceError naming its step.
+    without a copy.  A tol > 0 stops the run after the first step whose max
+    |change| is below it.  Negative steps or a stack of no states raise
+    CdamError, and a non-finite state NumericDivergenceError naming its step.
     Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
-    _check_dims(sig, patterns, m)
+    _check_dims(sig, patterns, m, steps)
     operator = None
     if basis is not None:
         basis = np.asarray(basis, dtype=float)
@@ -287,7 +290,7 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
         new = update_step(sig, patterns, m, params, operator)
         if not np.isfinite(new).all():
             raise NumericDivergenceError(t, "network state")
-        converged = tol is not None and tol > 0 and np.abs(d := new - sig, out=d).max() < tol
+        converged = tol > 0 and np.abs(d := new - sig, out=d).max() < tol
         sig = new
         if observe is not None:
             observe(t, sig)
@@ -321,7 +324,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     if sigma0.ndim != 1:
         raise CdamError(f"state must be a vector, got shape {sigma0.shape}")
     m = normalize(graph)
-    _check_dims(sigma0, patterns, m)
+    _check_dims(sigma0, patterns, m, max_steps)
     terms = _energy_terms(graph, m) if with_energy else None
 
     pending = [sigma0]  # states not yet read, from step READOUT_BLOCK * len(blocks)
@@ -392,8 +395,10 @@ def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
 def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r of a state (n,) or of each column of an (n, K) stack against
     every pattern, as (p,) or (p, K).  A state whose centered norm is not
-    finite (too large to read) reads NaN; a zero-variance state or pattern
-    raises CdamError."""
+    finite (too large to read) reads NaN; a zero-variance state or pattern,
+    and a stack of no states, raise CdamError."""
+    if states.size == 0:
+        raise CdamError(f"state stack of shape {states.shape} holds no states")
     with np.errstate(all="ignore"):
         yc, norms = patterns.centered
         sc, snorms = _center_columns(states.reshape(len(states), -1))

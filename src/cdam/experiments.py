@@ -145,15 +145,17 @@ def run_all_triggers(
     seed: int = 0,
     snapshots: tuple[int, ...] = (),
 ) -> dict:
-    """One run of DEFAULT_STEPS steps per stored pattern, vectorized as a
-    state-matrix iteration.
+    """One run of DEFAULT_STEPS steps per stored pattern, as one state stack.
 
     Uses the same iterate as the single-run engine (their equivalence is
     pinned by tests).  Returns final states (n x p), the pattern-correlation
     matrix r[mu, trigger], mean activity per trigger, and requested
-    per-snapshot correlation matrices.  A final or snapshot state whose
+    per-snapshot correlation matrices.  A snapshot step outside
+    1..DEFAULT_STEPS raises CdamError; a final or snapshot state whose
     correlations are not finite raises NumericDivergenceError.
     """
+    if not all(1 <= t <= DEFAULT_STEPS for t in snapshots):
+        raise CdamError(f"snapshot steps {snapshots} are not all in 1..{DEFAULT_STEPS}")
     sig0 = init_state(patterns, np.arange(patterns.p), DEFAULT_NOISE, seed)
     snaps = {}
 
@@ -296,7 +298,7 @@ def community_matrices(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) ->
 
 def block_contrast(matrix: np.ndarray, blocks) -> float:
     """Mean within-block correlation minus mean cross-block correlation,
-    diagonal excluded."""
+    diagonal excluded; blocks that leave either without a pair raise CdamError."""
     p = matrix.shape[0]
     labels = np.full(p, -1)
     for b, members in enumerate(blocks):
@@ -305,6 +307,8 @@ def block_contrast(matrix: np.ndarray, blocks) -> float:
         raise CdamError("blocks do not cover every vertex")
     same = (labels[:, None] == labels[None, :]) & ~np.eye(p, dtype=bool)
     diff = labels[:, None] != labels[None, :]
+    if not (same.any() and diff.any()):
+        raise CdamError("blocks leave no within-block pair or no cross-block pair")
     return float(matrix[same].mean() - matrix[diff].mean())
 
 
@@ -483,35 +487,26 @@ def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> E
 SWEEP_P_LEVELS = (10, 20, 30, 40, 50, 75, 100, 150, 200, 500)
 SWEEP_SETTINGS = ((0.1, 0.9), (0.5, 0.5), (1.0, 0.0))
 BANK_N = 784
-BANK_SIZE = 500
+BANK_SIZE = 20 + 2 * 90 + 3 * 100  # distinct items, then pairs, then triples
 
 
 def surrogate_image_bank(seed: int = 77) -> np.ndarray:
     """Seeded BANK_N x BANK_SIZE image-bank stand-in with the difficulty
     structure of a real image dataset, around 5 class prototypes: 20 fully
-    distinct items, then up to item 200 near-neighbor pairs (noise weight
-    0.2) around class-clustered centers (prototype weight 0.55), then
-    near-duplicate triples (noise weight 0.06) that flood the store at high
-    pattern counts.  A smaller bank is a slice: its first columns match."""
-    n, count = BANK_N, BANK_SIZE
+    distinct items, then 90 near-neighbor pairs (noise weight 0.2) around
+    class centers (prototype weight 0.55, pair k on prototype k mod 5), then
+    100 near-duplicate triples (noise weight 0.06, on prototype (k + 1) mod 5)
+    that flood the store at high pattern counts.  Each kind is one uniform
+    draw, a group's center noise first.  A smaller bank is a slice."""
     rng = np.random.default_rng(seed)
-    protos = rng.uniform(0, 1, (5, n))
-    cols: list[np.ndarray] = []
-    while len(cols) < count:
-        i = len(cols)
-        if i < 20:
-            cols.append(rng.uniform(0, 1, n))
-        elif i < 200:
-            center = (1 - 0.45) * protos[(i // 2) % 5] + 0.45 * rng.uniform(0, 1, n)
-            for _ in range(2):
-                if len(cols) < count:
-                    cols.append(np.clip((1 - 0.2) * center + 0.2 * rng.uniform(0, 1, n), 0, 1))
-        else:
-            center = (1 - 0.45) * protos[(i // 3) % 5] + 0.45 * rng.uniform(0, 1, n)
-            for _ in range(3):
-                if len(cols) < count:
-                    cols.append(np.clip((1 - 0.06) * center + 0.06 * rng.uniform(0, 1, n), 0, 1))
-    return np.column_stack(cols)
+    protos = rng.uniform(0, 1, (5, BANK_N))
+    rows = [rng.uniform(0, 1, (20, BANK_N))]
+    for groups, size, weight, shift in ((90, 2, 0.2, 0), (100, 3, 0.06, 1)):
+        noise = rng.uniform(0, 1, (groups, 1 + size, BANK_N))
+        centers = (1 - 0.45) * protos[(np.arange(groups) + shift) % 5] + 0.45 * noise[:, 0]
+        items = np.clip((1 - weight) * centers[:, None] + weight * noise[:, 1:], 0, 1)
+        rows.append(items.reshape(-1, BANK_N))
+    return np.ascontiguousarray(np.vstack(rows).T)
 
 
 def retrieval_sweep(

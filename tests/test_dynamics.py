@@ -185,7 +185,8 @@ class TestUpdateStep:
 
     @pytest.mark.parametrize("h", [0.0, 0.7])
     def test_retrieval_is_bitwise_the_formula(self, h):
-        # the in-place mean-load correction gives the out-of-place floats
+        # the in-place mean-load correction gives the out-of-place floats, and
+        # at h = 0 the unconditional mixing a*s + 0*(M^T s) gives the oracle's a*s
         rng = np.random.default_rng(31)
         pm = PatternMatrix(rng.uniform(0, 1, (50, 7)))
         coupling = asymmetric_coupling()
@@ -204,15 +205,15 @@ class TestUpdateStep:
         coupling = normalize(build_cycle(3))
         params = ModelParams(a=0.5, h=0.5)
         vector = rng.normal(0, 1, 10)
-        for sigma0, tol, is_logits in ((vector, None, False), (rng.normal(0, 1, (10, 4)), None, False),
-                                       (vector, None, True), (vector, 1e-3, False)):
+        for sigma0, tol, is_logits in ((vector, 0.0, False), (rng.normal(0, 1, (10, 4)), 0.0, False),
+                                       (vector, 0.0, True), (vector, 1e-3, False)):
             before = sigma0.copy()
             seen = []
             final, steps, termination = iterate(sigma0, pm, coupling, params, 200, tol=tol,
                                                 observe=lambda t, s: seen.append(s),
                                                 basis=pm.values if is_logits else None)
             assert np.array_equal(sigma0, before)
-            assert (termination == "fixed-point") == (tol is not None) and len(seen) == steps
+            assert (termination == "fixed-point") == (tol > 0) and len(seen) == steps
             assert final is seen[-1]
             assert not any(np.shares_memory(s, sigma0) for s in seen)
         trace = run(vector, pm, build_cycle(3), params, max_steps=200, fixed_point_tol=1e-3)
@@ -529,6 +530,26 @@ class TestIterate:
                 iterate(bad, pm, coupling, ModelParams(), 3)
         with pytest.raises(CdamError, match=r"coupling matrix is \(4, 4\), patterns hold p=3"):
             iterate(np.zeros(5), pm, normalize(build_cycle(4)), ModelParams(), 3)
+
+    @pytest.mark.parametrize("steps", [-1, -3])
+    def test_negative_steps_raise(self, steps):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        with pytest.raises(CdamError, match=f"steps must be >= 0, got {steps}"):
+            iterate(pm.values[:, 0], pm, normalize(build_cycle(3)), ModelParams(), steps)
+        assert iterate(pm.values[:, 0], pm, normalize(build_cycle(3)), ModelParams(), 0)[1:] == (
+            0, "max-steps")
+
+    @pytest.mark.parametrize("basis", [False, True])
+    def test_empty_stack_raises(self, basis):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        with pytest.raises(CdamError, match=r"state stack of shape \(5, 0\) holds no states"):
+            iterate(np.zeros((5, 0)), pm, normalize(build_cycle(3)), ModelParams(), 3,
+                    basis=pm.values if basis else None)
+
+    def test_pearson_all_rejects_an_empty_stack(self):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        with pytest.raises(CdamError, match=r"state stack of shape \(5, 0\) holds no states"):
+            pearson_all(np.zeros((5, 0)), pm)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_step_counts_from_the_initial_time(self):

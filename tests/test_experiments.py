@@ -88,6 +88,17 @@ class TestBatchedRunner:
         for mat in res["snapshots"].values():
             assert mat.shape == (5, 5)
 
+    @pytest.mark.parametrize("snapshots", [(0, 5, 200), (0,), (5, 102), (-1,)])
+    def test_snapshot_outside_the_run_raises(self, snapshots):
+        # a step the run never reaches would otherwise be left out silently
+        patterns = PatternMatrix(np.random.default_rng(4).uniform(0, 1, (40, 5)))
+        with pytest.raises(CdamError, match=r"not all in 1\.\.101"):
+            X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
+                               snapshots=snapshots)
+        res = X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
+                                 snapshots=(1, X.DEFAULT_STEPS))
+        assert set(res["snapshots"]) == {1, 101}
+
 
 class TestRelabelling:
     """Permuting the pattern columns and relabelling the graph by the same
@@ -243,6 +254,12 @@ class TestBlockContrast:
         with pytest.raises(CdamError, match="blocks do not cover every vertex"):
             X.block_contrast(np.eye(4), [[0, 1], [2]])
 
+    @pytest.mark.parametrize("blocks", [[[0, 1, 2]], [[0], [1], [2]]])
+    def test_blocks_need_within_and_cross_pairs(self, blocks):
+        # one block has no cross-block pair, singletons no within-block pair
+        with pytest.raises(CdamError, match="no within-block pair or no cross-block pair"):
+            X.block_contrast(np.eye(3), blocks)
+
 
 class TestScheduleMetrics:
     def test_perfect_schedule(self):
@@ -285,6 +302,12 @@ class TestSurrogates:
         assert bank.shape == (784, 500)
         assert np.array_equal(bank, X.surrogate_image_bank(seed=77))
         assert bank.min() >= 0 and bank.max() <= 1
+
+    @pytest.mark.parametrize("seed, fingerprint", [(77, "9ea733b97a453ca1"),
+                                                   (78, "20ca47995832825b")])
+    def test_image_bank_fingerprint_is_pinned(self, seed, fingerprint):
+        # the bytes of the column-by-column draw the bank was first built with
+        assert X._array_fingerprint(X.surrogate_image_bank(seed)) == fingerprint
 
 
 class TestReports:
