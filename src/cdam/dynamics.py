@@ -44,16 +44,6 @@ about 0.98*n and cancel down to the contrasts between patterns, losing up
 to 1e-7 of them, where the explicit Xc holds the contrasts themselves
 (within 4e-12 of B^T of the state-space retrieval).
 
-Pearson readouts.  pearson_all centers the states and takes one product
-with the cached centered patterns yc, for batched runs, snapshots, the
-automaton and the state x state correlations (a copy of the states as the
-patterns).  run() reads simulate traces from one such product per block
-of states (the readout block, below).  Sequence recall steps the rows
-yc^T sigma themselves: the columns of yc sum to zero, so yc_mu.sigma is
-|sigma - mean(sigma)| |yc_mu| times the r of pattern mu, and the argmax of
-those rows over |yc| is the argmax of pearson_all(sigma).  Each path takes
-the patterns, not the states, as the centered side.
-
 The rounding envelope.  At (a, h) = (-2, 3) a sequence schedule's tail is
 sensitive to rounding: over bench seeds 0-63, starting the state-space run
 from sigma0*(1 + 2^-52) moves its own schedule at seeds 44 and 52 (from
@@ -61,25 +51,24 @@ steps 1254 and 1136), and the pattern-basis schedule parts from the
 state-space one at those seeds only, later (from steps 1268 and 1436),
 with the same metrics (tools/sequence_basis.py 0 63).
 
-The readout block.  run() keeps the states iterate hands its observer,
-which iterate never writes again, and reads READOUT_BLOCK of them, and the
-last partial block, together as the raw (n, K) stack S.  The mean and SD
-of every column take the same reductions as per state, and one product
-Zc = yc^T S with the cached centered patterns yc gives the rest:
-
-    r = (Zc - (sum_i yc_i) (outer) mean) / (|yc| (outer) sqrt(n)*SD)
-    overlaps Xi^T S / n = (Zc + n*m (outer) mean) / n,  m the column means of Xi
-
-since |S - mean| is sqrt(n)*SD.  The patterns, not the states, are the
-centered side: on low-contrast patterns (values near 0.99) the raw logits
-Xi^T S would cancel n*m_mu*mean against each other and lose about 1e-9
-of r, where Zc stays within 5e-14 of a loop-level Pearson.  The states
-are iterate's, bit for bit, and so are the mean and SD; r and the energy
-of a block round unlike those of one state (pearson_all, and the energy
-of overlaps_all), by at most 2.6e-15 in r and 9.1e-16 relative in the
-energy over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad
-readout is still named by its own step, though the run may take up to
-READOUT_BLOCK - 1 more steps before it raises.
+Pearson readouts.  One routine reads r from states: it centers an (n, K)
+stack S and takes one product Zc = yc^T (S - mean) with the cached
+centered patterns yc, r = Zc / (|yc| (outer) |S - mean|).  pearson_all is
+that routine for a state or a stack (batched runs, snapshots, the
+automaton, the state x state correlations).  run() keeps the states iterate hands
+its observer, which iterate never writes again, and reads READOUT_BLOCK of
+them, and the last partial block, as one stack: the routine gives r, the
+mean and SD = |S - mean|/sqrt(n), and Zc the energy's overlaps
+Xi^T S / n = (Zc + (sum_i yc_i + n*m) (outer) mean) / n, m the column means
+of Xi.  r and the energy of a block round unlike those of one state at a
+time (pearson_all, and the energy of overlaps_all) by at most 2.6e-15 in r
+and 9.1e-16 relative in the energy, and SD unlike its std() by 5.6e-17,
+over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad readout is
+still named by its own step, though the run may take up to
+READOUT_BLOCK - 1 more steps before it raises.  Sequence recall steps the
+rows yc^T sigma themselves: the columns of yc sum to zero, so yc_mu.sigma
+is |sigma - mean(sigma)| |yc_mu| times the r of pattern mu, and the argmax
+of those rows over |yc| is the argmax of pearson_all(sigma).
 """
 
 from __future__ import annotations
@@ -141,15 +130,10 @@ class PatternMatrix:
     def centered(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered columns and their norms, the pattern side of every Pearson
         readout; built on first use, as sweeps never read Pearson."""
-        cols, norms = _center_columns(self.values)
+        cols = self.values - self.values.mean(axis=0, keepdims=True)
+        norms = np.sqrt((cols**2).sum(axis=0))
         cols.flags.writeable = norms.flags.writeable = False
         return cols, norms
-
-
-def _center_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns minus their own means, and the Euclidean norms of the results."""
-    centered = cols - cols.mean(axis=0, keepdims=True)
-    return centered, np.sqrt((centered**2).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -196,16 +180,24 @@ def softmax_beta(z: np.ndarray, beta: float) -> np.ndarray:
     return e
 
 
-def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
-                steps: int) -> None:
-    """Raise unless sigma (a state vector or an (n, batch) stack of at least
-    one state) and m fit the patterns, and steps >= 0."""
-    if sigma.ndim not in (1, 2) or sigma.shape[0] != patterns.n:
-        raise CdamError(f"state of shape {sigma.shape} does not fit neuron count {patterns.n}")
+def _check_states(sigma: np.ndarray, n: int) -> None:
+    """Raise unless sigma is a state vector (n,) or an (n, K) stack of at
+    least one state."""
+    if sigma.ndim not in (1, 2) or sigma.shape[0] != n:
+        raise CdamError(f"state of shape {sigma.shape} does not fit neuron count {n}")
     if sigma.size == 0:
         raise CdamError(f"state stack of shape {sigma.shape} holds no states")
+
+
+def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
+                steps: int, tol: float) -> None:
+    """Raise unless sigma fits the patterns (_check_states), m fits them,
+    steps >= 0 and the fixed-point tol is not NaN."""
+    _check_states(sigma, patterns.n)
     if steps < 0:
         raise CdamError(f"steps must be >= 0, got {steps}")
+    if math.isnan(tol):
+        raise CdamError("fixed_point_tol must not be NaN")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise CdamError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
@@ -275,12 +267,13 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
     a new array that iterate never writes again, so an observer may keep it
     without a copy.  A tol > 0 stops the run after the first step whose max
-    |change| is below it.  Negative steps or a stack of no states raise
-    CdamError, and a non-finite state NumericDivergenceError naming its step.
+    |change| is below it.  Negative steps, a NaN tol or a stack of no states
+    raise CdamError, and a non-finite state NumericDivergenceError naming
+    its step.
     Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
-    _check_dims(sig, patterns, m, steps)
+    _check_dims(sig, patterns, m, steps, tol)
     operator = None
     if basis is not None:
         basis = np.asarray(basis, dtype=float)
@@ -308,24 +301,25 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
 
     The trace includes the t=0 record, so it has steps+1 rows.  The loop is
     iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
-    computed READOUT_BLOCK of iterate's own states at a time, r and the
-    energy's overlaps from one product of the block with the centered
-    patterns (see the module docstring).  A zero-variance state or pattern
-    raises CdamError, as in pearson_all.  A non-finite state or readout
-    aborts with NumericDivergenceError naming the offending step, though
-    the run may take up to READOUT_BLOCK - 1 more steps before it raises,
-    and a state that diverges in those steps does not hide it.
+    computed READOUT_BLOCK of iterate's own states at a time by pearson_all's
+    routine, whose one product with the centered patterns also gives the
+    energy's overlaps (see the module docstring).  A NaN fixed_point_tol
+    and a zero-variance state or pattern raise CdamError.  A non-finite
+    state or readout aborts with NumericDivergenceError naming the offending
+    step, though the run may take up to READOUT_BLOCK - 1 more steps before
+    it raises, and a state that diverges in those steps does not hide it.
     """
     if max_steps < 1:
         raise CdamError(f"max_steps must be >= 1, got {max_steps}")
-    if math.isnan(fixed_point_tol):
-        raise CdamError("fixed_point_tol must not be NaN")
     sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.ndim != 1:
         raise CdamError(f"state must be a vector, got shape {sigma0.shape}")
     m = normalize(graph)
-    _check_dims(sigma0, patterns, m, max_steps)
+    _check_dims(sigma0, patterns, m, max_steps, fixed_point_tol)
     terms = _energy_terms(graph, m) if with_energy else None
+    # a block's overlaps Xi^T S / n are (Zc + shift (outer) mean) / n
+    n = patterns.n
+    shift = patterns.centered[0].sum(axis=0) + n * patterns.values.mean(axis=0)
 
     pending = [sigma0]  # states not yet read, from step READOUT_BLOCK * len(blocks)
     blocks = []  # (r, mean, sd, energy) of each block read
@@ -338,7 +332,13 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
         t0 = READOUT_BLOCK * len(blocks)  # every block but the last is full
         states = np.array(pending).T
         pending.clear()
-        r, mean, sd, e, arg = _block_readouts(states, patterns, terms, params)
+        r, mean, norm, zc = _pearson_stack(states, patterns)
+        sd, e, arg = norm / math.sqrt(n), np.zeros_like(mean), np.ones_like(mean)
+        if terms is not None:
+            with np.errstate(all="ignore"):
+                zc += np.multiply.outer(shift, mean)
+                zc /= n
+                e, arg = energy(zc, terms, params)
         bad = ~np.isfinite(np.vstack([r, mean, sd, e])).all(axis=0) | (arg <= 0.0)
         if bad.any():
             j = int(bad.argmax())
@@ -365,48 +365,37 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     return SimulationTrace(corr, means, sds, energies if with_energy else None, sigma, termination)
 
 
-def _block_readouts(states: np.ndarray, patterns: PatternMatrix, terms: tuple | None,
-                    params: ModelParams) -> tuple[np.ndarray, ...]:
-    """Pearson r (p x K), mean, SD, energy and the energy's log argument of
-    the columns of an (n, K) stack of states, from the one product
-    Zc = yc^T S with the cached centered patterns yc (see the module
-    docstring); without energy terms the energy reads 0 and its argument 1.
-    A zero-variance state or pattern raises CdamError, as in pearson_all."""
-    yc, norms = patterns.centered
-    n = patterns.n
-    with np.errstate(all="ignore"):
-        mean, sd = states.mean(axis=0), states.std(axis=0)
-        if np.any(norms == 0.0) or np.any(sd == 0.0):
-            raise CdamError("pearson undefined: zero-variance state or pattern")
-        zc = yc.T @ states
-        r = zc - np.multiply.outer(yc.sum(axis=0), mean)
-        r /= np.multiply.outer(norms, math.sqrt(n) * sd)
-        if terms is None:
-            return r, mean, sd, np.zeros_like(mean), np.ones_like(mean)
-        zc += np.multiply.outer(n * patterns.values.mean(axis=0), mean)
-        zc /= n
-        return r, mean, sd, *energy(zc, terms, params)
-
-
 def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     return (patterns.values.T @ sigma) / patterns.n
 
 
 def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r of a state (n,) or of each column of an (n, K) stack against
-    every pattern, as (p,) or (p, K).  A state whose centered norm is not
-    finite (too large to read) reads NaN; a zero-variance state or pattern,
-    and a stack of no states, raise CdamError."""
-    if states.size == 0:
-        raise CdamError(f"state stack of shape {states.shape} holds no states")
-    with np.errstate(all="ignore"):
-        yc, norms = patterns.centered
-        sc, snorms = _center_columns(states.reshape(len(states), -1))
-        if np.any(norms == 0.0) or np.any(snorms == 0.0):
-            raise CdamError("pearson undefined: zero-variance state or pattern")
-        r = (yc.T @ sc) / (norms[:, None] * snorms[None, :])
+    every pattern, as (p,) or (p, K), through _pearson_stack.  A state whose
+    centered norm is not finite (too large to read) reads NaN; a state of
+    another shape, a stack of no states and a zero-variance state or pattern
+    raise CdamError."""
+    _check_states(states, patterns.n)
+    r, _, snorms, _ = _pearson_stack(states.reshape(len(states), -1), patterns)
     r[:, ~np.isfinite(snorms)] = np.nan
     return r.reshape(-1, *states.shape[1:])
+
+
+def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndarray, ...]:
+    """Pearson r (p x K) of the columns of an (n, K) stack against every
+    pattern, the columns' means, their centered norms |S - mean| and the
+    product Zc = yc^T (S - mean) with the cached centered patterns yc,
+    the one Pearson routine for states (see the module docstring).
+    A zero-variance state or pattern raises CdamError."""
+    yc, norms = patterns.centered
+    with np.errstate(all="ignore"):
+        mean = states.mean(axis=0)
+        sc = states - mean
+        zc = yc.T @ sc
+        snorms = np.sqrt(np.square(sc, out=sc).sum(axis=0))
+        if np.any(norms == 0.0) or np.any(snorms == 0.0):
+            raise CdamError("pearson undefined: zero-variance state or pattern")
+        return zc / (norms[:, None] * snorms[None, :]), mean, snorms, zc
 
 
 def _energy_terms(graph: MemoryGraph, m: NormalizedAdjacency) -> tuple:

@@ -540,6 +540,14 @@ class TestIterate:
             0, "max-steps")
 
     @pytest.mark.parametrize("basis", [False, True])
+    def test_nan_tol_raises(self, basis):
+        # as in run: a NaN tol would never stop the run, without notice
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        with pytest.raises(CdamError, match="fixed_point_tol must not be NaN"):
+            iterate(pm.values[:, 0], pm, normalize(build_cycle(3)), ModelParams(), 3,
+                    tol=math.nan, basis=pm.values if basis else None)
+
+    @pytest.mark.parametrize("basis", [False, True])
     def test_empty_stack_raises(self, basis):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         with pytest.raises(CdamError, match=r"state stack of shape \(5, 0\) holds no states"):
@@ -550,6 +558,14 @@ class TestIterate:
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         with pytest.raises(CdamError, match=r"state stack of shape \(5, 0\) holds no states"):
             pearson_all(np.zeros((5, 0)), pm)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (5, 2, 2), (5, 1, 1), ()],
+                             ids=str)
+    def test_pearson_all_rejects_a_state_of_another_shape(self, shape):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        state = np.random.default_rng(1).normal(0, 1, shape)
+        with pytest.raises(CdamError, match="does not fit neuron count 5"):
+            pearson_all(state, pm)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_step_counts_from_the_initial_time(self):
@@ -610,6 +626,17 @@ class TestReadoutBlocks:
         assert trace.termination == "max-steps"
         assert np.array_equal(trace.final_state, states[-1])
         assert_readouts_match(trace, states, pm, graph, params)
+
+    @pytest.mark.parametrize("records", [2, K])
+    def test_one_block_reads_pearson_all_of_its_states(self, records):
+        # one Pearson routine: r of a block is pearson_all of the stacked block
+        rng = np.random.default_rng(29)
+        pm = PatternMatrix(rng.uniform(0, 1, (60, 7)))
+        graph, params = build_cycle(7), ModelParams(a=0.5, h=0.5)
+        initial = init_state(pm, 3, seed=2)
+        trace = run(initial, pm, graph, params, max_steps=records - 1, fixed_point_tol=0.0)
+        states = np.array(step_by_hand(initial, pm, normalize(graph), params, records - 1)).T
+        assert np.array_equal(trace.correlations, pearson_all(states, pm).T)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_fixed_point_exit_mid_block(self, directed):
@@ -855,12 +882,12 @@ class TestEnergy:
 
     def test_run_computes_each_states_overlaps_once(self, monkeypatch):
         # r and the energy's overlaps come from one pattern product per block
-        # of recorded states, formed by _block_readouts and by nothing else
+        # of recorded states, formed by _pearson_stack and by nothing else
         import cdam.dynamics as D
         shapes = []
-        block_readouts = D._block_readouts
-        monkeypatch.setattr(D, "_block_readouts",
-                            lambda s, *rest: shapes.append(s.shape) or block_readouts(s, *rest))
+        pearson_stack = D._pearson_stack
+        monkeypatch.setattr(D, "_pearson_stack",
+                            lambda s, *rest: shapes.append(s.shape) or pearson_stack(s, *rest))
         for name in ("overlaps_all", "pearson_all"):
             monkeypatch.setattr(D, name, lambda *args: pytest.fail("a second pattern product"))
         rng = np.random.default_rng(17)
