@@ -2,8 +2,11 @@
 
 CSV layout for a trace: one row per step with columns
 t, mean_activity, sd_activity, energy, r_0..r_{p-1}; the energy column is
-left empty when the run recorded no energy.  Grayscale heatmaps map
-correlation values linearly from [-1, 1] onto [0, 255].
+left empty when the run recorded no energy.  CSV lines end in CRLF, and each
+float is the shortest decimal that reads back to its bits (orjson writes
+`1e-7`, `0.000015`, `1e16` where repr writes `1e-07`, `1.5e-05`, `1e+16`);
+a NaN or infinite value is a CdamError and writes no file.  Grayscale
+heatmaps map correlation values linearly from [-1, 1] onto [0, 255].
 """
 
 from __future__ import annotations
@@ -12,33 +15,42 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .dynamics import SimulationTrace
+from .errors import CdamError
 from .ingest import write_pnm
 
 
-def _csv_line(fields) -> str:
-    """One CSV row as csv.writer writes these fields (none needs quoting)."""
-    return ",".join(fields) + "\r\n"
+def _float_rows(values) -> list[str]:
+    """Each row of a 2-D array as its comma-joined floats, from one orjson call."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2:
+        raise CdamError(f"a CSV matrix must be 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CdamError("a CSV matrix must hold only finite values")
+    if arr.size == 0:
+        return [""] * arr.shape[0]
+    text = orjson.dumps(np.ascontiguousarray(arr), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    return text[2:-2].split("],[")
+
+
+def _write_lines(lines, path) -> None:
+    Path(path).write_text("".join(line + "\r\n" for line in lines), newline="")
 
 
 def trace_to_csv(trace: SimulationTrace, path) -> None:
-    steps = trace.correlations.shape[0]
-    energies = [""] * steps if trace.energies is None else map(repr, trace.energies.tolist())
-    lines = [_csv_line(["t", "mean_activity", "sd_activity", "energy",
-                        *(f"r_{mu}" for mu in range(trace.correlations.shape[1]))])]
-    for t, (mean, sd, energy, r) in enumerate(zip(trace.mean_activity.tolist(),
-                                                  trace.sd_activity.tolist(), energies,
-                                                  trace.correlations.tolist())):
-        lines.append(_csv_line([str(t), repr(mean), repr(sd), energy, *map(repr, r)]))
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    steps, p = trace.correlations.shape
+    energies = [""] * steps if trace.energies is None else _float_rows(trace.energies[:, None])
+    fields = [map(str, range(steps)),
+              _float_rows(np.column_stack([trace.mean_activity, trace.sd_activity])), energies,
+              _float_rows(trace.correlations)]
+    header = ["t", "mean_activity", "sd_activity", "energy", *(f"r_{mu}" for mu in range(p))]
+    _write_lines([",".join(header), *map(",".join, zip(*fields))], path)
 
 
 def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    rows = np.asarray(matrix, dtype=float).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(_csv_line(map(repr, row)) for row in rows))
+    _write_lines(_float_rows(matrix), path)
 
 
 def matrix_to_pgm(matrix: np.ndarray, path) -> None:

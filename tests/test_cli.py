@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 from pathlib import Path
@@ -5,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdam.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, parse_graph_spec
-from cdam.dynamics import ModelParams, init_state
+from cdam.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, parse_graph_spec, parse_pattern_spec
+from cdam.dynamics import ModelParams, init_state, run
 from cdam.graphs import build_cycle, normalize
 from cdam.ingest import random_patterns, write_pnm
 from oracles import naive_energy_directed, step_by_hand
@@ -64,6 +65,33 @@ class TestSimulate:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         for name in ("trace.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("with_energy", [False, True])
+    def test_trace_csv_reads_back_to_runs_arrays(self, tmp_path, with_energy):
+        out = tmp_path / "run"
+        args = ["simulate", "--graph", "cycle:8", "--patterns", "random:200", "--trigger", "2",
+                "--seed", "4", "--h", "0.5", "--a", "0.5", "--out", str(out)]
+        assert main(args + ["--energy"] * with_energy) == EXIT_OK
+        graph = parse_graph_spec("cycle:8")
+        patterns = parse_pattern_spec("random:200", graph.p, 4)
+        state = init_state(patterns, 2, seed=4)
+        trace = run(state, patterns, graph, ModelParams(a=0.5, h=0.5), with_energy=with_energy)
+        with open(out / "trace.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:4] == ["t", "mean_activity", "sd_activity", "energy"]
+        assert [row[0] for row in rows] == [str(t) for t in range(trace.steps + 1)]
+
+        def column(i):
+            return np.array([float(row[i]) for row in rows]).view(np.uint64)
+
+        assert np.array_equal(column(1), trace.mean_activity.view(np.uint64))
+        assert np.array_equal(column(2), trace.sd_activity.view(np.uint64))
+        if with_energy:
+            assert np.array_equal(column(3), trace.energies.view(np.uint64))
+        else:
+            assert {row[3] for row in rows} == {""}
+        r = np.array([[float(v) for v in row[4:]] for row in rows])
+        assert np.array_equal(r.view(np.uint64), trace.correlations.view(np.uint64))
 
     def test_zero_frame_samples_exit_2(self, tmp_path, capsys, recwarn):
         frames = tmp_path / "frames"

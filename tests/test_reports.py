@@ -5,38 +5,87 @@ import pytest
 
 from cdam import reports
 from cdam.dynamics import SimulationTrace
+from cdam.errors import CdamError
 
-VALUES = [-0.0, 5e-324, 0.1, 3.0, 1e16, 1e22]
+# subnormals, signed zero, extremes and values the CSV writers spell unlike repr (1e-7, 1e16)
+VALUES = [-0.0, 5e-324, 0.1, 3.0, 1e16, 1e22, 1e-7, 1.5e-5, 2.5e15, 1.2345678901234568e17,
+          1e300, -1e300, 2.2250738585072014e-308]
 
 
-def csv_writer_bytes(rows, path):
-    """What csv.writer writes for these rows, floats as repr(float(v))."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
-    return path.read_bytes()
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def read_csv(path):
+    raw = path.read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n")  # every line ends in CRLF
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def make_trace(with_energy):
+    corr = np.array([VALUES, VALUES[::-1], VALUES[2:] + VALUES[:2]])
+    mean = np.array(VALUES[:3])
+    sd = np.array(VALUES[3:6])
+    energies = np.array(VALUES[6:9]) if with_energy else None
+    return SimulationTrace(corr, mean, sd, energies, np.zeros(2), "max-steps")
 
 
 @pytest.mark.parametrize("with_energy", [False, True])
-def test_trace_csv_is_csv_writer_bytes(tmp_path, with_energy):
-    corr = np.array([VALUES, VALUES[::-1], VALUES[2:] + VALUES[:2]])
-    mean = np.array(VALUES[:3])
-    sd = np.array(VALUES[3:])
-    energies = np.array(VALUES[1:4]) if with_energy else None
-    trace = SimulationTrace(corr, mean, sd, energies, np.zeros(2), "max-steps")
+def test_trace_csv_reads_back_bit_for_bit(tmp_path, with_energy):
+    trace = make_trace(with_energy)
     reports.trace_to_csv(trace, tmp_path / "trace.csv")
-    rows = [["t", "mean_activity", "sd_activity", "energy"] + [f"r_{mu}" for mu in range(6)]]
-    for t in range(3):
-        energy = energies[t] if with_energy else ""
-        rows.append([t, mean[t], sd[t], energy, *corr[t]])
-    assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(rows, tmp_path / "want.csv")
+    header, *rows = read_csv(tmp_path / "trace.csv")
+    p = len(VALUES)
+    assert header == ["t", "mean_activity", "sd_activity", "energy"] + [f"r_{mu}" for mu in range(p)]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(len(row) == 4 + p for row in rows)
+    assert np.array_equal(bits([[float(v) for v in row[4:]] for row in rows]), bits(trace.correlations))
+    assert np.array_equal(bits([float(row[1]) for row in rows]), bits(trace.mean_activity))
+    assert np.array_equal(bits([float(row[2]) for row in rows]), bits(trace.sd_activity))
+    if with_energy:
+        assert np.array_equal(bits([float(row[3]) for row in rows]), bits(trace.energies))
+    else:
+        assert [row[3] for row in rows] == ["", "", ""]
 
 
-def test_matrix_csv_is_csv_writer_bytes(tmp_path):
+def test_matrix_csv_reads_back_bit_for_bit(tmp_path):
     matrix = np.array([VALUES, VALUES[::-1]])
     reports.matrix_to_csv(matrix, tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").read_bytes() == csv_writer_bytes(matrix, tmp_path / "want.csv")
-    # integer matrices are written as floats, as repr(float(v)) does
+    assert np.array_equal(bits([[float(v) for v in row] for row in read_csv(tmp_path / "m.csv")]),
+                          bits(matrix))
+    # integer matrices are written as floats
     reports.matrix_to_csv(np.arange(6).reshape(2, 3), tmp_path / "i.csv")
     assert (tmp_path / "i.csv").read_bytes() == b"0.0,1.0,2.0\r\n3.0,4.0,5.0\r\n"
+
+
+def test_csv_spells_small_and_large_floats_shortest(tmp_path):
+    reports.matrix_to_csv([[1e-7, 1.5e-5, 1e16, 0.0001, 1e15]], tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == b"1e-7,0.000015,1e16,0.0001,1000000000000000.0\r\n"
+
+
+def test_matrix_csv_writes_empty_shapes(tmp_path):
+    reports.matrix_to_csv(np.zeros((0, 3)), tmp_path / "rows.csv")
+    reports.matrix_to_csv(np.zeros((2, 0)), tmp_path / "cols.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == b""
+    assert (tmp_path / "cols.csv").read_bytes() == b"\r\n\r\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected_and_nothing_is_written(tmp_path, bad):
+    matrix = np.array([[0.5, bad], [1.0, 2.0]])
+    with pytest.raises(CdamError, match="finite"):
+        reports.matrix_to_csv(matrix, tmp_path / "m.csv")
+    for field in ("correlations", "mean_activity", "sd_activity", "energies"):
+        trace = make_trace(with_energy=True)
+        getattr(trace, field).flat[1] = bad
+        with pytest.raises(CdamError, match="finite"):
+            reports.trace_to_csv(trace, tmp_path / "trace.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1-D", "3-D"])
+def test_matrix_csv_rejects_an_array_that_is_not_2d(tmp_path, shape):
+    with pytest.raises(CdamError, match="2-D"):
+        reports.matrix_to_csv(np.ones(shape), tmp_path / "m.csv")
+    assert list(tmp_path.iterdir()) == []

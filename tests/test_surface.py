@@ -108,3 +108,20 @@ def test_every_module_parses_as_python_3_10():
     assert len(paths) > 25
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_runtime_import_is_stdlib_or_declared():
+    # a third-party module that cdam imports must be named in [project] dependencies
+    project = (ROOT / "pyproject.toml").read_text().split("[project]\n")[1].split("\n[")[0]
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S)[1]
+    declared = {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', listed)}
+    found = set()
+    for path in sorted((ROOT / "src" / "cdam").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    undeclared = sorted(found - set(sys.stdlib_module_names) - {"cdam"} - declared)
+    assert undeclared == []
+    assert {"numpy", "orjson"} <= found
