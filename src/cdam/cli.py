@@ -5,10 +5,10 @@ Graph specs are compact strings: cycle:30, dicycle:50, barbell:10,10,
 karate, tutte, regular:46,3,7 (p,k,seed), or file:PATH.  Pattern specs:
 random:1000 (neuron count; one pattern per graph vertex), idx:IMAGES,
 frames:DIR,N.  Exit codes: 0 ok, 2 usage, config, file or size error
-(including a negative --seed), 3 numeric divergence (a non-finite state, or
-a non-finite readout of a simulate run).  Malformed input raises CdamError
-(exit 2), and a non-finite state or readout raises NumericDivergenceError
-(exit 3).
+(including a --seed outside [0, 2**64)), 3 numeric divergence (a
+non-finite state, or a non-finite readout of a simulate run).  Malformed
+input raises CdamError (exit 2), and a non-finite state or readout raises
+NumericDivergenceError (exit 3).
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"simulate": cmd_simulate, "experiment": cmd_experiment, "automaton": cmd_automaton}
     try:
-        if args.seed < 0:
-            raise CdamError(f"--seed must be a non-negative integer, got {args.seed}")
+        if not 0 <= args.seed < 2**64:  # every manifest records it, and JSON ints hold 64 bits
+            raise CdamError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
         return handlers[args.command](args)
     except NumericDivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)

@@ -192,12 +192,12 @@ def _check_states(sigma: np.ndarray, n: int) -> None:
 def _check_dims(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
                 steps: int, tol: float) -> None:
     """Raise unless sigma fits the patterns (_check_states), m fits them,
-    steps >= 0 and the fixed-point tol is not NaN."""
+    steps >= 0 and the fixed-point tol is finite."""
     _check_states(sigma, patterns.n)
     if steps < 0:
         raise CdamError(f"steps must be >= 0, got {steps}")
-    if math.isnan(tol):
-        raise CdamError("fixed_point_tol must not be NaN")
+    if not math.isfinite(tol):
+        raise CdamError(f"fixed_point_tol must not be NaN or infinite, got {tol}")
     if m.matrix.shape != (patterns.p, patterns.p):
         raise CdamError(
             f"coupling matrix is {m.matrix.shape}, patterns hold p={patterns.p}"
@@ -267,9 +267,9 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     observe(t, sigma) sees the state after each step t = 1, 2, ...; each is
     a new array that iterate never writes again, so an observer may keep it
     without a copy.  A tol > 0 stops the run after the first step whose max
-    |change| is below it.  Negative steps, a NaN tol or a stack of no states
-    raise CdamError, and a non-finite state NumericDivergenceError naming
-    its step.
+    |change| is below it.  Negative steps, a non-finite tol or a stack of no
+    states raise CdamError, and a non-finite state NumericDivergenceError
+    naming its step.
     Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
@@ -303,7 +303,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
     computed READOUT_BLOCK of iterate's own states at a time by pearson_all's
     routine, whose one product with the centered patterns also gives the
-    energy's overlaps (see the module docstring).  A NaN fixed_point_tol
+    energy's overlaps (see the module docstring).  A non-finite fixed_point_tol
     and a zero-variance state or pattern raise CdamError.  A non-finite
     state or readout aborts with NumericDivergenceError naming the offending
     step, though the run may take up to READOUT_BLOCK - 1 more steps before

@@ -85,45 +85,25 @@ class ExperimentReport:
         """report.json plus traces/, matrices/, heatmaps/ subdirectories."""
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-        matrices, series, serializable = {}, {}, {}
         for key, value in self.outputs.items():
-            serializable[key] = _jsonable(value)
             if isinstance(value, np.ndarray) and value.ndim == 2:
-                matrices[key] = value
+                (out / "matrices").mkdir(exist_ok=True)
+                reports.matrix_to_csv(value, out / "matrices" / f"{key}.csv")
+                if value.shape[0] == value.shape[1]:
+                    (out / "heatmaps").mkdir(exist_ok=True)
+                    reports.matrix_to_pgm(value, out / "heatmaps" / f"{key}.pgm")
             elif isinstance(value, (np.ndarray, list)) and np.ndim(value) == 1 and np.size(value):
-                series[key] = np.asarray(value, dtype=float).reshape(-1, 1)
-        if matrices:
-            (out / "matrices").mkdir(exist_ok=True)
-            (out / "heatmaps").mkdir(exist_ok=True)
-            for key, mat in matrices.items():
-                reports.matrix_to_csv(mat, out / "matrices" / f"{key}.csv")
-                if mat.shape[0] == mat.shape[1]:
-                    reports.matrix_to_pgm(mat, out / "heatmaps" / f"{key}.pgm")
-        if series:
-            (out / "traces").mkdir(exist_ok=True)
-            for key, col in series.items():
-                reports.matrix_to_csv(col, out / "traces" / f"{key}.csv")
+                (out / "traces").mkdir(exist_ok=True)
+                reports.matrix_to_csv(np.reshape(value, (-1, 1)), out / "traces" / f"{key}.csv")
         reports.write_manifest(
             {"name": self.name, "params": self.params, "manifest": self.manifest,
-             "outputs": serializable},
+             "outputs": self.outputs},
             out / "report.json",
         )
 
 
 def _array_fingerprint(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 # -- batched simulation harness ---------------------------------------------
@@ -547,7 +527,7 @@ def retrieval_sweep(
             final, _, _ = iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h),
                                   DEFAULT_STEPS, basis=patterns.values)
             predicted = np.argmax(final, axis=0)
-            accuracies[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(predicted == targets))
+            accuracies[f"a{a:+g}_h{h:+g}"][int(p)] = float(np.mean(predicted == targets))
     report.outputs["accuracy"] = accuracies
     return report
 

@@ -207,10 +207,8 @@ def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
     sq = (values**2).sum(axis=0)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (values.T @ values)
     np.fill_diagonal(d2, np.inf)
-    edges = set()
-    for v in range(p):
-        nn = int(np.argmin(d2[v]))  # argmin takes the lowest index on ties
-        edges.add((min(v, nn), max(v, nn), 1.0))
+    nearest = np.argmin(d2, axis=1).tolist()  # argmin takes the lowest index on ties
+    edges = {(min(v, nn), max(v, nn), 1.0) for v, nn in enumerate(nearest)}
     return MemoryGraph(p, tuple(sorted(edges)), directed=False)
 
 

@@ -40,10 +40,15 @@ LABEL_DENSITY = 0.25
 
 
 def random_patterns(n: int, p: int, seed: int = 0) -> PatternMatrix:
-    """n x p matrix of uniform [0,1] entries, deterministic per seed."""
+    """n x p matrix of uniform [0,1] entries, deterministic per seed; an
+    n x p too large for any array is a CdamError."""
     if n < 1 or p < 1:
         raise CdamError(f"need n, p >= 1, got n={n}, p={p}")
-    return PatternMatrix(np.random.default_rng(seed).uniform(0.0, 1.0, (n, p)))
+    try:
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, (n, p))
+    except ValueError as exc:
+        raise CdamError(f"cannot size a {n} x {p} pattern matrix: {exc}") from exc
+    return PatternMatrix(values)
 
 
 # -- IDX ------------------------------------------------------------------
@@ -231,13 +236,16 @@ def compose_automaton_patterns(
     graph puts a self-loop on every state vertex and gives each transition
     vertex a single out-edge to its target state and no in-edges, so
     stimulating a transition pattern retrieves the target while states are
-    attractors of their own.
+    attractors of their own.  An n too large for any array is a CdamError.
     """
     n_reserved = int(np.floor(spec.reserve_fraction * n))
     if not 0 < n_reserved < n:
         raise CdamError(f"reserve fraction {spec.reserve_fraction} leaves an empty block at n={n}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    try:
+        perm = rng.permutation(n)
+    except ValueError as exc:
+        raise CdamError(f"cannot size n={n} neurons: {exc}") from exc
     reserved, free = np.sort(perm[:n_reserved]), np.sort(perm[n_reserved:])
 
     content = spec.state_content

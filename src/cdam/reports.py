@@ -1,17 +1,18 @@
 """Artifact writers: trace CSVs, run manifests, matrices, PGM heatmaps.
 
-CSV layout for a trace: one row per step with columns
-t, mean_activity, sd_activity, energy, r_0..r_{p-1}; the energy column is
-left empty when the run recorded no energy.  CSV lines end in CRLF, and each
-float is the shortest decimal that reads back to its bits (orjson writes
-`1e-7`, `0.000015`, `1e16` where repr writes `1e-07`, `1.5e-05`, `1e+16`);
-a NaN or infinite value is a CdamError and writes no file.  Grayscale
+Every float is written by orjson as the shortest decimal that reads back
+to its bits (`1e-7`, `0.000015`, `1e16` where repr writes `1e-07`,
+`1.5e-05`, `1e+16`).  CSV layout for a trace: one row per step with
+columns t, mean_activity, sd_activity, energy, r_0..r_{p-1}; the energy
+column is left empty when the run recorded no energy.  CSV lines end in
+CRLF; a NaN or infinite value is a CdamError and writes no file.  JSON is
+UTF-8 with 2-space indents and sorted keys; int keys become strings,
+tuples and numpy arrays lists, and a non-finite float null.  Grayscale
 heatmaps map correlation values linearly from [-1, 1] onto [0, 255].
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -60,4 +61,12 @@ def matrix_to_pgm(matrix: np.ndarray, path) -> None:
 
 
 def write_manifest(manifest: dict, path) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    """manifest as JSON; a value JSON cannot hold, such as an int beyond 64
+    bits, is a CdamError and writes no file."""
+    options = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+               | orjson.OPT_NON_STR_KEYS | orjson.OPT_APPEND_NEWLINE)
+    try:  # orjson writes only C-contiguous arrays itself and hands others to default
+        text = orjson.dumps(manifest, default=np.ndarray.tolist, option=options)
+    except TypeError as exc:
+        raise CdamError(f"{path}: {exc}") from exc
+    Path(path).write_bytes(text)

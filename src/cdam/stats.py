@@ -20,7 +20,8 @@ def one_way_anova(groups) -> dict:
     {"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
 
     Zero within-group variance with nonzero between-group spread reports
-    F = inf, p = 0; identical groups report F = 0, p = 1.
+    F = inf, p = 0, which a report.json writes as "f": null (JSON has no
+    infinity); identical groups report F = 0, p = 1.
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:

@@ -120,7 +120,7 @@ class TestSimulate:
         ("--a", "nan", "a must be finite"), ("--h", "inf", "h must be finite"),
         ("--beta", "inf", "beta must be finite"), ("--eta", "inf", "eta must be finite"),
         ("--noise-c", "nan", "noise amplitude"), ("--noise-c", "inf", "noise amplitude"),
-        ("--tol", "nan", "fixed_point_tol"),
+        ("--tol", "nan", "fixed_point_tol"), ("--tol", "inf", "fixed_point_tol"),
     ])
     def test_non_finite_model_value_exits_2(self, tmp_path, capsys, recwarn, flag, value,
                                             message):
@@ -384,7 +384,8 @@ class TestRejectedInputs:
         ["experiment", "hop-range", "--n", "20", "--seed", "-1"],
         ["experiment", "sequence", "--seed", "-2"],
         ["automaton", "--script", "wife", "--seed", "-1", "--n", "50"],
-    ], ids=["simulate", "experiment", "experiment-sequence", "automaton"])
+        ["experiment", "ei-balance", "--n", "20", "--seed", str(2**64)],
+    ], ids=["simulate", "experiment", "experiment-sequence", "automaton", "beyond-64-bits"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -413,6 +414,19 @@ class TestRejectedInputs:
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "allocate" in err
+        assert not out.exists()
+
+    # 10**20 neurons: more than numpy can index, so no array of them can be sized
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "ei-balance", "--n", str(10**20)],
+        ["automaton", "--script", "wife", "--n", str(10**20)],
+    ], ids=["experiment", "automaton"])
+    def test_unsizable_n_exits_2_without_a_traceback(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot size") and str(10**20) in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     # one malformed input per cause; stderr is exactly one line naming it

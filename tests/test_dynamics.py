@@ -547,6 +547,21 @@ class TestIterate:
             iterate(pm.values[:, 0], pm, normalize(build_cycle(3)), ModelParams(), 3,
                     tol=math.nan, basis=pm.values if basis else None)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf])
+    @pytest.mark.parametrize("basis", [False, True])
+    def test_infinite_tol_raises(self, basis, tol):
+        # an inf tol would call the first step a fixed point
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        with pytest.raises(CdamError, match="fixed_point_tol must not be NaN or infinite"):
+            iterate(pm.values[:, 0], pm, normalize(build_cycle(3)), ModelParams(), 3,
+                    tol=tol, basis=pm.values if basis else None)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_run_rejects_a_non_finite_tol(self, tol):
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))
+        with pytest.raises(CdamError, match="fixed_point_tol must not be NaN or infinite"):
+            run(pm.values[:, 0], pm, build_cycle(3), ModelParams(), 3, fixed_point_tol=tol)
+
     @pytest.mark.parametrize("basis", [False, True])
     def test_empty_stack_raises(self, basis):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (5, 3)))

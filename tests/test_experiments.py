@@ -470,6 +470,14 @@ class TestRetrievalSweep:
                 want[f"a{a:+g}_h{h:+g}"][p] = float(np.mean(hits))
         assert rep.outputs["accuracy"] == want
 
+    def test_numpy_levels_write_int_keys(self, tmp_path, monkeypatch):
+        # the JSON writer takes int dict keys, not numpy ones
+        monkeypatch.setattr(X, "SWEEP_SETTINGS", ((1.0, 0.0),))
+        X.retrieval_sweep(X.surrogate_image_bank()[:, :8], p_levels=np.array([4]),
+                          trials=1).write(tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert list(doc["outputs"]["accuracy"]["a+1_h+0"]) == ["4"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
         monkeypatch.setattr(X, "SWEEP_SETTINGS", (DIVERGENT,))

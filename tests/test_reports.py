@@ -1,11 +1,15 @@
 import csv
+import re
 
 import numpy as np
+import orjson
 import pytest
 
 from cdam import reports
 from cdam.dynamics import SimulationTrace
 from cdam.errors import CdamError
+from cdam.experiments import ExperimentReport
+from cdam.stats import one_way_anova
 
 # subnormals, signed zero, extremes and values the CSV writers spell unlike repr (1e-7, 1e16)
 VALUES = [-0.0, 5e-324, 0.1, 3.0, 1e16, 1e22, 1e-7, 1.5e-5, 2.5e15, 1.2345678901234568e17,
@@ -88,4 +92,46 @@ def test_non_finite_values_are_rejected_and_nothing_is_written(tmp_path, bad):
 def test_matrix_csv_rejects_an_array_that_is_not_2d(tmp_path, shape):
     with pytest.raises(CdamError, match="2-D"):
         reports.matrix_to_csv(np.ones(shape), tmp_path / "m.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_json_reads_back_bit_for_bit_and_spells_floats_as_the_csvs(tmp_path):
+    small = np.array([[1e-7, 1.5e-5, 1e16], VALUES[:3], VALUES[3:6]])
+    transposed = np.array([VALUES[:4], VALUES[4:8]]).T  # not C-contiguous
+    assert not transposed.flags.c_contiguous
+    rep = ExperimentReport("demo", {"levels": (10, 20), "beta": np.float64(0.1)})
+    rep.outputs.update(small=small, transposed=transposed,
+                       accuracy={"a+1_h+0": {10: np.float64(0.3), 2: 1 / 3}},
+                       count=np.int64(7), value=np.float64(2.5e-6), pair=(1e-7, 3))
+    rep.write(tmp_path)
+    doc = orjson.loads((tmp_path / "report.json").read_bytes())  # strict: no NaN or Infinity
+    assert doc["params"] == {"levels": [10, 20], "beta": 0.1}
+    outputs = doc["outputs"]
+    assert np.array_equal(bits(outputs["small"]), bits(small))
+    assert np.array_equal(bits(outputs["transposed"]), bits(transposed))
+    assert outputs["accuracy"] == {"a+1_h+0": {"10": 0.3, "2": 1 / 3}}
+    assert bits(outputs["accuracy"]["a+1_h+0"]["2"]) == bits(1 / 3)
+    assert outputs["count"] == 7 and type(outputs["count"]) is int
+    assert bits(outputs["value"]) == bits(2.5e-6)
+    assert outputs["pair"] == [1e-7, 3]
+    text = (tmp_path / "report.json").read_text()
+    for key in ("small", "transposed"):
+        block = re.search(rf'"{key}": (\[.*?\n    \])', text, re.S).group(1)
+        csv_text = (tmp_path / "matrices" / f"{key}.csv").read_text()
+        assert re.findall(r"[^\s,\[\]]+", block) == csv_text.replace("\n", ",").split(",")[:-1]
+
+
+def test_report_json_writes_an_infinite_anova_f_as_null(tmp_path):
+    # zero within-group variance: one_way_anova reports F = inf, p = 0
+    rep = ExperimentReport("demo", {})
+    rep.outputs["anova"] = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
+    rep.write(tmp_path)
+    raw = (tmp_path / "report.json").read_bytes()
+    assert b'"f": null' in raw and b'"p": 0.0' in raw
+    assert orjson.loads(raw)["outputs"]["anova"] == {"f": None, "p": 0.0, "df": [1, 2]}
+
+
+def test_manifest_with_an_int_beyond_64_bits_is_rejected_and_not_written(tmp_path):
+    with pytest.raises(CdamError, match="64-bit"):
+        reports.write_manifest({"steps": 2**64}, tmp_path / "manifest.json")
     assert list(tmp_path.iterdir()) == []
