@@ -117,6 +117,8 @@ def build_parser():
 
 
 def cmd_simulate(args) -> int:
+    if not args.steps < 2**64:  # the manifest records it, and JSON ints hold 64 bits
+        raise CdamError(f"--steps must be an integer below 2**64, got {args.steps}")
     graph = parse_graph_spec(args.graph)
     patterns = parse_pattern_spec(args.patterns, graph.p, args.seed)
     params = ModelParams(a=args.a, h=args.h, beta=args.beta, eta=args.eta)

@@ -400,16 +400,16 @@ def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndar
 
 def _energy_terms(graph: MemoryGraph, m: NormalizedAdjacency) -> tuple:
     """What the energy reads of a graph, gathered once per run: whether it
-    is directed, whether it has edges, and the (rows, cols, weights) of the
-    hetero sum, which are the nonzero entries of m, the graph's normalized
-    coupling, for an undirected graph and the raw edges of a directed one."""
+    is directed and the (rows, cols, weights) of the hetero sum, which are
+    the nonzero entries of m, the graph's normalized coupling, for an
+    undirected graph and the raw edges of a directed one."""
     if graph.directed:
         edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
         rows, cols, weights = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
     else:
         rows, cols = np.nonzero(m.matrix)
         weights = m.matrix[rows, cols]
-    return graph.directed, bool(graph.edges), rows, cols, weights
+    return graph.directed, rows, cols, weights
 
 
 def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +422,7 @@ def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray
     The hetero sum runs over the nonzero pairs in column chunks of at most
     ENERGY_PAIR_BUDGET pair terms.
     """
-    directed, has_edges, rows, cols, weights = terms
+    directed, rows, cols, weights = terms
     b = params.beta
     auto = np.exp(b * m * m).sum(axis=0)
     chunk = max(1, ENERGY_PAIR_BUDGET // max(weights.size, 1))
@@ -432,7 +432,7 @@ def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray
         arg = params.a * auto + params.h * hetero
         return -np.log(arg) / b, arg
     total = -(params.a / b) * np.log(auto)
-    if not has_edges:
+    if not weights.size:  # no edges, as edge weights are positive
         return total, auto
     return total - (params.h / b) * np.log(hetero), hetero
 

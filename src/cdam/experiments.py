@@ -329,35 +329,18 @@ PATIENCE = 40
 
 
 def schedule_metrics(argmax_per_step, p: int) -> dict:
-    """{visited_in_order, stalls, skips, steps_to_cover} of an argmax schedule.
-
-    Stall: one argmax persisting longer than PATIENCE steps.  Skip: the
-    argmax advancing two or more cycle positions at once.  steps_to_cover is
-    the first step at which all p patterns were seen, or None."""
-    stalls = skips = 0
-    dwell = 1
-    distinct = [argmax_per_step[0]]
-    for prev, cur in zip(argmax_per_step, argmax_per_step[1:]):
-        if cur == prev:
-            dwell += 1
-            if dwell == PATIENCE + 1:
-                stalls += 1
-        else:
-            if (cur - prev) % p >= 2:
-                skips += 1
-            dwell = 1
-            if distinct[-1] != cur:
-                distinct.append(cur)
-    in_order = all((b - a) % p == 1 for a, b in zip(distinct, distinct[1:]))
-    seen = set()
-    cover = None
-    for i, v in enumerate(argmax_per_step):
-        seen.add(v)
-        if len(seen) == p:
-            cover = i + 1
-            break
-    return {"visited_in_order": in_order and len(seen) == p, "stalls": stalls, "skips": skips,
-            "steps_to_cover": cover}
+    """{visited_in_order, stalls, skips, steps_to_cover} of an argmax schedule,
+    read from its dwells (runs of one argmax).  Stall: a dwell longer than PATIENCE
+    steps.  Skip: a move between dwells of two or more cycle positions forward.
+    steps_to_cover is the first step at which all p patterns were seen, or None."""
+    schedule = np.asarray(argmax_per_step)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(schedule)) + 1))
+    moves = np.diff(schedule[starts]) % p
+    firsts = np.sort(np.unique(schedule, return_index=True)[1])
+    cover = int(firsts[p - 1]) + 1 if firsts.size >= p else None
+    return {"visited_in_order": cover is not None and bool(np.all(moves == 1)),
+            "stalls": int(np.count_nonzero(np.diff(starts, append=schedule.size) > PATIENCE)),
+            "skips": int(np.count_nonzero(moves >= 2)), "steps_to_cover": cover}
 
 
 def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
@@ -391,9 +374,9 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
         kept = []
         iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h), SEQUENCE_STEPS,
                 observe=lambda t, rows: kept.append(rows[p:]), basis=basis)
-        argmaxes = np.argmax(np.array(kept) / ys, axis=1).tolist()
+        argmaxes = np.argmax(np.array(kept) / ys, axis=1)
         key = f"a{a:+g}_h{h:+g}"
-        report.outputs[f"schedule_{key}"] = argmaxes
+        report.outputs[f"schedule_{key}"] = argmaxes.tolist()
         report.outputs[f"metrics_{key}"] = schedule_metrics(argmaxes, p)
     return report
 

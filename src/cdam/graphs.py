@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -114,10 +114,7 @@ def normalize(graph: MemoryGraph) -> NormalizedAdjacency:
 
 
 def _inv_sqrt(degrees: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(degrees, dtype=float)
-    nz = degrees > 0
-    out[nz] = 1.0 / np.sqrt(degrees[nz])
-    return out
+    return np.divide(1.0, np.sqrt(degrees), out=np.zeros(degrees.shape), where=degrees > 0)
 
 
 # -- builders ------------------------------------------------------------
@@ -216,23 +213,18 @@ def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
 
 
 def hop_distances(graph: MemoryGraph) -> np.ndarray:
-    """All-pairs BFS hop distances on the undirected support: entry [s, v] is
-    the distance from s to v, -1 where v is unreachable from s."""
-    adj: list[set[int]] = [set() for _ in range(graph.p)]
-    for src, dst, _ in graph.edges:
-        if src != dst:
-            adj[src].add(dst)
-            adj[dst].add(src)
+    """Hop distance [s, v] from s to v on the undirected support, -1 where unreachable:
+    breadth-first from every source at once, one p x p frontier product per hop."""
+    edge = graph.adjacency() > 0
+    support = (edge | edge.T).astype(float)  # a float product runs through BLAS
+    frontier = reached = np.eye(graph.p, dtype=bool)
     dist = np.full((graph.p, graph.p), -1, dtype=int)
-    for source, row in enumerate(dist):
-        row[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if row[u] < 0:
-                    row[u] = row[v] + 1
-                    queue.append(u)
+    hops = 0
+    while frontier.any():
+        dist[frontier] = hops
+        frontier = (frontier @ support > 0) & ~reached
+        reached = reached | frontier
+        hops += 1
     return dist
 
 

@@ -34,76 +34,50 @@ def one_way_anova(groups) -> dict:
     ss_within = sum(sum((v - sum(g) / len(g)) ** 2 for v in g) for g in groups)
     df_b = len(groups) - 1
     df_w = total_n - len(groups)
-    if ss_within == 0.0:
-        f, p = (0.0, 1.0) if ss_between == 0.0 else (math.inf, 0.0)
-    else:
+    if ss_within:
         f = (ss_between / df_b) / (ss_within / df_w)
-        p = _f_sf(f, df_b, df_w)
-    return {"f": f, "p": p, "df": [df_b, df_w]}
+    else:  # no spread within groups: F = inf, or 0 if none between them either
+        f = math.inf if ss_between else 0.0
+    return {"f": f, "p": _f_sf(f, df_b, df_w), "df": [df_b, df_w]}
 
 
 def _f_sf(f: float, d1: int, d2: int) -> float:
-    """Upper-tail probability of the F(d1, d2) distribution."""
-    if f <= 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
-    x = d2 / (d2 + d1 * f)
-    return _betainc_regularized(d2 / 2.0, d1 / 2.0, x)
+    """Upper-tail probability of F(d1, d2); 1 at F = 0 and 0 at F = inf (x = 1, 0)."""
+    return _betainc_regularized(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f))
 
 
 def _betainc_regularized(a: float, b: float, x: float) -> float:
-    """I_x(a, b) via the continued fraction, symmetrized for convergence."""
-    if not (a > 0 and b > 0):
-        raise CdamError(f"beta parameters must be positive, got a={a}, b={b}")
+    """I_x(a, b), a, b > 0, via the continued fraction, symmetrized for convergence."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
     # the continued fraction converges fast only for x < (a+1)/(a+b+2)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def _clamp(v: float) -> float:
+    return 1e-300 if abs(v) < 1e-300 else v
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
+    """I_x(a, b)'s continued fraction by the modified Lentz method: per m the even, then the
+    odd term, each denominator kept off zero by _clamp, until the odd factor is 1 +- 3e-14."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
+    d = h = 1.0 / _clamp(1.0 - qab * x / qap)
     for m in range(1, 301):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _clamp(1.0 + aa * d)
+            c = _clamp(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-14:
             return h
     raise CdamError(f"incomplete beta failed to converge (a={a}, b={b}, x={x})")

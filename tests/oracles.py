@@ -115,6 +115,36 @@ def naive_hop_distances(edges, p, source):
     return [d if d != inf else -1 for d in dist[source]]
 
 
+def naive_schedule_metrics(argmax_per_step, p, patience):
+    """{visited_in_order, stalls, skips, steps_to_cover} of an argmax schedule
+    by one pass over its steps: a stall is a dwell reaching patience + 1
+    steps, a skip a change of argmax by (cur - prev) % p >= 2."""
+    stalls = skips = 0
+    dwell = 1
+    distinct = [argmax_per_step[0]]
+    for prev, cur in zip(argmax_per_step, argmax_per_step[1:]):
+        if cur == prev:
+            dwell += 1
+            if dwell == patience + 1:
+                stalls += 1
+        else:
+            if (cur - prev) % p >= 2:
+                skips += 1
+            dwell = 1
+            if distinct[-1] != cur:
+                distinct.append(cur)
+    in_order = all((b - a) % p == 1 for a, b in zip(distinct, distinct[1:]))
+    seen = set()
+    cover = None
+    for i, v in enumerate(argmax_per_step):
+        seen.add(v)
+        if len(seen) == p:
+            cover = i + 1
+            break
+    return {"visited_in_order": in_order and len(seen) == p, "stalls": stalls, "skips": skips,
+            "steps_to_cover": cover}
+
+
 def naive_anova_f(groups):
     """F statistic from the textbook sums-of-squares decomposition."""
     all_values = [v for g in groups for v in g]

@@ -197,6 +197,16 @@ class TestSimulate:
               "--steps", "3", "--out", str(out)])
         assert {p.name for p in tmp_path.iterdir()} == {"only"}
 
+    def test_steps_beyond_64_bits_exit_2_before_the_run(self, tmp_path, capsys):
+        # the manifest could not record such a count, so nothing is written
+        out = tmp_path / "run"
+        code = main(["simulate", "--graph", "cycle:5", "--patterns", "random:50",
+                     "--steps", str(10**20), "--tol", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --steps must be an integer below 2**64, got 100000000000000000000\n")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--graph", "cycle:5", "--patterns", "random:50",

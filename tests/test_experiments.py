@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdam import experiments as X
 from cdam.automata import family_tree
@@ -23,7 +24,7 @@ from cdam.graphs import (
     normalize,
 )
 from cdam.ingest import random_patterns
-from oracles import step_by_hand, uncached_pearson_matrix
+from oracles import naive_schedule_metrics, step_by_hand, uncached_pearson_matrix
 
 # Overflows to a non-finite state within a few steps on any small store.
 DIVERGENT = (1e308, 1e308)
@@ -280,6 +281,24 @@ class TestScheduleMetrics:
     def test_backward_move_counts_as_skip(self):
         m = X.schedule_metrics([2, 1], 5)
         assert m["skips"] == 1
+
+    # Dwells up to twice PATIENCE; moves of 0 (a repeated value), +1 (in
+    # order), more (a skip) or backward; short schedules that never cover p.
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(2, 8), data=st.data())
+    def test_matches_the_step_loop(self, p, data):
+        value = data.draw(st.integers(0, p - 1))
+        schedule = []
+        for move, dwell in data.draw(st.lists(
+                st.tuples(st.just(1) | st.integers(-p, p), st.integers(1, 2 * X.PATIENCE)),
+                min_size=1, max_size=40)):
+            value = (value + move) % p
+            schedule += [value] * dwell
+        schedule = schedule[:data.draw(st.integers(1, 300))]
+        got = X.schedule_metrics(schedule, p)
+        want = naive_schedule_metrics(schedule, p, X.PATIENCE)
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 class TestSurrogates:

@@ -2,7 +2,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdam.errors import CdamError
 from cdam.graphs import (
@@ -196,23 +196,32 @@ class TestNormalize:
         assert g.fingerprint() != build_cycle(8).fingerprint()
 
 
+@st.composite
+def _graphs(draw):
+    p = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
+                                    st.sampled_from([1.0, 0.5, 2.5])), max_size=2 * p))
+    return MemoryGraph(p, tuple(edges), directed=draw(st.booleans()))
+
+
 class TestHops:
     def test_cycle_distances(self):
         d = hop_distances(build_cycle(6))[0]
         assert list(d) == [0, 1, 2, 3, 2, 1]
 
-    def test_matches_floyd_warshall(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            p = int(rng.integers(3, 9))
-            edges = tuple(
-                (int(rng.integers(p)), int(rng.integers(p)), 1.0) for _ in range(p)
-            )
-            g = MemoryGraph(p, edges, directed=bool(rng.integers(2)))
-            hops = hop_distances(g)
-            assert hops.shape == (p, p)
-            for src in range(p):
-                assert list(hops[src]) == naive_hop_distances(g.edges, p, src)
+    # p = 1, self-loops, parallel edges, isolated vertices, either direction
+    @settings(max_examples=200, deadline=None)
+    @given(g=_graphs())
+    @example(g=MemoryGraph(1, (), directed=False))
+    @example(g=MemoryGraph(1, ((0, 0, 1.0),), directed=True))
+    @example(g=MemoryGraph(5, ((1, 3, 1.0), (1, 3, 2.0), (1, 1, 1.0), (0, 1, 1.0)), directed=True))
+    @example(g=MemoryGraph(5, ((1, 3, 1.0), (3, 1, 2.0), (2, 2, 1.0)), directed=False))
+    def test_matches_floyd_warshall(self, g):
+        p = g.p
+        hops = hop_distances(g)
+        assert hops.shape == (p, p) and hops.dtype == int
+        for src in range(p):
+            assert list(hops[src]) == naive_hop_distances(g.edges, p, src)
 
 
 _VERTEX = st.integers(0, 6) | st.integers()

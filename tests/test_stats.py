@@ -51,10 +51,20 @@ class TestAnova:
             one_way_anova([[1.0, 2.0], [3.0]])
 
 
+# x one step below, at and one step above (a+1)/(a+b+2), where
+# _betainc_regularized switches to the symmetric continued fraction
+_SWITCHES = [(a, b, x) for a, b in ((2.0, 3.0), (58.0, 1.5))
+             for s in [(a + 1.0) / (a + b + 2.0)]
+             for x in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0))]
+
+
 class TestIncompleteBeta:
     @pytest.mark.parametrize("a,b,x", [
         (0.5, 0.5, 0.3), (2.0, 3.0, 0.5), (10.0, 2.0, 0.9),
         (1.0, 1.0, 0.25), (7.5, 7.5, 0.5), (30.0, 5.0, 0.8),
+        *_SWITCHES,
+        # the hop-range ANOVA's tail at its stock F(3, 116) = 154.675...
+        (58.0, 1.5, 116.0 / (116.0 + 3.0 * 154.67509812472747)),
     ])
     def test_against_scipy(self, a, b, x):
         from scipy.special import betainc
