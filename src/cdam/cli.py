@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import dynamics, experiments, reports
+from . import dynamics, experiments, graphs, reports
 from .automata import family_tree, load_spec_file
 from .dynamics import ModelParams, PatternMatrix, init_state, run
 from .errors import CdamError, NumericDivergenceError
@@ -44,7 +44,7 @@ def parse_graph_spec(spec: str):
             return build_random_regular(p, k, seed)
         if kind == "file":
             return read_graph(rest)
-        if kind in ("karate", "tutte") and not rest:
+        if kind in graphs.NAMED_GRAPHS and not rest:
             return build_named(kind)
     except (ValueError, CdamError) as exc:
         raise CdamError(f"bad graph spec {spec!r}: {exc}") from exc
@@ -126,12 +126,12 @@ def cmd_simulate(args) -> int:
     trace = run(state, patterns, graph, params, max_steps=args.steps,
                 fixed_point_tol=args.tol, with_energy=args.energy)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    reports.trace_to_csv(trace, out / "trace.csv")
     manifest = {k: v for k, v in vars(args).items() if k not in ("out", "energy")}
     manifest.update(graph_fingerprint=graph.fingerprint(), termination=trace.termination,
                     steps_executed=trace.steps)
+    # the manifest first: one that cannot be encoded leaves no directory behind
     reports.write_manifest(manifest, out / "manifest.json")
+    reports.trace_to_csv(trace, out / "trace.csv")
     print(f"wrote {out / 'trace.csv'} ({trace.steps} steps, {trace.termination})")
     return EXIT_OK
 

@@ -82,18 +82,15 @@ class ExperimentReport:
     manifest: dict = field(default_factory=dict)
 
     def write(self, outdir) -> None:
-        """report.json plus traces/, matrices/, heatmaps/ subdirectories."""
+        """report.json plus those of the traces/, matrices/ and heatmaps/
+        subdirectories that the outputs fill."""
         out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
         for key, value in self.outputs.items():
             if isinstance(value, np.ndarray) and value.ndim == 2:
-                (out / "matrices").mkdir(exist_ok=True)
                 reports.matrix_to_csv(value, out / "matrices" / f"{key}.csv")
                 if value.shape[0] == value.shape[1]:
-                    (out / "heatmaps").mkdir(exist_ok=True)
                     reports.matrix_to_pgm(value, out / "heatmaps" / f"{key}.pgm")
             elif isinstance(value, (np.ndarray, list)) and np.ndim(value) == 1 and np.size(value):
-                (out / "traces").mkdir(exist_ok=True)
                 reports.matrix_to_csv(np.reshape(value, (-1, 1)), out / "traces" / f"{key}.csv")
         reports.write_manifest(
             {"name": self.name, "params": self.params, "manifest": self.manifest,
@@ -398,8 +395,8 @@ class AutomatonRunner:
     def __init__(self, spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0):
         self.spec = spec
         self.seed = seed
-        self.patterns, self.graph, self.free = compose_automaton_patterns(spec, n, seed)
-        self.coupling = normalize(self.graph)
+        self.patterns, graph, self.free = compose_automaton_patterns(spec, n, seed)
+        self.coupling = normalize(graph)
         self.names = spec.vertex_names()
         self.index = {name: i for i, name in enumerate(self.names)}
         self.state = spec.states[0]
@@ -433,8 +430,7 @@ class AutomatonRunner:
         stimulation and report where the dynamics land."""
         if vertex not in self.index:
             raise CdamError(f"unknown vertex {vertex!r}")
-        sigma = self.patterns.values[:, self.index[vertex]].copy()
-        return self._settle(sigma)
+        return self._settle(self.patterns.values[:, self.index[vertex]])
 
 
 def automaton_sweep(spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
@@ -490,14 +486,13 @@ def retrieval_sweep(
     """
     if trials < 1:
         raise CdamError(f"retrieval sweep needs trials >= 1, got {trials}")
-    n, settings = dataset.shape[0], SWEEP_SETTINGS
     report = ExperimentReport(
         "retrieval-sweep",
-        {"n": n, "p_levels": list(p_levels), "settings": list(settings),
+        {"n": dataset.shape[0], "p_levels": list(p_levels), "settings": list(SWEEP_SETTINGS),
          "trials": trials, "noise_c": DEFAULT_NOISE, "seed": seed},
         manifest={"dataset_fingerprint": _array_fingerprint(dataset)},
     )
-    accuracies: dict[str, dict[int, float]] = {f"a{a:+g}_h{h:+g}": {} for a, h in settings}
+    accuracies: dict[str, dict[int, float]] = {f"a{a:+g}_h{h:+g}": {} for a, h in SWEEP_SETTINGS}
     for p in p_levels:
         if p > dataset.shape[1]:
             raise CdamError(f"p={p} exceeds dataset size {dataset.shape[1]}")
@@ -506,7 +501,7 @@ def retrieval_sweep(
         coupling = normalize(build_nn_scaffold(xi))
         targets = np.repeat(np.arange(p), trials)
         sigma0 = init_state(patterns, targets, DEFAULT_NOISE, seed)
-        for a, h in settings:
+        for a, h in SWEEP_SETTINGS:
             final, _, _ = iterate(sigma0, patterns, coupling, ModelParams(a=a, h=h),
                                   DEFAULT_STEPS, basis=patterns.values)
             predicted = np.argmax(final, axis=0)

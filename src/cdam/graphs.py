@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -141,14 +142,10 @@ def build_barbell(n: int, m: int) -> MemoryGraph:
         raise CdamError(f"barbell path length must be >= 0, got {m}")
     p = 2 * n + m
     _check_vertex_count(p)
-    edges = []
-    for block_start in (0, n + m):
-        for i in range(n):
-            for j in range(i + 1, n):
-                edges.append((block_start + i, block_start + j, 1.0))
-    chain = [n - 1] + list(range(n, n + m)) + [n + m]
-    for u, v in zip(chain, chain[1:]):
-        edges.append((u, v, 1.0))
+    edges = [(start + i, start + j, 1.0) for start in (0, n + m)
+             for i, j in combinations(range(n), 2)]
+    chain = [n - 1, *range(n, n + m), n + m]
+    edges += [(u, v, 1.0) for u, v in zip(chain, chain[1:])]
     return MemoryGraph(p, tuple(edges), directed=False)
 
 
@@ -178,15 +175,10 @@ def build_random_regular(p: int, k: int, seed: int) -> MemoryGraph:
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(p), k)
     for _ in range(1000):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            continue
-        canon = {(min(u, v), max(u, v)) for u, v in pairs}
-        if len(canon) < len(pairs):
-            continue
-        edges = tuple((u, v, 1.0) for u, v in sorted(canon))
-        return MemoryGraph(p, edges, directed=False)
+        pairs = rng.permutation(stubs).reshape(-1, 2).tolist()
+        canon = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+        if len(canon) == len(pairs):  # simple: no pair is a loop and none repeats
+            return MemoryGraph(p, tuple((u, v, 1.0) for u, v in canon), directed=False)
     raise CdamError(f"no simple {k}-regular graph on {p} vertices in 1000 draws")
 
 
@@ -250,10 +242,8 @@ def from_text(text: str) -> MemoryGraph:
     """Parse the text format of `to_text`; CdamError on any malformed
     line and on a vertex count (declared by `# p=N` or implied by the largest
     vertex) above MAX_GRAPH_P."""
-    directed = None
-    declared_p = None
+    directed = declared_p = None
     edges = []
-    max_seen = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
@@ -263,26 +253,23 @@ def from_text(text: str) -> MemoryGraph:
                     declared_p = int(pragma[2:])
                 except ValueError as exc:
                     raise CdamError(f"line {lineno}: bad vertex count {pragma!r}") from exc
-            continue
-        if not line:
-            continue
-        if directed is None:
+        elif line and directed is None:
             if line not in ("directed", "undirected"):
                 raise CdamError(f"line {lineno}: expected 'directed' or 'undirected' header")
             directed = line == "directed"
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise CdamError(f"line {lineno}: expected 'src dst [weight]', got {line!r}")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise CdamError(f"line {lineno}: {line!r}") from exc
-        edges.append((src, dst, w))
-        max_seen = max(max_seen, src, dst)
+        elif line:
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise CdamError(f"line {lineno}: expected 'src dst [weight]', got {line!r}")
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError as exc:
+                raise CdamError(f"line {lineno}: {line!r}") from exc
+            edges.append((src, dst, w))
     if directed is None:
         raise CdamError("missing 'directed'/'undirected' header line")
+    max_seen = max([-1] + [max(src, dst) for src, dst, _ in edges])
     p = declared_p if declared_p is not None else max_seen + 1
     if edges and p <= max_seen:
         raise CdamError(f"declared p={p} but saw vertex {max_seen}")

@@ -1,5 +1,6 @@
 """Pattern sources: random vectors, IDX image archives, pre-extracted video
-frames (PGM/PPM or CSV), and the composite patterns of an automaton.
+frames (PGM/PPM or CSV), and the composite patterns of an automaton.  This
+module only reads; every writer, `write_pnm` included, is in `cdam.reports`.
 
 Every path is bit-reproducible per seed and produces values in [0, 1]:
 frames are divided by their declared maxval (or, for CSV, their largest
@@ -130,22 +131,6 @@ def read_pnm(path):
     return values.reshape(shape), maxval
 
 
-def write_pnm(path, array: np.ndarray) -> None:
-    """Write a P5 (2-D input) or P6 (h,w,3 input) binary netpbm file of
-    8-bit samples (maxval 255)."""
-    arr = np.asarray(array)
-    if arr.ndim == 2:
-        kind, (h, w) = "P5", arr.shape
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        kind, (h, w) = "P6", arr.shape[:2]
-    else:
-        raise CdamError(f"cannot write array of shape {arr.shape} as netpbm")
-    data = np.clip(np.round(arr), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"{kind}\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
-
-
 def read_csv_frame(path):
     """Whitespace/comma separated matrix of finite, non-negative numbers;
     returns (array, None)."""
@@ -168,11 +153,11 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
     """Flatten, normalize, and subsample every frame in a directory.
 
     Frames are read in lexicographic filename order; all must share one
-    shape.  Flattening is row-major with color channels interleaved last.
-    The frames are all CSV or all netpbm.  Each is sampled at the same n
-    seeded indices, and only those samples are divided, as floats, by the
-    files' declared maxval (which must agree across frames) or, for CSV
-    frames, by the maximum value observed anywhere.
+    shape, checked as each is read.  Flattening is row-major with color
+    channels interleaved last.  The frames are all CSV or all netpbm.  Each
+    is sampled at the same n seeded indices, and only those samples are
+    divided, as floats, by the files' declared maxval (which must agree
+    across frames) or, for CSV frames, by the maximum value observed anywhere.
     """
     files = sorted(
         f for f in Path(frame_dir).iterdir()
@@ -184,23 +169,20 @@ def ingest_frames(frame_dir, n: int, seed: int = 0) -> PatternMatrix:
     if any(csv) and not all(csv):
         raise CdamError(f"{frame_dir} mixes CSV frame {files[csv.index(True)].name} and "
                         f"netpbm frame {files[csv.index(False)].name}; use one kind")
-    arrays, maxvals = [], []
+    arrays, declared = [], set()
     for f, is_csv in zip(files, csv):
         arr, maxval = read_csv_frame(f) if is_csv else read_pnm(f)
+        if arrays and arr.shape != arrays[0].shape:
+            raise CdamError(f"{f.name}: shape {arr.shape} != first frame {arrays[0].shape}")
         arrays.append(arr)
-        maxvals.append(maxval)
-    shape = arrays[0].shape
-    for f, arr in zip(files, arrays):
-        if arr.shape != shape:
-            raise CdamError(f"{f.name}: shape {arr.shape} != first frame {shape}")
-    declared = {v for v in maxvals if v is not None}
+        declared.add(maxval)  # None for every CSV frame
     if len(declared) > 1:
         raise CdamError(f"frames declare conflicting maxvals {sorted(declared)}")
-    normalizer = float(declared.pop()) if declared else float(max(a.max() for a in arrays))
+    normalizer = float(max(a.max() for a in arrays) if csv[0] else declared.pop())
     if normalizer <= 0:
         raise CdamError(f"normalizer must be positive, got {normalizer}")
 
-    flat_len = int(np.prod(shape))
+    flat_len = arrays[0].size
     if not 0 < n <= flat_len:
         raise CdamError(f"cannot sample n={n} from frames of length {flat_len}")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
-"""Artifact writers: trace CSVs, run manifests, matrices, PGM heatmaps.
+"""Artifact writers, the one module that writes files: trace CSVs, run manifests,
+matrices, netpbm images, PGM heatmaps; each makes its file's directory.
 
 Every float is written by orjson as the shortest decimal that reads back
 to its bits (`1e-7`, `0.000015`, `1e16` where repr writes `1e-07`,
@@ -20,7 +21,6 @@ import orjson
 
 from .dynamics import SimulationTrace
 from .errors import CdamError
-from .ingest import write_pnm
 
 
 def _float_rows(values) -> list[str]:
@@ -36,8 +36,14 @@ def _float_rows(values) -> list[str]:
     return text[2:-2].split("],[")
 
 
+def _write(data: bytes, path) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
 def _write_lines(lines, path) -> None:
-    Path(path).write_text("".join(line + "\r\n" for line in lines), newline="")
+    _write("".join(line + "\r\n" for line in lines).encode(), path)
 
 
 def trace_to_csv(trace: SimulationTrace, path) -> None:
@@ -54,6 +60,17 @@ def matrix_to_csv(matrix: np.ndarray, path) -> None:
     _write_lines(_float_rows(matrix), path)
 
 
+def write_pnm(path, array: np.ndarray) -> None:
+    """Write a P5 (2-D input) or P6 (h,w,3 input) binary netpbm file of
+    8-bit samples (maxval 255)."""
+    arr = np.asarray(array)
+    if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (3,)):
+        raise CdamError(f"cannot write array of shape {arr.shape} as netpbm")
+    kind, (h, w) = "P5" if arr.ndim == 2 else "P6", arr.shape[:2]
+    data = np.clip(np.round(arr), 0, 255).astype(np.uint8)
+    _write(f"{kind}\n{w} {h}\n255\n".encode() + data.tobytes(), path)
+
+
 def matrix_to_pgm(matrix: np.ndarray, path) -> None:
     """Correlation matrix as grayscale: -1 -> 0, +1 -> 255."""
     arr = np.clip(np.asarray(matrix, dtype=float), -1.0, 1.0)
@@ -62,11 +79,11 @@ def matrix_to_pgm(matrix: np.ndarray, path) -> None:
 
 def write_manifest(manifest: dict, path) -> None:
     """manifest as JSON; a value JSON cannot hold, such as an int beyond 64
-    bits, is a CdamError and writes no file."""
+    bits or a str that is not UTF-8, is a CdamError and writes no file or directory."""
     options = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
                | orjson.OPT_NON_STR_KEYS | orjson.OPT_APPEND_NEWLINE)
     try:  # orjson writes only C-contiguous arrays itself and hands others to default
         text = orjson.dumps(manifest, default=np.ndarray.tolist, option=options)
     except TypeError as exc:
         raise CdamError(f"{path}: {exc}") from exc
-    Path(path).write_bytes(text)
+    _write(text, path)

@@ -218,3 +218,104 @@ def uncached_pearson_matrix(ref_cols, state_cols):
     sc = state_cols - state_cols.mean(axis=0, keepdims=True)
     denom = np.sqrt((rc**2).sum(axis=0))[:, None] * np.sqrt((sc**2).sum(axis=0))[None, :]
     return (rc.T @ sc) / denom
+
+
+# The graph builders and the text parser written line by line, as the package
+# wrote them before it built barbell cliques from itertools.combinations,
+# accepted a random-regular draw with one test and took p from the parsed
+# edges: the package's versions must return equal graphs and raise the same
+# CdamError messages.
+
+
+def looped_barbell(n, m):
+    from cdam.errors import CdamError
+    from cdam.graphs import MAX_GRAPH_P, MemoryGraph
+
+    if n < 2:
+        raise CdamError(f"barbell cliques need n >= 2, got {n}")
+    if m < 0:
+        raise CdamError(f"barbell path length must be >= 0, got {m}")
+    p = 2 * n + m
+    if p > MAX_GRAPH_P:
+        raise CdamError(f"p={p} vertices exceeds the graph limit of {MAX_GRAPH_P}")
+    edges = []
+    for block_start in (0, n + m):
+        for i in range(n):
+            for j in range(i + 1, n):
+                edges.append((block_start + i, block_start + j, 1.0))
+    chain = [n - 1] + list(range(n, n + m)) + [n + m]
+    for u, v in zip(chain, chain[1:]):
+        edges.append((u, v, 1.0))
+    return MemoryGraph(p, tuple(edges), directed=False)
+
+
+def looped_random_regular(p, k, seed):
+    import numpy as np
+
+    from cdam.errors import CdamError
+    from cdam.graphs import MAX_GRAPH_P, MemoryGraph
+
+    if k >= p or k < 1:
+        raise CdamError(f"need 1 <= k < p, got k={k}, p={p}")
+    if (p * k) % 2 != 0:
+        raise CdamError(f"p*k must be even, got p={p}, k={k}")
+    if p > MAX_GRAPH_P:
+        raise CdamError(f"p={p} vertices exceeds the graph limit of {MAX_GRAPH_P}")
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(p), k)
+    for _ in range(1000):
+        perm = rng.permutation(stubs)
+        pairs = perm.reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            continue
+        canon = {(min(u, v), max(u, v)) for u, v in pairs}
+        if len(canon) < len(pairs):
+            continue
+        edges = tuple((u, v, 1.0) for u, v in sorted(canon))
+        return MemoryGraph(p, edges, directed=False)
+    raise CdamError(f"no simple {k}-regular graph on {p} vertices in 1000 draws")
+
+
+def looped_from_text(text):
+    from cdam.errors import CdamError
+    from cdam.graphs import MAX_GRAPH_P, MemoryGraph
+
+    directed = None
+    declared_p = None
+    edges = []
+    max_seen = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            pragma = line[1:].strip()
+            if pragma.startswith("p="):
+                try:
+                    declared_p = int(pragma[2:])
+                except ValueError as exc:
+                    raise CdamError(f"line {lineno}: bad vertex count {pragma!r}") from exc
+            continue
+        if not line:
+            continue
+        if directed is None:
+            if line not in ("directed", "undirected"):
+                raise CdamError(f"line {lineno}: expected 'directed' or 'undirected' header")
+            directed = line == "directed"
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise CdamError(f"line {lineno}: expected 'src dst [weight]', got {line!r}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise CdamError(f"line {lineno}: {line!r}") from exc
+        edges.append((src, dst, w))
+        max_seen = max(max_seen, src, dst)
+    if directed is None:
+        raise CdamError("missing 'directed'/'undirected' header line")
+    p = declared_p if declared_p is not None else max_seen + 1
+    if edges and p <= max_seen:
+        raise CdamError(f"declared p={p} but saw vertex {max_seen}")
+    if p > MAX_GRAPH_P:
+        raise CdamError(f"p={p} vertices exceeds the graph limit of {MAX_GRAPH_P}")
+    return MemoryGraph(p, tuple(edges), directed=directed)

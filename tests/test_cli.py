@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 from cdam.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, parse_graph_spec, parse_pattern_spec
 from cdam.dynamics import ModelParams, init_state, run
 from cdam.graphs import build_cycle, normalize
-from cdam.ingest import random_patterns, write_pnm
+from cdam.ingest import random_patterns
+from cdam.reports import write_pnm
 from oracles import naive_energy_directed, step_by_hand
 
 
@@ -205,6 +207,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
             "error: --steps must be an integer below 2**64, got 100000000000000000000\n")
+        assert not out.exists()
+
+    def test_unencodable_manifest_exits_2_and_leaves_no_directory(self, tmp_path, capsys):
+        # a graph file named with the byte 0xff: its path is no UTF-8 string for the manifest
+        graph = tmp_path / os.fsdecode(b"g\xff.txt")
+        graph.write_text("undirected\n0 1\n1 2\n")
+        out = tmp_path / "S"
+        code = main(["simulate", "--graph", f"file:{graph}", "--patterns", "random:50",
+                     "--steps", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.json'}: str is not valid UTF-8: surrogates not allowed\n")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

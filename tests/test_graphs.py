@@ -20,7 +20,17 @@ from cdam.graphs import (
     read_graph,
     to_text,
 )
-from oracles import naive_hop_distances
+from oracles import looped_barbell, looped_from_text, looped_random_regular, naive_hop_distances
+
+
+def _outcome(build, *args):
+    """The graph's p, direction, edges with each element's Python type and
+    fingerprint, or the message of the CdamError raised instead."""
+    try:
+        g = build(*args)
+    except CdamError as exc:
+        return str(exc)
+    return g.p, g.directed, g.edges, [tuple(map(type, e)) for e in g.edges], g.fingerprint()
 
 
 class TestCycle:
@@ -63,6 +73,12 @@ class TestBarbell:
     def test_too_small_clique(self):
         with pytest.raises(CdamError, match="barbell cliques need n >= 2, got 1"):
             build_barbell(1, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 12), m=st.integers(-1, 6))
+    @example(n=MAX_GRAPH_P // 2, m=1)
+    def test_equals_the_looped_builder(self, n, m):
+        assert _outcome(build_barbell, n, m) == _outcome(looped_barbell, n, m)
 
 
 class TestNamed:
@@ -118,6 +134,18 @@ class TestRandomRegular:
         with pytest.raises(CdamError,
                            match="no simple 9-regular graph on 10 vertices in 1000 draws"):
             build_random_regular(10, 9, 0)
+
+    # k up to 5: a larger k on 40 vertices almost never draws a simple graph
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(2, 40), seed=st.integers(0, 9), data=st.data())
+    def test_equals_the_two_test_loop(self, p, seed, data):
+        k = data.draw(st.integers(1, min(5, p - 1)).filter(lambda k: p * k % 2 == 0))
+        args = p, k, seed
+        assert _outcome(build_random_regular, *args) == _outcome(looped_random_regular, *args)
+
+    @pytest.mark.parametrize("p, k", [(5, 3), (4, 4), (4, 0), (10, 9), (MAX_GRAPH_P + 2, 3)])
+    def test_rejects_as_the_two_test_loop(self, p, k):
+        assert _outcome(build_random_regular, p, k, 0) == _outcome(looped_random_regular, p, k, 0)
 
 
 class TestVertexCap:
@@ -226,6 +254,7 @@ class TestHops:
 
 _VERTEX = st.integers(0, 6) | st.integers()
 _WEIGHT = st.floats(0.1, 10.0) | st.floats() | st.sampled_from(["-1", "0", "x", "1e999", "nan"])
+_SIGNED_VERTEX = st.integers(-3, 6) | st.integers()
 
 
 class TestSerialization:
@@ -295,6 +324,29 @@ class TestSerialization:
         assert all(0 <= a < g.p and 0 <= b < g.p and np.isfinite(w) for a, b, w in g.edges)
         back = from_text(to_text(g))
         assert (back.p, back.directed, back.edges) == (g.p, g.directed, g.edges)
+
+    # comments, pragmas good and bad, blank lines, 2- and 3-field lines with
+    # negative or huge vertices, malformed lines, and a header anywhere or none
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from(["directed", "undirected", "  undirected ", None]),
+        lines=st.lists(st.one_of(
+            st.sampled_from(["", "  ", "#", "# a comment", "# p=", "# p=x", "#p=3", "# p = 3",
+                             "directed", "0", "0 1 2 3", "a b", "0 x", "1\t2"]),
+            st.builds("# p={}".format, st.integers(-2, 12) | st.sampled_from([MAX_GRAPH_P, 10**9])),
+            st.builds("{} {}".format, _SIGNED_VERTEX, _SIGNED_VERTEX),
+            st.builds("{} {} {}".format, _SIGNED_VERTEX, _SIGNED_VERTEX, _WEIGHT),
+            st.text(max_size=8),
+        ), max_size=10),
+        at=st.integers(0, 10),
+    )
+    @example(header="directed", lines=["-3 -2"], at=0)
+    @example(header="undirected", lines=["# p=-1"], at=0)
+    def test_equals_the_looped_parser(self, header, lines, at):
+        if header is not None:
+            lines.insert(at, header)
+        text = "\n".join(lines)
+        assert _outcome(from_text, text) == _outcome(looped_from_text, text)
 
     @settings(max_examples=40, deadline=None)
     @given(

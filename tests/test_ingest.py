@@ -14,8 +14,8 @@ from cdam.ingest import (
     load_idx,
     random_patterns,
     read_pnm,
-    write_pnm,
 )
+from cdam.reports import write_pnm
 
 
 class TestRandomPatterns:
@@ -265,6 +265,14 @@ class TestFrames:
     def test_dimension_mismatch(self, tmp_path):
         write_pnm(tmp_path / "a.pgm", np.zeros((2, 2)))
         write_pnm(tmp_path / "b.pgm", np.zeros((3, 3)))
+        with pytest.raises(CdamError, match=r"b.pgm: shape \(3, 3\) != first frame \(2, 2\)"):
+            ingest_frames(tmp_path, n=4, seed=0)
+
+    def test_dimension_mismatch_reported_before_a_later_unreadable_frame(self, tmp_path):
+        # frames are checked as they are read, so c.pgm is never opened
+        write_pnm(tmp_path / "a.pgm", np.zeros((2, 2)))
+        write_pnm(tmp_path / "b.pgm", np.zeros((3, 3)))
+        (tmp_path / "c.pgm").write_bytes(b"not a netpbm file")
         with pytest.raises(CdamError, match=r"b.pgm: shape \(3, 3\) != first frame \(2, 2\)"):
             ingest_frames(tmp_path, n=4, seed=0)
 

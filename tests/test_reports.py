@@ -133,5 +133,37 @@ def test_report_json_writes_an_infinite_anova_f_as_null(tmp_path):
 
 def test_manifest_with_an_int_beyond_64_bits_is_rejected_and_not_written(tmp_path):
     with pytest.raises(CdamError, match="64-bit"):
-        reports.write_manifest({"steps": 2**64}, tmp_path / "manifest.json")
+        reports.write_manifest({"steps": 2**64}, tmp_path / "run" / "manifest.json")
+    assert list(tmp_path.iterdir()) == []  # not even the directory
+
+
+def test_each_writer_makes_its_missing_nested_directory(tmp_path):
+    reports.trace_to_csv(make_trace(with_energy=True), tmp_path / "a" / "b" / "trace.csv")
+    reports.matrix_to_csv(np.eye(2), tmp_path / "c" / "d" / "m.csv")
+    reports.matrix_to_pgm(2 * np.eye(2) - 1, tmp_path / "e" / "f" / "m.pgm")
+    reports.write_pnm(tmp_path / "g" / "h" / "f.ppm", np.zeros((2, 2, 3)))
+    reports.write_manifest({"seed": 0}, tmp_path / "i" / "j" / "manifest.json")
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["a/b/trace.csv", "c/d/m.csv", "e/f/m.pgm", "g/h/f.ppm",
+                       "i/j/manifest.json"]
+    assert (tmp_path / "e" / "f" / "m.pgm").read_bytes() == b"P5\n2 2\n255\n\xff\x00\x00\xff"
+    assert (tmp_path / "g" / "h" / "f.ppm").read_bytes() == b"P6\n2 2\n255\n" + bytes(12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 4), (2, 2, 3, 1)])
+def test_write_pnm_rejects_an_array_that_is_not_gray_or_rgb(tmp_path, shape):
+    with pytest.raises(CdamError, match=rf"cannot write array of shape \({shape[0]},"):
+        reports.write_pnm(tmp_path / "f.pnm", np.zeros(shape))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_report_makes_only_the_subdirectories_it_fills(tmp_path):
+    # the miyashita outputs: a 5 x 7 matrix, a per-seed list and a scalar
+    rep = ExperimentReport("miyashita", {}, {"profiles": np.ones((5, 7)),
+                                             "r2_per_seed": [0.9] * 5, "r2_mean": 0.9})
+    rep.write(tmp_path / "fresh" / "fit")
+    out = tmp_path / "fresh" / "fit"
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+        "matrices", "matrices/profiles.csv", "report.json", "traces", "traces/r2_per_seed.csv"]
+    ExperimentReport("square", {}, {"m": np.eye(3)}).write(tmp_path / "sq")
+    assert {p.name for p in (tmp_path / "sq").iterdir()} == {"matrices", "heatmaps", "report.json"}

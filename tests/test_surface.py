@@ -100,6 +100,59 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+_WRITE_CALLS = ("mkdir", "write_text", "write_bytes")
+
+
+def _file_writes(tree: ast.Module) -> list[str]:
+    """'function: call' for each call that makes a directory or writes a file,
+    under the top-level function or class it sits in: mkdir, write_text,
+    write_bytes, and an open whose mode is not a literal read-only one."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "open":  # open(path, mode) or path.open(mode)
+                positional = node.args[1:] if isinstance(func, ast.Name) else node.args
+                modes = positional[:1] + [k.value for k in node.keywords if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                writes = not (isinstance(mode, ast.Constant) and set(mode.value).isdisjoint("wax+"))
+            else:
+                writes = name in _WRITE_CALLS
+            if writes:
+                found.append(f"{getattr(top, 'name', '<module>')}: {name}")
+    return found
+
+
+def test_file_writes_are_found_in_any_spelling():
+    code = '''
+def f(path, mode):
+    open(path, "wb")
+    open(path, mode=mode)
+    path.open("a")
+    open(path)
+    open(path, "rb")
+    path.read_text()
+class C:
+    def g(self, path):
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"")
+'''
+    assert _file_writes(ast.parse(code)) == ["f: open", "f: open", "f: open", "C: mkdir",
+                                             "C: write_bytes"]
+
+
+def test_only_reports_writes_files():
+    # every artifact goes through cdam.reports, whose writers make their own
+    # directories; the automaton transcript is the one file written elsewhere
+    found = [f"{path.stem}.{write}" for path in sorted((ROOT / "src" / "cdam").glob("*.py"))
+             if path.name != "reports.py" for write in _file_writes(ast.parse(path.read_text()))]
+    assert found == ["cli.cmd_automaton: mkdir", "cli.cmd_automaton: write_text"]
+    assert _file_writes(ast.parse((ROOT / "src" / "cdam" / "reports.py").read_text()))
+
+
 def test_every_module_parses_as_python_3_10():
     # the declared minimum in pyproject.toml; newer syntax would fail at import
     assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
