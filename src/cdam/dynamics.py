@@ -97,13 +97,13 @@ ENERGY_PAIR_BUDGET = 1 << 22
 
 @dataclass(frozen=True)
 class PatternMatrix:
-    """Stored memories: column mu of `values` is pattern mu (n x p, finite).
-    Frozen, with read-only values, so statistics derived from them cannot go stale."""
+    """Stored memories: column mu of `values` is pattern mu (n x p, finite). Frozen, with
+    values a read-only float copy of the input in its memory order: no statistic goes stale."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 2:
             raise CdamError(f"pattern matrix must be 2-D, got shape {v.shape}")
         if 0 in v.shape:
@@ -243,15 +243,14 @@ def _basis_operator(basis: np.ndarray, patterns: PatternMatrix, m: NormalizedAdj
 
 def update_step(sigma: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
                 params: ModelParams, operator: np.ndarray | None) -> np.ndarray:
-    """iterate's step sigma + eta*(retrieval - sigma), in place on the fresh
-    retrieval of states or, given the basis operator, basis rows;
-    an overflow leaves a non-finite result."""
-    with np.errstate(all="ignore"):
-        new = retrieval_vector(sigma, patterns, m, params, operator=operator)
-        new -= sigma
-        new *= params.eta
-        new += sigma
-        return new
+    """iterate's bare Euler step sigma + eta*(retrieval - sigma), in place on
+    the fresh retrieval of states or, given the basis operator, basis rows;
+    under the error state iterate holds, an overflow leaves a non-finite result."""
+    new = retrieval_vector(sigma, patterns, m, params, operator=operator)
+    new -= sigma
+    new *= params.eta
+    new += sigma
+    return new
 
 
 def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
@@ -269,8 +268,8 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     without a copy.  A tol > 0 stops the run after the first step whose max
     |change| is below it.  Negative steps, a non-finite tol or a stack of no
     states raise CdamError, and a non-finite state NumericDivergenceError
-    naming its step.
-    Returns (final state, steps taken, "max-steps" or "fixed-point").
+    naming its step; the whole loop, observer calls too, holds one
+    np.errstate(all="ignore").  Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
     _check_dims(sig, patterns, m, steps, tol)
@@ -279,16 +278,17 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
         basis = np.asarray(basis, dtype=float)
         operator = _basis_operator(basis, patterns, m, params)
         sig = basis.T @ sig
-    for t in range(1, steps + 1):
-        new = update_step(sig, patterns, m, params, operator)
-        if not np.isfinite(new).all():
-            raise NumericDivergenceError(t, "network state")
-        converged = tol > 0 and np.abs(d := new - sig, out=d).max() < tol
-        sig = new
-        if observe is not None:
-            observe(t, sig)
-        if converged:
-            return sig, t, "fixed-point"
+    with np.errstate(all="ignore"):
+        for t in range(1, steps + 1):
+            new = update_step(sig, patterns, m, params, operator)
+            if not np.isfinite(new).all():
+                raise NumericDivergenceError(t, "network state")
+            converged = tol > 0 and np.abs(d := new - sig, out=d).max() < tol
+            sig = new
+            if observe is not None:
+                observe(t, sig)
+            if converged:
+                return sig, t, "fixed-point"
     return sig, steps, "max-steps"
 
 

@@ -151,9 +151,9 @@ def run_all_triggers(
 
 def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
     """Pearson correlations between the final states of every trigger pair:
-    pearson_all against a read-only PatternMatrix copy, so non-finite or
-    non-2-D states raise the PatternMatrix CdamError."""
-    return pearson_all(final_states, PatternMatrix(np.array(final_states)))
+    pearson_all against PatternMatrix(final_states), which copies them, so
+    non-finite or non-2-D states raise the PatternMatrix CdamError."""
+    return pearson_all(final_states, PatternMatrix(final_states))
 
 
 def _mean(vals: np.ndarray) -> float:
@@ -317,7 +317,7 @@ def surrogate_frames(seed: int = 0) -> PatternMatrix:
             current = rng.uniform(0, 1, FRAME_N)
         elif k > 0:
             current = np.clip(current + 0.1 * rng.uniform(-1, 1, FRAME_N), 0.0, 1.0)
-        cols.append(current.copy())
+        cols.append(current)
     return PatternMatrix(np.column_stack(cols))
 
 
@@ -496,9 +496,8 @@ def retrieval_sweep(
     for p in p_levels:
         if p > dataset.shape[1]:
             raise CdamError(f"p={p} exceeds dataset size {dataset.shape[1]}")
-        xi = dataset[:, :p].copy()
-        patterns = PatternMatrix(xi)
-        coupling = normalize(build_nn_scaffold(xi))
+        patterns = PatternMatrix(dataset[:, :p])
+        coupling = normalize(build_nn_scaffold(patterns.values))
         targets = np.repeat(np.arange(p), trials)
         sigma0 = init_state(patterns, targets, DEFAULT_NOISE, seed)
         for a, h in SWEEP_SETTINGS:

@@ -91,12 +91,12 @@ class MemoryGraph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Coupling matrix for the hetero-associative term (read-only)."""
+    """Coupling matrix for the hetero-associative term (a read-only copy)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

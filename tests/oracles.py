@@ -220,6 +220,18 @@ def uncached_pearson_matrix(ref_cols, state_cols):
     return (rc.T @ sc) / denom
 
 
+def narrow_mode_profile(a, h, coupling, hops, max_hop=4):
+    """Hop 1..max_hop means of np.corrcoef((a*I + h*M^T).T), the Pearson
+    correlations between the columns of the mixing: in the narrow mode the
+    softmax settles on the trigger, so the final state of trigger j is
+    Xc (a*I + h*M^T) e_j and two such states correlate as their columns do
+    (README, narrow-mode law).  `hops` is the graph's hop-distance matrix."""
+    import numpy as np
+
+    corr = np.corrcoef((a * np.eye(len(coupling)) + h * coupling.T).T)
+    return np.array([corr[hops == d].mean() for d in range(1, max_hop + 1)])
+
+
 # The graph builders and the text parser written line by line, as the package
 # wrote them before it built barbell cliques from itertools.combinations,
 # accepted a random-regular draw with one test and took p from the parsed

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdam import dynamics
 from cdam.dynamics import (
@@ -19,7 +19,7 @@ from cdam.dynamics import (
     softmax_beta,
 )
 from cdam.errors import CdamError, NumericDivergenceError
-from cdam.graphs import MemoryGraph, build_cycle, hop_distances, normalize
+from cdam.graphs import MemoryGraph, NormalizedAdjacency, build_cycle, hop_distances, normalize
 from cdam.ingest import random_patterns
 from oracles import (
     descent_energy,
@@ -165,6 +165,58 @@ class TestPatternMatrix:
             cols[0, 0] = 1.0
         with pytest.raises(ValueError):
             norms[0] = 1.0
+
+
+@st.composite
+def caller_arrays(draw):
+    """An n x p array in one of the layouts a caller may hand a value type:
+    C-ordered, F-ordered, a strided slice or a transpose of a larger array,
+    or integers.  Each is writeable, and writing it writes what it views."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "transposed", "int"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if layout == "int":
+        return rng.integers(-5, 6, (n, p))
+    if layout == "sliced":
+        return rng.uniform(0, 1, (n + 2, 2 * p + 1))[1:n + 1, ::2]
+    if layout == "transposed":
+        return rng.uniform(0, 1, (p, n)).T
+    values = rng.uniform(0, 1, (n, p))
+    return np.asfortranarray(values) if layout == "F" else values
+
+
+class TestValueTypesOwnTheirArrays:
+    """PatternMatrix and NormalizedAdjacency freeze a float copy of what they
+    are given, so a caller passes its array as it is and may go on writing it."""
+
+    @pytest.mark.parametrize("build, field", [(PatternMatrix, "values"),
+                                              (NormalizedAdjacency, "matrix")])
+    @settings(max_examples=60, deadline=None)
+    @given(x=caller_arrays())
+    def test_copy_keeps_the_layout_and_leaves_the_input_writeable(self, build, field, x):
+        want = x.astype(float)
+        owned = getattr(build(x), field)
+        assert x.flags.writeable and not owned.flags.writeable
+        assert not np.shares_memory(owned, x)
+        assert owned.dtype == np.float64 and np.array_equal(owned, want)
+        assert owned.flags.f_contiguous or not x.flags.f_contiguous
+        assert owned.flags.c_contiguous or not x.flags.c_contiguous
+        x += 1
+        assert np.array_equal(owned, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=caller_arrays())
+    @example(x=np.random.default_rng(0).uniform(0, 1, (5, 6))[:, :3])  # a column slice
+    def test_statistics_ignore_later_writes_to_the_input(self, x):
+        # `early` caches its statistics before the write, `late` after it
+        want = x.astype(float)
+        early, late = PatternMatrix(x), PatternMatrix(x)
+        kept = [early.mean_load.copy(), *(v.copy() for v in early.centered)]
+        x += 100
+        for pm in (early, late):
+            assert np.array_equal(pm.values, want)
+            for got, old in zip([pm.mean_load, *pm.centered], kept):
+                assert np.array_equal(got, old)
 
 
 class TestUpdateStep:

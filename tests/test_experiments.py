@@ -9,9 +9,11 @@ from cdam.automata import family_tree
 from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
+    _basis_operator,
     init_state,
     iterate,
     pearson_all,
+    softmax_beta,
 )
 from cdam.errors import CdamError, NumericDivergenceError
 from cdam.graphs import (
@@ -24,7 +26,12 @@ from cdam.graphs import (
     normalize,
 )
 from cdam.ingest import random_patterns
-from oracles import naive_schedule_metrics, step_by_hand, uncached_pearson_matrix
+from oracles import (
+    narrow_mode_profile,
+    naive_schedule_metrics,
+    step_by_hand,
+    uncached_pearson_matrix,
+)
 
 # Overflows to a non-finite state within a few steps on any small store.
 DIVERGENT = (1e308, 1e308)
@@ -241,6 +248,78 @@ class TestZeroStateRule:
         assert sum(closed == exact for closed, exact in verdicts.values()) == agree
         if name == "cycle":
             assert verdicts[-1.0, 1.0][1]
+
+
+class TestNarrowModeLaw:
+    """README's narrow-mode law at stock eta, n = 1000, pattern seed 0: along
+    a + h = 1 the hop 1-4 means of the state x state correlations are those
+    of np.corrcoef((a*I + h*M^T).T) while the softmax settles on the trigger
+    (measured worst 0.0124 on the cycle, 0.0096 on karate, 0.0072 on tutte),
+    and miss them once it spreads (by 0.85, 0.57 and 0.78 at a = 0)."""
+
+    @pytest.mark.parametrize("name", ["cycle", "karate", "tutte"])
+    def test_hop_profile_follows_the_mixing_columns(self, name):
+        graph = build_cycle(30) if name == "cycle" else build_named(name)
+        coupling, hops = normalize(graph), hop_distances(graph)
+        patterns = random_patterns(1000, graph.p, 0)
+        miss = {}
+        for a in (0.5, 0.6, 0.7, 0.8, 0.9, 0.0):
+            final = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1 - a))
+            got = X.hop_profile(hops, X.state_correlation_matrix(final["final_states"]), 4)[0]
+            law = narrow_mode_profile(a, 1 - a, coupling.matrix, hops)
+            miss[a] = float(np.abs(got[1:] - law).max())
+        assert max(miss[a] for a in (0.5, 0.6, 0.7, 0.8, 0.9)) < 0.02
+        assert miss[0.0] > 0.2
+
+
+class TestStepSize:
+    """README's "Step size": at (-2, 3) on karate (n = 1000, patterns
+    random_patterns(1000, 34, 0), triggers init_state(..., seed=1)), every
+    run to T = 10.1, the eta = 0.1 Euler step is flip-unstable at the final
+    states and the block contrast it reports moves under a 1-ulp nudge of
+    sigma0, while at eta = 0.02 and 0.01 the contrast has converged and the
+    nudge does not move it."""
+
+    @pytest.fixture(scope="class")
+    def karate(self):
+        graph = build_named("karate")
+        patterns = random_patterns(1000, graph.p, 0)
+        return patterns, normalize(graph), init_state(patterns, np.arange(graph.p), seed=1)
+
+    def _final(self, karate, eta, nudge):
+        patterns, coupling, sigma0 = karate
+        start = sigma0 * (1 + 2.0**-52) if nudge else sigma0
+        params = ModelParams(a=-2.0, h=3.0, eta=eta)
+        return iterate(start, patterns, coupling, params, round(10.1 / eta))[0]
+
+    def _contrast(self, final):
+        return X.named_block_contrast("karate", X.state_correlation_matrix(final))
+
+    def test_stock_step_is_past_the_flip_threshold(self, karate):
+        # the logit Jacobian W beta (diag s - s s^T) of some final state has
+        # Re mu < -(2 - eta)/eta = -19 (measured -99.98)
+        patterns, coupling, _ = karate
+        params = ModelParams(a=-2.0, h=3.0, eta=0.1)
+        final = self._final(karate, params.eta, False)
+        w = _basis_operator(patterns.values, patterns, coupling, params)
+        s = softmax_beta(patterns.values.T @ final, params.beta)
+        lowest = min(np.linalg.eigvals(params.beta * w @ (np.diag(col) - np.outer(col, col)))
+                     .real.min() for col in s.T)
+        assert lowest < -19
+
+    def test_contrast_converges_as_eta_falls(self, karate):
+        # 1.463341 at eta = 0.02 and 1.464225 at 0.01, each nudged by < 1e-15
+        contrasts = []
+        for eta in (0.02, 0.01):
+            plain = self._contrast(self._final(karate, eta, False))
+            assert abs(self._contrast(self._final(karate, eta, True)) - plain) < 1e-12
+            contrasts.append(plain)
+        assert abs(contrasts[0] - contrasts[1]) < 2e-3
+
+    def test_stock_contrast_moves_under_a_nudge(self, karate):
+        # 1.223780 -> 1.230700
+        plain = self._contrast(self._final(karate, 0.1, False))
+        assert abs(self._contrast(self._final(karate, 0.1, True)) - plain) > 1e-4
 
 
 class TestBlockContrast:

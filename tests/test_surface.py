@@ -153,6 +153,49 @@ def test_only_reports_writes_files():
     assert _file_writes(ast.parse((ROOT / "src" / "cdam" / "reports.py").read_text()))
 
 
+_VALUE_TYPES = ("PatternMatrix", "NormalizedAdjacency")
+
+
+def _copies_into_value_types(tree: ast.Module) -> list[str]:
+    """'Type: call' for each argument of a PatternMatrix(...) or
+    NormalizedAdjacency(...) call that is itself a .copy() or an
+    np.array(...)/numpy.array(...) call, a copy the value type already makes."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _VALUE_TYPES):
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            func = arg.func if isinstance(arg, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                    func.attr == "copy" or func.attr == "array"
+                    and getattr(func.value, "id", None) in ("np", "numpy")):
+                found.append(f"{node.func.id}: {func.attr}")
+    return found
+
+
+def test_copies_into_value_types_are_found_in_any_spelling():
+    code = '''
+PatternMatrix(x.copy())
+PatternMatrix(values=np.array(x))
+NormalizedAdjacency(numpy.array(x, dtype=float))
+NormalizedAdjacency(x[:, :3].copy())
+PatternMatrix(np.asarray(x))
+PatternMatrix(np.column_stack(cols))
+PatternMatrix(x)
+'''
+    assert _copies_into_value_types(ast.parse(code)) == [
+        "PatternMatrix: copy", "PatternMatrix: array", "NormalizedAdjacency: array",
+        "NormalizedAdjacency: copy"]
+
+
+def test_no_caller_copies_into_a_value_type():
+    # PatternMatrix and NormalizedAdjacency freeze their own float copy of
+    # what they are given, so a copy made for them is waste
+    found = [f"{path.stem}: {call}" for path in sorted((ROOT / "src" / "cdam").glob("*.py"))
+             for call in _copies_into_value_types(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_every_module_parses_as_python_3_10():
     # the declared minimum in pyproject.toml; newer syntax would fail at import
     assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
