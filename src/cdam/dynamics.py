@@ -129,9 +129,12 @@ class PatternMatrix:
     @cached_property
     def centered(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered columns and their norms, the pattern side of every Pearson
-        readout; built on first use, as sweeps never read Pearson."""
+        readout; built on first use, as sweeps never read Pearson.  A zero
+        norm raises CdamError on every use: no r is defined against it."""
         cols = self.values - self.values.mean(axis=0, keepdims=True)
         norms = np.sqrt((cols**2).sum(axis=0))
+        if np.any(norms == 0.0):
+            raise CdamError("pearson undefined: zero-variance pattern")
         cols.flags.writeable = norms.flags.writeable = False
         return cols, norms
 
@@ -303,11 +306,12 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
     computed READOUT_BLOCK of iterate's own states at a time by pearson_all's
     routine, whose one product with the centered patterns also gives the
-    energy's overlaps (see the module docstring).  A non-finite fixed_point_tol
-    and a zero-variance state or pattern raise CdamError.  A non-finite
-    state or readout aborts with NumericDivergenceError naming the offending
-    step, though the run may take up to READOUT_BLOCK - 1 more steps before
-    it raises, and a state that diverges in those steps does not hide it.
+    energy's overlaps (see the module docstring).  A zero-variance pattern
+    raises CdamError before the first step, as do a non-finite fixed_point_tol
+    and, at its block, a zero-variance state.  A non-finite state or readout
+    aborts with NumericDivergenceError naming the offending step, though the
+    run may take up to READOUT_BLOCK - 1 more steps before it raises, and a
+    state that diverges in those steps does not hide it.
     """
     if max_steps < 1:
         raise CdamError(f"max_steps must be >= 1, got {max_steps}")
@@ -373,8 +377,8 @@ def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r of a state (n,) or of each column of an (n, K) stack against
     every pattern, as (p,) or (p, K), through _pearson_stack.  A state whose
     centered norm is not finite (too large to read) reads NaN; a state of
-    another shape, a stack of no states and a zero-variance state or pattern
-    raise CdamError."""
+    another shape, a stack of no states and a zero-variance state raise
+    CdamError, and so does a zero-variance pattern (PatternMatrix.centered)."""
     _check_states(states, patterns.n)
     r, _, snorms, _ = _pearson_stack(states.reshape(len(states), -1), patterns)
     r[:, ~np.isfinite(snorms)] = np.nan
@@ -385,16 +389,16 @@ def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndar
     """Pearson r (p x K) of the columns of an (n, K) stack against every
     pattern, the columns' means, their centered norms |S - mean| and the
     product Zc = yc^T (S - mean) with the cached centered patterns yc,
-    the one Pearson routine for states (see the module docstring).
-    A zero-variance state or pattern raises CdamError."""
+    the one Pearson routine for states (see the module docstring).  It
+    checks only the states: a zero-variance one raises CdamError."""
     yc, norms = patterns.centered
     with np.errstate(all="ignore"):
         mean = states.mean(axis=0)
         sc = states - mean
         zc = yc.T @ sc
         snorms = np.sqrt(np.square(sc, out=sc).sum(axis=0))
-        if np.any(norms == 0.0) or np.any(snorms == 0.0):
-            raise CdamError("pearson undefined: zero-variance state or pattern")
+        if np.any(snorms == 0.0):
+            raise CdamError("pearson undefined: zero-variance state")
         return zc / (norms[:, None] * snorms[None, :]), mean, snorms, zc
 
 

@@ -121,38 +121,33 @@ def run_all_triggers(
     params: ModelParams,
     seed: int = 0,
     snapshots: tuple[int, ...] = (),
-) -> dict:
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """One run of DEFAULT_STEPS steps per stored pattern, as one state stack.
 
     Uses the same iterate as the single-run engine (their equivalence is
-    pinned by tests).  Returns final states (n x p), the pattern-correlation
-    matrix r[mu, trigger], mean activity per trigger, and requested
-    per-snapshot correlation matrices.  A snapshot step outside
-    1..DEFAULT_STEPS raises CdamError; a final or snapshot state whose
-    correlations are not finite raises NumericDivergenceError.
+    pinned by tests).  Returns (final states n x p, readouts): readouts maps
+    each step read, the snapshot steps and the last, once each and in step
+    order, to its pattern-correlation matrix r[mu, trigger].  A snapshot step
+    outside 1..DEFAULT_STEPS raises CdamError, and a read whose correlations
+    are not finite NumericDivergenceError naming its step.
     """
     if not all(1 <= t <= DEFAULT_STEPS for t in snapshots):
         raise CdamError(f"snapshot steps {snapshots} are not all in 1..{DEFAULT_STEPS}")
     sig0 = init_state(patterns, np.arange(patterns.p), DEFAULT_NOISE, seed)
-    snaps = {}
+    readouts = {}
 
-    def snapshot(t: int, sig: np.ndarray) -> None:
-        if t in snapshots:
-            snaps[t] = _readout(sig, patterns, t)
+    def read(t: int, sig: np.ndarray) -> None:
+        if t in snapshots or t == DEFAULT_STEPS:
+            readouts[t] = _readout(sig, patterns, t)
 
-    sig, steps, _ = iterate(sig0, patterns, coupling, params, DEFAULT_STEPS, observe=snapshot)
-    return {
-        "final_states": sig,
-        "pattern_correlations": _readout(sig, patterns, steps),
-        "mean_activity": sig.mean(axis=0),
-        "snapshots": snaps,
-    }
+    sig, _, _ = iterate(sig0, patterns, coupling, params, DEFAULT_STEPS, observe=read)
+    return sig, readouts
 
 
 def state_correlation_matrix(final_states: np.ndarray) -> np.ndarray:
     """Pearson correlations between the final states of every trigger pair:
     pearson_all against PatternMatrix(final_states), which copies them, so
-    non-finite or non-2-D states raise the PatternMatrix CdamError."""
+    non-finite, non-2-D or constant states raise the PatternMatrix CdamError."""
     return pearson_all(final_states, PatternMatrix(final_states))
 
 
@@ -194,12 +189,13 @@ def _graph_report(name: str, graph: MemoryGraph, n: int, seed: int, settings, **
 
 
 def _runs_per_setting(graph: MemoryGraph, settings, n: int, seed: int, **run_kw):
-    """Seeded uniform patterns on the graph and its normalized coupling, then
-    one all-trigger run per (a, h) setting, yielded with its report key."""
+    """Uniform patterns from `seed` on the graph and its normalized coupling,
+    then one all-trigger run per (a, h) setting with noise from seed + 1,
+    yielded as (report key, final states, readouts) of run_all_triggers."""
     patterns, coupling = random_patterns(n, graph.p, seed), normalize(graph)
     for a, h in settings:
-        res = run_all_triggers(patterns, coupling, ModelParams(a=a, h=h), seed=seed + 1, **run_kw)
-        yield f"a{a:+g}_h{h:+g}", res
+        params = ModelParams(a=a, h=h)
+        yield f"a{a:+g}_h{h:+g}", *run_all_triggers(patterns, coupling, params, seed + 1, **run_kw)
 
 
 def four_modes(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
@@ -207,12 +203,12 @@ def four_modes(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) -> Experim
     final pattern correlations, state-state correlations, and mean
     activities, with pattern correlations also at steps 1, 11, 26 and 101."""
     report = _graph_report("four-modes", graph, n, seed, FOUR_MODE_SETTINGS, graph_p=graph.p)
-    for key, res in _runs_per_setting(graph, FOUR_MODE_SETTINGS, n, seed,
-                                      snapshots=(1, 11, 26, DEFAULT_STEPS)):
-        report.outputs[f"corr_{key}"] = res["pattern_correlations"]
-        report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
-        report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
-        for t, mat in res["snapshots"].items():
+    for key, states, readouts in _runs_per_setting(graph, FOUR_MODE_SETTINGS, n, seed,
+                                                   snapshots=(1, 11, 26)):
+        report.outputs[f"corr_{key}"] = readouts[DEFAULT_STEPS]
+        report.outputs[f"states_{key}"] = state_correlation_matrix(states)
+        report.outputs[f"mean_activity_{key}"] = states.mean(axis=0)
+        for t, mat in readouts.items():
             report.outputs[f"corr_{key}_t{t}"] = mat
     return report
 
@@ -225,8 +221,8 @@ def hop_range(n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
     report = _graph_report("hop-range", graph, n, seed, RANGE_SETTINGS, max_hop=HOP_RANGE_MAX_HOP)
     hops = hop_distances(graph)
     groups = []
-    for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
-        sc = state_correlation_matrix(res["final_states"])
+    for key, states, _ in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
+        sc = state_correlation_matrix(states)
         means, sds = hop_profile(hops, sc, HOP_RANGE_MAX_HOP)
         ranges = per_trigger_ranges(hops, sc, HOP_RANGE_MAX_HOP)
         groups.append(ranges.tolist())
@@ -254,8 +250,8 @@ def miyashita_fit(n: int = DEFAULT_N) -> ExperimentReport:
     )
     r2s, profiles = [], []
     for seed in MIYASHITA_SEEDS:
-        for _, res in _runs_per_setting(graph, (MIYASHITA_PARAMS,), n, seed):
-            means, _ = hop_profile(hops, state_correlation_matrix(res["final_states"]), 6)
+        for _, states, _ in _runs_per_setting(graph, (MIYASHITA_PARAMS,), n, seed):
+            means, _ = hop_profile(hops, state_correlation_matrix(states), 6)
             profiles.append(means)
             r2s.append(r_squared(means, MIYASHITA_MEANS))
     report.outputs["profiles"] = np.array(profiles)
@@ -268,8 +264,8 @@ def community_matrices(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) ->
     """State-state correlation matrix per RANGE_SETTINGS (a, h), every vertex
     a trigger."""
     report = _graph_report("community", graph, n, seed, RANGE_SETTINGS)
-    for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
-        report.outputs[f"states_{key}"] = state_correlation_matrix(res["final_states"])
+    for key, states, _ in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
+        report.outputs[f"states_{key}"] = state_correlation_matrix(states)
     return report
 
 
@@ -349,12 +345,10 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     frames, not in state space.  The argmax of pearson_all(sigma), every
     state-space run's readout, is the argmax of yc^T sigma / |yc|, since
     the columns of yc sum to zero; it is read from the last p rows of every
-    step, once per run.  A zero-variance frame raises CdamError.
+    step, once per run.  A zero-variance frame raises CdamError before any run.
     """
     p = patterns.p
     yc, ys = patterns.centered
-    if np.any(ys == 0.0):
-        raise CdamError("pearson undefined: zero-variance pattern")
     basis = np.hstack([patterns.values, yc])
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
@@ -517,8 +511,8 @@ def ei_balance(n: int = DEFAULT_N, seed: int = 0) -> ExperimentReport:
     (a + h = 1) RANGE_SETTINGS."""
     graph = build_cycle(30)
     report = _graph_report("ei-balance", graph, n, seed, RANGE_SETTINGS)
-    for key, res in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
-        report.outputs[f"mean_activity_{key}"] = res["mean_activity"]
+    for key, states, _ in _runs_per_setting(graph, RANGE_SETTINGS, n, seed):
+        report.outputs[f"mean_activity_{key}"] = states.mean(axis=0)
     return report
 
 

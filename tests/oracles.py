@@ -232,6 +232,77 @@ def narrow_mode_profile(a, h, coupling, hops, max_hop=4):
     return np.array([corr[hops == d].mean() for d in range(1, max_hop + 1)])
 
 
+# Fixed points in coefficient space.  A fixed point of the update is
+# sigma* = Xc c with c = G s(beta K c), where s is the softmax, K = Xi^T Xc
+# (p x p) and G = a*I + h*M^T, whatever eta.  At a state sigma the flow
+# Xc G s(beta Xi^T sigma) - sigma has the Jacobian Xc G beta D Xi^T - I,
+# D = diag s - s s^T, whose eigenvalues are those of G beta D K - I and -1
+# for the other n - p directions; the Euler step multiplies a perturbation
+# along eigenvalue mu by 1 + eta*mu, so it is stable at eta iff every
+# |1 + eta*mu| < 1.
+
+
+def _coefficient_terms(patterns, coupling, params):
+    """Xc, K = Xi^T Xc and G = a*I + h*M^T."""
+    import numpy as np
+
+    xc = patterns.values - patterns.mean_load[:, None]
+    g = params.a * np.eye(patterns.p) + params.h * coupling.matrix.T
+    return xc, patterns.values.T @ xc, g
+
+
+def fixed_point(patterns, coupling, params, sigma0=None, tol=1e-13, max_iter=50):
+    """Damped Newton on F(c) = c - G s(beta K c), started from the
+    coefficients c = G s(beta Xi^T sigma0) of one retrieval from sigma0
+    (G 1/p from the default sigma0 = 0).  Each step solves
+    (I - G beta D K) d = -F and halves its length until |F| falls by the
+    Armijo factor 1 - 1e-4 t.  Returns (sigma* = Xc c, iterations, max |F|)
+    once max |F| <= tol * max(1, max |c|); raises AssertionError with the
+    residual after max_iter steps."""
+    import numpy as np
+
+    from cdam.dynamics import softmax_beta
+
+    xc, k, g = _coefficient_terms(patterns, coupling, params)
+    logits = np.zeros(patterns.p) if sigma0 is None else patterns.values.T @ sigma0
+    c = g @ softmax_beta(logits, params.beta)
+
+    def residual(c):
+        s = softmax_beta(k @ c, params.beta)
+        return c - g @ s, s
+
+    f, s = residual(c)
+    for iterations in range(max_iter + 1):
+        worst = float(np.abs(f).max())
+        if worst <= tol * max(1.0, float(np.abs(c).max())):
+            return xc @ c, iterations, worst
+        if iterations == max_iter:
+            break
+        jac = np.eye(patterns.p) - g @ (params.beta * (np.diag(s) - np.outer(s, s))) @ k
+        d = np.linalg.solve(jac, -f)
+        t, norm = 1.0, np.linalg.norm(f)
+        while True:
+            f_new, s_new = residual(c + t * d)
+            if np.linalg.norm(f_new) <= (1 - 1e-4 * t) * norm or t < 1e-12:
+                break
+            t /= 2
+        c, f, s = c + t * d, f_new, s_new
+    raise AssertionError(f"no fixed point in {max_iter} Newton steps: max |F| = {worst:.3e}")
+
+
+def jacobian_spectrum(sigma, patterns, coupling, params):
+    """The p eigenvalues mu of G beta (diag s - s s^T) K - I at the state
+    sigma, s = softmax(beta Xi^T sigma): the continuous Jacobian's spectrum
+    in coefficient space (at sigma = 0, s = 1/p: the zero-state rule)."""
+    import numpy as np
+
+    from cdam.dynamics import softmax_beta
+
+    _, k, g = _coefficient_terms(patterns, coupling, params)
+    s = softmax_beta(patterns.values.T @ sigma, params.beta)
+    return np.linalg.eigvals(g @ (params.beta * (np.diag(s) - np.outer(s, s))) @ k) - 1
+
+
 # The graph builders and the text parser written line by line, as the package
 # wrote them before it built barbell cliques from itertools.combinations,
 # accepted a random-regular draw with one test and took p from the parsed

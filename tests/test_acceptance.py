@@ -229,8 +229,9 @@ def test_c3_quiescence(four_mode_reports):
     # by orders of magnitude (recorded here for the log)
     rng = np.random.default_rng(0)
     pm = PatternMatrix(rng.uniform(0, 1, (1000, 30)))
-    res = X.run_all_triggers(pm, normalize(build_cycle(30)), ModelParams(a=-2.5, h=1.0), seed=1)
-    norm_final = float(np.abs(res["final_states"]).max())
+    final, _ = X.run_all_triggers(pm, normalize(build_cycle(30)), ModelParams(a=-2.5, h=1.0),
+                                  seed=1)
+    norm_final = float(np.abs(final).max())
     report("criterion 3 quiescence", worst <= 0.1,
            f"max |r| {worst:.3f} (<= 0.1); final state magnitude {norm_final:.2e}")
     assert worst <= 0.1
@@ -256,8 +257,8 @@ def test_c3_quiescent_correlations_are_the_kernel_projection(four_mode_reports):
         limit = _kernel_projection(pm.values, init_state(pm, np.arange(g.p), 1.0, 1))
         want = uncached_pearson_matrix(pm.values, limit)
         for a, h in ((-2.5, 1.0), (-1.5, 0.0), (-2.5, 0.0), (-3.0, 0.5)):
-            res = X.run_all_triggers(pm, normalize(g), ModelParams(a=a, h=h), seed=1)
-            worst_diff = max(worst_diff, float(np.abs(res["pattern_correlations"] - want).max()))
+            _, readouts = X.run_all_triggers(pm, normalize(g), ModelParams(a=a, h=h), seed=1)
+            worst_diff = max(worst_diff, float(np.abs(readouts[101] - want).max()))
         detail.append(f"{name} {np.abs(want).max():.4f}")
         assert np.abs(want).max() > 0.1
     report("criterion 3 quiescence account", worst_diff <= 1e-9,
@@ -502,8 +503,8 @@ def test_c10_quiescence_threshold():
     coupling = NormalizedAdjacency(matching.adjacency())  # unnormalized: M = A
     worst = {}
     for a in (-1.5, -0.5):
-        res = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1.0), seed=5)
-        worst[a] = float(np.abs(res["pattern_correlations"]).max())
+        _, readouts = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1.0), seed=5)
+        worst[a] = float(np.abs(readouts[101]).max())
     below, above = worst[-1.5], worst[-0.5]
     ok = below <= 0.1 and above > 0.1
     report("criterion 10 quiescence threshold", ok,

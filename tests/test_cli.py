@@ -466,7 +466,7 @@ class TestRejectedInputs:
         (["simulate", "--graph", "cycle:5", "--patterns", "random:50", "--trigger", "99"],
          "trigger 99 is not a pattern index in [0,5)"),
         (["experiment", "hop-range", "--n", "1"],
-         "pearson undefined: zero-variance state or pattern"),
+         "pearson undefined: zero-variance pattern"),
         (["simulate", "--graph", "dicycle:5", "--patterns", "random:50", "--a", "0", "--h", "0",
           "--energy"],
          "energy log argument 0.0 <= 0"),

@@ -208,14 +208,24 @@ class TestValueTypesOwnTheirArrays:
     @given(x=caller_arrays())
     @example(x=np.random.default_rng(0).uniform(0, 1, (5, 6))[:, :3])  # a column slice
     def test_statistics_ignore_later_writes_to_the_input(self, x):
-        # `early` caches its statistics before the write, `late` after it
+        # `early` caches its statistics before the write, `late` after it; a
+        # constant column has no centered statistics, before or after
         want = x.astype(float)
+        constant = bool(np.any(want.min(axis=0) == want.max(axis=0)))
+
+        def statistics(pm):
+            if not constant:
+                return [pm.mean_load, *pm.centered]
+            with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
+                pm.centered
+            return [pm.mean_load]
+
         early, late = PatternMatrix(x), PatternMatrix(x)
-        kept = [early.mean_load.copy(), *(v.copy() for v in early.centered)]
+        kept = [v.copy() for v in statistics(early)]
         x += 100
         for pm in (early, late):
             assert np.array_equal(pm.values, want)
-            for got, old in zip([pm.mean_load, *pm.centered], kept):
+            for got, old in zip(statistics(pm), kept, strict=True):
                 assert np.array_equal(got, old)
 
 
@@ -771,12 +781,27 @@ class TestReadoutBlocks:
 
     @pytest.mark.parametrize("what", ["state", "pattern"])
     def test_zero_variance_readout_raises(self, what):
+        # a constant state and a constant pattern are told apart
         values = np.random.default_rng(28).uniform(0, 1, (40, 4))
         sigma = np.full(40, 0.3) if what == "state" else values[:, 0].copy()
         if what == "pattern":
             values[:, 2] = 0.5
-        with pytest.raises(CdamError, match="pearson undefined: zero-variance state or pattern"):
+        with pytest.raises(CdamError) as caught:
             run(sigma, PatternMatrix(values), build_cycle(4), ModelParams())
+        assert str(caught.value) == f"pearson undefined: zero-variance {what}"
+
+    def test_zero_variance_pattern_raises_before_the_first_step(self, monkeypatch):
+        calls = []
+        retrieval = dynamics.retrieval_vector
+        monkeypatch.setattr(dynamics, "retrieval_vector",
+                            lambda *args, **kw: calls.append(1) or retrieval(*args, **kw))
+        values = np.random.default_rng(29).uniform(0, 1, (40, 4))
+        values[:, 1] = 0.25
+        pm = PatternMatrix(values)
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
+            run(init_state(pm, 0, seed=1), pm, build_cycle(4), ModelParams(),
+                max_steps=3 * K, fixed_point_tol=0.0)
+        assert calls == []
 
     @pytest.mark.parametrize("a, eta, with_energy", [
         (1e154, 0.1, False),  # the state norm overflows; the state stays finite
@@ -855,7 +880,7 @@ class TestMeasures:
         with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
             pearson_all(np.ones(10), pm)
         flat = PatternMatrix(np.column_stack([np.ones(10), np.arange(10.0)]))
-        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
             pearson_all(np.arange(10.0), flat)
 
     def test_pearson_all_equals_uncached_matrix_exactly(self):
@@ -890,7 +915,7 @@ class TestMeasures:
         flat = PatternMatrix(np.column_stack([np.arange(10.0), np.ones(10)]))
         state = np.arange(10.0) ** 2
         for _ in range(2):
-            with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
+            with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
                 pearson_all(state, flat)
 
     @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 1e3])

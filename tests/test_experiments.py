@@ -9,7 +9,6 @@ from cdam.automata import family_tree
 from cdam.dynamics import (
     ModelParams,
     PatternMatrix,
-    _basis_operator,
     init_state,
     iterate,
     pearson_all,
@@ -27,6 +26,8 @@ from cdam.graphs import (
 )
 from cdam.ingest import random_patterns
 from oracles import (
+    fixed_point,
+    jacobian_spectrum,
     narrow_mode_profile,
     naive_schedule_metrics,
     step_by_hand,
@@ -46,13 +47,13 @@ class TestBatchedRunner:
         coupling = normalize(build_cycle(6))
         params = ModelParams(a=-0.5, h=1.5)
         monkeypatch.setattr(X, "DEFAULT_STEPS", 20)
-        res = X.run_all_triggers(patterns, coupling, params, seed=9)
+        final = X.run_all_triggers(patterns, coupling, params, seed=9)[0]
 
         noise = np.random.default_rng(9).uniform(-0.5, 0.5, (60, 6))
         for trig in range(6):
             state = iterate(patterns.values[:, trig] + noise[:, trig], patterns, coupling, params,
                             20)[0]
-            assert np.max(np.abs(state - res["final_states"][:, trig])) < 1e-12
+            assert np.max(np.abs(state - final[:, trig])) < 1e-12
 
     def test_cached_pattern_correlations_equal_uncached_formula(self, monkeypatch):
         # the experiments' shape: reduction-order changes show at this size
@@ -60,15 +61,15 @@ class TestBatchedRunner:
         patterns = PatternMatrix(rng.uniform(0, 1, (1000, 30)))
         coupling, params = normalize(build_cycle(30)), ModelParams(a=0.5, h=0.5)
         monkeypatch.setattr(X, "DEFAULT_STEPS", 25)
-        res = X.run_all_triggers(patterns, coupling, params, seed=2, snapshots=(1, 10, 25))
-        assert np.array_equal(res["pattern_correlations"],
-                              uncached_pearson_matrix(patterns.values, res["final_states"]))
-        for t, mat in res["snapshots"].items():
+        final, readouts = X.run_all_triggers(patterns, coupling, params, seed=2,
+                                             snapshots=(1, 10, 25))
+        assert np.array_equal(readouts[25], uncached_pearson_matrix(patterns.values, final))
+        for t, mat in readouts.items():
             monkeypatch.setattr(X, "DEFAULT_STEPS", t)
-            sig = X.run_all_triggers(patterns, coupling, params, seed=2)["final_states"]
+            sig = X.run_all_triggers(patterns, coupling, params, seed=2)[0]
             assert np.array_equal(mat, uncached_pearson_matrix(patterns.values, sig))
-        assert np.array_equal(X.state_correlation_matrix(res["final_states"]),
-                              uncached_pearson_matrix(res["final_states"], res["final_states"]))
+        assert np.array_equal(X.state_correlation_matrix(final),
+                              uncached_pearson_matrix(final, final))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
@@ -90,11 +91,19 @@ class TestBatchedRunner:
         rng = np.random.default_rng(4)
         patterns = PatternMatrix(rng.uniform(0, 1, (40, 5)))
         monkeypatch.setattr(X, "DEFAULT_STEPS", 30)
-        res = X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
-                                 seed=1, snapshots=(1, 11, 26))
-        assert set(res["snapshots"]) == {1, 11, 26}
-        for mat in res["snapshots"].values():
+        _, readouts = X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
+                                         seed=1, snapshots=(1, 11, 26))
+        assert list(readouts) == [1, 11, 26, 30]  # the snapshots and the last step
+        for mat in readouts.values():
             assert mat.shape == (5, 5)
+
+    def test_four_modes_reads_each_step_once(self, monkeypatch):
+        steps = []
+        readout = X._readout
+        monkeypatch.setattr(X, "_readout",
+                            lambda states, pm, t: steps.append(t) or readout(states, pm, t))
+        X.four_modes(build_cycle(6), n=100)
+        assert steps == [1, 11, 26, 101] * 4
 
     @pytest.mark.parametrize("snapshots", [(0, 5, 200), (0,), (5, 102), (-1,)])
     def test_snapshot_outside_the_run_raises(self, snapshots):
@@ -103,9 +112,9 @@ class TestBatchedRunner:
         with pytest.raises(CdamError, match=r"not all in 1\.\.101"):
             X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
                                snapshots=snapshots)
-        res = X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
-                                 snapshots=(1, X.DEFAULT_STEPS))
-        assert set(res["snapshots"]) == {1, 101}
+        _, readouts = X.run_all_triggers(patterns, normalize(build_cycle(5)), ModelParams(),
+                                         snapshots=(1, X.DEFAULT_STEPS))
+        assert list(readouts) == [1, 101]
 
 
 class TestRelabelling:
@@ -150,7 +159,8 @@ class TestHopProfiles:
         assert np.max(np.abs(diff)) < 1e-12
 
     def test_state_correlation_matrix_zero_variance_raises(self):
-        with pytest.raises(CdamError, match="pearson undefined: zero-variance state or pattern"):
+        # the final states are the patterns of this readout
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
             X.state_correlation_matrix(np.ones((5, 3)))
 
     @pytest.mark.parametrize("states, message", [
@@ -213,41 +223,79 @@ class TestZeroStateRule:
         c = params.beta * n / (12 * graph.p)
         multipliers = 1 - params.eta + params.eta * c * (a + h * lam[:-1])
         assert (np.abs(multipliers).max() < 1) == quiescent
-        final = X.run_all_triggers(random_patterns(n, graph.p, 0), coupling, params,
-                                   seed=1)["final_states"]
+        final = X.run_all_triggers(random_patterns(n, graph.p, 0), coupling, params, seed=1)[0]
         assert (np.abs(final).max() < 1e-4) == quiescent
 
     # The zero-state verdicts on a committed grid, n = 1000, pattern seed 0:
-    # the closed form against the exact spectral radius of J at sigma = 0.
-    # There the softmax Jacobian is (beta/p)(I - 11^T/p), so J's eigenvalues
-    # are 1 - eta + eta*mu for the eigenvalues mu of the p x p matrix
-    # (beta/p)(I - 11^T/p) Xi^T Xc (aI + hM^T), and 1 - eta for the other
-    # n - p.  The closed form misses only cells near a boundary, where the
-    # Marchenko-Pastur spread of Xi^T Xc about (n/12)(I - 11^T/p) decides.
+    # the closed form against the exact spectral radius of the Euler step at
+    # sigma = 0, max |1 + eta*mu| over the eigenvalues mu of jacobian_spectrum
+    # there (the softmax Jacobian is (beta/p)(I - 11^T/p)), and 1 - eta for
+    # the other n - p directions.  The closed form misses only cells near a
+    # boundary, where the Marchenko-Pastur spread of Xi^T Xc about
+    # (n/12)(I - 11^T/p) decides.
     GRID = [(a / 2, h / 2) for a in range(-8, 5) for h in range(0, 9)]
 
     @pytest.mark.parametrize("name, agree", [("cycle", 112), ("tutte", 116), ("regular", 115)])
     def test_closed_form_agrees_with_exact_radius_on_grid(self, name, agree):
         graph = {"cycle": lambda: build_cycle(30), "tutte": lambda: build_named("tutte"),
                  "regular": lambda: build_random_regular(46, 3, 5)}[name]()
-        n, p, params = 1000, graph.p, ModelParams()
-        coupling = normalize(graph).matrix
+        n, p, eta = 1000, graph.p, ModelParams().eta
+        coupling = normalize(graph)
         patterns = random_patterns(n, p, 0)
-        xc = patterns.values - patterns.mean_load[:, None]
-        jac = (params.beta / p) * (np.eye(p) - 1 / p) @ (patterns.values.T @ xc)
-        lam = np.linalg.eigvalsh(coupling)[:-1]  # without the constant eigenvector's 1
-        c = params.beta * n / (12 * p)
+        lam = np.linalg.eigvalsh(coupling.matrix)[:-1]  # without the constant eigenvector's 1
+        c = ModelParams().beta * n / (12 * p)
         verdicts = {}
         for a, h in self.GRID:
             x = c * (a + h * lam)
-            closed = bool(np.all((-(2 - params.eta) / params.eta < x) & (x < 1)))
-            mu = np.linalg.eigvals(jac @ (a * np.eye(p) + h * coupling.T))
-            exact = bool(np.abs(1 - params.eta + params.eta * mu).max() < 1)
+            closed = bool(np.all((-(2 - eta) / eta < x) & (x < 1)))
+            mu = jacobian_spectrum(np.zeros(n), patterns, coupling, ModelParams(a=a, h=h))
+            exact = bool(np.abs(1 + eta * mu).max() < 1)
             verdicts[a, h] = closed, exact
         assert len(verdicts) == 117
         assert sum(closed == exact for closed, exact in verdicts.values()) == agree
         if name == "cycle":
             assert verdicts[-1.0, 1.0][1]
+
+
+class TestFixedPoints:
+    """Fixed points without a run (ROADMAP item 17): sigma* = Xc c with
+    c = G s(beta K c), found by the damped Newton of oracles.fixed_point,
+    and their stability from jacobian_spectrum; n = 1000, pattern seed 0."""
+
+    # Newton steps 7, 7 and 10; at (-3, 2) undamped Newton from G 1/p is
+    # still at residual 1.8 after 50 steps
+    @pytest.mark.parametrize("a, h", [(-2.5, 1.0), (-1.0, 1.0), (-3.0, 2.0)])
+    def test_quiescent_points_on_karate_from_the_uniform_start(self, a, h):
+        patterns, coupling = random_patterns(1000, 34, 0), normalize(build_named("karate"))
+        params = ModelParams(a=a, h=h)
+        sigma, _, _ = fixed_point(patterns, coupling, params)
+        run, _, how = iterate(np.zeros(1000), patterns, coupling, params, 3000, tol=1e-14)
+        assert how == "fixed-point"
+        assert np.abs(sigma - run).max() <= 1e-10 * np.abs(run).max()
+        mu = jacobian_spectrum(sigma, patterns, coupling, params)
+        assert np.abs(1 + params.eta * mu).max() < 1
+        if (a, h) == (-3.0, 2.0):  # inside the flip bound -2/eta = -20
+            assert mu.real.min() == pytest.approx(-15.68, abs=0.01)
+
+    # the pair state's count is 1.974, on the edge (29, 0)
+    @pytest.mark.parametrize("a, h, count", [(0.25, 0.75, 2.0), (0.5, 0.5, 1.0)],
+                             ids=["pair", "narrow"])
+    def test_pair_and_narrow_states_on_the_cycle_are_stable(self, a, h, count):
+        patterns, coupling = random_patterns(1000, 30, 0), normalize(build_cycle(30))
+        params = ModelParams(a=a, h=h, eta=0.02)
+        sigma0 = init_state(patterns, 0, seed=1)
+        early = iterate(sigma0, patterns, coupling, params, 100)[0]
+        sigma, _, _ = fixed_point(patterns, coupling, params, sigma0=early)
+        run, _, how = iterate(sigma0, patterns, coupling, params, 5000, tol=1e-13)
+        assert how == "fixed-point"
+        assert np.abs(sigma - run).max() <= 1e-10 * np.abs(run).max()
+        s = softmax_beta(patterns.values.T @ sigma, params.beta)
+        assert np.exp(-s @ np.log(s)) == pytest.approx(count, abs=0.05)
+        assert set(np.argsort(s)[-round(count):]) <= {29, 0}
+        mu = jacobian_spectrum(sigma, patterns, coupling, params)
+        assert mu.real.max() < 0
+        for eta in (0.02, 0.1):
+            assert np.abs(1 + eta * mu).max() < 1
 
 
 class TestNarrowModeLaw:
@@ -264,8 +312,8 @@ class TestNarrowModeLaw:
         patterns = random_patterns(1000, graph.p, 0)
         miss = {}
         for a in (0.5, 0.6, 0.7, 0.8, 0.9, 0.0):
-            final = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1 - a))
-            got = X.hop_profile(hops, X.state_correlation_matrix(final["final_states"]), 4)[0]
+            final = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1 - a))[0]
+            got = X.hop_profile(hops, X.state_correlation_matrix(final), 4)[0]
             law = narrow_mode_profile(a, 1 - a, coupling.matrix, hops)
             miss[a] = float(np.abs(got[1:] - law).max())
         assert max(miss[a] for a in (0.5, 0.6, 0.7, 0.8, 0.9)) < 0.02
@@ -296,16 +344,14 @@ class TestStepSize:
         return X.named_block_contrast("karate", X.state_correlation_matrix(final))
 
     def test_stock_step_is_past_the_flip_threshold(self, karate):
-        # the logit Jacobian W beta (diag s - s s^T) of some final state has
-        # Re mu < -(2 - eta)/eta = -19 (measured -99.98)
+        # the Jacobian of some final state has Re mu < -2/eta = -20
+        # (measured -100.98)
         patterns, coupling, _ = karate
         params = ModelParams(a=-2.0, h=3.0, eta=0.1)
         final = self._final(karate, params.eta, False)
-        w = _basis_operator(patterns.values, patterns, coupling, params)
-        s = softmax_beta(patterns.values.T @ final, params.beta)
-        lowest = min(np.linalg.eigvals(params.beta * w @ (np.diag(col) - np.outer(col, col)))
-                     .real.min() for col in s.T)
-        assert lowest < -19
+        lowest = min(jacobian_spectrum(state, patterns, coupling, params).real.min()
+                     for state in final.T)
+        assert lowest < -20
 
     def test_contrast_converges_as_eta_falls(self, karate):
         # 1.463341 at eta = 0.02 and 1.464225 at 0.01, each nudged by < 1e-15
@@ -490,6 +536,46 @@ class TestSequenceRecall:
             monkeypatch.setattr(X, name, value)
         with pytest.raises(NumericDivergenceError):
             X.sequence_recall(X.surrogate_frames())
+
+
+class TestSequenceWave:
+    """Sequence recall is a travelling wave (ROADMAP item 16): on the
+    directed frame cycle at (-2, 3) the pair state of frames (k, k+1) has
+    logits in the ratio a : a + h : h = -2 : 1 : 3 for frames k, k+1, k+2,
+    so the softmax moves forward.  The runs are sequence_recall's, in its
+    basis [Xi | yc], with frames from seed s and noise from s + 1 as the CLI
+    seeds them, to T = 150 (round(150/eta) steps)."""
+
+    T = 150
+
+    def _schedule(self, seed, eta):
+        frames = X.surrogate_frames(seed)
+        yc, ys = frames.centered
+        basis, rows = np.hstack([frames.values, yc]), []
+        iterate(init_state(frames, X.SEQUENCE_TRIGGER, X.DEFAULT_NOISE, seed + 1), frames,
+                normalize(build_cycle(frames.p, directed=True)),
+                ModelParams(a=-2.0, h=3.0, eta=eta), round(self.T / eta),
+                observe=lambda t, x: rows.append(x[frames.p:]), basis=basis)
+        return np.argmax(np.array(rows) / ys, axis=1)
+
+    def test_skips_belong_to_the_stock_step(self):
+        # seed 3 skips 11 times at eta = 0.1, as `cdam experiment sequence --seed 3`
+        # reports; at 0.05 and below every move is one frame forward
+        skips = {eta: X.schedule_metrics(self._schedule(3, eta), X.FRAME_COUNT)["skips"]
+                 for eta in (0.1, 0.05, 0.02)}
+        assert skips[0.1] > 0 and skips[0.05] == skips[0.02] == 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_speed_converges_as_eta_falls(self, seed):
+        # frames advanced per unit time at eta = 0.02 and 0.01: 4.920 and
+        # 4.967 at seed 0, 4.827 and 4.873 at seed 3
+        speeds = []
+        for eta in (0.02, 0.01):
+            schedule = self._schedule(seed, eta)
+            moves = np.flatnonzero(np.diff(schedule)) + 1
+            advanced = (schedule[moves] - schedule[moves - 1]) % X.FRAME_COUNT
+            speeds.append(advanced.sum() / self.T)
+        assert abs(speeds[1] - speeds[0]) < 0.02 * speeds[1]
 
 
 class TestAutomatonRunner:
