@@ -51,24 +51,20 @@ steps 1254 and 1136), and the pattern-basis schedule parts from the
 state-space one at those seeds only, later (from steps 1268 and 1436),
 with the same metrics (tools/sequence_basis.py 0 63).
 
-Pearson readouts.  One routine reads r from states: it centers an (n, K)
-stack S and takes one product Zc = yc^T (S - mean) with the cached
-centered patterns yc, r = Zc / (|yc| (outer) |S - mean|).  pearson_all is
-that routine for a state or a stack (batched runs, snapshots, the
-automaton, the state x state correlations).  run() keeps the states iterate hands
-its observer, which iterate never writes again, and reads READOUT_BLOCK of
-them, and the last partial block, as one stack: the routine gives r, the
-mean and SD = |S - mean|/sqrt(n), and Zc the energy's overlaps
-Xi^T S / n = (Zc + (sum_i yc_i + n*m) (outer) mean) / n, m the column means
-of Xi.  r and the energy of a block round unlike those of one state at a
-time (pearson_all, and the energy of overlaps_all) by at most 2.6e-15 in r
-and 9.1e-16 relative in the energy, and SD unlike its std() by 5.6e-17,
-over the 36 bench simulate runs at seeds 0, 5 and 7.  A bad readout is
-still named by its own step, though the run may take up to
-READOUT_BLOCK - 1 more steps before it raises.  Sequence recall steps the
-rows yc^T sigma themselves: the columns of yc sum to zero, so yc_mu.sigma
-is |sigma - mean(sigma)| |yc_mu| times the r of pattern mu, and the argmax
-of those rows over |yc| is the argmax of pearson_all(sigma).
+Pearson readouts.  _pearson_stack is the package's one Pearson routine and
+the only code that decides when r is undefined.  It centers an (n, K) stack
+S and takes one product Zc = yc^T (S - mean) with the cached centered
+patterns yc, r = Zc / (|yc| (outer) |S - mean|).  A state or pattern that is
+constant (max == min) or of centered norm 0 raises CdamError, and a state
+of no finite centered norm (too large to read) reads r = NaN.  pearson_all
+serves batched runs, snapshots, the automaton, the state x state
+correlations and stats.r_squared.  run() reads READOUT_BLOCK of iterate's
+states at a time as one stack, for r, the mean, SD = |S - mean|/sqrt(n)
+and, from Zc, the energy's overlaps Xi^T S / n = (Zc + (sum_i yc_i + n*m)
+(outer) mean) / n, m the column means of Xi.  Against one state at a time
+(pearson_all, and the energy of overlaps_all) a block rounds r by at most
+2.6e-15, the energy by 9.1e-16 relative and SD (against std()) by 5.6e-17,
+over the 36 bench simulate runs at seeds 0, 5 and 7.
 """
 
 from __future__ import annotations
@@ -129,11 +125,11 @@ class PatternMatrix:
     @cached_property
     def centered(self) -> tuple[np.ndarray, np.ndarray]:
         """Centered columns and their norms, the pattern side of every Pearson
-        readout; built on first use, as sweeps never read Pearson.  A zero
-        norm raises CdamError on every use: no r is defined against it."""
+        readout; built on first use, as sweeps never read Pearson.  A constant
+        column (max == min) or one of norm 0 raises CdamError on every use."""
         cols = self.values - self.values.mean(axis=0, keepdims=True)
         norms = np.sqrt((cols**2).sum(axis=0))
-        if np.any(norms == 0.0):
+        if np.any((norms == 0.0) | (self.values.max(axis=0) == self.values.min(axis=0))):
             raise CdamError("pearson undefined: zero-variance pattern")
         cols.flags.writeable = norms.flags.writeable = False
         return cols, norms
@@ -303,15 +299,13 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     energy over the same graph when with_energy is set.
 
     The trace includes the t=0 record, so it has steps+1 rows.  The loop is
-    iterate's, untouched; the readouts (Pearson r, mean, SD and energy) are
-    computed READOUT_BLOCK of iterate's own states at a time by pearson_all's
-    routine, whose one product with the centered patterns also gives the
-    energy's overlaps (see the module docstring).  A zero-variance pattern
-    raises CdamError before the first step, as do a non-finite fixed_point_tol
-    and, at its block, a zero-variance state.  A non-finite state or readout
-    aborts with NumericDivergenceError naming the offending step, though the
-    run may take up to READOUT_BLOCK - 1 more steps before it raises, and a
-    state that diverges in those steps does not hide it.
+    iterate's; its states are read READOUT_BLOCK at a time (see the module
+    docstring).  A zero-variance pattern or a non-finite fixed_point_tol
+    raises CdamError before the first step, and a zero-variance state at its
+    block.  A non-finite state or readout aborts with NumericDivergenceError
+    naming the offending step, though the run may take up to READOUT_BLOCK - 1
+    more steps before it raises, and a state that diverges in those steps
+    does not hide it.
     """
     if max_steps < 1:
         raise CdamError(f"max_steps must be >= 1, got {max_steps}")
@@ -321,7 +315,6 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     m = normalize(graph)
     _check_dims(sigma0, patterns, m, max_steps, fixed_point_tol)
     terms = _energy_terms(graph, m) if with_energy else None
-    # a block's overlaps Xi^T S / n are (Zc + shift (outer) mean) / n
     n = patterns.n
     shift = patterns.centered[0].sum(axis=0) + n * patterns.values.mean(axis=0)
 
@@ -329,8 +322,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     blocks = []  # (r, mean, sd, energy) of each block read
 
     def flush() -> None:
-        """Readouts of the pending states; the first state with a bad
-        readout ends the run, as the per-state order would."""
+        """Read the pending states; the first bad readout ends the run, as per-state reads would."""
         if not pending:
             return
         t0 = READOUT_BLOCK * len(blocks)  # every block but the last is full
@@ -343,7 +335,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
                 zc += np.multiply.outer(shift, mean)
                 zc /= n
                 e, arg = energy(zc, terms, params)
-        bad = ~np.isfinite(np.vstack([r, mean, sd, e])).all(axis=0) | (arg <= 0.0)
+        bad = ~np.isfinite(np.vstack([r, e])).all(axis=0) | (arg <= 0.0)
         if bad.any():
             j = int(bad.argmax())
             if arg[j] <= 0.0:
@@ -361,8 +353,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
             sigma0, patterns, m, params, max_steps, fixed_point_tol, observe=record
         )
     finally:
-        # the last, partial block; after a state divergence, a bad readout
-        # pending before it still wins
+        # the last, partial block; a bad readout before a state divergence wins
         flush()
 
     corr, means, sds, energies = (np.concatenate(column) for column in zip(*blocks))
@@ -375,31 +366,35 @@ def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
 
 def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
     """Pearson r of a state (n,) or of each column of an (n, K) stack against
-    every pattern, as (p,) or (p, K), through _pearson_stack.  A state whose
-    centered norm is not finite (too large to read) reads NaN; a state of
-    another shape, a stack of no states and a zero-variance state raise
-    CdamError, and so does a zero-variance pattern (PatternMatrix.centered)."""
+    every pattern, as (p,) or (p, K), by _pearson_stack: a constant (max == min)
+    or zero-norm state or pattern, a state of another shape and a stack of no
+    states raise CdamError, and a state too large to read reads NaN."""
     _check_states(states, patterns.n)
-    r, _, snorms, _ = _pearson_stack(states.reshape(len(states), -1), patterns)
-    r[:, ~np.isfinite(snorms)] = np.nan
+    r = _pearson_stack(states.reshape(len(states), -1), patterns)[0]
     return r.reshape(-1, *states.shape[1:])
 
 
 def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndarray, ...]:
     """Pearson r (p x K) of the columns of an (n, K) stack against every
-    pattern, the columns' means, their centered norms |S - mean| and the
-    product Zc = yc^T (S - mean) with the cached centered patterns yc,
-    the one Pearson routine for states (see the module docstring).  It
-    checks only the states: a zero-variance one raises CdamError."""
+    pattern, their means, centered norms |S - mean| and Zc = yc^T (S - mean),
+    yc the patterns' cached centered columns: the package's one Pearson
+    routine.  A constant state (max == min) or one of centered norm 0 raises
+    CdamError; a state of no finite centered norm (too large to read) reads
+    r = NaN.  Rounding leaves a constant state a norm of at most
+    n**1.5 eps/2 |mean|, or none finite, so only such states are compared."""
     yc, norms = patterns.centered
     with np.errstate(all="ignore"):
         mean = states.mean(axis=0)
         sc = states - mean
         zc = yc.T @ sc
         snorms = np.sqrt(np.square(sc, out=sc).sum(axis=0))
-        if np.any(snorms == 0.0):
+        near = ~np.isfinite(snorms) | (snorms <= len(sc) ** 1.5 * np.finfo(float).eps * abs(mean))
+        flat = states[:, near]
+        if np.any(snorms == 0.0) or np.any(flat.max(axis=0) == flat.min(axis=0)):
             raise CdamError("pearson undefined: zero-variance state")
-        return zc / (norms[:, None] * snorms[None, :]), mean, snorms, zc
+        r = zc / (norms[:, None] * snorms[None, :])
+    r[:, ~np.isfinite(snorms)] = np.nan
+    return r, mean, snorms, zc
 
 
 def _energy_terms(graph: MemoryGraph, m: NormalizedAdjacency) -> tuple:

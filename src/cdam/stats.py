@@ -1,4 +1,4 @@
-"""One-way ANOVA with the F-distribution tail computed in-package.
+"""One-way ANOVA with the F-distribution tail computed in-package, and R^2.
 
 The upper-tail probability of F(d1, d2) is the regularized incomplete beta
 I_x(d2/2, d1/2) at x = d2/(d2 + d1*F), evaluated with a Lentz-style
@@ -6,12 +6,17 @@ continued fraction.
 
 one_way_anova returns the dict that an experiment report stores:
 {"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
+r_squared squares the r of dynamics.pearson_all, which alone decides,
+exactly, when r is undefined.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .dynamics import PatternMatrix, pearson_all
 from .errors import CdamError
 
 
@@ -19,9 +24,9 @@ def one_way_anova(groups) -> dict:
     """F = MS_between / MS_within over the supplied samples, as
     {"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
 
-    Zero within-group variance with nonzero between-group spread reports
-    F = inf, p = 0, which a report.json writes as "f": null (JSON has no
-    infinity); identical groups report F = 0, p = 1.
+    Constant groups report F = inf, p = 0 (a report.json writes "f": null, as
+    JSON has no infinity), or F = 0, p = 1 when all values are equal; a
+    within-group spread that is not zero but underflows to 0 raises CdamError.
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:
@@ -32,12 +37,13 @@ def one_way_anova(groups) -> dict:
     grand = sum(sum(g) for g in groups) / total_n
     ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)
     ss_within = sum(sum((v - sum(g) / len(g)) ** 2 for v in g) for g in groups)
-    df_b = len(groups) - 1
-    df_w = total_n - len(groups)
-    if ss_within:
+    df_b, df_w = len(groups) - 1, total_n - len(groups)
+    if all(min(g) == max(g) for g in groups):  # no spread within groups
+        f = 0.0 if min(map(min, groups)) == max(map(max, groups)) else math.inf
+    elif ss_within:
         f = (ss_between / df_b) / (ss_within / df_w)
-    else:  # no spread within groups: F = inf, or 0 if none between them either
-        f = math.inf if ss_between else 0.0
+    else:
+        raise CdamError("ANOVA within-group spread underflows to 0")
     return {"f": f, "p": _f_sf(f, df_b, df_w), "df": [df_b, df_w]}
 
 
@@ -84,16 +90,11 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def r_squared(xs, ys) -> float:
-    """Squared Pearson correlation between two equal-length sequences."""
-    xs = list(map(float, xs))
-    ys = list(map(float, ys))
-    if len(xs) != len(ys) or len(xs) < 2:
+    """Squared Pearson r of two equal-length sequences: pearson_all of the state ys
+    against the one pattern xs, so a constant, non-finite or too large one raises CdamError."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
         raise CdamError("r_squared needs two sequences of equal length >= 2")
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:
-        raise CdamError("r_squared undefined for constant input")
-    return (sxy * sxy) / (sxx * syy)
+    if not math.isfinite(r := float(pearson_all(y, PatternMatrix(x[:, None]))[0])):
+        raise CdamError("r_squared undefined: input not finite or too large to read")
+    return r * r

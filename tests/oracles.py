@@ -99,6 +99,17 @@ def naive_pearson(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
+def naive_r_squared(xs, ys):
+    """Squared Pearson r from hand-summed deviations around each mean, the
+    formula stats.r_squared evaluated before it read r through pearson_all."""
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    return (sxy * sxy) / (sxx * syy)
+
+
 def naive_hop_distances(edges, p, source):
     """Floyd-Warshall over the undirected support (slow, independent of BFS)."""
     inf = float("inf")

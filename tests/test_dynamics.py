@@ -803,6 +803,16 @@ class TestReadoutBlocks:
                 max_steps=3 * K, fixed_point_tol=0.0)
         assert calls == []
 
+    def test_constant_pattern_whose_mean_rounds_raises_before_the_first_step(self, monkeypatch):
+        calls = []
+        retrieval = dynamics.retrieval_vector
+        monkeypatch.setattr(dynamics, "retrieval_vector",
+                            lambda *args, **kw: calls.append(1) or retrieval(*args, **kw))
+        pm = PatternMatrix([[0.1, 0.2, 0.7], [0.1, 0.5, 0.3], [0.1, 0.9, 0.4]])
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
+            run(np.array([0.3, 0.1, 0.8]), pm, build_cycle(3), ModelParams(), max_steps=5)
+        assert calls == []
+
     @pytest.mark.parametrize("a, eta, with_energy", [
         (1e154, 0.1, False),  # the state norm overflows; the state stays finite
         (1e154, 0.02, False),  # the same, in the second block
@@ -910,6 +920,60 @@ class TestMeasures:
         # a column's product rounds by its block's shape, not by its neighbours' values
         for j in (0, 1, 3):
             assert np.max(np.abs(r[:, j] - pearson_all(stack[:, j], pm))) < 1e-15
+
+    # a constant column whose mean rounds: 0.1 at n = 3 leaves a centered norm
+    # of 2.4e-17, which a test of that norm alone read as variance
+    ROUNDED = np.array([[0.1, 0.2, 0.7], [0.1, 0.5, 0.3], [0.1, 0.9, 0.4]])
+
+    def test_constant_pattern_whose_mean_rounds_raises(self):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
+            pearson_all(np.array([0.3, 0.1, 0.8]), PatternMatrix(self.ROUNDED))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_constant_state_whose_mean_rounds_raises(self, k):
+        pm = PatternMatrix(self.ROUNDED[:, 1:])
+        stack = np.random.default_rng(17).uniform(0, 1, (3, k))
+        stack[:, k // 2] = 0.1
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
+            pearson_all(stack, pm)
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
+            pearson_all(np.full(3, 0.1), pm)
+
+    def test_exact_mean_constants_raise(self):
+        # integer columns and n = 1, whose means are exact
+        ints = PatternMatrix(np.column_stack([np.arange(6), np.full(6, 4)]))
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
+            pearson_all(np.arange(6.0) ** 2, ints)
+        pm = PatternMatrix(np.random.default_rng(18).uniform(0, 1, (6, 2)))
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
+            pearson_all(np.full(6, 4), pm)
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
+            pearson_all(np.array([0.5]), PatternMatrix([[0.2, 0.7]]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 1000, 20000])
+    def test_every_constant_column_raises(self, n):
+        # rounding leaves a constant column at most n**1.5 eps/2 |mean| of
+        # norm, or none finite once its square overflows: every value and
+        # size, in either memory order, is caught
+        rng = np.random.default_rng(n)
+        values = [0.1, 1 / 3, 0.99, -7.3, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+                  *(rng.uniform(-1, 1, 12) * 10.0 ** rng.integers(-300, 300, 12))]
+        pm = PatternMatrix(rng.uniform(0, 1, (n, 2)))
+        for c in values:
+            for stack in (rng.uniform(0, 1, (n, 3)), np.asfortranarray(rng.uniform(0, 1, (n, 3)))):
+                stack[:, 1] = c
+                with pytest.raises(CdamError, match="zero-variance state"):
+                    pearson_all(stack, pm)
+                with pytest.raises(CdamError, match="zero-variance pattern"):
+                    PatternMatrix(stack).centered
+
+    def test_nearly_constant_column_is_read(self):
+        # one ulp of spread is variance: the exact test refuses only max == min
+        pm = PatternMatrix(self.ROUNDED[:, 1:])
+        state = np.array([0.1, 0.1, math.nextafter(0.1, 1.0)])
+        assert np.isfinite(pearson_all(state, pm)).all()
+        assert np.isfinite(pearson_all(pm.values[:, 0], PatternMatrix(state[:, None]))).all()
 
     def test_zero_variance_pattern_raises_on_every_call(self):
         flat = PatternMatrix(np.column_stack([np.arange(10.0), np.ones(10)]))

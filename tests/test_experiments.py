@@ -87,6 +87,14 @@ class TestBatchedRunner:
                                ModelParams(a=1e200, h=0), snapshots=snapshots)
         assert caught.value.step == step
 
+    def test_constant_state_whose_mean_rounds_raises(self, monkeypatch):
+        # a = h = 0 and eta = 0.5 halve every state exactly, so states that
+        # start at 0.1 * 2**101 are the constant 0.1 at the last step
+        patterns = PatternMatrix(np.random.default_rng(6).uniform(0, 1, (3, 3)))
+        monkeypatch.setattr(X, "init_state", lambda pm, *args: np.full((3, 3), 0.1 * 2.0**101))
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance state"):
+            X.run_all_triggers(patterns, normalize(build_cycle(3)), ModelParams(a=0, h=0, eta=0.5))
+
     def test_snapshot_times(self, monkeypatch):
         rng = np.random.default_rng(4)
         patterns = PatternMatrix(rng.uniform(0, 1, (40, 5)))
@@ -379,6 +387,19 @@ class TestBlockContrast:
     def test_blocks_must_cover(self):
         with pytest.raises(CdamError, match="blocks do not cover every vertex"):
             X.block_contrast(np.eye(4), [[0, 1], [2]])
+
+    @pytest.mark.parametrize("blocks", [
+        [[0, 1], [2, -1]],  # -1 once read as vertex 3
+        [[0, 1], [2, 4]],  # once a bare IndexError
+        [[0, 1, 2], [2, 3]],  # 2 once given to the last block
+    ])
+    def test_members_must_be_vertices_of_one_block(self, blocks):
+        with pytest.raises(CdamError, match=r"outside \[0,4\) or in an earlier block"):
+            X.block_contrast(np.eye(4), blocks)
+
+    def test_a_member_repeated_in_its_own_block_is_kept(self):
+        mat = np.full((4, 4), 0.5)
+        assert X.block_contrast(mat, [[0, 1, 1], [2, 3]]) == 0.0
 
     @pytest.mark.parametrize("blocks", [[[0, 1, 2]], [[0], [1], [2]]])
     def test_blocks_need_within_and_cross_pairs(self, blocks):

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import stats as sps
 
 from cdam.errors import CdamError
 from cdam.stats import _betainc_regularized, _f_sf, one_way_anova, r_squared
-from oracles import naive_anova_f
+from oracles import naive_anova_f, naive_r_squared
 
 
 class TestAnova:
@@ -29,6 +30,19 @@ class TestAnova:
     def test_zero_within_variance(self):
         res = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
         assert math.isinf(res["f"]) and res["p"] == 0.0
+
+    def test_constant_groups_are_decided_exactly(self):
+        # the group means of 0.1 and 0.2 round, so sums of squares around
+        # them leave noise: constant groups must still read F = inf or F = 0
+        res = one_way_anova([[0.1] * 3, [0.2] * 3])
+        assert math.isinf(res["f"]) and res["p"] == 0.0
+        res = one_way_anova([[0.1] * 3, [0.1] * 3])
+        assert res["f"] == 0.0 and res["p"] == 1.0
+
+    def test_underflowing_within_spread_raises(self):
+        # squared deviations of 5e-201 underflow to 0 in groups that are not constant
+        with pytest.raises(CdamError, match="underflows to 0"):
+            one_way_anova([[0.0, 1e-200], [0.0, 1e-200]])
 
     def test_matches_naive_f(self):
         groups = [[0.3, 1.2, 0.7, 0.9], [1.4, 1.8, 1.1], [0.2, 0.4, 0.3, 0.6, 0.1]]
@@ -91,5 +105,36 @@ class TestRSquared:
         assert r_squared([1, 2, 3], [-1, -2, -3]) == pytest.approx(1.0)
 
     def test_constant_input_raises(self):
-        with pytest.raises(CdamError, match="r_squared undefined for constant input"):
+        with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
             r_squared([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("xs, ys, what", [
+        ([0.1] * 3, [1, 2, 3], "pattern"),  # a mean that rounds: the old formula read noise
+        ([1, 2, 3], [0.1] * 3, "state"),
+        ([1, 2, 3], [7, 7, 7], "state"),
+    ])
+    def test_constant_sequence_raises_either_side(self, xs, ys, what):
+        with pytest.raises(CdamError, match=f"pearson undefined: zero-variance {what}"):
+            r_squared(xs, ys)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, math.nan, 3.0], [1, 2, 3]), ([1, 2, 3], [1.0, math.nan, 3.0]),
+        ([1, 2, 3], [1.0, math.inf, 3.0]), ([1, 2, 3], [1e200, -1e200, 3.0]),
+    ])
+    def test_non_finite_or_too_large_input_raises(self, xs, ys):
+        with pytest.raises(CdamError):
+            r_squared(xs, ys)
+
+    @pytest.mark.parametrize("xs, ys", [([1, 2, 3], [1, 2]), ([1], [2]), ([[1, 2]], [[1, 2]])])
+    def test_shape_validation(self, xs, ys):
+        with pytest.raises(CdamError):
+            r_squared(xs, ys)
+
+    def test_matches_the_hand_summed_formula(self):
+        rng = np.random.default_rng(37)
+        for n in (2, 3, 7, 50, 1000):
+            for _ in range(20):
+                xs, ys = rng.normal(0, 1, n), rng.uniform(-3, 5, n)
+                want = naive_r_squared(list(xs), list(ys))
+                assert abs(r_squared(xs, ys) - want) <= 1e-14
+                assert isinstance(r_squared(xs, ys), float)
