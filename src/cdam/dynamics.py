@@ -51,20 +51,16 @@ steps 1254 and 1136), and the pattern-basis schedule parts from the
 state-space one at those seeds only, later (from steps 1268 and 1436),
 with the same metrics (tools/sequence_basis.py 0 63).
 
-Pearson readouts.  _pearson_stack is the package's one Pearson routine and
-the only code that decides when r is undefined.  It centers an (n, K) stack
-S and takes one product Zc = yc^T (S - mean) with the cached centered
-patterns yc, r = Zc / (|yc| (outer) |S - mean|).  A state or pattern that is
-constant (max == min) or of centered norm 0 raises CdamError, and a state
-of no finite centered norm (too large to read) reads r = NaN.  pearson_all
-serves batched runs, snapshots, the automaton, the state x state
-correlations and stats.r_squared.  run() reads READOUT_BLOCK of iterate's
-states at a time as one stack, for r, the mean, SD = |S - mean|/sqrt(n)
-and, from Zc, the energy's overlaps Xi^T S / n = (Zc + (sum_i yc_i + n*m)
-(outer) mean) / n, m the column means of Xi.  Against one state at a time
-(pearson_all, and the energy of overlaps_all) a block rounds r by at most
-2.6e-15, the energy by 9.1e-16 relative and SD (against std()) by 5.6e-17,
-over the 36 bench simulate runs at seeds 0, 5 and 7.
+Pearson readouts.  _pearson_stack, the package's one Pearson routine, centers
+an (n, K) stack S and takes one product Zc = yc^T (S - mean) with the cached
+centered patterns yc, r = Zc / (|yc| (outer) |S - mean|).  One rule, _refuse_flat,
+decides zero variance for patterns and states, and one too large to read reads NaN.
+run() reads READOUT_BLOCK of iterate's states at a time as one stack, for r,
+the mean, SD = |S - mean|/sqrt(n) and, from Zc, the energy's overlaps
+Xi^T S / n = (Zc + (sum_i yc_i + n*m) (outer) mean) / n, m the column means of
+Xi.  Against one state at a time (pearson_all, and the energy of overlaps_all) a
+block rounds r by at most 2.6e-15, the energy by 9.1e-16 relative and SD
+(against std()) by 5.6e-17, over the 36 bench simulate runs at seeds 0, 5 and 7.
 """
 
 from __future__ import annotations
@@ -124,13 +120,12 @@ class PatternMatrix:
 
     @cached_property
     def centered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered columns and their norms, the pattern side of every Pearson
-        readout; built on first use, as sweeps never read Pearson.  A constant
-        column (max == min) or one of norm 0 raises CdamError on every use."""
-        cols = self.values - self.values.mean(axis=0, keepdims=True)
-        norms = np.sqrt((cols**2).sum(axis=0))
-        if np.any((norms == 0.0) | (self.values.max(axis=0) == self.values.min(axis=0))):
-            raise CdamError("pearson undefined: zero-variance pattern")
+        """Centered columns and their norms, the pattern side of every Pearson readout, built
+        on first use (sweeps never read Pearson); raises CdamError if _refuse_flat refuses."""
+        with np.errstate(all="ignore"):
+            cols = self.values - (mean := self.values.mean(axis=0))
+            norms = np.sqrt((cols**2).sum(axis=0))
+        _refuse_flat(self.values, mean, norms, "pattern")
         cols.flags.writeable = norms.flags.writeable = False
         return cols, norms
 
@@ -365,35 +360,38 @@ def overlaps_all(sigma: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
 
 
 def pearson_all(states: np.ndarray, patterns: PatternMatrix) -> np.ndarray:
-    """Pearson r of a state (n,) or of each column of an (n, K) stack against
-    every pattern, as (p,) or (p, K), by _pearson_stack: a constant (max == min)
-    or zero-norm state or pattern, a state of another shape and a stack of no
-    states raise CdamError, and a state too large to read reads NaN."""
+    """Pearson r of a state (n,) or of each column of an (n, K) stack against every pattern,
+    as (p,) or (p, K), by _pearson_stack; a state of another shape or no states raise CdamError."""
     _check_states(states, patterns.n)
     r = _pearson_stack(states.reshape(len(states), -1), patterns)[0]
     return r.reshape(-1, *states.shape[1:])
 
 
+def _refuse_flat(values: np.ndarray, mean: np.ndarray, norms: np.ndarray, what: str) -> None:
+    """The one rule for when Pearson r is undefined, for patterns and states alike: raise
+    CdamError("pearson undefined: zero-variance {what}") if a column of the (n, K) values is
+    constant (max == min) or of norm 0.  Rounding leaves a constant column a norm <= n**1.5 eps/2
+    |mean|, or none finite, so only norms <= n**1.5 eps |mean| or not finite are compared."""
+    near = ~np.isfinite(norms) | (norms <= len(values) ** 1.5 * np.finfo(float).eps * abs(mean))
+    flat = values[:, near]
+    if np.any(norms == 0.0) or np.any(flat.max(axis=0) == flat.min(axis=0)):
+        raise CdamError(f"pearson undefined: zero-variance {what}")
+
+
 def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndarray, ...]:
-    """Pearson r (p x K) of the columns of an (n, K) stack against every
-    pattern, their means, centered norms |S - mean| and Zc = yc^T (S - mean),
-    yc the patterns' cached centered columns: the package's one Pearson
-    routine.  A constant state (max == min) or one of centered norm 0 raises
-    CdamError; a state of no finite centered norm (too large to read) reads
-    r = NaN.  Rounding leaves a constant state a norm of at most
-    n**1.5 eps/2 |mean|, or none finite, so only such states are compared."""
+    """Pearson r (p x K) of the columns of an (n, K) stack against every pattern, their means,
+    centered norms |S - mean| and Zc = yc^T (S - mean), yc the patterns' cached centered columns.
+    Patterns and states pass _refuse_flat, and r reads NaN in the row of every pattern and the
+    column of every state that is too large to read."""
     yc, norms = patterns.centered
     with np.errstate(all="ignore"):
         mean = states.mean(axis=0)
         sc = states - mean
         zc = yc.T @ sc
         snorms = np.sqrt(np.square(sc, out=sc).sum(axis=0))
-        near = ~np.isfinite(snorms) | (snorms <= len(sc) ** 1.5 * np.finfo(float).eps * abs(mean))
-        flat = states[:, near]
-        if np.any(snorms == 0.0) or np.any(flat.max(axis=0) == flat.min(axis=0)):
-            raise CdamError("pearson undefined: zero-variance state")
-        r = zc / (norms[:, None] * snorms[None, :])
-    r[:, ~np.isfinite(snorms)] = np.nan
+        _refuse_flat(states, mean, snorms, "state")
+        r = zc / (scale := norms[:, None] * snorms[None, :])
+    r[~np.isfinite(scale)] = np.nan  # where a norm is not finite: finite ones are < 2**512
     return r, mean, snorms, zc
 
 

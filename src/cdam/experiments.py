@@ -271,13 +271,14 @@ def community_matrices(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) ->
 
 def block_contrast(matrix: np.ndarray, blocks) -> float:
     """Mean within-block correlation minus mean cross-block correlation,
-    diagonal excluded; a member outside [0, p), a vertex in two blocks, or
-    blocks that leave either without a pair raise CdamError."""
+    diagonal excluded; a member that is not an integer in [0, p), a vertex in
+    two blocks, or blocks that leave either without a pair raise CdamError."""
     p = matrix.shape[0]
     labels = np.full(p, -1)
     for b, members in enumerate(blocks):
-        if not all(0 <= v < p and labels[v] in (-1, b) for v in members):
-            raise CdamError(f"block {b} has a member outside [0,{p}) or in an earlier block")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and 0 <= v < p and labels[v] in (-1, b) for v in members):
+            raise CdamError(f"block {b} has a member not an int in [0,{p}) or in an earlier block")
         labels[list(members)] = b
     if (labels < 0).any():
         raise CdamError("blocks do not cover every vertex")

@@ -6,8 +6,7 @@ continued fraction.
 
 one_way_anova returns the dict that an experiment report stores:
 {"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
-r_squared squares the r of dynamics.pearson_all, which alone decides,
-exactly, when r is undefined.
+r_squared squares the r of dynamics.pearson_all and raises where it is undefined.
 """
 
 from __future__ import annotations
@@ -24,15 +23,17 @@ def one_way_anova(groups) -> dict:
     """F = MS_between / MS_within over the supplied samples, as
     {"f": F, "p": upper-tail probability, "df": [df_between, df_within]}.
 
-    Constant groups report F = inf, p = 0 (a report.json writes "f": null, as
-    JSON has no infinity), or F = 0, p = 1 when all values are equal; a
-    within-group spread that is not zero but underflows to 0 raises CdamError.
+    Constant groups report F = inf, p = 0 (a report.json writes "f": null, as JSON
+    has no infinity), or F = 0, p = 1 when all values are equal; a NaN or infinite
+    sample, or a within-group spread that is not zero but underflows to 0, raises CdamError.
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:
         raise CdamError(f"ANOVA needs >= 2 groups, got {len(groups)}")
     if any(len(g) < 2 for g in groups):
         raise CdamError("every ANOVA group needs >= 2 samples")
+    if not all(map(math.isfinite, (v for g in groups for v in g))):
+        raise CdamError("ANOVA samples must be finite, got NaN or infinity")
     total_n = sum(len(g) for g in groups)
     grand = sum(sum(g) for g in groups) / total_n
     ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)

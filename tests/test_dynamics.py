@@ -813,6 +813,14 @@ class TestReadoutBlocks:
             run(np.array([0.3, 0.1, 0.8]), pm, build_cycle(3), ModelParams(), max_steps=5)
         assert calls == []
 
+    def test_pattern_too_large_to_read_is_a_bad_readout_at_step_0(self):
+        # its r reads NaN, as a state's does, where it once read 0
+        pm = PatternMatrix(np.random.default_rng(3).uniform(0, 1, (40, 4)) * 1e200)
+        with pytest.raises(NumericDivergenceError) as exc:
+            run(np.random.default_rng(4).uniform(0, 1, 40), pm, build_cycle(4), ModelParams())
+        assert exc.value.step == 0
+        assert "readout" in str(exc.value)
+
     @pytest.mark.parametrize("a, eta, with_energy", [
         (1e154, 0.1, False),  # the state norm overflows; the state stays finite
         (1e154, 0.02, False),  # the same, in the second block
@@ -884,6 +892,15 @@ class TestMeasures:
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (50, 3)))
         sigma = np.random.default_rng(1).uniform(-0.5, 0.5, 50) * 1e200
         assert np.isnan(pearson_all(sigma, pm)).all()
+
+    def test_overflowed_pattern_norm_gives_nan(self):
+        # finite patterns whose centered norms overflow once read r = 0, with a warning
+        pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (50, 3)) * 1e200)
+        sigma = np.random.default_rng(1).uniform(0, 1, (50, 2))
+        assert np.isnan(pearson_all(sigma, pm)).all()
+        mixed = PatternMatrix(np.column_stack([pm.values[:, 0], np.arange(50.0)]))
+        r = pearson_all(sigma, mixed)
+        assert np.isnan(r[0]).all() and np.isfinite(r[1]).all()
 
     def test_zero_variance_raises(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 2)))
@@ -967,6 +984,28 @@ class TestMeasures:
                     pearson_all(stack, pm)
                 with pytest.raises(CdamError, match="zero-variance pattern"):
                     PatternMatrix(stack).centered
+
+    def test_shared_rule_refuses_what_the_full_max_min_test_refused(self):
+        # a constant column whose mean may round, beside a varying one, and
+        # the same column one ulp apart in one place: the rule compares only
+        # near-constant columns, yet refuses exactly what comparing all did
+        rng = np.random.default_rng(37)
+        for n in range(2, 200):
+            for c in (0.1, 0.3, 0.7, 1 / 3):
+                values = np.column_stack([rng.uniform(0, 1, n), np.full(n, c)])
+                for nudged in (False, True):
+                    values[n // 2, 1] = math.nextafter(c, 1.0) if nudged else c
+                    mean = values.mean(axis=0)
+                    norms = np.sqrt(((values - mean) ** 2).sum(axis=0))
+                    full = bool(np.any((norms == 0.0) | (values.max(axis=0) == values.min(axis=0))))
+                    assert full is not nudged
+                    try:
+                        dynamics._refuse_flat(values, mean, norms, "pattern")
+                    except CdamError:
+                        refused = True
+                    else:
+                        refused = False
+                    assert refused is full, (n, c, nudged)
 
     def test_nearly_constant_column_is_read(self):
         # one ulp of spread is variance: the exact test refuses only max == min

@@ -392,9 +392,12 @@ class TestBlockContrast:
         [[0, 1], [2, -1]],  # -1 once read as vertex 3
         [[0, 1], [2, 4]],  # once a bare IndexError
         [[0, 1, 2], [2, 3]],  # 2 once given to the last block
+        [[0, 1.0], [2, 3]],  # once an IndexError
+        [[0, "1"], [2, 3]],  # once a TypeError
+        [[0, True], [2, 3]],  # once a ValueError
     ])
     def test_members_must_be_vertices_of_one_block(self, blocks):
-        with pytest.raises(CdamError, match=r"outside \[0,4\) or in an earlier block"):
+        with pytest.raises(CdamError, match=r"not an int in \[0,4\) or in an earlier block"):
             X.block_contrast(np.eye(4), blocks)
 
     def test_a_member_repeated_in_its_own_block_is_kept(self):

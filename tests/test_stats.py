@@ -39,6 +39,12 @@ class TestAnova:
         res = one_way_anova([[0.1] * 3, [0.1] * 3])
         assert res["f"] == 0.0 and res["p"] == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises(self, bad):
+        # once a continued fraction that failed to converge at x = nan
+        with pytest.raises(CdamError, match="ANOVA samples must be finite"):
+            one_way_anova([[bad, 1], [2, 3]])
+
     def test_underflowing_within_spread_raises(self):
         # squared deviations of 5e-201 underflow to 0 in groups that are not constant
         with pytest.raises(CdamError, match="underflows to 0"):
@@ -120,6 +126,7 @@ class TestRSquared:
     @pytest.mark.parametrize("xs, ys", [
         ([1.0, math.nan, 3.0], [1, 2, 3]), ([1, 2, 3], [1.0, math.nan, 3.0]),
         ([1, 2, 3], [1.0, math.inf, 3.0]), ([1, 2, 3], [1e200, -1e200, 3.0]),
+        (np.arange(5) * 1e200, np.arange(5.0)),  # a pattern too large to read once gave 0.0
     ])
     def test_non_finite_or_too_large_input_raises(self, xs, ys):
         with pytest.raises(CdamError):

@@ -153,6 +153,45 @@ def test_only_reports_writes_files():
     assert _file_writes(ast.parse((ROOT / "src" / "cdam" / "reports.py").read_text()))
 
 
+def _max_min_comparisons(tree: ast.Module) -> list[str]:
+    """The name of the function around each comparison of an array's .max(...)
+    with its .min(...), in either order, the test of a constant column; the
+    builtin max() and min() of a plain sequence are not array reductions."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                names = {getattr(side.func, "attr", None) for side in sides
+                         if isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)}
+                if {"max", "min"} <= names:
+                    found.append(func.name)
+    return found
+
+
+def test_max_min_comparisons_are_found_in_any_spelling():
+    code = '''
+def f(v):
+    return v.max(axis=0) == v.min(axis=0)
+class C:
+    def g(self, v):
+        return np.any(v[:, 1].min() != v[:, 1].max())
+def h(g):
+    return min(g) == max(g) or v.max() > 0
+'''
+    assert _max_min_comparisons(ast.parse(code)) == ["f", "g"]
+
+
+def test_one_function_decides_zero_variance():
+    # patterns and states pass the same rule, so a constant column is
+    # recognised in one place
+    found = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "cdam").glob("*.py"))
+             for name in _max_min_comparisons(ast.parse(path.read_text()))]
+    assert found == ["dynamics._refuse_flat"]
+
+
 _VALUE_TYPES = ("PatternMatrix", "NormalizedAdjacency")
 
 
