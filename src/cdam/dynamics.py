@@ -51,16 +51,15 @@ steps 1254 and 1136), and the pattern-basis schedule parts from the
 state-space one at those seeds only, later (from steps 1268 and 1436),
 with the same metrics (tools/sequence_basis.py 0 63).
 
-Pearson readouts.  _pearson_stack, the package's one Pearson routine, centers
-an (n, K) stack S and takes one product Zc = yc^T (S - mean) with the cached
-centered patterns yc, r = Zc / (|yc| (outer) |S - mean|).  One rule, _refuse_flat,
-decides zero variance for patterns and states, and one too large to read reads NaN.
-run() reads READOUT_BLOCK of iterate's states at a time as one stack, for r,
-the mean, SD = |S - mean|/sqrt(n) and, from Zc, the energy's overlaps
-Xi^T S / n = (Zc + (sum_i yc_i + n*m) (outer) mean) / n, m the column means of
-Xi.  Against one state at a time (pearson_all, and the energy of overlaps_all) a
-block rounds r by at most 2.6e-15, the energy by 9.1e-16 relative and SD
-(against std()) by 5.6e-17, over the 36 bench simulate runs at seeds 0, 5 and 7.
+Pearson readouts.  _pearson_stack, the package's one Pearson routine, reads
+a stack of states whole from one product with the cached centered patterns:
+r, the mean, the SD and the energy's overlaps.  One rule, _refuse_flat,
+decides zero variance for patterns and states, and one too large to read
+reads NaN.  run() reads READOUT_BLOCK of iterate's states at a time as one
+stack.  Against one state at a time (pearson_all, and the energy of
+overlaps_all) a block rounds r by at most 2.6e-15, the energy by 9.1e-16
+relative and SD (against std()) by 5.6e-17, over the 36 bench simulate runs
+at seeds 0, 5 and 7.
 """
 
 from __future__ import annotations
@@ -119,15 +118,16 @@ class PatternMatrix:
         return self.values.mean(axis=1)
 
     @cached_property
-    def centered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered columns and their norms, the pattern side of every Pearson readout, built
-        on first use (sweeps never read Pearson); raises CdamError if _refuse_flat refuses."""
+    def centered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centered columns yc, their norms and sum_i yc_i + n*mean: the pattern side of
+        _pearson_stack, built on first use (sweeps never read Pearson); _refuse_flat checks it."""
         with np.errstate(all="ignore"):
             cols = self.values - (mean := self.values.mean(axis=0))
             norms = np.sqrt((cols**2).sum(axis=0))
+            shift = cols.sum(axis=0) + self.n * mean
         _refuse_flat(self.values, mean, norms, "pattern")
-        cols.flags.writeable = norms.flags.writeable = False
-        return cols, norms
+        cols.flags.writeable = norms.flags.writeable = shift.flags.writeable = False
+        return cols, norms, shift
 
 
 @dataclass(frozen=True)
@@ -262,17 +262,17 @@ def iterate(sigma0: np.ndarray, patterns: PatternMatrix, m: NormalizedAdjacency,
     without a copy.  A tol > 0 stops the run after the first step whose max
     |change| is below it.  Negative steps, a non-finite tol or a stack of no
     states raise CdamError, and a non-finite state NumericDivergenceError
-    naming its step; the whole loop, observer calls too, holds one
-    np.errstate(all="ignore").  Returns (final state, steps taken, "max-steps" or "fixed-point").
+    naming its step; one np.errstate(all="ignore") holds the basis operator, every step and
+    every observer call.  Returns (final state, steps taken, "max-steps" or "fixed-point").
     """
     sig = np.asarray(sigma0, dtype=float)
     _check_dims(sig, patterns, m, steps, tol)
     operator = None
-    if basis is not None:
-        basis = np.asarray(basis, dtype=float)
-        operator = _basis_operator(basis, patterns, m, params)
-        sig = basis.T @ sig
     with np.errstate(all="ignore"):
+        if basis is not None:
+            basis = np.asarray(basis, dtype=float)
+            operator = _basis_operator(basis, patterns, m, params)
+            sig = basis.T @ sig
         for t in range(1, steps + 1):
             new = update_step(sig, patterns, m, params, operator)
             if not np.isfinite(new).all():
@@ -310,8 +310,7 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
     m = normalize(graph)
     _check_dims(sigma0, patterns, m, max_steps, fixed_point_tol)
     terms = _energy_terms(graph, m) if with_energy else None
-    n = patterns.n
-    shift = patterns.centered[0].sum(axis=0) + n * patterns.values.mean(axis=0)
+    patterns.centered  # a zero-variance pattern raises here, before the first step
 
     pending = [sigma0]  # states not yet read, from step READOUT_BLOCK * len(blocks)
     blocks = []  # (r, mean, sd, energy) of each block read
@@ -323,13 +322,10 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
         t0 = READOUT_BLOCK * len(blocks)  # every block but the last is full
         states = np.array(pending).T
         pending.clear()
-        r, mean, norm, zc = _pearson_stack(states, patterns)
-        sd, e, arg = norm / math.sqrt(n), np.zeros_like(mean), np.ones_like(mean)
+        r, mean, sd, overlaps = _pearson_stack(states, patterns)
+        e, arg = np.zeros_like(mean), np.ones_like(mean)
         if terms is not None:
-            with np.errstate(all="ignore"):
-                zc += np.multiply.outer(shift, mean)
-                zc /= n
-                e, arg = energy(zc, terms, params)
+            e, arg = energy(overlaps, terms, params)
         bad = ~np.isfinite(np.vstack([r, e])).all(axis=0) | (arg <= 0.0)
         if bad.any():
             j = int(bad.argmax())
@@ -343,13 +339,13 @@ def run(sigma0: np.ndarray, patterns: PatternMatrix, graph: MemoryGraph,
         if len(pending) == READOUT_BLOCK:
             flush()
 
-    try:
-        sigma, _, termination = iterate(
-            sigma0, patterns, m, params, max_steps, fixed_point_tol, observe=record
-        )
-    finally:
-        # the last, partial block; a bad readout before a state divergence wins
-        flush()
+    with np.errstate(all="ignore"):
+        try:
+            sigma, _, termination = iterate(sigma0, patterns, m, params, max_steps,
+                                            fixed_point_tol, observe=record)
+        finally:
+            # the last, partial block; a bad readout before a state divergence wins
+            flush()
 
     corr, means, sds, energies = (np.concatenate(column) for column in zip(*blocks))
     return SimulationTrace(corr, means, sds, energies if with_energy else None, sigma, termination)
@@ -379,11 +375,12 @@ def _refuse_flat(values: np.ndarray, mean: np.ndarray, norms: np.ndarray, what: 
 
 
 def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndarray, ...]:
-    """Pearson r (p x K) of the columns of an (n, K) stack against every pattern, their means,
-    centered norms |S - mean| and Zc = yc^T (S - mean), yc the patterns' cached centered columns.
-    Patterns and states pass _refuse_flat, and r reads NaN in the row of every pattern and the
-    column of every state that is too large to read."""
-    yc, norms = patterns.centered
+    """Readouts (r, mean, sd, overlaps) of an (n, K) stack S of states from one product
+    Zc = yc^T Sc, Sc = S - mean, yc the patterns' cached centered columns: r = Zc / (|yc|
+    (outer) |Sc|), SD = |Sc|/sqrt(n) and Xi^T S / n = (Zc + (sum_i yc_i + n*m) (outer) mean) / n,
+    m the column means of Xi.  Patterns and states pass _refuse_flat, and r reads NaN in the row
+    of every pattern and the column of every state that is too large to read."""
+    yc, norms, shift = patterns.centered
     with np.errstate(all="ignore"):
         mean = states.mean(axis=0)
         sc = states - mean
@@ -391,8 +388,10 @@ def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndar
         snorms = np.sqrt(np.square(sc, out=sc).sum(axis=0))
         _refuse_flat(states, mean, snorms, "state")
         r = zc / (scale := norms[:, None] * snorms[None, :])
+        zc += np.multiply.outer(shift, mean)
+        zc /= patterns.n
     r[~np.isfinite(scale)] = np.nan  # where a norm is not finite: finite ones are < 2**512
-    return r, mean, snorms, zc
+    return r, mean, snorms / math.sqrt(patterns.n), zc
 
 
 def _energy_terms(graph: MemoryGraph, m: NormalizedAdjacency) -> tuple:

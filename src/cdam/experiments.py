@@ -352,7 +352,7 @@ def sequence_recall(patterns: PatternMatrix, seed: int = 0) -> ExperimentReport:
     step, once per run.  A zero-variance frame raises CdamError before any run.
     """
     p = patterns.p
-    yc, ys = patterns.centered
+    yc, ys, _ = patterns.centered
     basis = np.hstack([patterns.values, yc])
     graph = build_cycle(p, directed=True)
     coupling = normalize(graph)
@@ -480,10 +480,13 @@ def retrieval_sweep(
     predict the argmax-overlap pattern.  The
     runs iterate in the pattern basis Xi: the readout is the argmax of their
     logit rows Xi^T sigma, which the rounding between the bases does not move.
-    A level of 1 (no nearest neighbor) and trials < 1 raise CdamError.
+    A dataset that is not n x p, a level of 1 (no nearest neighbor) and
+    trials < 1 raise CdamError.
     """
     if trials < 1:
         raise CdamError(f"retrieval sweep needs trials >= 1, got {trials}")
+    if dataset.ndim != 2:
+        raise CdamError(f"retrieval sweep needs an n x p dataset, got shape {dataset.shape}")
     report = ExperimentReport(
         "retrieval-sweep",
         {"n": dataset.shape[0], "p_levels": list(p_levels), "settings": list(SWEEP_SETTINGS),

@@ -187,14 +187,17 @@ def build_nn_scaffold(values: np.ndarray) -> MemoryGraph:
     Euclidean nearest neighbor.
 
     Duplicate proposals collapse to a single edge; distance ties break toward
-    the lowest vertex index.
+    the lowest vertex index.  A squared distance that is not finite raises CdamError.
     """
     values = np.asarray(values, dtype=float)
     p = values.shape[1]
     if p < 2:
         raise CdamError(f"nearest-neighbor scaffold needs p >= 2, got {p}")
-    sq = (values**2).sum(axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (values.T @ values)
+    with np.errstate(all="ignore"):
+        sq = (values**2).sum(axis=0)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (values.T @ values)
+    if not np.isfinite(d2).all():
+        raise CdamError("nearest-neighbor scaffold: a squared distance is not finite")
     np.fill_diagonal(d2, np.inf)
     nearest = np.argmin(d2, axis=1).tolist()  # argmin takes the lowest index on ties
     edges = {(min(v, nn), max(v, nn), 1.0) for v, nn in enumerate(nearest)}

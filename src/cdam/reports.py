@@ -6,10 +6,11 @@ to its bits (`1e-7`, `0.000015`, `1e16` where repr writes `1e-07`,
 `1.5e-05`, `1e+16`).  CSV layout for a trace: one row per step with
 columns t, mean_activity, sd_activity, energy, r_0..r_{p-1}; the energy
 column is left empty when the run recorded no energy.  CSV lines end in
-CRLF; a NaN or infinite value is a CdamError and writes no file.  JSON is
-UTF-8 with 2-space indents and sorted keys; int keys become strings,
-tuples and numpy arrays lists, and a non-finite float null.  Grayscale
-heatmaps map correlation values linearly from [-1, 1] onto [0, 255].
+CRLF.  JSON is UTF-8 with 2-space indents and sorted keys; int keys become
+strings, tuples and numpy arrays lists, and a non-finite float null.
+Grayscale heatmaps map correlation values linearly from [-1, 1] onto
+[0, 255].  A NaN or infinite value in a CSV, a netpbm image or a heatmap
+is a CdamError and writes no file.
 """
 
 from __future__ import annotations
@@ -67,14 +68,18 @@ def write_pnm(path, array: np.ndarray) -> None:
     if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (3,)):
         raise CdamError(f"cannot write array of shape {arr.shape} as netpbm")
     kind, (h, w) = "P5" if arr.ndim == 2 else "P6", arr.shape[:2]
+    if not np.isfinite(arr).all():
+        raise CdamError("a netpbm image must hold only finite values")
     data = np.clip(np.round(arr), 0, 255).astype(np.uint8)
     _write(f"{kind}\n{w} {h}\n255\n".encode() + data.tobytes(), path)
 
 
 def matrix_to_pgm(matrix: np.ndarray, path) -> None:
     """Correlation matrix as grayscale: -1 -> 0, +1 -> 255."""
-    arr = np.clip(np.asarray(matrix, dtype=float), -1.0, 1.0)
-    write_pnm(path, (arr + 1.0) / 2.0 * 255)
+    arr = np.asarray(matrix, dtype=float)
+    if not np.isfinite(arr).all():
+        raise CdamError("a heatmap matrix must hold only finite values")
+    write_pnm(path, (np.clip(arr, -1.0, 1.0) + 1.0) / 2.0 * 255)
 
 
 def write_manifest(manifest: dict, path) -> None:

@@ -25,7 +25,8 @@ def one_way_anova(groups) -> dict:
 
     Constant groups report F = inf, p = 0 (a report.json writes "f": null, as JSON
     has no infinity), or F = 0, p = 1 when all values are equal; a NaN or infinite
-    sample, or a within-group spread that is not zero but underflows to 0, raises CdamError.
+    sample, sums of squares beyond the float range, or a within-group spread that is not
+    zero but underflows to 0, raise CdamError.
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:
@@ -36,11 +37,16 @@ def one_way_anova(groups) -> dict:
         raise CdamError("ANOVA samples must be finite, got NaN or infinity")
     total_n = sum(len(g) for g in groups)
     grand = sum(sum(g) for g in groups) / total_n
-    ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)
-    ss_within = sum(sum((v - sum(g) / len(g)) ** 2 for v in g) for g in groups)
+    try:
+        ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)
+        ss_within = sum(sum((v - sum(g) / len(g)) ** 2 for v in g) for g in groups)
+    except OverflowError:  # a square beyond the float range
+        ss_between = ss_within = math.inf
     df_b, df_w = len(groups) - 1, total_n - len(groups)
     if all(min(g) == max(g) for g in groups):  # no spread within groups
         f = 0.0 if min(map(min, groups)) == max(map(max, groups)) else math.inf
+    elif not (math.isfinite(ss_between) and math.isfinite(ss_within)):
+        raise CdamError("ANOVA sums overflow the float range")
     elif ss_within:
         f = (ss_between / df_b) / (ss_within / df_w)
     else:

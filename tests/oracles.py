@@ -301,6 +301,18 @@ def fixed_point(patterns, coupling, params, sigma0=None, tol=1e-13, max_iter=50)
     raise AssertionError(f"no fixed point in {max_iter} Newton steps: max |F| = {worst:.3e}")
 
 
+def linearized_fixed_point(patterns, coupling, params):
+    """sigma* with the softmax linearized about uniform, s ~ 1/p + (beta/p) P Xi^T sigma,
+    P = I - 11^T/p: Xc (I - (beta/p) G P K)^-1 G 1/p, one p x p solve."""
+    import numpy as np
+
+    xc, k, g = _coefficient_terms(patterns, coupling, params)
+    p = patterns.p
+    centering = np.eye(p) - np.full((p, p), 1.0 / p)
+    response = np.eye(p) - params.beta / p * g @ centering @ k
+    return xc @ np.linalg.solve(response, g @ np.full(p, 1.0 / p))
+
+
 def jacobian_spectrum(sigma, patterns, coupling, params):
     """The p eigenvalues mu of G beta (diag s - s s^T) K - I at the state
     sigma, s = softmax(beta Xi^T sigma): the continuous Jacobian's spectrum

@@ -156,7 +156,7 @@ class TestPatternMatrix:
     def test_fields_cannot_be_reassigned(self):
         # derived statistics (mean load, centered columns) would go stale
         pm = PatternMatrix(np.arange(6.0).reshape(3, 2))
-        mean_load, (cols, norms) = pm.mean_load, pm.centered
+        mean_load, (cols, norms, shift) = pm.mean_load, pm.centered
         with pytest.raises(FrozenInstanceError):
             pm.values = np.ones((4, 5))
         assert pm.values.shape == (3, 2)
@@ -165,6 +165,8 @@ class TestPatternMatrix:
             cols[0, 0] = 1.0
         with pytest.raises(ValueError):
             norms[0] = 1.0
+        with pytest.raises(ValueError):
+            shift[0] = 1.0
 
 
 @st.composite
@@ -820,6 +822,15 @@ class TestReadoutBlocks:
             run(np.random.default_rng(4).uniform(0, 1, 40), pm, build_cycle(4), ModelParams())
         assert exc.value.step == 0
         assert "readout" in str(exc.value)
+
+    @pytest.mark.parametrize("with_energy", [False, True])
+    def test_pattern_sums_beyond_the_float_range_end_in_a_readout_error(self, with_energy):
+        # the overlap shift n*m overflows; it once warned before the run began
+        pm = PatternMatrix(np.random.default_rng(3).uniform(0, 1, (40, 4)) * 1e307)
+        with pytest.raises(NumericDivergenceError) as exc:
+            run(init_state(pm, 0, seed=1), pm, build_cycle(4), ModelParams(),
+                with_energy=with_energy)
+        assert exc.value.step == 0
 
     @pytest.mark.parametrize("a, eta, with_energy", [
         (1e154, 0.1, False),  # the state norm overflows; the state stays finite

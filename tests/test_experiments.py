@@ -28,6 +28,7 @@ from cdam.ingest import random_patterns
 from oracles import (
     fixed_point,
     jacobian_spectrum,
+    linearized_fixed_point,
     narrow_mode_profile,
     naive_schedule_metrics,
     step_by_hand,
@@ -284,6 +285,38 @@ class TestFixedPoints:
         assert np.abs(1 + params.eta * mu).max() < 1
         if (a, h) == (-3.0, 2.0):  # inside the flip bound -2/eta = -20
             assert mu.real.min() == pytest.approx(-15.68, abs=0.01)
+
+    # r at the argmax 0.470, 0.454 and 0.445; cosine with the linearized form
+    # 0.9973, 0.9944 and 0.9936
+    @pytest.mark.parametrize("a, h, r_top", [(-2.5, 1.0, 0.470), (-1.0, 1.0, 0.454),
+                                             (-3.0, 2.0, 0.445)])
+    def test_karate_quiescent_point_peaks_on_the_hub(self, a, h, r_top):
+        patterns, graph = random_patterns(1000, 34, 0), build_named("karate")
+        coupling, params = normalize(graph), ModelParams(a=a, h=h)
+        sigma = fixed_point(patterns, coupling, params)[0]
+        r = pearson_all(sigma, patterns)
+        degree = (graph.adjacency() > 0).sum(axis=0)
+        assert int(np.argmax(r)) == int(np.argmax(degree)) == 33 and degree[33] == 17
+        assert r[33] == pytest.approx(r_top, abs=1e-3)
+        linear = linearized_fixed_point(patterns, coupling, params)
+        assert linear @ sigma / (np.linalg.norm(linear) * np.linalg.norm(sigma)) > 0.99
+
+    def test_every_karate_trigger_reaches_the_quiescent_point(self):
+        # worst distance 7.1e-16 after 3000 steps
+        patterns, coupling = random_patterns(1000, 34, 0), normalize(build_named("karate"))
+        params = ModelParams(a=-2.5, h=1.0)
+        sigma = fixed_point(patterns, coupling, params)[0]
+        final = iterate(init_state(patterns, np.arange(34), 1.0, 1), patterns, coupling,
+                        params, 3000)[0]
+        assert np.abs(final - sigma[:, None]).max() < 1e-14
+
+    # max |sigma*| 4.0e-16 on the cycle and 3.8e-16 on tutte
+    @pytest.mark.parametrize("name", ["cycle", "tutte"])
+    def test_quiescent_point_is_zero_on_regular_graphs(self, name):
+        graph = build_cycle(30) if name == "cycle" else build_named(name)
+        patterns = random_patterns(1000, graph.p, 0)
+        sigma = fixed_point(patterns, normalize(graph), ModelParams(a=-2.5, h=1.0))[0]
+        assert np.abs(sigma).max() < 1e-12
 
     # the pair state's count is 1.974, on the edge (29, 0)
     @pytest.mark.parametrize("a, h, count", [(0.25, 0.75, 2.0), (0.5, 0.5, 1.0)],
@@ -551,6 +584,12 @@ class TestSequenceRecall:
         with pytest.raises(CdamError, match="pearson undefined: zero-variance pattern"):
             X.sequence_recall(PatternMatrix(values))
 
+    def test_frames_too_large_to_read_raise_without_a_warning(self):
+        # the basis operator and the first basis rows overflow; they once warned
+        frames = PatternMatrix(X.surrogate_frames().values * 1e200)
+        with pytest.raises((CdamError, NumericDivergenceError)):
+            X.sequence_recall(frames)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):
         # at the stock 2000 pixels; at 50 every entry of the centred basis
@@ -574,7 +613,7 @@ class TestSequenceWave:
 
     def _schedule(self, seed, eta):
         frames = X.surrogate_frames(seed)
-        yc, ys = frames.centered
+        yc, ys, _ = frames.centered
         basis, rows = np.hstack([frames.values, yc]), []
         iterate(init_state(frames, X.SEQUENCE_TRIGGER, X.DEFAULT_NOISE, seed + 1), frames,
                 normalize(build_cycle(frames.p, directed=True)),
@@ -709,6 +748,10 @@ class TestExperimentDeterminism:
         for trials in (0, -1):
             with pytest.raises(CdamError, match=f"needs trials >= 1, got {trials}"):
                 X.retrieval_sweep(bank, p_levels=(10,), trials=trials)
+
+    def test_retrieval_sweep_dataset_that_is_not_a_matrix_is_rejected(self):
+        with pytest.raises(CdamError, match=r"n x p dataset, got shape \(5,\)"):
+            X.retrieval_sweep(np.zeros(5), p_levels=(2,), trials=1)
 
     def test_retrieval_sweep_single_pattern_is_rejected(self):
         # one stored pattern has no nearest neighbor to build a scaffold from

@@ -176,6 +176,12 @@ class TestNnScaffold:
         assert len(g.edges) <= 12
         assert all(g.adjacency().sum(axis=1) >= 1)
 
+    def test_distance_beyond_the_float_range_raises(self):
+        # squares of 1e200 overflow; their NaN distances once made a star on vertex 0
+        values = np.random.default_rng(3).uniform(0, 1, (40, 6)) * 1e200
+        with pytest.raises(CdamError, match="squared distance is not finite"):
+            build_nn_scaffold(values)
+
 
 class TestNormalize:
     def test_directed_cycle_equals_adjacency(self):

@@ -80,6 +80,11 @@ def test_non_finite_values_are_rejected_and_nothing_is_written(tmp_path, bad):
     matrix = np.array([[0.5, bad], [1.0, 2.0]])
     with pytest.raises(CdamError, match="finite"):
         reports.matrix_to_csv(matrix, tmp_path / "m.csv")
+    # an image once wrote a NaN as gray level 0, the level of r = -1, with a cast warning
+    with pytest.raises(CdamError, match="finite"):
+        reports.matrix_to_pgm(matrix, tmp_path / "m.pgm")
+    with pytest.raises(CdamError, match="finite"):
+        reports.write_pnm(tmp_path / "f.pgm", matrix * 255)
     for field in ("correlations", "mean_activity", "sd_activity", "energies"):
         trace = make_trace(with_energy=True)
         getattr(trace, field).flat[1] = bad

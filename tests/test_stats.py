@@ -38,6 +38,9 @@ class TestAnova:
         assert math.isinf(res["f"]) and res["p"] == 0.0
         res = one_way_anova([[0.1] * 3, [0.1] * 3])
         assert res["f"] == 0.0 and res["p"] == 1.0
+        # squared group deviations of 1e400 overflow, but the groups are constant
+        res = one_way_anova([[1e200] * 2, [-1e200] * 2])
+        assert math.isinf(res["f"]) and res["p"] == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_raises(self, bad):
@@ -49,6 +52,15 @@ class TestAnova:
         # squared deviations of 5e-201 underflow to 0 in groups that are not constant
         with pytest.raises(CdamError, match="underflows to 0"):
             one_way_anova([[0.0, 1e-200], [0.0, 1e-200]])
+
+    @pytest.mark.parametrize("groups", [[[1e200, 1e200], [0.0, 1.0]],
+                                        [[1e300, -1e300], [0.0, 1.0]],
+                                        [[1e308, 1e308], [0.0, 1.0]]])
+    def test_sums_beyond_the_float_range_raise(self, groups):
+        # a squared deviation of 1e400 or 1e600 overflows the Python float, and a
+        # group sum of 2e308 overflows to inf and makes the F tail NaN
+        with pytest.raises(CdamError, match="ANOVA sums overflow"):
+            one_way_anova(groups)
 
     def test_matches_naive_f(self):
         groups = [[0.3, 1.2, 0.7, 0.9], [1.4, 1.8, 1.1], [0.2, 0.4, 0.3, 0.6, 0.1]]
