@@ -396,16 +396,12 @@ def _pearson_stack(states: np.ndarray, patterns: PatternMatrix) -> tuple[np.ndar
 
 def _energy_terms(graph: MemoryGraph, m: NormalizedAdjacency) -> tuple:
     """What the energy reads of a graph, gathered once per run: whether it
-    is directed and the (rows, cols, weights) of the hetero sum, which are
-    the nonzero entries of m, the graph's normalized coupling, for an
-    undirected graph and the raw edges of a directed one."""
-    if graph.directed:
-        edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
-        rows, cols, weights = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
-    else:
-        rows, cols = np.nonzero(m.matrix)
-        weights = m.matrix[rows, cols]
-    return graph.directed, rows, cols, weights
+    is directed and the (rows, cols, weights) of the hetero sum, the nonzero
+    entries of m, the graph's normalized coupling, for an undirected graph
+    and of its adjacency, parallel edges summed, for a directed one."""
+    pairs = graph.adjacency() if graph.directed else m.matrix
+    rows, cols = np.nonzero(pairs)
+    return graph.directed, rows, cols, pairs[rows, cols]
 
 
 def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -414,9 +410,9 @@ def energy(m: np.ndarray, terms: tuple, params: ModelParams) -> tuple[np.ndarray
     the log argument each needs positive.  Undirected graphs use
         -(a/b)*log sum_mu exp(b*m_mu^2) - (h/b)*log sum_{a,k} M_ak exp(b*m_a*m_k)
     without the hetero term when the graph has no edges; directed graphs use
-        -(1/b)*log(a*sum_mu exp(b*m_mu^2) + h*sum_edges w*exp(b*m_a*m_k)).
-    The hetero sum runs over the nonzero pairs in column chunks of at most
-    ENERGY_PAIR_BUDGET pair terms.
+        -(1/b)*log(a*sum_mu exp(b*m_mu^2) + h*sum_{a,k} A_ak exp(b*m_a*m_k)),
+    A the adjacency.  The hetero sum runs over the nonzero pairs, the nonzero entries of M or
+    A, in column chunks of at most ENERGY_PAIR_BUDGET pair terms.
     """
     directed, rows, cols, weights = terms
     b = params.beta

@@ -50,7 +50,7 @@ from .graphs import (
     named_communities,
     normalize,
 )
-from .ingest import compose_automaton_patterns, embed_label, random_patterns
+from .ingest import compose_automaton_patterns, random_patterns
 from .stats import one_way_anova, r_squared
 
 # The four canonical operating points: pure auto-association, narrow and
@@ -97,6 +97,11 @@ class ExperimentReport:
              "outputs": self.outputs},
             out / "report.json",
         )
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer, a bool not counted."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _array_fingerprint(array: np.ndarray) -> str:
@@ -271,13 +276,14 @@ def community_matrices(graph: MemoryGraph, n: int = DEFAULT_N, seed: int = 0) ->
 
 def block_contrast(matrix: np.ndarray, blocks) -> float:
     """Mean within-block correlation minus mean cross-block correlation,
-    diagonal excluded; a member that is not an integer in [0, p), a vertex in
-    two blocks, or blocks that leave either without a pair raise CdamError."""
+    diagonal excluded; a matrix that is not square, a member that is not an integer in
+    [0, p), a vertex in two blocks, or blocks that leave either without a pair raise CdamError."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise CdamError(f"block contrast needs a square matrix, got shape {matrix.shape}")
     p = matrix.shape[0]
     labels = np.full(p, -1)
     for b, members in enumerate(blocks):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   and 0 <= v < p and labels[v] in (-1, b) for v in members):
+        if not all(_is_int(v) and 0 <= v < p and labels[v] in (-1, b) for v in members):
             raise CdamError(f"block {b} has a member not an int in [0,{p}) or in an earlier block")
         labels[list(members)] = b
     if (labels < 0).any():
@@ -329,8 +335,13 @@ def schedule_metrics(argmax_per_step, p: int) -> dict:
     """{visited_in_order, stalls, skips, steps_to_cover} of an argmax schedule,
     read from its dwells (runs of one argmax).  Stall: a dwell longer than PATIENCE
     steps.  Skip: a move between dwells of two or more cycle positions forward.
-    steps_to_cover is the first step at which all p patterns were seen, or None."""
+    steps_to_cover is the first step at which all p patterns were seen, or None.  A p that is
+    not an int >= 1, or a schedule that is not a non-empty 1-D sequence of ints in [0, p), raises
+    CdamError."""
     schedule = np.asarray(argmax_per_step)
+    if not (_is_int(p) and p >= 1 and schedule.ndim == 1 and schedule.size
+            and schedule.dtype.kind in "iu" and 0 <= schedule.min() and schedule.max() < p):
+        raise CdamError(f"schedule of shape {schedule.shape} is not ints in [0, p), p={p!r}")
     starts = np.concatenate(([0], np.flatnonzero(np.diff(schedule)) + 1))
     moves = np.diff(schedule[starts]) % p
     firsts = np.sort(np.unique(schedule, return_index=True)[1])
@@ -392,11 +403,11 @@ class AutomatonRunner:
 
     def __init__(self, spec: AutomatonSpec, n: int = DEFAULT_N, seed: int = 0):
         self.spec = spec
-        self.seed = seed
         self.patterns, graph, self.free = compose_automaton_patterns(spec, n, seed)
         self.coupling = normalize(graph)
         self.names = spec.vertex_names()
         self.index = {name: i for i, name in enumerate(self.names)}
+        self.carrier = {label: self.index[f"{src}+{label}"] for src, label, _ in spec.transitions}
         self.state = spec.states[0]
 
     def set_state(self, name: str) -> None:
@@ -414,10 +425,13 @@ class AutomatonRunner:
         return self.names[top], float(r[top])
 
     def query(self, label: str) -> tuple[str, float]:
-        """Stimulate with a label from the current state; updates and
-        returns the post-convergence state."""
+        """Stimulate with a label from the current state, its embedding read from the free
+        block of a transition carrying it (self.carrier); updates and returns the
+        post-convergence state.  A label of no transition raises CdamError."""
+        if label not in self.carrier:
+            raise CdamError(f"unknown label {label!r}")
         sigma = self.patterns.values[:, self.index[self.state]].copy()
-        sigma[self.free] = embed_label(label, self.free.size, self.seed)
+        sigma[self.free] = self.patterns.values[self.free, self.carrier[label]]
         name, r = self._settle(sigma)
         if name in self.spec.states:
             self.state = name
@@ -480,23 +494,30 @@ def retrieval_sweep(
     predict the argmax-overlap pattern.  The
     runs iterate in the pattern basis Xi: the readout is the argmax of their
     logit rows Xi^T sigma, which the rounding between the bases does not move.
-    A dataset that is not n x p, a level of 1 (no nearest neighbor) and
-    trials < 1 raise CdamError.
+    Before any level runs, trials that is not an int >= 1, a dataset that is not n x p and a
+    level that is not an int from 2 (one pattern has no nearest neighbor) to the dataset's
+    column count raise CdamError; numpy integers count as ints, bools do not.
     """
-    if trials < 1:
-        raise CdamError(f"retrieval sweep needs trials >= 1, got {trials}")
+    if not (_is_int(trials) and trials >= 1):
+        raise CdamError(f"retrieval sweep needs trials >= 1, got {trials!r} (an int)")
     if dataset.ndim != 2:
         raise CdamError(f"retrieval sweep needs an n x p dataset, got shape {dataset.shape}")
+    p_levels = list(p_levels)  # read once: an iterator of levels is checked and run alike
+    for p in p_levels:
+        if not _is_int(p):
+            raise CdamError(f"retrieval sweep level {p!r} is not an int")
+        if p < 2:
+            raise CdamError(f"sweep level: nearest-neighbor scaffold needs p >= 2, got {p}")
+        if p > dataset.shape[1]:
+            raise CdamError(f"p={p} exceeds dataset size {dataset.shape[1]}")
     report = ExperimentReport(
         "retrieval-sweep",
-        {"n": dataset.shape[0], "p_levels": list(p_levels), "settings": list(SWEEP_SETTINGS),
+        {"n": dataset.shape[0], "p_levels": p_levels, "settings": list(SWEEP_SETTINGS),
          "trials": trials, "noise_c": DEFAULT_NOISE, "seed": seed},
         manifest={"dataset_fingerprint": _array_fingerprint(dataset)},
     )
     accuracies: dict[str, dict[int, float]] = {f"a{a:+g}_h{h:+g}": {} for a, h in SWEEP_SETTINGS}
     for p in p_levels:
-        if p > dataset.shape[1]:
-            raise CdamError(f"p={p} exceeds dataset size {dataset.shape[1]}")
         patterns = PatternMatrix(dataset[:, :p])
         coupling = normalize(build_nn_scaffold(patterns.values))
         targets = np.repeat(np.arange(p), trials)

@@ -281,8 +281,9 @@ def from_text(text: str) -> MemoryGraph:
 
 
 def read_graph(path) -> MemoryGraph:
+    """from_text of a UTF-8 file; CdamError if it cannot be read or decoded."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CdamError(f"cannot read graph file {path}: {exc}") from exc
     return from_text(text)

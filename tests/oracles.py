@@ -243,6 +243,31 @@ def narrow_mode_profile(a, h, coupling, hops, max_hop=4):
     return np.array([corr[hops == d].mean() for d in range(1, max_hop + 1)])
 
 
+def mode_thresholds(coupling):
+    """(a*, pair edge) along a + h = 1 of the symmetric p x p coupling M (README, pair mode).
+
+    In the narrow state of trigger j the logits are about (n/12)(a*e_j + h*M^T e_j) up to a
+    constant, so the trigger keeps the softmax while a > h*m_j, m_j = max_{k != j} M_jk:
+    a*_j = m_j/(1 + m_j), one per vertex.  An even pair (j, k) keeps it while
+    a + h*M_jk > h*max_{l not in {j, k}} (M_jl + M_kl), that is a > d/(1 + d) with d the
+    right-hand max minus M_jk; the pair edge is the largest of these over the graph's edges,
+    above which every edge holds a pair."""
+    p = len(coupling)
+    a_star = []
+    for j in range(p):
+        m = max([coupling[j][k] for k in range(p) if k != j], default=0.0)
+        a_star.append(m / (1 + m))
+    edge = -math.inf
+    for j in range(p):
+        for k in range(j + 1, p):
+            if coupling[j][k] > 0:
+                rival = max([coupling[j][l] + coupling[k][l] for l in range(p) if l not in (j, k)],
+                            default=0.0)
+                d = rival - coupling[j][k]
+                edge = max(edge, d / (1 + d))
+    return a_star, edge
+
+
 # Fixed points in coefficient space.  A fixed point of the update is
 # sigma* = Xc c with c = G s(beta K c), where s is the softmax, K = Xi^T Xc
 # (p x p) and G = a*I + h*M^T, whatever eta.  At a state sigma the flow

@@ -64,7 +64,7 @@ from cdam.graphs import (
     hop_distances,
     normalize,
 )
-from cdam.ingest import load_idx, random_patterns
+from cdam.ingest import embed_label, load_idx, random_patterns
 from oracles import (
     naive_energy_directed,
     naive_energy_undirected,
@@ -365,14 +365,9 @@ def _automaton_battery(spec, n, seed):
     return failures
 
 
-def test_c8_automaton_fidelity(tmp_path):
-    """a=0, h=1: every defined (state, label) pair lands on its target and
-    every undefined pair returns to its source, for random-content and
-    supplied-content states; the three scripted rows reproduce their
-    trajectories (the undefined brother query returns to its source)."""
-    failures = _automaton_battery(family_tree(), n=1000, seed=0)
-
-    # supplied content: bright-background sprites round-tripped through IDX
+def _supplied_family_tree(tmp_path):
+    """family_tree() with supplied content: bright-background sprites of 784
+    pixels round-tripped through IDX."""
     rng = np.random.default_rng(42)
     sprites = []
     for _ in range(4):
@@ -385,10 +380,17 @@ def test_c8_automaton_fidelity(tmp_path):
     pixels = np.round(np.array(sprites) * 255.0).astype(np.uint8)
     idx_path.write_bytes(struct.pack(">IIII", 0x00000803, len(sprites), 28, 28) + pixels.tobytes())
     images = load_idx(idx_path)
-    supplied = family_tree()
-    supplied = dataclasses.replace(
-        supplied, state_content={s: images[i] for i, s in enumerate(supplied.states)})
-    failures += _automaton_battery(supplied, n=784, seed=0)
+    spec = family_tree()
+    return dataclasses.replace(spec, state_content={s: images[i] for i, s in enumerate(spec.states)})
+
+
+def test_c8_automaton_fidelity(tmp_path):
+    """a=0, h=1: every defined (state, label) pair lands on its target and
+    every undefined pair returns to its source, for random-content and
+    supplied-content states; the three scripted rows reproduce their
+    trajectories (the undefined brother query returns to its source)."""
+    failures = _automaton_battery(family_tree(), n=1000, seed=0)
+    failures += _automaton_battery(_supplied_family_tree(tmp_path), n=784, seed=0)
 
     rows = [
         ("Marge", ["husband", "brother", "daughter"], ["Homer", "Homer", "Lisa"]),
@@ -410,6 +412,26 @@ def test_c8_automaton_fidelity(tmp_path):
            f"{len(failures)} query/sweep failures, scripted rows {'ok' if script_ok else 'bad'}")
     assert failures == []
     assert script_ok
+
+
+@pytest.mark.parametrize("supplied", [False, True])
+def test_c8_query_states_are_bitwise_the_label_embeddings(tmp_path, monkeypatch, supplied):
+    # a query reads a label's embedding from the composed patterns: the state it settles
+    # from is the current state's pattern with embed_label on the free block, for every
+    # (state, label) of both c8 specs
+    spec, n = (_supplied_family_tree(tmp_path), 784) if supplied else (family_tree(), 1000)
+    runner = X.AutomatonRunner(spec, n=n, seed=0)
+    starts = []
+    monkeypatch.setattr(runner, "_settle",
+                        lambda sigma: starts.append(sigma.copy()) or (runner.state, 1.0))
+    for state in spec.states:
+        for label in spec.labels():
+            runner.set_state(state)
+            runner.query(label)
+            want = runner.patterns.values[:, runner.index[state]].copy()
+            want[runner.free] = embed_label(label, runner.free.size, 0)
+            assert starts[-1].tobytes() == want.tobytes()
+    assert len(starts) == len(spec.states) * len(spec.labels())
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import FrozenInstanceError
 
@@ -19,7 +20,15 @@ from cdam.dynamics import (
     softmax_beta,
 )
 from cdam.errors import CdamError, NumericDivergenceError
-from cdam.graphs import MemoryGraph, NormalizedAdjacency, build_cycle, hop_distances, normalize
+from cdam.graphs import (
+    MemoryGraph,
+    NormalizedAdjacency,
+    build_barbell,
+    build_cycle,
+    build_named,
+    hop_distances,
+    normalize,
+)
 from cdam.ingest import random_patterns
 from oracles import (
     descent_energy,
@@ -1105,6 +1114,37 @@ class TestEnergy:
         assert 2 * D.READOUT_BLOCK + 8 == trace.steps + 1
         assert trace.energies[-1] == pytest.approx(
             energy_of(trace.final_state, pm, graph, ModelParams()), rel=1e-13, abs=0)
+
+    def test_undirected_traces_are_pinned_bitwise(self):
+        # the first 16 hex digits of the SHA-256 of the float64 bytes of every trace, as
+        # recorded when a directed graph's energy still read its edge list (numpy with
+        # OpenBLAS on x86-64): an undirected graph's energy was not moved by that change
+        digest = hashlib.sha256()
+        for graph in (build_cycle(30), build_named("karate"), build_named("tutte"),
+                      build_barbell(5, 3)):
+            pm = random_patterns(200, graph.p, 0)
+            for a, h in ((1.0, 0.0), (0.5, 0.5), (-2.0, 3.0)):
+                trace = run(init_state(pm, 0, seed=1), pm, graph, ModelParams(a=a, h=h),
+                            max_steps=30, fixed_point_tol=0.0, with_energy=True)
+                digest.update(trace.energies.tobytes())
+        assert digest.hexdigest()[:16] == "d19b1b7f3b3e11ba"
+
+    def test_directed_multigraph_matches_the_edge_oracle(self):
+        # parallel edges (summed in the adjacency, one term each in the oracle), self-loops
+        # and a vertex with no out-edge
+        graph = MemoryGraph(5, ((0, 1, 0.5), (0, 1, 1.5), (1, 2, 1.0), (2, 0, 2.0), (2, 0, 0.25),
+                                (2, 0, 1.0), (3, 3, 1.0), (3, 1, 0.75), (1, 3, 1.0), (4, 2, 3.0)),
+                            directed=True)
+        rng = np.random.default_rng(23)
+        pm = PatternMatrix(rng.uniform(0, 1, (40, 5)))
+        for a, h in ((0.5, 0.5), (-2.0, 3.0), (1.0, 2.0)):
+            params = ModelParams(a=a, h=h, beta=3.0)
+            initial = init_state(pm, 0, seed=5)
+            trace = run(initial, pm, graph, params, max_steps=40, fixed_point_tol=0.0,
+                        with_energy=True)
+            states = step_by_hand(initial, pm, normalize(graph), params, 40)
+            want = np.array([naive_energy(state, pm, graph, params) for state in states])
+            assert np.max(np.abs(trace.energies - want) / np.abs(want)) < 1e-12
 
     def test_graph_size_mismatch(self):
         pm = PatternMatrix(np.random.default_rng(0).uniform(0, 1, (10, 3)))

@@ -29,6 +29,7 @@ from oracles import (
     fixed_point,
     jacobian_spectrum,
     linearized_fixed_point,
+    mode_thresholds,
     narrow_mode_profile,
     naive_schedule_metrics,
     step_by_hand,
@@ -361,6 +362,57 @@ class TestNarrowModeLaw:
         assert miss[0.0] > 0.2
 
 
+class TestPairMode:
+    """README's pair mode at stock eta and steps, n = 1000, patterns random_patterns(1000, p,
+    0), triggers seed 1: along a + h = 1 each trigger's final softmax is narrow just above
+    a*_j = m_j/(1 + m_j), an even pair on a graph edge between the pair edge and a*
+    (oracles.mode_thresholds), and wide at a = 0.  A count is the effective number of
+    patterns, exp of the softmax entropy; each bound's measured value is in its comment."""
+
+    @staticmethod
+    def _final_softmax(name, a):
+        """The graph, (a*, pair edge) and the final softmax of every trigger (p x p) at a."""
+        graph = build_cycle(30) if name == "cycle" else build_named(name)
+        patterns, coupling = random_patterns(1000, graph.p, 0), normalize(graph)
+        final = X.run_all_triggers(patterns, coupling, ModelParams(a=a, h=1 - a), seed=1)[0]
+        s = softmax_beta(patterns.values.T @ final, 1.0)
+        return graph, mode_thresholds(coupling.matrix.tolist()), s
+
+    @staticmethod
+    def _counts(s):
+        return np.exp(-(s * np.log(s, out=np.zeros_like(s), where=s > 0)).sum(axis=0))
+
+    @pytest.mark.parametrize("name, a, most, on_trigger", [
+        ("cycle", 0.40, 1.06, 0.99),  # max count 1.0541, min weight 0.99106; a* = 1/3
+        ("tutte", 0.35, 1.01, 0.999),  # 1.00698, 0.99922; a* = 1/4
+        ("karate", 0.30, 1.3, 0.93),  # 1.27269, 0.93515; a* 0.146-0.261 by trigger
+    ])
+    def test_narrow_just_above_a_star(self, name, a, most, on_trigger):
+        _, (a_star, _), s = self._final_softmax(name, a)
+        assert a > max(a_star)
+        assert self._counts(s).max() <= most
+        assert np.diag(s).min() >= on_trigger
+
+    @pytest.mark.parametrize("name, low, high, top_two", [
+        ("cycle", 1.96, 2.04, 0.997),  # counts 1.96573-2.03115, top-2 weight >= 0.99756
+        ("tutte", 1.88, 2.15, 0.96),  # 1.88785-2.13925, >= 0.96529
+    ])
+    def test_pair_on_an_edge_below_a_star(self, name, low, high, top_two):
+        graph, (a_star, pair_edge), s = self._final_softmax(name, 0.2)
+        assert pair_edge < 0.2 < min(a_star)
+        counts = self._counts(s)
+        assert low <= counts.min() and counts.max() <= high
+        top = np.sort(s, axis=0)
+        assert (top[-1] + top[-2]).min() >= top_two
+        first, second = np.argsort(s, axis=0)[-2:]
+        assert graph.adjacency()[first, second].min() > 0  # all 30 and all 46 on an edge
+
+    @pytest.mark.parametrize("name", ["cycle", "tutte", "karate"])
+    def test_wide_at_a_zero(self, name):
+        # median counts 2.650, 3.445 and 3.536
+        assert np.median(self._counts(self._final_softmax(name, 0.0)[2])) > 2.5
+
+
 class TestStepSize:
     """README's "Step size": at (-2, 3) on karate (n = 1000, patterns
     random_patterns(1000, 34, 0), triggers init_state(..., seed=1)), every
@@ -437,6 +489,12 @@ class TestBlockContrast:
         mat = np.full((4, 4), 0.5)
         assert X.block_contrast(mat, [[0, 1, 1], [2, 3]]) == 0.0
 
+    @pytest.mark.parametrize("matrix", [np.zeros((3, 4)), np.zeros(3), np.zeros((3, 3, 1))])
+    def test_matrix_must_be_square(self, matrix):
+        # once an IndexError
+        with pytest.raises(CdamError, match="needs a square matrix, got shape"):
+            X.block_contrast(matrix, [[0, 1], [2]])
+
     @pytest.mark.parametrize("blocks", [[[0, 1, 2]], [[0], [1], [2]]])
     def test_blocks_need_within_and_cross_pairs(self, blocks):
         # one block has no cross-block pair, singletons no within-block pair
@@ -463,6 +521,16 @@ class TestScheduleMetrics:
     def test_backward_move_counts_as_skip(self):
         m = X.schedule_metrics([2, 1], 5)
         assert m["skips"] == 1
+
+    @pytest.mark.parametrize("schedule, p", [
+        ([], 5),  # once an IndexError
+        ([0, 1], 0),  # once a divide-by-zero warning and steps_to_cover 2
+        ([0, 5], 5), ([0, -1], 5),  # once read as cycle positions
+        ([[0, 1]], 5), ([0.0, 1.0], 5), ([0, 1], 5.0), ([0, 1], True),
+    ])
+    def test_schedule_must_be_ints_in_range(self, schedule, p):
+        with pytest.raises(CdamError, match=rf"is not ints in \[0, p\), p={p!r}"):
+            X.schedule_metrics(schedule, p)
 
     # Dwells up to twice PATIENCE; moves of 0 (a repeated value), +1 (in
     # order), more (a skip) or backward; short schedules that never cover p.
@@ -652,6 +720,21 @@ class TestAutomatonRunner:
             top = int(np.argmax(r))
             assert runner.settle_from(vertex) == (runner.names[top], float(r[top]))
 
+    def test_unknown_label_raises_before_any_step(self, monkeypatch):
+        # once a settle from a fresh embedding: at Bart, query("cousin") gave ('Bart', 0.855...)
+        import cdam.dynamics as D
+        calls = []
+        retrieval = D.retrieval_vector
+        monkeypatch.setattr(D, "retrieval_vector",
+                            lambda *args, **kw: calls.append(1) or retrieval(*args, **kw))
+        runner = X.AutomatonRunner(family_tree(), n=200)
+        runner.set_state("Bart")
+        with pytest.raises(CdamError, match="unknown label 'cousin'"):
+            runner.query("cousin")
+        assert calls == [] and runner.state == "Bart"
+        runner.query("father")
+        assert calls and runner.state == "Homer"
+
     def test_settle_from_unknown_vertex(self):
         runner = X.AutomatonRunner(family_tree(), n=200)
         with pytest.raises(CdamError, match="unknown vertex 'Nobody'"):
@@ -724,6 +807,33 @@ class TestRetrievalSweep:
                           trials=1).write(tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert list(doc["outputs"]["accuracy"]["a+1_h+0"]) == ["4"]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"p_levels": (-1,)}, "needs p >= 2, got -1"),  # once "holds no states"
+        ({"p_levels": (2.5,)}, "level 2.5 is not an int"),  # once numpy's TypeError
+        ({"p_levels": (True,)}, "level True is not an int"),
+        ({"p_levels": (5, 11)}, "p=11 exceeds dataset size 10"),  # once after level 5 ran
+        ({"trials": 1.5}, r"trials >= 1, got 1.5 \(an int\)"),  # once ran one trial
+        ({"trials": True}, r"trials >= 1, got True \(an int\)"),
+    ])
+    def test_arguments_are_checked_before_any_level_runs(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(X, "iterate", lambda *args, **kw: pytest.fail("a level ran"))
+        bank = np.random.default_rng(0).uniform(0, 1, (20, 10))
+        with pytest.raises(CdamError, match=message):
+            X.retrieval_sweep(bank, **{"p_levels": (5,), "trials": 1, **kwargs})
+
+    def test_an_iterator_of_levels_runs_every_level(self):
+        # once recorded in params and then exhausted, so no level ran
+        bank = np.random.default_rng(0).uniform(0, 1, (20, 10))
+        want = X.retrieval_sweep(bank, p_levels=(4, 6), trials=1)
+        got = X.retrieval_sweep(bank, p_levels=iter((4, 6)), trials=1)
+        assert got.params == want.params and got.outputs == want.outputs
+        assert list(got.outputs["accuracy"]["a+1_h+0"]) == [4, 6]
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        bank = np.random.default_rng(0).uniform(0, 1, (20, 10))
+        want = X.retrieval_sweep(bank, p_levels=(5, 10), trials=2).outputs
+        assert X.retrieval_sweep(bank, p_levels=np.array([5, 10]), trials=np.int64(2)).outputs == want
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises(self, monkeypatch):

@@ -272,6 +272,17 @@ class TestSerialization:
         assert back.p == g.p and back.directed == g.directed
         assert back.edges == g.edges
 
+    @pytest.mark.parametrize("name, body", [("absent.txt", None),
+                                            ("latin1.txt", b"undirected\n# caf\xe9\n0 1\n")])
+    def test_unreadable_file_is_a_cdam_error(self, tmp_path, name, body):
+        # a missing file and one that is not UTF-8 fail alike, not with OSError or
+        # UnicodeDecodeError out of the library
+        path = tmp_path / name
+        if body is not None:
+            path.write_bytes(body)
+        with pytest.raises(CdamError, match=f"cannot read graph file .*{name}"):
+            read_graph(path)
+
     def test_comments_and_blanks_ignored(self):
         g = from_text("# a comment\n\nundirected\n0 1\n\n# trailing\n1 2 0.5\n")
         assert g.p == 3

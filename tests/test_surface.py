@@ -153,6 +153,48 @@ def test_only_reports_writes_files():
     assert _file_writes(ast.parse((ROOT / "src" / "cdam" / "reports.py").read_text()))
 
 
+def _reads_edges(node: ast.AST) -> bool:
+    """Whether node reads an .edges attribute, as in graph.edges."""
+    return isinstance(node, ast.Attribute) and node.attr == "edges"
+
+
+def _calls_embed_label(node: ast.AST) -> bool:
+    """Whether node calls embed_label, bare or as an attribute (ingest.embed_label)."""
+    return isinstance(node, ast.Call) and "embed_label" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None))
+
+
+def _modules_where(found) -> list[str]:
+    """The src/cdam modules with a node for which found(node) holds."""
+    return [path.stem for path in sorted((ROOT / "src" / "cdam").glob("*.py"))
+            if any(found(node) for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_edge_reads_and_label_embeddings_are_found_in_any_spelling():
+    nodes = list(ast.walk(ast.parse('''
+edges = g.edges
+for src, dst, w in self.graph.edges: pass
+v = embed_label("a", 5, 0)
+w = ingest.embed_label("b", 5, 0)
+f = embed_label
+edges(x)
+''')))
+    assert sum(map(_reads_edges, nodes)) == 2
+    assert sum(map(_calls_embed_label, nodes)) == 2
+
+
+def test_only_graphs_reads_a_graphs_edge_list():
+    # every other module reads a graph through adjacency() or normalize(), so the edge
+    # format is known in one place
+    assert _modules_where(_reads_edges) == ["graphs"]
+
+
+def test_only_ingest_embeds_a_label():
+    # an automaton's label embeddings are drawn once, into the patterns ingest composes;
+    # every other reader takes them from those patterns
+    assert _modules_where(_calls_embed_label) == ["ingest"]
+
+
 def _max_min_comparisons(tree: ast.Module) -> list[str]:
     """The name of the function around each comparison of an array's .max(...)
     with its .min(...), in either order, the test of a constant column; the
